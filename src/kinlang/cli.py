@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,7 +65,7 @@ from .simulate import SimConfig, ensemble_at_point, run, write_trajectory_csv
 
 __all__ = ["main", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +119,12 @@ def _prepare_out(cfg: ExperimentConfig) -> str:
     return cfg.out_dir
 
 
-def _map(fn, items, workers: int):
-    """Order-preserving map, optionally over a thread pool."""
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # oracle-ou
 
 
-def _ou_case(args):
+def _ou_case(w, kind, lam, s, n_times):
     """One (w, friction, lam) closed-form curve plus its fitted rate."""
-    w, kind, lam, s, n_times = args
     if kind == "constant_scalar":
         gamma = lam
         label = f"constant_scalar(lam={lam:g})"
@@ -169,7 +158,7 @@ def cmd_oracle_ou(cfg: ExperimentConfig) -> int:
     cases = [(ora.w, "constant_scalar", lam, s, ora.n_times)
              for lam in ora.lambda_grid]
     cases.append((ora.w, "hessian_sqrt", None, s, ora.n_times))
-    results = _map(_ou_case, cases, cfg.workers)
+    results = [_ou_case(*case) for case in cases]
 
     rows = [r for case_rows, _ in results for r in case_rows]
     _write_csv(os.path.join(out, "oracle_ou.csv"),
@@ -470,8 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides config out_dir)")
         sp.add_argument("--seed", type=int, metavar="N",
                         help="override simulation.seed")
-        sp.add_argument("--workers", type=int, metavar="K",
-                        help="worker threads for independent grid cells")
     return parser
 
 
@@ -480,11 +467,10 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             cfg = load_config(args.config, kind=args.command,
-                              out_dir=args.out, seed=args.seed,
-                              workers=args.workers)
+                              out_dir=args.out, seed=args.seed)
         else:
             cfg = config_from_dict({}, kind=args.command, out_dir=args.out,
-                                   seed=args.seed, workers=args.workers)
+                                   seed=args.seed)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

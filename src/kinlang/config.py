@@ -363,14 +363,12 @@ class ExperimentConfig:
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
     audit: AuditConfig = field(default_factory=AuditConfig)
-    workers: int = 1
 
     def resolved(self) -> dict:
         """The fully materialized config embedded in every output."""
         return {
             "kind": self.kind,
             "out_dir": self.out_dir,
-            "workers": self.workers,
             "potential": self.potential.as_dict(),
             "friction": self.friction.as_dict(),
             "simulation": self.simulation.as_dict(),
@@ -380,14 +378,13 @@ class ExperimentConfig:
         }
 
 
-_TOP_LEVEL = ("kind", "out_dir", "workers", "potential", "friction",
-              "simulation", "certificate", "oracle", "audit")
+_TOP_LEVEL = ("kind", "out_dir", "potential", "friction", "simulation",
+              "certificate", "oracle", "audit")
 
 
 def config_from_dict(raw: dict, kind: Optional[str] = None,
                      out_dir: Optional[str] = None,
-                     seed: Optional[int] = None,
-                     workers: Optional[int] = None) -> ExperimentConfig:
+                     seed: Optional[int] = None) -> ExperimentConfig:
     """Build and validate a config; keyword arguments override file values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -405,9 +402,6 @@ def config_from_dict(raw: dict, kind: Optional[str] = None,
     sim_section = dict(raw.get("simulation", {}))
     if seed is not None:
         sim_section["seed"] = seed
-    resolved_workers = workers if workers is not None else int(raw.get("workers", 1))
-    if resolved_workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {resolved_workers}")
     cfg = ExperimentConfig(
         kind=resolved_kind,
         out_dir=out_dir or raw.get("out_dir") or f"runs/{resolved_kind}",
@@ -417,7 +411,6 @@ def config_from_dict(raw: dict, kind: Optional[str] = None,
         certificate=CertificateConfig.from_dict(dict(raw.get("certificate", {}))),
         oracle=OracleConfig.from_dict(dict(raw.get("oracle", {}))),
         audit=AuditConfig.from_dict(dict(raw.get("audit", {}))),
-        workers=resolved_workers,
     )
     _validate_for_kind(cfg)
     return cfg
@@ -436,8 +429,7 @@ def _validate_for_kind(cfg: ExperimentConfig):
 
 
 def load_config(path, kind: Optional[str] = None, out_dir: Optional[str] = None,
-                seed: Optional[int] = None,
-                workers: Optional[int] = None) -> ExperimentConfig:
+                seed: Optional[int] = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -445,8 +437,7 @@ def load_config(path, kind: Optional[str] = None, out_dir: Optional[str] = None,
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    return config_from_dict(raw, kind=kind, out_dir=out_dir, seed=seed,
-                            workers=workers)
+    return config_from_dict(raw, kind=kind, out_dir=out_dir, seed=seed)
 
 
 def build_potential(cfg: PotentialConfig) -> Potential:

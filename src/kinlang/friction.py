@@ -10,15 +10,21 @@ The diffusion coefficient is tied to the friction so that the Gibbs measure
 stays invariant: sqrt(2 Gamma(q)) for the original dynamics, and
 sqrt(2 Gamma(q) / alpha) for the time/momentum-rescaled dynamics.
 
-For constant-Hessian potentials the hessian_sqrt provider decomposes the
-Hessian once and memoizes Gamma (and its diffusion); for diagonal-Hessian
-families it also exposes a vectorized per-particle diagonal fast path used
-by the simulator.
+``FrictionSpec.resolve`` decides, once per (friction, potential) pair, the
+form in which the simulator applies Gamma: a function q -> (Gamma, diffusion)
+over (N, d) positions, returning either
+
+  * diagonal entries: a constant (d,) vector when Gamma is a constant
+    diagonal matrix, or the (N, d) field s * sqrt(hess_diag(q)); or
+  * matrix stacks: (1, d, d) for any other constant Gamma, or (N, d, d)
+    from one batched square root of the per-particle Hessians.
+
+Constant forms are computed when resolving, not on every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,78 +45,54 @@ class FrictionSpec:
     lam: Optional[float] = None     # constant_scalar
     matrix: Optional[np.ndarray] = None  # constant_matrix
     s: Optional[float] = None       # hessian_sqrt scale
-    # memo for constant-Hessian potentials: id(potential) -> (potential, Gamma)
-    _gamma_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _diff_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- friction coefficient ------------------------------------------------
 
     def gamma(self, p: Potential, q) -> np.ndarray:
         """Gamma(q) as a (d, d) SPD matrix; constant kinds ignore q."""
-        d = p.dim
         if self.kind == "constant_scalar":
-            return self.lam * np.eye(d)
+            return self.lam * np.eye(p.dim)
         if self.kind == "constant_matrix":
             return self.matrix
-        # hessian_sqrt
-        if p.constant_hessian:
-            memo = self._gamma_memo.get(id(p))
-            if memo is not None and memo[0] is p:
-                return memo[1]
-            g = self.s * spd_sqrt(p.hess(np.zeros(d)))
-            self._gamma_memo[id(p)] = (p, g)
-            return g
         return self.s * spd_sqrt(p.hess(np.asarray(q, dtype=float)))
 
     def diffusion(self, p: Potential, q, rescaled: bool = False,
                   alpha: Optional[float] = None) -> np.ndarray:
         """sqrt(2 Gamma(q)), or sqrt(2 Gamma(q)/alpha) when rescaled."""
-        scale = self._diffusion_scale(rescaled, alpha)
-        if self.kind == "hessian_sqrt" and p.constant_hessian:
-            key = (id(p), scale)
-            memo = self._diff_memo.get(key)
-            if memo is not None and memo[0] is p:
-                return memo[1]
-            out = spd_sqrt(scale * self.gamma(p, q))
-            self._diff_memo[key] = (p, out)
-            return out
-        return spd_sqrt(scale * self.gamma(p, q))
-
-    @staticmethod
-    def _diffusion_scale(rescaled, alpha):
-        if not rescaled:
-            return 2.0
-        if alpha is None or alpha <= 0:
-            raise ValueError("rescaled diffusion needs alpha > 0")
-        return 2.0 / alpha
-
-    # -- vectorized diagonal fast path ---------------------------------------
-
-    def supports_diagonal(self, p: Potential) -> bool:
-        """True when Gamma(q) is diagonal for every q of this potential."""
-        if self.kind == "constant_scalar":
-            return True
-        if self.kind == "constant_matrix":
-            return bool(np.count_nonzero(self.matrix - np.diag(np.diagonal(self.matrix))) == 0)
-        return p.hess_diag is not None
+        return spd_sqrt(_diffusion_scale(rescaled, alpha) * self.gamma(p, q))
 
     def gamma_diag(self, p: Potential, positions) -> np.ndarray:
-        """Diagonal entries of Gamma at each row of positions, shape (..., d).
+        """Diagonal entries of hessian_sqrt Gamma at each row of positions,
+        shape (..., d); needs the potential's hess_diag field."""
+        return self.s * np.sqrt(p.hess_diag(np.asarray(positions, dtype=float)))
 
-        Only valid when supports_diagonal(p); the simulator uses this to
-        avoid per-particle matrix decompositions.
-        """
-        positions = np.asarray(positions, dtype=float)
-        if self.kind == "constant_scalar":
-            return np.full_like(positions, self.lam)
-        if self.kind == "constant_matrix":
-            return np.broadcast_to(np.diagonal(self.matrix), positions.shape).copy()
-        return self.s * np.sqrt(p.hess_diag(positions))
+    # -- the simulator's friction form ---------------------------------------
 
-    def diffusion_diag(self, p: Potential, positions, rescaled: bool = False,
-                       alpha: Optional[float] = None) -> np.ndarray:
-        scale = self._diffusion_scale(rescaled, alpha)
-        return np.sqrt(scale * self.gamma_diag(p, positions))
+    def resolve(self, p: Potential, rescaled: bool = False,
+                alpha: Optional[float] = None):
+        """q -> (Gamma, diffusion) over (N, d) positions, in the shapes the
+        module docstring lists."""
+        scale = _diffusion_scale(rescaled, alpha)
+        if self.kind != "hessian_sqrt" or p.constant_hessian:
+            g = self.gamma(p, np.zeros(p.dim))
+            diag = np.diagonal(g)
+            if np.count_nonzero(g - np.diag(diag)) == 0:
+                const = (diag, np.sqrt(scale * diag))
+            else:
+                const = (g[None], spd_sqrt(scale * g)[None])
+            return lambda q: const
+        if p.hess_diag is not None:
+            def diagonal_field(q):
+                g = self.gamma_diag(p, q)
+                return g, np.sqrt(scale * g)
+            return diagonal_field
+
+        def general_field(q):
+            # Potential.hess maps one point to (d, d), so the field is
+            # evaluated row by row and decomposed in one batched call
+            g = self.s * spd_sqrt(np.stack([p.hess(q_i) for q_i in q]))
+            return g, spd_sqrt(scale * g)
+        return general_field
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -121,6 +103,15 @@ class FrictionSpec:
         else:
             out["s"] = self.s
         return out
+
+
+def _diffusion_scale(rescaled, alpha):
+    """2, or 2/alpha for the rescaled dynamics."""
+    if not rescaled:
+        return 2.0
+    if alpha is None or alpha <= 0:
+        raise ValueError("rescaled diffusion needs alpha > 0")
+    return 2.0 / alpha
 
 
 def constant_scalar(lam: float) -> FrictionSpec:

@@ -3,7 +3,7 @@
 Everything downstream -- friction matrices, Gaussian propagation, weight
 matrices -- funnels through these few routines:
 
-  * ``spd_sqrt``: principal square root of an SPD matrix
+  * ``spd_sqrt``: principal square root of an SPD matrix or a stack of them
   * ``spd_sqrt_directional_derivative``: derivative of that square root along
     a symmetric perturbation (Sylvester equation in the eigenbasis)
   * ``expm``: matrix exponential e^{m t}
@@ -37,6 +37,13 @@ __all__ = [
 SYM_TOL = 1e-12
 
 
+def _first_bad(name, bad):
+    """(name, ()) for a single matrix's 0-d mask bad, else (name[i], i) for
+    the first failing matrix i of a stack."""
+    i = np.unravel_index(np.argmax(bad), bad.shape)
+    return (f"{name}{[int(k) for k in i]}" if i else name), i
+
+
 def check_symmetric(m, name="matrix"):
     """Validate (and symmetrize) a square matrix.
 
@@ -58,36 +65,63 @@ def check_symmetric(m, name="matrix"):
         If the asymmetry exceeds tolerance or the matrix is not square.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise NotSymmetric(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.linalg.norm(m, "fro")))
-    skew = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if skew > SYM_TOL * scale:
-        raise NotSymmetric(
-            f"{name} is not symmetric: max |M_ij - M_ji| = {skew:.3e} "
-            f"exceeds {SYM_TOL:.1e} * max(1, ||M||_F)"
-        )
-    return 0.5 * (m + m.T)
+    return _symmetrize(m, name)
+
+
+def _symmetrize(m, name):
+    """check_symmetric for each matrix of an (..., d, d) float stack; a
+    failing matrix of a stack is named by its index, ``name[i]``."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSymmetric(f"{name} must be square, got shape {m.shape}")
+    mt = m.swapaxes(-1, -2)
+    # every threshold is at least SYM_TOL, so a smaller asymmetry clears all
+    if m.size and np.abs(m - mt).max() > SYM_TOL:
+        skew = np.abs(m - mt).max(axis=(-2, -1))
+        bad = skew > SYM_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+        if np.count_nonzero(bad):
+            label, i = _first_bad(name, bad)
+            raise NotSymmetric(
+                f"{label} is not symmetric: max |M_ij - M_ji| = {skew[i]:.3e} "
+                f"exceeds {SYM_TOL:.1e} * max(1, ||M||_F)"
+            )
+    return 0.5 * (m + mt)
 
 
 def sym_eig(m, name="matrix"):
-    """Eigendecomposition of a symmetric matrix, ascending eigenvalues.
+    """Eigendecomposition of a symmetric matrix (or stack), ascending eigenvalues.
 
     Returns
     -------
     (w, u) : (ndarray, ndarray)
-        ``u @ diag(w) @ u.T`` reconstructs the symmetrized input.
+        ``u @ diag(w) @ u.T`` reconstructs each symmetrized input.
     """
-    m = check_symmetric(m, name)
-    w, u = np.linalg.eigh(m)
+    w, u = np.linalg.eigh(_symmetrize(np.asarray(m, dtype=float), name))
     return w, u
 
 
 def _spd_floor(w, tol):
-    """Default positive-definiteness floor: 1e-10 * largest |eigenvalue|."""
+    """Default positive-definiteness floor: 1e-10 * largest |eigenvalue|,
+    per matrix when w holds a stack's ascending eigenvalues."""
     if tol is not None:
         return tol
-    return 1e-10 * float(np.max(np.abs(w))) if w.size else 0.0
+    return 1e-10 * np.maximum(-w[..., 0], w[..., -1])
+
+
+def _spd_eig(m, tol):
+    """sym_eig of m after checking every eigenvalue is above the floor."""
+    w, u = sym_eig(m)
+    if w.size:
+        floor = _spd_floor(w, tol)
+        bad = w[..., 0] <= floor
+        if np.count_nonzero(bad):
+            label, i = _first_bad("matrix", bad)
+            floor = np.broadcast_to(floor, bad.shape)
+            raise NotPositiveDefinite(
+                f"{label} has eigenvalue {w[i][0]:.6e} <= tolerance {floor[i]:.3e}"
+            )
+    return w, u
 
 
 def spd_sqrt(m, tol=None):
@@ -95,8 +129,9 @@ def spd_sqrt(m, tol=None):
 
     Parameters
     ----------
-    m : array_like, shape (d, d)
-        Symmetric with smallest eigenvalue above ``tol``.
+    m : array_like, shape (..., d, d)
+        Symmetric with smallest eigenvalue above ``tol``; a stack is
+        decomposed in one batched call, each matrix against its own floor.
     tol : float, optional
         Positive-definiteness floor.  Defaults to ``1e-10 * max |eig|``.
 
@@ -108,16 +143,11 @@ def spd_sqrt(m, tol=None):
     Raises
     ------
     NotPositiveDefinite
-        If any eigenvalue is <= ``tol``.
+        If any eigenvalue is <= ``tol``; a stack names the failing index.
     """
-    w, u = sym_eig(m)
-    floor = _spd_floor(w, tol)
-    if w.size and w[0] <= floor:
-        raise NotPositiveDefinite(
-            f"matrix has eigenvalue {w[0]:.6e} <= tolerance {floor:.3e}"
-        )
-    r = (u * np.sqrt(w)) @ u.T
-    return 0.5 * (r + r.T)
+    w, u = _spd_eig(m, tol)
+    r = (u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2)
+    return 0.5 * (r + r.swapaxes(-1, -2))
 
 
 def spd_sqrt_directional_derivative(m, dm, tol=None):
@@ -146,12 +176,7 @@ def spd_sqrt_directional_derivative(m, dm, tol=None):
     NotPositiveDefinite
         Propagated from the square root of ``m``.
     """
-    w, u = sym_eig(m)
-    floor = _spd_floor(w, tol)
-    if w.size and w[0] <= floor:
-        raise NotPositiveDefinite(
-            f"matrix has eigenvalue {w[0]:.6e} <= tolerance {floor:.3e}"
-        )
+    w, u = _spd_eig(m, tol)
     dm = check_symmetric(dm, "dm")
     roots = np.sqrt(w)
     dm_tilde = u.T @ dm @ u

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import ConvexityLost, NonPositiveFrequency
-from .linalg import spd_sqrt
+from .linalg import check_symmetric, spd_sqrt
 
 __all__ = [
     "AssumptionConstants",
@@ -143,9 +143,8 @@ def quadratic_diagonal(v) -> Potential:
 
 def quadratic_general(a) -> Potential:
     """V(q) = 1/2 q' a q for SPD a; alpha/beta are a's extreme eigenvalues."""
-    a = np.asarray(a, dtype=float)
-    spd_sqrt(a)  # raises NotPositiveDefinite (and checks symmetry)
-    a = 0.5 * (a + a.T)
+    a = check_symmetric(a)
+    spd_sqrt(a)  # raises NotPositiveDefinite
     d = a.shape[0]
     w = np.linalg.eigvalsh(a)
     zero = np.zeros((d, d))

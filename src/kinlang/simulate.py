@@ -26,7 +26,6 @@ import numpy as np
 from .errors import NumericalBlowup
 from .friction import FrictionSpec
 from .gaussian import GaussianMoments, gaussian_chi2
-from .linalg import spd_sqrt
 from .potentials import Potential
 
 __all__ = [
@@ -186,44 +185,27 @@ def _check_finite(q, p, step_index):
         )
 
 
-def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
-         xi: Optional[np.ndarray] = None) -> Ensemble:
-    """One Euler-Maruyama update of the whole ensemble.
+def _apply(m, x):
+    """Each particle's Gamma (or diffusion) times its row of x, for either
+    resolved shape: diagonal entries or a (1 | N, d, d) matrix stack."""
+    if m.ndim < 3:
+        return m * x
+    if len(m) == 1:
+        return x @ m[0].T
+    return (m @ x[:, :, None])[:, :, 0]
 
-    xi overrides the (N, d) noise draw -- tests use it for zero-noise and
-    common-random-number runs; None draws from the keyed stream for
-    step index `ensemble.steps_taken`.
-    """
+
+def _advance(ensemble: Ensemble, p: Potential, friction, cfg: SimConfig,
+             xi: Optional[np.ndarray]) -> Ensemble:
+    """The EM update with friction resolved by FrictionSpec.resolve."""
     q = ensemble.positions
     mom = ensemble.momenta
-    n, d = q.shape
     if xi is None:
-        xi = philox_normals(ensemble.seed, ensemble.steps_taken, (n, d))
+        xi = philox_normals(ensemble.seed, ensemble.steps_taken, q.shape)
     dt = cfg.dt
-    root_dt = np.sqrt(dt)
-
-    drift_p = -p.grad(q) * dt
-    if spec.kind == "hessian_sqrt" and not p.constant_hessian:
-        if spec.supports_diagonal(p):
-            gdiag = spec.gamma_diag(p, q)
-            fric = gdiag * mom
-            kick = np.sqrt((2.0 / cfg.alpha if cfg.rescaled else 2.0) * gdiag) * xi
-        else:
-            # general position-dependent friction: per-particle decompositions
-            fric = np.empty_like(mom)
-            kick = np.empty_like(mom)
-            for i in range(n):
-                g = spec.gamma(p, q[i])
-                fric[i] = g @ mom[i]
-                kick[i] = spd_sqrt((2.0 / cfg.alpha if cfg.rescaled else 2.0) * g) @ xi[i]
-    else:
-        g = spec.gamma(p, q[0])
-        sig = spec.diffusion(p, q[0], rescaled=cfg.rescaled, alpha=cfg.alpha)
-        fric = mom @ g.T
-        kick = xi @ sig.T
-
+    g, sig = friction(q)
     new_q = q + mom * dt
-    new_p = mom + drift_p - fric * dt + kick * root_dt
+    new_p = mom - p.grad(q) * dt - _apply(g, mom) * dt + _apply(sig, xi) * np.sqrt(dt)
     step_index = ensemble.steps_taken + 1
     _check_finite(new_q, new_p, step_index)
     return replace(
@@ -233,6 +215,28 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         time=ensemble.time + dt,
         steps_taken=step_index,
     )
+
+
+def _check_matches(ensemble: Ensemble, cfg: SimConfig, fields=("dt", "seed")):
+    """Reject an ensemble whose copy of a config field disagrees with cfg."""
+    for name in fields:
+        mine, theirs = getattr(ensemble, name), getattr(cfg, name)
+        if mine != theirs:
+            raise ValueError(f"{name}: the ensemble has {mine!r}, the config {theirs!r}")
+
+
+def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
+         xi: Optional[np.ndarray] = None) -> Ensemble:
+    """One Euler-Maruyama update of the whole ensemble.
+
+    xi overrides the (N, d) noise draw -- tests use it for zero-noise and
+    common-random-number runs; None draws from the keyed stream for
+    step index `ensemble.steps_taken`.  The ensemble's dt and seed must
+    match cfg's; the particle count comes from the ensemble.
+    """
+    _check_matches(ensemble, cfg)
+    friction = spec.resolve(p, rescaled=cfg.rescaled, alpha=cfg.alpha)
+    return _advance(ensemble, p, friction, cfg, xi)
 
 
 def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig):
@@ -263,7 +267,9 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    _check_matches(init, cfg, ("dt", "seed", "n_particles"))
     stability_warning(init, p, spec, cfg)
+    friction = spec.resolve(p, rescaled=cfg.rescaled, alpha=cfg.alpha)
 
     def record(ens):
         mean, cov = ens.summary()
@@ -276,7 +282,7 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     out = [record(ens)]
     for k in range(cfg.n_steps):
         xi = xi_fn(ens.steps_taken, ens.positions.shape) if xi_fn is not None else None
-        ens = step(ens, p, spec, cfg, xi=xi)
+        ens = _advance(ens, p, friction, cfg, xi)
         if (k + 1) % record_every == 0 or k + 1 == cfg.n_steps:
             out.append(record(ens))
     return out

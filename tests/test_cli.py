@@ -40,7 +40,6 @@ class TestConfigParsing:
         assert cfg.friction.kind == "hessian_sqrt"
         assert cfg.friction.s == 2.0
         assert cfg.certificate.s_grid == (1.0, 1.5, 2.0, 3.0, 4.0)
-        assert cfg.workers == 1
 
     def test_resolved_round_trips(self):
         cfg = config_from_dict({"kind": "audit"})
@@ -223,17 +222,6 @@ class TestOracleOu:
         for name, blob in blobs.items():
             with open(os.path.join(out, name), "rb") as fh:
                 assert fh.read() == blob, name
-
-    def test_workers_do_not_change_results(self, tmp_path):
-        out1 = str(tmp_path / "w1")
-        out4 = str(tmp_path / "w4")
-        main(["oracle-ou", "--out", out1])
-        main(["oracle-ou", "--out", out4, "--workers", "4"])
-        with open(os.path.join(out1, "oracle_ou.csv"), "rb") as fh:
-            a = fh.read()
-        with open(os.path.join(out4, "oracle_ou.csv"), "rb") as fh:
-            b = fh.read()
-        assert a == b
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,13 +33,6 @@ class TestGamma:
             g1 = spec.gamma(p, np.zeros(2))
             g2 = spec.gamma(p, np.array([3.0, -4.0]))
             assert np.array_equal(g1, g2)
-
-    def test_constant_hessian_memo_returns_same_object(self):
-        spec = hessian_sqrt(2.0)
-        p = quadratic_diagonal([1.0, 3.0])
-        g1 = spec.gamma(p, np.zeros(2))
-        g2 = spec.gamma(p, np.ones(2))
-        assert g1 is g2
 
     def test_indefinite_matrix_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefinite):
@@ -109,26 +104,59 @@ class TestEigenvalueSandwich:
                 assert w[0] >= lo and w[-1] <= hi
 
 
-class TestDiagonalFastPath:
-    def test_support_detection(self):
+class TestResolve:
+    """The simulator's friction form: diagonal entries or matrix stacks."""
+
+    def test_constant_form_computed_once(self):
+        pd = quadratic_diagonal([1.0, 3.0])
+        pg = quadratic_general(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        cases = [
+            (hessian_sqrt(2.0), pd),
+            (hessian_sqrt(2.0), pg),
+            (constant_scalar(1.5), pg),
+            (constant_matrix(np.array([[1.0, 0.1], [0.1, 1.0]])), pd),
+        ]
+        for spec, p in cases:
+            friction = spec.resolve(p, rescaled=True, alpha=2.0)
+            g1, sig1 = friction(np.zeros((3, 2)))
+            g2, sig2 = friction(np.array([[3.0, -4.0]] * 5))
+            assert g1 is g2 and sig1 is sig2
+
+    def test_resolved_shapes(self):
         pd = quadratic_diagonal([1.0, 2.0])
         pg = quadratic_general(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        assert constant_scalar(1.0).supports_diagonal(pg)
-        assert hessian_sqrt(2.0).supports_diagonal(pd)
-        assert not hessian_sqrt(2.0).supports_diagonal(pg)
-        assert constant_matrix(np.diag([1.0, 2.0])).supports_diagonal(pg)
-        assert not constant_matrix(np.array([[1.0, 0.1], [0.1, 1.0]])).supports_diagonal(pg)
+        pp = perturbed_diagonal([1.0, 2.0], 0.1)
+        # the same potential without its diagonal shortcut: a general field
+        general = dataclasses.replace(pp, hess_diag=None)
+        cases = [
+            (constant_scalar(1.0), pg, (2,)),
+            (constant_matrix(np.diag([1.0, 2.0])), pg, (2,)),
+            (constant_matrix(np.array([[1.0, 0.1], [0.1, 1.0]])), pd, (1, 2, 2)),
+            (hessian_sqrt(2.0), pd, (2,)),
+            (hessian_sqrt(2.0), pg, (1, 2, 2)),
+            (hessian_sqrt(2.0), pp, (5, 2)),
+            (hessian_sqrt(2.0), general, (5, 2, 2)),
+        ]
+        q = np.random.default_rng(41).standard_normal((5, 2))
+        for spec, p, shape in cases:
+            g, sig = spec.resolve(p)(q)
+            assert g.shape == sig.shape == shape, (spec.kind, p.family)
 
-    def test_matches_dense_path(self):
+    def test_diagonal_entries_match_dense(self):
         rng = np.random.default_rng(37)
-        p = perturbed_diagonal([1.0, 1.4], 0.05)
-        spec = hessian_sqrt(2.0)
         qs = rng.standard_normal((50, 2))
-        diag = spec.gamma_diag(p, qs)
-        sig = spec.diffusion_diag(p, qs)
-        sig_r = spec.diffusion_diag(p, qs, rescaled=True, alpha=1.0)
-        for n in range(50):
-            dense = spec.gamma(p, qs[n])
-            assert np.allclose(np.diag(dense), diag[n], atol=1e-13)
-            assert np.allclose(np.diag(spec.diffusion(p, qs[n])), sig[n], atol=1e-13)
-            assert np.allclose(sig[n], sig_r[n], atol=1e-13)
+        pp = perturbed_diagonal([1.0, 1.4], 0.05)
+        pd = quadratic_diagonal([1.0, 1.4])
+        cases = [(hessian_sqrt(2.0), pp), (hessian_sqrt(2.0), pd),
+                 (constant_scalar(0.7), pp),
+                 (constant_matrix(np.diag([2.0, 0.5])), pp)]
+        for spec, p in cases:
+            for rescaled, alpha in ((False, None), (True, 2.5)):
+                g, sig = spec.resolve(p, rescaled=rescaled, alpha=alpha)(qs)
+                g = np.broadcast_to(g, qs.shape)
+                sig = np.broadcast_to(sig, qs.shape)
+                for n in range(50):
+                    dense_g = spec.gamma(p, qs[n])
+                    dense_sig = spec.diffusion(p, qs[n], rescaled=rescaled, alpha=alpha)
+                    assert np.allclose(np.diag(dense_g), g[n], rtol=0, atol=1e-13)
+                    assert np.allclose(np.diag(dense_sig), sig[n], rtol=0, atol=1e-13)

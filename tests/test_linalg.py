@@ -34,6 +34,9 @@ class TestCheckSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(NotSymmetric):
             check_symmetric(np.ones((2, 3)))
+        # a stack is not one matrix; spd_sqrt takes stacks, this does not
+        with pytest.raises(NotSymmetric):
+            check_symmetric(np.eye(2)[None])
 
 
 class TestSpdSqrt:
@@ -70,6 +73,45 @@ class TestSpdSqrt:
     def test_rejects_semidefinite_at_default_tol(self):
         with pytest.raises(NotPositiveDefinite):
             spd_sqrt(np.diag([1.0, 0.0]))
+
+
+class TestSpdSqrtStack:
+    def test_single_matrix_bit_identical_to_one_decomposition(self):
+        # the (d, d) result is the unbatched formula, bit for bit
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 5):
+            m = random_spd(rng, d)
+            w, u = np.linalg.eigh(0.5 * (m + m.T))
+            r = (u * np.sqrt(w)) @ u.T
+            assert np.array_equal(spd_sqrt(m), 0.5 * (r + r.T))
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_spd(rng, 3) for _ in range(6)])
+        out = spd_sqrt(stack)
+        assert out.shape == stack.shape
+        for i in range(6):
+            assert np.array_equal(out[i], spd_sqrt(stack[i]))
+
+    def test_floor_is_per_matrix(self):
+        # against a floor shared by the stack, 1e-10 * 1e8, the first
+        # matrix would be rejected
+        out = spd_sqrt(np.stack([1e-8 * np.eye(2), 1e8 * np.eye(2)]))
+        assert np.allclose(out[0], 1e-4 * np.eye(2), rtol=1e-14, atol=0)
+
+    def test_indefinite_member_named_by_index(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NotPositiveDefinite, match=r"matrix\[2\] has eigenvalue"):
+            spd_sqrt(stack)
+
+    def test_asymmetric_member_named_by_index(self):
+        # the slack scales with each matrix's own norm: 5e-9 passes at
+        # ||M||_F ~ 1e4 and fails at ~ 1
+        skewed = np.array([[1.0, 0.0], [5e-9, 1.0]])
+        spd_sqrt(np.stack([1e4 * np.eye(2) + skewed, np.eye(2)]))
+        stack = np.stack([np.eye(2), skewed])
+        with pytest.raises(NotSymmetric, match=r"matrix\[1\] is not symmetric"):
+            spd_sqrt(stack)
 
 
 class TestSqrtDerivative:

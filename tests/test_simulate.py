@@ -181,6 +181,81 @@ class TestStepFormula:
         assert np.allclose(out.momenta, 2.0 * xi * np.sqrt(0.04), atol=1e-15)
 
 
+def _rotated_log_cosh(v, eps, angle):
+    """V(q) = sum v_i^2 y_i^2 / 2 + eps sum log cosh(y_i) with y = R q and R
+    a plane rotation: a Hessian that is neither diagonal nor constant."""
+    base = perturbed_diagonal(v, eps)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    v2 = np.asarray(v, dtype=float) ** 2
+
+    def grad(q):
+        y = q @ rot.T
+        return (v2 * y + eps * np.tanh(y)) @ rot
+
+    def hess(q):
+        y = rot @ q
+        return (rot.T * (v2 + eps * (1.0 - np.tanh(y) ** 2))) @ rot
+
+    return dataclasses.replace(base, grad=grad, hess=hess, hess_diag=None,
+                               constant_hessian=False)
+
+
+class TestGeneralFrictionField:
+    @pytest.mark.parametrize("form,alpha", [("original", None), ("rescaled", 0.8)])
+    def test_batched_step_matches_per_particle_loop(self, form, alpha):
+        pot = _rotated_log_cosh([1.0, 3.0], 0.5, 0.6)
+        assert abs(pot.hess(np.array([0.4, -0.2]))[0, 1]) > 0.1
+        spec = hessian_sqrt(2.0)
+        n, dt = 40, 0.01
+        cfg = SimConfig(dt=dt, n_steps=1, n_particles=n, seed=8,
+                        dynamics_form=form, alpha=alpha)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=np.zeros(4), cov=np.eye(4)), n, 8, dt)
+        out = step(init, pot, spec, cfg)
+        xi = philox_normals(8, 0, (n, 2))
+        q, mom = init.positions, init.momenta
+        ref_p = np.empty_like(mom)
+        for i in range(n):
+            g = spec.gamma(pot, q[i])
+            sig = spec.diffusion(pot, q[i], rescaled=cfg.rescaled, alpha=alpha)
+            ref_p[i] = (mom[i] - pot.grad(q[i]) * dt - (g @ mom[i]) * dt
+                        + (sig @ xi[i]) * np.sqrt(dt))
+        ref_q = q + mom * dt
+        assert np.abs(out.positions - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
+        assert np.abs(out.momenta - ref_p).max() <= 1e-12 * np.abs(ref_p).max()
+
+
+class TestDuplicatedState:
+    """Ensemble and SimConfig both carry dt and seed; a mismatch is an error."""
+
+    def test_step_rejects_dt_mismatch(self):
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=4, seed=0)
+        with pytest.raises(ValueError, match="^dt:"):
+            step(ensemble_at_point([1.0], [0.0], 4, 0, 0.02), pot, spec, cfg)
+
+    def test_step_rejects_seed_mismatch(self):
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=4, seed=0)
+        with pytest.raises(ValueError, match="^seed:"):
+            step(ensemble_at_point([1.0], [0.0], 4, 1, 0.01), pot, spec, cfg)
+
+    def test_run_rejects_particle_count_mismatch(self):
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=5, seed=0)
+        with pytest.raises(ValueError, match="^n_particles:"):
+            run(ensemble_at_point([1.0], [0.0], 4, 0, 0.01), pot, spec, cfg)
+
+    def test_step_takes_particle_count_from_ensemble(self):
+        # stepping a slice of a larger ensemble draws the slice's own noise
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=50, seed=0)
+        whole = step(ensemble_at_point([1.0], [0.0], 50, 0, 0.01), pot, spec, cfg)
+        part = step(ensemble_at_point([1.0], [0.0], 4, 0, 0.01), pot, spec, cfg)
+        assert np.array_equal(part.momenta, whole.momenta[:4])
+
+
 class TestDeterministicLimits:
     def test_zero_noise_matches_linear_flow(self):
         # with xi == 0 EM is explicit Euler on the linear ODE; at dt = 1e-4

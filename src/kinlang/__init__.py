@@ -61,9 +61,9 @@ from .potentials import (
 from .simulate import (
     Ensemble,
     SimConfig,
+    attach_chi2_proxies,
     ensemble_at_point,
     ensemble_from_moments,
-    estimate_chi2_gaussian_proxy,
     philox_normals,
     run,
     step,
@@ -95,6 +95,7 @@ __all__ = [
     "UnsupportedPotential",
     "WeightMatrixS",
     "WitnessNotFound",
+    "attach_chi2_proxies",
     "build_friction",
     "build_potential",
     "build_s",
@@ -108,7 +109,6 @@ __all__ = [
     "diagonal_system_rate",
     "ensemble_at_point",
     "ensemble_from_moments",
-    "estimate_chi2_gaussian_proxy",
     "estimate_constants",
     "fit_decay_rate",
     "gaussian_chi2",

@@ -19,7 +19,6 @@ errors; a certificate that comes out invalid is still a successful run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -44,8 +43,6 @@ from .config import (
 from .errors import (
     ConfigError,
     KinlangError,
-    NotPositiveDefinite,
-    NotSymmetric,
     NumericalBlowup,
     UnsupportedPotential,
     WitnessNotFound,
@@ -61,7 +58,13 @@ from .gaussian import (
     stationary_moments,
 )
 from .lyapunov import build_s, decay_audit
-from .simulate import SimConfig, ensemble_at_point, run, write_trajectory_csv
+from .simulate import (
+    SimConfig,
+    attach_chi2_proxies,
+    ensemble_at_point,
+    run,
+    write_trajectory_csv,
+)
 
 __all__ = ["main", "FORMAT_VERSION"]
 
@@ -211,21 +214,6 @@ def _proxy_target(p) -> GaussianMoments:
     return GaussianMoments(mean=np.zeros(2 * p.dim), cov=cov)
 
 
-def _attach_proxies(points, target: GaussianMoments):
-    """Recompute the proxy from recorded moments; degenerate records get
-    an empty cell (a point initial condition has zero covariance at t=0)."""
-    out = []
-    for pt in points:
-        cov = np.asarray(pt.cov)
-        try:
-            fit = GaussianMoments(mean=pt.mean, cov=0.5 * (cov + cov.T))
-            proxy = gaussian_chi2(fit, target)
-        except (NotPositiveDefinite, NotSymmetric):
-            proxy = None
-        out.append(dataclasses.replace(pt, chi2_proxy=proxy))
-    return out
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     p = build_potential(cfg.potential)
@@ -260,7 +248,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
               file=sys.stderr)
         return 1
 
-    points = _attach_proxies(points, target)
+    points = attach_chi2_proxies(points, target)
     write_trajectory_csv(points, os.path.join(out, "trajectory.csv"), d)
 
     final = points[-1]

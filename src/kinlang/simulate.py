@@ -17,13 +17,15 @@ control dt explicitly.
 
 from __future__ import annotations
 
+import functools
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalBlowup
+from .errors import NotPositiveDefinite, NotSymmetric, NumericalBlowup
 from .friction import FrictionSpec
 from .gaussian import GaussianMoments, gaussian_chi2
 from .potentials import Potential
@@ -37,12 +39,18 @@ __all__ = [
     "ensemble_from_moments",
     "step",
     "run",
-    "estimate_chi2_gaussian_proxy",
+    "attach_chi2_proxies",
     "write_trajectory_csv",
 ]
 
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
+
+#: N * d (4 MiB of float64 per array) from which run draws step k+1's noise
+#: on a helper thread while step k is applied.  Below it the draw and the
+#: update were measured not to overlap on a 2-core host, and the hand-off
+#: only costs time (per-step timings in CHANGES.md)
+PREFETCH_MIN_ELEMENTS = 1 << 19
 
 #: counter-domain words keeping the init-sampling stream disjoint from the
 #: per-step dynamics streams
@@ -101,16 +109,35 @@ class Ensemble:
     def summary(self):
         """Empirical mean (2d,) and covariance (2d, 2d), q-block first.
 
-        A single particle carries no covariance information; the covariance
-        block is NaN in that case rather than raising.
+        Built from the position and momentum blocks without joining them:
+        the qq, qp and pp blocks are centered Gram sums taken by np.einsum,
+        which calls no BLAS, so the bits do not depend on the BLAS thread
+        count.  A single particle carries no covariance information; the
+        covariance is NaN in that case rather than raising.
         """
-        x = np.hstack([self.positions, self.momenta])
-        mean = x.mean(axis=0)
-        if self.n_particles < 2:
-            cov = np.full((x.shape[1], x.shape[1]), np.nan)
-        else:
-            cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
+        n, d = self.positions.shape
+        qc, q_bar = _centered_rows(self.positions)
+        pc, p_bar = _centered_rows(self.momenta)
+        mean = np.concatenate([q_bar, p_bar])
+        if n < 2:
+            return mean, np.full((2 * d, 2 * d), np.nan)
+        cov = np.empty((2 * d, 2 * d))
+        cov[:d, :d] = np.einsum("in,jn->ij", qc, qc)
+        cov[:d, d:] = np.einsum("in,jn->ij", qc, pc)
+        cov[d:, :d] = cov[:d, d:].T
+        cov[d:, d:] = np.einsum("in,jn->ij", pc, pc)
+        cov /= n - 1
         return mean, cov
+
+
+def _centered_rows(x):
+    """The (N, d) array x as a new C-ordered (d, N) array of centered rows,
+    and its column means.  Row-contiguous data keeps the mean and the Gram
+    sums on unit-stride loops."""
+    rows = np.array(x.T, order="C")
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    return rows, mean
 
 
 @dataclass(frozen=True)
@@ -174,9 +201,8 @@ def ensemble_from_moments(moments: GaussianMoments, n: int, seed: int, dt: float
 
 
 def _check_finite(q, p, step_index):
-    bad = (~np.isfinite(q)).any() or (~np.isfinite(p)).any() \
-        or np.abs(q).max() > BLOWUP_LIMIT or np.abs(p).max() > BLOWUP_LIMIT
-    if bad:
+    # a NaN carries through min and max and fails both comparisons
+    if not all(-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT for x in (q, p)):
         raise NumericalBlowup(
             f"trajectory left the trusted range at step {step_index} "
             f"(|coordinate| > {BLOWUP_LIMIT:g} or non-finite); "
@@ -253,14 +279,19 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 
 
 def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
-        record_every: int = 1, pi: Optional[GaussianMoments] = None,
+        record_every: int = 1,
         xi_fn: Optional[Callable[[int, tuple], np.ndarray]] = None):
     """Apply cfg.n_steps EM steps, recording moment summaries.
 
     Returns a list of TrajectoryPoint (initial state included, then every
-    record_every steps).  When pi is given each record also carries the
-    moment-matched Gaussian chi2 proxy against it.  xi_fn(step_index, shape)
-    overrides noise generation for every step (tests only).
+    record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
+    xi_fn(step_index, shape) overrides noise generation for every step
+    (tests only).
+
+    From PREFETCH_MIN_ELEMENTS coordinates on, and without xi_fn, the keyed
+    draw for the next step runs on one helper thread while the current step
+    is applied.  The draw depends on (seed, step) alone, so the arrays, and
+    the records, are the same as with the draw inline.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index.
@@ -270,36 +301,55 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     _check_matches(init, cfg, ("dt", "seed", "n_particles"))
     stability_warning(init, p, spec, cfg)
     friction = spec.resolve(p, rescaled=cfg.rescaled, alpha=cfg.alpha)
+    shape = init.positions.shape
+    prefetch = xi_fn is None and init.positions.size >= PREFETCH_MIN_ELEMENTS
+    draw = xi_fn if xi_fn is not None else functools.partial(philox_normals, init.seed)
 
     def record(ens):
         mean, cov = ens.summary()
-        proxy = None
-        if pi is not None:
-            proxy = estimate_chi2_gaussian_proxy(ens, pi)
-        return TrajectoryPoint(time=ens.time, mean=mean, cov=cov, chi2_proxy=proxy)
+        return TrajectoryPoint(time=ens.time, mean=mean, cov=cov)
 
-    ens = init
-    out = [record(ens)]
-    for k in range(cfg.n_steps):
-        xi = xi_fn(ens.steps_taken, ens.positions.shape) if xi_fn is not None else None
-        ens = _advance(ens, p, friction, cfg, xi)
-        if (k + 1) % record_every == 0 or k + 1 == cfg.n_steps:
-            out.append(record(ens))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def fetch(step_index):
+            """A callable returning the noise for step_index."""
+            if prefetch:
+                return pool.submit(draw, step_index, shape).result
+            return functools.partial(draw, step_index, shape)
+
+        ens = init
+        pending = fetch(ens.steps_taken) if cfg.n_steps else None
+        out = [record(ens)]
+        for k in range(cfg.n_steps):
+            xi = pending()
+            if k + 1 < cfg.n_steps:
+                pending = fetch(ens.steps_taken + 1)
+            ens = _advance(ens, p, friction, cfg, xi)
+            if (k + 1) % record_every == 0 or k + 1 == cfg.n_steps:
+                out.append(record(ens))
     return out
 
 
-def estimate_chi2_gaussian_proxy(ensemble: Ensemble, pi: GaussianMoments) -> float:
-    """chi2 of the moment-matched Gaussian against pi.
+def attach_chi2_proxies(points, target: GaussianMoments):
+    """The points with chi2_proxy set to the moment-matched Gaussian's chi2
+    against target.
 
     A proxy: exact only when the ensemble's law is Gaussian (quadratic
     potentials); for other potentials it captures the first-two-moments gap
     only.  Even at the target it carries an O(dim^2 / N) positive bias from
-    moment-estimation noise.  Degenerate empirical covariance raises
-    NotPositiveDefinite; a divergent divergence returns +inf.
+    moment-estimation noise.  A record whose covariance is degenerate (a
+    point initial condition at t=0) gets None; a divergent divergence is
+    +inf.
     """
-    mean, cov = ensemble.summary()
-    fit = GaussianMoments(mean=mean, cov=cov)
-    return gaussian_chi2(fit, pi)
+    out = []
+    for pt in points:
+        cov = np.asarray(pt.cov)
+        try:
+            fit = GaussianMoments(mean=pt.mean, cov=0.5 * (cov + cov.T))
+            proxy = gaussian_chi2(fit, target)
+        except (NotPositiveDefinite, NotSymmetric):
+            proxy = None
+        out.append(replace(pt, chi2_proxy=proxy))
+    return out
 
 
 def write_trajectory_csv(points, path, dim: int):

@@ -5,12 +5,19 @@ the relevant sampling error before freezing; bounds quote those margins.
 """
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from kinlang.errors import NotPositiveDefinite, NumericalBlowup
+import kinlang
+from kinlang import simulate
+from kinlang.errors import NumericalBlowup
 from kinlang.friction import constant_matrix, constant_scalar, hessian_sqrt
 from kinlang.gaussian import (
     GaussianMoments,
@@ -21,10 +28,12 @@ from kinlang.gaussian import (
 from kinlang.linalg import expm, spd_sqrt
 from kinlang.potentials import perturbed_diagonal, quadratic_diagonal
 from kinlang.simulate import (
+    Ensemble,
     SimConfig,
+    TrajectoryPoint,
+    attach_chi2_proxies,
     ensemble_at_point,
     ensemble_from_moments,
-    estimate_chi2_gaussian_proxy,
     philox_normals,
     run,
     step,
@@ -90,7 +99,6 @@ class TestEnsembleConstruction:
         assert np.array_equal(a.momenta, b.momenta)
 
     def test_shape_mismatch_rejected(self):
-        from kinlang.simulate import Ensemble
         with pytest.raises(ValueError):
             Ensemble(positions=np.zeros((3, 2)), momenta=np.zeros((3, 1)),
                      time=0.0, seed=0, steps_taken=0, dt=0.1)
@@ -404,17 +412,20 @@ class TestRunBookkeeping:
         # initial, steps 10 and 20, plus the final step 25
         assert [round(p.time, 10) for p in pts] == [0.0, 0.1, 0.2, 0.25]
 
-    def test_proxy_recorded_with_pi(self):
+    def test_proxy_attached_to_records(self):
         pot, spec, dyn = _ou_1d()
         pi = stationary_moments(dyn)
         cfg = SimConfig(dt=0.01, n_steps=10, n_particles=500, seed=1)
         init = ensemble_from_moments(pi, 500, 1, 0.01)
-        pts = run(init, pot, spec, cfg, record_every=5, pi=pi)
+        plain = run(init, pot, spec, cfg, record_every=5)
+        assert all(p.chi2_proxy is None for p in plain)
+        pts = attach_chi2_proxies(plain, pi)
         assert all(p.chi2_proxy is not None for p in pts)
         assert all(np.isfinite(p.chi2_proxy) and p.chi2_proxy >= 0.0
                    for p in pts)
-        no_pi = run(init, pot, spec, cfg, record_every=5)
-        assert all(p.chi2_proxy is None for p in no_pi)
+        for a, b in zip(plain, pts):
+            assert a.time == b.time
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
 
     def test_bad_record_every(self):
         pot, spec, _ = _ou_1d()
@@ -424,6 +435,12 @@ class TestRunBookkeeping:
             run(init, pot, spec, cfg, record_every=0)
 
 
+def _proxy(ensemble, pi):
+    mean, cov = ensemble.summary()
+    point = TrajectoryPoint(time=ensemble.time, mean=mean, cov=cov)
+    return attach_chi2_proxies([point], pi)[0].chi2_proxy
+
+
 class TestChi2Proxy:
     def test_at_target_small(self):
         # exact value is 0; the moment-matched estimate carries an
@@ -431,7 +448,7 @@ class TestChi2Proxy:
         pot, spec, dyn = _ou_1d()
         pi = stationary_moments(dyn)
         e = ensemble_from_moments(pi, 100_000, seed=1, dt=0.01)
-        assert 0.0 <= estimate_chi2_gaussian_proxy(e, pi) < 4e-4
+        assert 0.0 <= _proxy(e, pi) < 4e-4
 
     def test_mean_shift_value(self):
         # rho = N((1,0), I) against pi = N(0, I): chi2 = e - 1.  Frozen
@@ -440,15 +457,14 @@ class TestChi2Proxy:
         pi = stationary_moments(dyn)
         rho = GaussianMoments(mean=np.array([1.0, 0.0]), cov=np.eye(2))
         e = ensemble_from_moments(rho, 100_000, seed=2, dt=0.01)
-        val = estimate_chi2_gaussian_proxy(e, pi)
+        val = _proxy(e, pi)
         assert abs(val - (np.e - 1.0)) < 0.05 * (np.e - 1.0)
 
-    def test_degenerate_ensemble_rejected(self):
+    def test_degenerate_record_gets_none(self):
         _, _, dyn = _ou_1d()
         pi = stationary_moments(dyn)
         e = ensemble_at_point([1.0], [0.0], 50, 0, 0.01)
-        with pytest.raises(NotPositiveDefinite):
-            estimate_chi2_gaussian_proxy(e, pi)
+        assert _proxy(e, pi) is None
 
 
 class TestStabilityAndBlowup:
@@ -471,18 +487,166 @@ class TestStabilityAndBlowup:
             run(init, pot, spec, cfg)
 
 
+class TestFiniteCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12, -2e12])
+    @pytest.mark.parametrize("block", ["positions", "momenta"])
+    def test_bad_coordinate_raises_with_step_index(self, bad, block):
+        # one bad coordinate of one particle, seven steps into a run
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=4, seed=0)
+        arrays = {"positions": np.ones((4, 1)), "momenta": np.zeros((4, 1))}
+        arrays[block][2, 0] = bad
+        e = Ensemble(**arrays, time=0.07, seed=0, steps_taken=7, dt=0.01)
+        with pytest.raises(NumericalBlowup) as excinfo, np.errstate(invalid="ignore"):
+            step(e, pot, spec, cfg, xi=np.zeros((4, 1)))
+        assert excinfo.value.step_index == 8
+
+    @pytest.mark.parametrize("block", ["positions", "momenta"])
+    def test_large_finite_coordinate_passes(self, block):
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=4, seed=0)
+        arrays = {"positions": np.ones((4, 1)), "momenta": np.zeros((4, 1))}
+        arrays[block][2, 0] = -9e11
+        e = Ensemble(**arrays, time=0.0, seed=0, steps_taken=0, dt=0.01)
+        assert step(e, pot, spec, cfg, xi=np.zeros((4, 1))).steps_taken == 1
+
+
+class TestSummary:
+    def test_matches_np_cov_with_offset_mean(self):
+        rng = np.random.default_rng(5)
+        n, d = 20_000, 3
+        mix = rng.standard_normal((2 * d, 2 * d))
+        x = rng.standard_normal((n, 2 * d)) @ mix + 1e4
+        e = Ensemble(positions=x[:, :d], momenta=x[:, d:], time=0.0, seed=0,
+                     steps_taken=0, dt=0.1)
+        mean, cov = e.summary()
+        exact_mean = [math.fsum(col) / n for col in x.T]
+        assert np.abs(mean - exact_mean).max() <= 1e-13 * np.abs(exact_mean).max()
+        ref = np.cov(x, rowvar=False)
+        assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(cov, cov.T)
+
+    def test_bits_independent_of_blas_threads(self):
+        # the summary calls no BLAS, so its bytes cannot depend on how many
+        # threads a BLAS matmul would split its sums over
+        script = (
+            "import hashlib, numpy as np\n"
+            "from kinlang.simulate import Ensemble\n"
+            "x = np.random.default_rng(3).standard_normal((100_000, 4)) + 7.0\n"
+            "e = Ensemble(positions=x[:, :2], momenta=x[:, 2:], time=0.0,\n"
+            "             seed=0, steps_taken=0, dt=0.1)\n"
+            "mean, cov = e.summary()\n"
+            "print(hashlib.sha256(mean.tobytes() + cov.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kinlang.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+
+class TestNoisePrefetch:
+    """run draws the next step's noise on a helper thread from
+    PREFETCH_MIN_ELEMENTS coordinates on; nothing observable may change."""
+
+    N = simulate.PREFETCH_MIN_ELEMENTS   # d = 1, so exactly at the threshold
+
+    def _setup(self, dt=1e-3, n_steps=5):
+        n = self.N
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=dt, n_steps=n_steps, n_particles=n, seed=4)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=[1.0, 0.0], cov=np.eye(2)), n, 4, dt)
+        return pot, spec, cfg, init
+
+    def test_records_equal_step_loop(self):
+        pot, spec, cfg, init = self._setup()
+        pts = run(init, pot, spec, cfg)
+        e = init
+        ref = [e.summary()]
+        for _ in range(cfg.n_steps):
+            e = step(e, pot, spec, cfg)
+            ref.append(e.summary())
+        assert len(pts) == len(ref) == cfg.n_steps + 1
+        for pt, (mean, cov) in zip(pts, ref):
+            assert np.array_equal(pt.mean, mean)
+            assert np.array_equal(pt.cov, cov)
+
+    def test_reruns_identical(self):
+        pot, spec, cfg, init = self._setup()
+        a = run(init, pot, spec, cfg, record_every=2)
+        b = run(init, pot, spec, cfg, record_every=2)
+        for pa, pb in zip(a, b):
+            assert pa.time == pb.time
+            assert np.array_equal(pa.mean, pb.mean)
+            assert np.array_equal(pa.cov, pb.cov)
+
+    def test_n_extension(self, monkeypatch):
+        # the first m particles of a prefetched run follow the same
+        # trajectories as a run of m particles with the draw inline
+        m = 1000
+        pot, spec, cfg, init = self._setup()
+        seen = []
+        advance = simulate._advance
+
+        def spy(*args):
+            seen.append(advance(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        run(init, pot, spec, cfg)
+        big = list(seen)
+        seen.clear()
+        part = Ensemble(positions=init.positions[:m], momenta=init.momenta[:m],
+                        time=0.0, seed=init.seed, steps_taken=0, dt=init.dt)
+        run(part, pot, spec, dataclasses.replace(cfg, n_particles=m))
+        assert len(big) == len(seen) == cfg.n_steps
+        for a, b in zip(big, seen):
+            assert np.array_equal(a.positions[:m], b.positions)
+            assert np.array_equal(a.momenta[:m], b.momenta)
+
+    def test_blowup_step_index_matches_inline(self, monkeypatch):
+        pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
+        indices = []
+        for threshold in (simulate.PREFETCH_MIN_ELEMENTS, 1 << 62):
+            monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", threshold)
+            with pytest.warns(RuntimeWarning, match="unstable"):
+                with pytest.raises(NumericalBlowup) as excinfo:
+                    run(init, pot, spec, cfg)
+            indices.append(excinfo.value.step_index)
+        assert indices[0] is not None and 1 <= indices[0] <= 200
+        assert indices[0] == indices[1]
+
+    def test_no_thread_left_behind(self):
+        start = threading.active_count()
+        pot, spec, cfg, init = self._setup()
+        run(init, pot, spec, cfg)
+        assert threading.active_count() == start
+        pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            with pytest.raises(NumericalBlowup):
+                run(init, pot, spec, cfg)
+        assert threading.active_count() == start
+
+
 class TestTrajectoryCsv:
     def test_schema_and_rerun_bytes(self, tmp_path):
         pot, spec, dyn = _ou_1d()
         pi = stationary_moments(dyn)
         cfg = SimConfig(dt=0.01, n_steps=10, n_particles=200, seed=3)
         init = ensemble_from_moments(pi, 200, 3, 0.01)
-        pts = run(init, pot, spec, cfg, record_every=5, pi=pi)
+        pts = attach_chi2_proxies(run(init, pot, spec, cfg, record_every=5), pi)
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
         write_trajectory_csv(pts, path_a, dim=1)
         write_trajectory_csv(
-            run(init, pot, spec, cfg, record_every=5, pi=pi), path_b, dim=1
+            attach_chi2_proxies(run(init, pot, spec, cfg, record_every=5), pi),
+            path_b, dim=1,
         )
         lines = path_a.read_text().splitlines()
         header = lines[0].split(",")

@@ -249,12 +249,14 @@ def optimal_coefficients(const: AssumptionConstants, x0: float) -> LyapunovCoeff
 @dataclass(frozen=True)
 class SweepEntry:
     """One cell of an optimize_m1 sweep; certificate is None if the (s, x0)
-    pair cannot form a positive definite S."""
+    pair cannot form a positive definite S, and error and error_type then
+    hold the message and the class name of the exception."""
 
     s: float
     x0: float
     certificate: Optional[RateCertificate]
     error: Optional[str] = None
+    error_type: Optional[str] = None
 
 
 def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
@@ -281,7 +283,8 @@ def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
             except (ValueError, DegenerateS, InvalidCoefficients,
                     NonPositiveDenominator) as exc:
                 table.append(SweepEntry(s=s, x0=x0, certificate=None,
-                                        error=str(exc)))
+                                        error=str(exc),
+                                        error_type=type(exc).__name__))
                 continue
             table.append(SweepEntry(s=s, x0=x0, certificate=cert))
             if cert.m1 > best_m1:
@@ -292,6 +295,33 @@ def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
     return best, table
 
 
+def _check_positive(name, value):
+    if not (np.asarray(value) > 0).all():
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def _sqrt2_plus_half_squared(lam: float) -> float:
+    """(sqrt(2) + lam/2)^2 for one Python float lam, squared through C pow."""
+    return (math.sqrt(2.0) + lam / 2.0) ** 2
+
+
+def _lambda_dms_formula(lam, alpha, eps, k, sqrt):
+    """lambda_dms without checks, for lam and eps both Python floats (with
+    ``sqrt=math.sqrt``) or broadcastable arrays (``sqrt=np.sqrt``); k is
+    ``_sqrt2_plus_half_squared(lam)``.
+
+    The frozen lambda_dms_sup values in the tests pin how each square
+    rounds: ``eps * eps`` is one multiply in both forms, while ``(...) ** 2``
+    is a multiply on arrays but C pow on Python floats (as on NumPy
+    scalars), which can differ from the multiply in the last bit.
+    """
+    root = sqrt(
+        eps * eps * k
+        + (lam - (2.0 * alpha + 1.0) / (alpha + 1.0) * eps) ** 2
+    )
+    return (lam - eps / (1.0 + alpha) - root) / (2.0 * (1.0 + abs(eps)))
+
+
 def lambda_dms(lam, alpha, eps):
     """Constant-scalar-friction decay rate for free parameter eps in (-1, 1).
 
@@ -300,18 +330,13 @@ def lambda_dms(lam, alpha, eps):
     """
     lam = float(lam)
     alpha = float(alpha)
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_positive("lam", lam)
+    _check_positive("alpha", alpha)
     eps = np.asarray(eps, dtype=float)
     if np.any(np.abs(eps) >= 1.0):
         raise ValueError("eps must lie in (-1, 1)")
-    root = np.sqrt(
-        eps ** 2 * (math.sqrt(2.0) + lam / 2.0) ** 2
-        + (lam - (2.0 * alpha + 1.0) / (alpha + 1.0) * eps) ** 2
-    )
-    out = (lam - eps / (1.0 + alpha) - root) / (2.0 * (1.0 + np.abs(eps)))
+    out = _lambda_dms_formula(lam, alpha, eps, _sqrt2_plus_half_squared(lam),
+                              np.sqrt)
     if out.ndim == 0:
         return float(out)
     return out
@@ -319,41 +344,70 @@ def lambda_dms(lam, alpha, eps):
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: lambdas per grid evaluation in lambda_dms_sup, so that its temporaries
+#: stay near 128 KB each however long the lambda grid is
+_SUP_ROWS = 64
 
-def lambda_dms_sup(lam: float, alpha: float, grid_size: int = 256,
-                   refine_iters: int = 64) -> float:
-    """Supremum of lambda_dms over eps, to absolute tolerance 1e-8.
 
-    A dense grid on (0, 1) locates the best cell (the maximizing eps is
-    positive); golden-section refinement then polishes it.  The result is
-    clipped at 0, the value at eps = 0.
-    """
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
-    eps_grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    values = lambda_dms(lam, alpha, eps_grid)
-    j = int(np.argmax(values))
-    best = float(values[j])
-    lo = 0.0 if j == 0 else float(eps_grid[j - 1])
-    hi = 1.0 if j == grid_size - 1 else float(eps_grid[j + 1])
-
+def _golden_refine(lam, alpha, k, lo, hi, refine_iters):
+    """Golden-section maximization of lambda_dms over [lo, hi] in Python
+    float arithmetic; returns the two final probe values."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = lambda_dms(lam, alpha, x1)
-    f2 = lambda_dms(lam, alpha, x2)
+    f1 = _lambda_dms_formula(lam, alpha, x1, k, math.sqrt)
+    f2 = _lambda_dms_formula(lam, alpha, x2, k, math.sqrt)
     for _ in range(refine_iters):
         if hi - lo < 1e-12:
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = lambda_dms(lam, alpha, x2)
+            f2 = _lambda_dms_formula(lam, alpha, x2, k, math.sqrt)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = lambda_dms(lam, alpha, x1)
-    best = max(best, f1, f2, 0.0)
-    return float(best)
+            f1 = _lambda_dms_formula(lam, alpha, x1, k, math.sqrt)
+    return f1, f2
+
+
+def lambda_dms_sup(lam, alpha: float, grid_size: int = 256,
+                   refine_iters: int = 64):
+    """Supremum of lambda_dms over eps, to absolute tolerance 1e-8.
+
+    lam is a float or an array of them: a float gives a float, an array an
+    array of its shape.  A dense grid on (0, 1), evaluated for up to
+    ``_SUP_ROWS`` lams at once, locates each lam's best cell (the maximizing
+    eps is positive); golden-section refinement in float arithmetic then
+    polishes each cell.  Each result is clipped at 0, the value at eps = 0,
+    and does not depend on the other entries of lam.
+    """
+    if grid_size < 64:
+        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
+    lam = np.asarray(lam, dtype=float)
+    alpha = float(alpha)
+    _check_positive("lam", lam)
+    _check_positive("alpha", alpha)
+    lams = lam.ravel().tolist()
+    ks = [_sqrt2_plus_half_squared(v) for v in lams]
+    eps_grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    cells, bests = [], []
+    for i in range(0, len(lams), _SUP_ROWS):
+        rows = slice(i, i + _SUP_ROWS)
+        values = _lambda_dms_formula(np.asarray(lams[rows])[:, None], alpha,
+                                     eps_grid, np.asarray(ks[rows])[:, None],
+                                     np.sqrt)
+        j = np.argmax(values, axis=1)
+        cells += j.tolist()
+        bests += values[np.arange(j.size), j].tolist()
+    sups = []
+    for v, k, j, best in zip(lams, ks, cells, bests):
+        lo = 0.0 if j == 0 else float(eps_grid[j - 1])
+        hi = 1.0 if j == grid_size - 1 else float(eps_grid[j + 1])
+        f1, f2 = _golden_refine(v, alpha, k, lo, hi, refine_iters)
+        sups.append(max(best, f1, f2, 0.0))
+    if lam.ndim == 0:
+        return sups[0]
+    return np.array(sups).reshape(lam.shape)
 
 
 def compare_to_constant_friction(const: AssumptionConstants,
@@ -374,7 +428,7 @@ def compare_to_constant_friction(const: AssumptionConstants,
     if any(not v > 0 for v in lams):
         raise ValueError("lambda_grid entries must be > 0")
     ratio = const.beta ** 2 * const.gamma ** 2 * const.dim / const.alpha ** 3
-    baselines = [2.0 * lambda_dms_sup(lam, const.alpha) for lam in lams]
+    baselines = (2.0 * lambda_dms_sup(lams, const.alpha)).tolist()
     report = {
         "applicable": bool(cert.valid),
         "constants": const.as_dict(),

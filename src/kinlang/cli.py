@@ -11,8 +11,9 @@ audit       Lyapunov decay audit of the certified rate plus witness sweep
 All commands read one JSON config (``--config``), write into ``--out``,
 echo the fully resolved config next to every artifact, and embed it in every
 report together with a format version.  Outputs are byte-identical across
-reruns with the same inputs: no timestamps, sorted JSON keys, repr-format
-floats, fixed row ordering.  Exit status is 0 iff the run completed without
+reruns with the same inputs and the same output directory, which every
+report embeds: no timestamps, sorted JSON keys, repr-format floats, fixed
+row ordering.  Exit status is 0 iff the run completed without
 errors; a certificate that comes out invalid is still a successful run.
 """
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -139,7 +141,7 @@ def _ou_case(w, kind, lam, s, n_times):
     init = GaussianMoments(mean=[3.0, -3.0 * w], cov=np.eye(2))
     closed = diagonal_system_rate([w], constant_scalar(gamma))
     times = np.linspace(10.0 / closed, 20.0 / closed, n_times)
-    chi2s = [gaussian_chi2(propagate(dyn, init, t), pi) for t in times]
+    chi2s = [gaussian_chi2(m, pi) for m in propagate(dyn, init, times)]
     fitted = fit_decay_rate(times, chi2s, tail_fraction=1.0)
     rows = [(w, label, lam, t, c) for t, c in zip(times, chi2s)]
     summary = {
@@ -317,9 +319,11 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 
     comparison = compare_to_constant_friction(const, best,
                                               cfg.certificate.lambda_grid)
+    infeasible = Counter(e.error_type for e in table if e.certificate is None)
     _write_json(os.path.join(out, "certificate.json"),
                 _report(cfg, certificate=best.as_dict(),
-                        comparison=comparison))
+                        comparison=comparison,
+                        infeasible_cells=dict(infeasible)))
     return 0
 
 

@@ -109,9 +109,10 @@ def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
 _VAN_LOAN_MAX_SPREAD = 12.0
 
 
-def _noise_covariance_van_loan(dyn: LinearDynamics, t: float) -> np.ndarray:
+def _noise_covariance_van_loan(dyn: LinearDynamics, t) -> np.ndarray:
     """integral of e^{F(t-s)} sigma sigma' e^{F'(t-s)} ds over [0, t], via the
-    exponential of the augmented matrix [[F, sigma sigma'], [0, -F']]."""
+    exponential of the augmented matrix [[F, sigma sigma'], [0, -F']]; a
+    1-d array of times gives the (K, n, n) stack."""
     n = dyn.drift.shape[0]
     q = dyn.noise @ dyn.noise.T
     aug = np.zeros((2 * n, 2 * n))
@@ -119,13 +120,13 @@ def _noise_covariance_van_loan(dyn: LinearDynamics, t: float) -> np.ndarray:
     aug[:n, n:] = q
     aug[n:, n:] = -dyn.drift.T
     e = expm(aug, t)
-    m11 = e[:n, :n]
-    m12 = e[:n, n:]
-    g = m12 @ m11.T
-    return 0.5 * (g + g.T)
+    m11 = e[..., :n, :n]
+    m12 = e[..., :n, n:]
+    g = m12 @ m11.swapaxes(-1, -2)
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
-def propagate(dyn: LinearDynamics, init: GaussianMoments, t: float) -> GaussianMoments:
+def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
     """Exact moments at time t >= 0 from a Gaussian initial condition.
 
     mean(t) = e^{Ft} mean(0);
@@ -135,22 +136,42 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t: float) -> GaussianM
     the decay-rate spread times t is large enough that the augmented route
     would cancel catastrophically, the integral is replaced by the
     equivalent stationary-anchored form cov_inf - e^{Ft} cov_inf e^{F't}.
+
+    t is a float, giving one GaussianMoments, or a 1-d array of times,
+    giving a list of them in the same order.  Every time is evaluated
+    directly (nothing is accumulated along the grid), and entry k is
+    bitwise the result for the float ``t[k]``: a float goes through the same
+    stacked exponentials with one time.  t = 0 returns ``init`` itself.
     """
-    if t < 0:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(
+            f"t must be a float or a 1-d array, got shape {times.shape}")
+    scalar = times.ndim == 0
+    times = times.reshape(-1)
+    if not np.all(times >= 0):
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return init
-    eft = expm(dyn.drift, t)
-    mean = eft @ init.mean
-    decay = -np.real(np.linalg.eigvals(dyn.drift))
-    spread = float(decay.max() - decay.min())
-    if spread * t <= _VAN_LOAN_MAX_SPREAD:
-        g = _noise_covariance_van_loan(dyn, t)
-    else:
-        cov_inf = stationary_moments(dyn).cov
-        g = cov_inf - eft @ cov_inf @ eft.T
-    cov = eft @ init.cov @ eft.T + g
-    return GaussianMoments(mean=mean, cov=0.5 * (cov + cov.T))
+    out = [init] * times.size
+    moving = np.flatnonzero(times > 0)
+    if moving.size:
+        tk = times[moving]
+        eft = expm(dyn.drift, tk)
+        mean = eft @ init.mean
+        decay = -np.real(np.linalg.eigvals(dyn.drift))
+        spread = float(decay.max() - decay.min())
+        van_loan = spread * tk <= _VAN_LOAN_MAX_SPREAD
+        g = np.empty_like(eft)
+        if np.any(van_loan):
+            g[van_loan] = _noise_covariance_van_loan(dyn, tk[van_loan])
+        if not np.all(van_loan):
+            cov_inf = stationary_moments(dyn).cov
+            far = eft[~van_loan]
+            g[~van_loan] = cov_inf - far @ cov_inf @ far.swapaxes(-1, -2)
+        cov = eft @ init.cov @ eft.swapaxes(-1, -2) + g
+        cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+        for k, i in enumerate(moving.tolist()):
+            out[i] = GaussianMoments(mean=mean[k], cov=cov[k])
+    return out[0] if scalar else out
 
 
 def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:

@@ -6,15 +6,14 @@ matrices -- funnels through these few routines:
   * ``spd_sqrt``: principal square root of an SPD matrix or a stack of them
   * ``spd_sqrt_directional_derivative``: derivative of that square root along
     a symmetric perturbation (Sylvester equation in the eigenbasis)
-  * ``expm``: matrix exponential e^{m t}
+  * ``expm``: matrix exponential e^{m t}, for one t or a 1-d grid of them
   * ``gaussian_quadratic_expectation``: E[x' Q x + l' x + c] under N(mean, cov)
 
 All routines are pure and deterministic.  The square root and its derivative
-share a single eigendecomposition; ``expm`` delegates to scipy's
-scaling-and-squaring Pade implementation with an eigendecomposition fast path
-for comfortably diagonalizable inputs (the drift matrices we care about are
-defective exactly at the critical damping point, where Pade is the right
-tool).
+share a single eigendecomposition; ``expm`` is scipy's scaling-and-squaring
+Pade implementation (Al-Mohy & Higham 2009), which also covers the drift
+matrices that are defective at critical damping, and exponentiates a whole
+grid of times in one call.
 """
 
 from __future__ import annotations
@@ -185,34 +184,23 @@ def spd_sqrt_directional_derivative(m, dm, tol=None):
     return 0.5 * (x + x.T)
 
 
-#: eigendecomposition fast path only when the eigenvector basis is this
-#: well-conditioned; defective/near-defective matrices fall through to Pade
-_EXPM_COND_MAX = 1e8
-
-
 def expm(m, t=1.0):
     """Matrix exponential e^{m t} for a square real matrix.
 
-    Uses an eigendecomposition when ``m`` is diagonalizable with a
-    well-conditioned eigenvector matrix, otherwise scipy's
-    scaling-and-squaring Pade routine.  Always defined; no SPD requirement.
+    t is a float, giving one (n, n) matrix, or a 1-d array of K times,
+    giving the (K, n, n) stack from one ``scipy.linalg.expm`` call; slice k
+    is bitwise the matrix for the float ``t[k]``, and t = 0 gives the
+    identity.  Always defined; no SPD requirement.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {m.shape}")
-    if t == 0.0:
-        return np.eye(m.shape[0])
-    try:
-        vals, vecs = np.linalg.eig(m)
-        cond = np.linalg.cond(vecs)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < _EXPM_COND_MAX:
-        out = (vecs * np.exp(vals * t)) @ np.linalg.inv(vecs)
-        out = np.real_if_close(out, tol=1000)
-        if np.isrealobj(out):
-            return np.asarray(out, dtype=float)
-    return scipy.linalg.expm(m * t)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(
+            f"t must be a float or a 1-d array, got shape {t.shape}")
+    # a zero matrix takes scipy's diagonal branch, which returns I exactly
+    return scipy.linalg.expm(m * t[..., None, None])
 
 
 def gaussian_quadratic_expectation(mean, cov, quad, lin=None, const=0.0):

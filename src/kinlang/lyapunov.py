@@ -158,7 +158,8 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
     (chi-square not integrable yet) are flagged and excluded, mirroring the
     requirement that the bound starts from a finite initial value.  tol is
     relative; atol absorbs roundoff on near-zero values.  Returns a
-    JSON-ready report with per-point values, margins, and pass flags.
+    JSON-ready report with per-point values, margins, pass flags and the
+    number of divergent points.
     """
     rate = float(getattr(cert, "original_rate", cert))
     ts = [float(t) for t in times]
@@ -172,8 +173,7 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
     pi = stationary_moments(dyn)
     values: list = []
     divergent = []
-    for t in ts:
-        moments = propagate(dyn, init, t)
+    for moments in propagate(dyn, init, np.asarray(ts)):
         try:
             values.append(lyapunov_value_gaussian(moments, pi, s))
             divergent.append(False)
@@ -186,6 +186,7 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
         "times": ts,
         "values": values,
         "divergent_flags": divergent,
+        "divergent_points": sum(divergent),
         "rate": rate,
         "tol": tol,
     }

@@ -11,6 +11,7 @@ b*c - a^2 = 4, giving
 and f at the balanced s = 2 family equals 1/2 at x = 1/2 for every x0.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,23 @@ UNIT = AssumptionConstants(alpha=1.0, beta=1.0, gamma=0.0, dim=1)
 REF_COEFFS = LyapunovCoefficients(s=2.0, a=4.0, b=20.0, c=1.0)
 
 LAMBDA_DMS_SUP_2_1 = 0.0567166513  # frozen from the 1e6-point brute force
+
+# frozen: sha256 of the float64 bytes of lambda_dms_sup over
+# round(linspace(0.1, 10, n), 10) at alpha, one scalar call per lambda, as
+# computed before the array form existed, with (first, middle, last) values;
+# n = 400 and 500 at alpha = 1 are the certify and compare grids of the
+# benchmark's CLI session
+FROZEN_SUP_GRIDS = {
+    (400, 1.0): ("7fe753ec98a29593ede433364a2f04eb0fc655b735c1e481793bc9af6bcb7895",
+                 (0.007357651800806804, 0.059015566645378055,
+                  0.048257528708692564)),
+    (500, 1.0): ("2d9e441d1995da7eef2e081914627f556dc3a91e78c174c8ac5d07fc71ad4f59",
+                 (0.007357651800806804, 0.05902012500561158,
+                  0.048257528708692564)),
+    (500, 0.3): ("02b78e89559cd0071838dd93ff9b21f56eb8f87475bac9cce1a0fb72d47dfe45",
+                 (0.001986853954640586, 0.014725195437541421,
+                  0.011543807643860126)),
+}
 
 
 class TestLyapunovCoefficients:
@@ -344,6 +362,51 @@ class TestLambdaDmsSup:
     def test_grid_size_floor(self):
         with pytest.raises(ValueError):
             lambda_dms_sup(2.0, 1.0, grid_size=32)
+        with pytest.raises(ValueError):
+            lambda_dms_sup(np.array([1.0, 2.0]), 1.0, grid_size=63)
+
+
+class TestLambdaDmsSupArray:
+    def test_array_equals_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(11)
+        lams = np.concatenate([np.round(np.arange(1, 101) * 0.1, 10),
+                               rng.uniform(1e-3, 50.0, 60)])
+        for alpha in (0.1, 0.3, 1.0, 4.0, 10.0):
+            vec = lambda_dms_sup(lams, alpha)
+            assert isinstance(vec, np.ndarray) and vec.shape == lams.shape
+            scalar = np.array([lambda_dms_sup(float(v), alpha) for v in lams])
+            assert np.array_equal(vec, scalar), alpha
+
+    def test_entries_independent_of_the_rest(self):
+        lams = np.array([0.5, 2.0, 7.0])
+        whole = lambda_dms_sup(lams, 0.7)
+        assert np.array_equal(whole[1:], lambda_dms_sup(lams[1:], 0.7))
+        assert np.array_equal(lambda_dms_sup(lams[::-1], 0.7), whole[::-1])
+
+    def test_result_types_and_shapes(self):
+        assert type(lambda_dms_sup(2.0, 1.0)) is float
+        assert type(lambda_dms_sup(np.float64(2.0), 1.0)) is float
+        grid = np.array([[0.5, 1.0], [2.0, 4.0]])
+        out = lambda_dms_sup(grid, 1.0)
+        assert out.shape == (2, 2)
+        assert out[1, 0] == lambda_dms_sup(2.0, 1.0)
+        assert lambda_dms_sup([1.0, 2.0], 1.0).shape == (2,)
+        assert lambda_dms_sup(np.empty(0), 1.0).shape == (0,)
+
+    def test_nonpositive_lambda_in_array_rejected(self):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                lambda_dms_sup(np.array([1.0, bad, 2.0]), 1.0)
+        with pytest.raises(ValueError):
+            lambda_dms_sup(np.array([1.0, 2.0]), 0.0)
+
+    @pytest.mark.parametrize("n, alpha", sorted(FROZEN_SUP_GRIDS))
+    def test_frozen_benchmark_grids(self, n, alpha):
+        digest, (first, middle, last) = FROZEN_SUP_GRIDS[(n, alpha)]
+        grid = np.round(np.linspace(0.1, 10.0, n), 10)
+        vals = lambda_dms_sup(grid, alpha)
+        assert (vals[0], vals[n // 2], vals[-1]) == (first, middle, last)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
 
 
 class TestCompareToConstantFriction:

@@ -382,6 +382,27 @@ class TestCertify:
         assert comparison["sufficient_condition_ratio"] < 1e-3
 
 
+    def test_infeasible_cells_counted_by_error_type(self, tmp_path):
+        out = str(tmp_path / "cert0")
+        assert main(["certify", "--out", out]) == 0
+        assert read_json(out, "certificate.json")["infeasible_cells"] == {}
+
+        # x0 = 0.5 is below s / sqrt(s^2 + 4) for s = 2 and 4, not for s = 1
+        cfg = write_config(tmp_path, {
+            "kind": "certify",
+            "certificate": {"s_grid": [1.0, 2.0, 4.0],
+                            "x0_grid": [0.5, 1.0, 10.0]},
+        })
+        out = str(tmp_path / "cert")
+        assert main(["certify", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "certificate.json")
+        assert report["infeasible_cells"] == {"ValueError": 2}
+        with open(os.path.join(out, "optimizer_table.csv"),
+                  encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:]
+        assert sum(1 for r in rows if r.split(",")[-1]) == 2
+
+
 class TestCompare:
     def test_reference_comparison(self, tmp_path):
         out = str(tmp_path / "cmp")
@@ -438,6 +459,28 @@ class TestAudit:
         witness = report["witness_sweep"][0]["witness"]
         assert (witness["a"], witness["x"], witness["y"]) == (32.0, 4.0, 2.0)
         assert report["witness_sweep"][0]["audit"]["all_passed"] is True
+
+    def test_divergent_points_counted(self, tmp_path):
+        out = str(tmp_path / "audit0")
+        assert main(["audit", "--out", out]) == 0
+        report = read_json(out, "audit.json")
+        assert report["main"]["audit"]["divergent_points"] == 0
+
+        # a start wider than twice the Gibbs covariance: chi2 diverges early
+        cfg = write_config(tmp_path, {
+            "kind": "audit",
+            "certificate": {"eps_rates": [0.5]},
+            "audit": {"t_max": 6.0, "n_times": 60, "init_cov_scale": 3.0},
+        })
+        out = str(tmp_path / "audit")
+        assert main(["audit", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "audit.json")
+        audits = [report["main"]["audit"]] + [
+            e["audit"] for e in report["witness_sweep"]]
+        for audit in audits:
+            flags = audit["divergent_flags"]
+            assert audit["divergent_points"] == sum(flags)
+            assert 0 < audit["divergent_points"] < len(flags)
 
     def test_non_quadratic_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

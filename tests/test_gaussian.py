@@ -11,6 +11,7 @@ from kinlang.errors import (
 )
 from kinlang.friction import constant_matrix, constant_scalar, hessian_sqrt
 from kinlang.gaussian import (
+    _VAN_LOAN_MAX_SPREAD,
     GaussianMoments,
     _noise_covariance_van_loan,
     diagonal_system_rate,
@@ -145,6 +146,69 @@ class TestPropagate:
                     np.linalg.norm(m.mean - pi.mean) + np.linalg.norm(m.cov - pi.cov)
                 )
             assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+def rotated_system(d, s, seed):
+    """A = Q diag(v^2) Q', G = s Q diag(v) Q' with v spread over [1, 3]:
+    s = 2 damps every mode critically, s = 1 underdamps them."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v = np.linspace(1.0, 3.0, d)
+    return kinetic_dynamics(q @ np.diag(v**2) @ q.T, s * q @ np.diag(v) @ q.T)
+
+
+def decay_spread(dyn):
+    decay = -np.real(np.linalg.eigvals(dyn.drift))
+    return decay.max() - decay.min()
+
+
+class TestPropagateGrid:
+    TIMES = np.concatenate([[0.0], np.linspace(0.05, 30.0, 37), [0.0, 7.0]])
+
+    def cases(self):
+        yield "d1-critical", oscillator(1.0, 2.0)
+        yield "d1-underdamped", oscillator(1.0, 1.0)
+        yield "d1-overdamped", oscillator(1.0, 3.0)
+        for d in (3, 8):
+            yield f"d{d}-critical", rotated_system(d, 2.0, d)
+            yield f"d{d}-underdamped", rotated_system(d, 1.0, d)
+
+    def test_entries_equal_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(3)
+        crossed = 0
+        for name, dyn in self.cases():
+            n = 2 * dyn.dim
+            b = rng.standard_normal((n, n))
+            init = GaussianMoments(rng.standard_normal(n), b @ b.T + np.eye(n))
+            grid = propagate(dyn, init, self.TIMES)
+            assert isinstance(grid, list) and len(grid) == self.TIMES.size
+            for t, got in zip(self.TIMES, grid):
+                one = propagate(dyn, init, float(t))
+                assert np.array_equal(got.mean, one.mean), (name, t)
+                assert np.array_equal(got.cov, one.cov), (name, t)
+            assert grid[0] is init and grid[-2] is init
+            # the grid spans both the Van Loan and the stationary route
+            crossed += decay_spread(dyn) * self.TIMES.max() > _VAN_LOAN_MAX_SPREAD
+        assert crossed == 5
+
+    def test_scalar_forms(self):
+        dyn = rotated_system(3, 2.0, 0)
+        init = stationary_moments(dyn)
+        assert isinstance(propagate(dyn, init, 1.5), GaussianMoments)
+        assert isinstance(propagate(dyn, init, np.float64(1.5)), GaussianMoments)
+        assert propagate(dyn, init, 0.0) is init
+        one = propagate(dyn, init, np.array([1.5]))
+        assert isinstance(one, list) and len(one) == 1
+        assert np.array_equal(one[0].cov, propagate(dyn, init, 1.5).cov)
+        assert propagate(dyn, init, np.empty(0)) == []
+
+    def test_rejects_negative_nan_and_2d_times(self):
+        dyn = oscillator()
+        init = stationary_moments(dyn)
+        for bad in (-0.5, np.array([0.0, 1.0, -1e-9]),
+                    np.array([1.0, np.nan]), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                propagate(dyn, init, bad)
 
 
 class TestStationaryMoments:

@@ -194,6 +194,31 @@ class TestExpm:
         b = expm(m.copy(), 0.7)
         assert np.array_equal(a, b)
 
+    def test_time_grid_stack_equals_single_calls(self):
+        rng = np.random.default_rng(17)
+        ts = np.array([0.0, 1e-3, 0.25, 0.0, 1.0, 3.5, 20.0])
+        for n in (1, 2, 4, 16, 32):
+            m = rng.standard_normal((n, n))
+            stack = expm(m, ts)
+            assert stack.shape == (ts.size, n, n)
+            for k, t in enumerate(ts):
+                assert np.array_equal(stack[k], expm(m, float(t))), (n, t)
+            assert np.array_equal(stack[0], np.eye(n))
+            assert np.array_equal(stack[3], np.eye(n))
+
+    def test_empty_time_grid(self):
+        assert expm(np.eye(3), np.empty(0)).shape == (0, 3, 3)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            expm(np.ones((2, 3)), 1.0)
+        with pytest.raises(ValueError):
+            expm(np.ones((2, 3)), np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            expm(np.ones((2, 2, 2)), 1.0)
+        with pytest.raises(ValueError):
+            expm(np.eye(2), np.ones((2, 2)))
+
 
 class TestGaussianQuadraticExpectation:
     def test_norm_squared_is_dim(self):

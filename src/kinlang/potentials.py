@@ -14,11 +14,11 @@ default) whose gamma scales linearly in the perturbation size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConvexityLost, NonPositiveFrequency
 from .linalg import check_symmetric, spd_sqrt
@@ -219,22 +219,55 @@ _FAMILIES = {p.name: p for p in (LOG_COSH, COSINE)}
 GAMMA_BOX = (-8.0, 8.0)
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi, max_iters=64):
+    """Golden-section search (Kiefer 1953) for the maximum of f on [lo, hi].
+
+    f maps one Python float to a float and should be unimodal on the
+    bracket.  The search stops after max_iters shrinks or once the bracket
+    is narrower than 1e-12, and returns the larger of its two final probe
+    values.
+    """
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1 = f(x1)
+    f2 = f(x2)
+    for _ in range(max_iters):
+        if hi - lo < 1e-12:
+            break
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return max(f1, f2)
+
+
 def _gamma_sup(v2, eps, pert, box, n_grid=4001):
-    """sup over the box of eps |f'''(x)| / (2 sqrt(v_i^2 + eps f''(x))), max over i."""
+    """sup over the box of eps |f'''(x)| / (2 sqrt(v_i^2 + eps f''(x))), max over i.
+
+    For each distinct v_i^2 an n_grid-point grid finds the best cell, and
+    golden-section search (``_golden_max``) refines it over the two grid
+    intervals around it; the sup is the larger of the grid and refined
+    values.
+    """
     if eps == 0.0:
         return 0.0
     xs = np.linspace(box[0], box[1], n_grid)
     best = 0.0
     for vi2 in np.unique(v2):
-        def neg_obj(x, vi2=vi2):
-            return -eps * np.abs(pert.d3(x)) / (2.0 * np.sqrt(vi2 + eps * pert.d2(x)))
-        vals = -neg_obj(xs)
+        def obj(x, vi2=vi2):
+            return eps * np.abs(pert.d3(x)) / (2.0 * np.sqrt(vi2 + eps * pert.d2(x)))
+        vals = obj(xs)
         k = int(np.argmax(vals))
-        lo = xs[max(k - 1, 0)]
-        hi = xs[min(k + 1, n_grid - 1)]
-        res = minimize_scalar(neg_obj, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        best = max(best, float(vals[k]), float(-res.fun))
+        lo = float(xs[max(k - 1, 0)])
+        hi = float(xs[min(k + 1, n_grid - 1)])
+        best = max(best, float(vals[k]), float(_golden_max(obj, lo, hi)))
     return best
 
 
@@ -248,7 +281,8 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH, gamma_box=GAMMA_BOX) -> Po
 
     at (i, i).  Constants: alpha(eps) = min_i (v_i^2 + eps inf f''),
     beta(eps) = max_i (v_i^2 + eps sup f''), and gamma(eps) the numeric sup
-    of the entry above over gamma_box (recorded on the constants).
+    of the entry above over gamma_box (recorded on the constants): a
+    4001-point grid, refined by golden-section search around its best cell.
 
     Raises ConvexityLost when alpha(eps) <= 0.
     """

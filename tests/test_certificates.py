@@ -324,6 +324,16 @@ class TestLambdaDms:
         for e, v in zip(eps, vec):
             assert v == lambda_dms(2.0, 1.0, float(e))
 
+    def test_array_and_float_eps_agree_to_last_bits(self):
+        # a float eps squares through C pow, an array multiplies, so a few
+        # results differ in the last bits; pin how far
+        rng = np.random.default_rng(0)
+        for lam, alpha in ((2.0, 1.0), (0.7, 0.3)):
+            eps = rng.uniform(-0.99, 0.99, 20_000)
+            vec = lambda_dms(lam, alpha, eps)
+            scalar = np.array([lambda_dms(lam, alpha, float(e)) for e in eps])
+            assert np.all(np.abs(vec - scalar) <= 1e-13 * np.abs(scalar))
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             lambda_dms(2.0, 1.0, 1.0)

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kinlang
 from kinlang.cli import FORMAT_VERSION, main
 from kinlang.config import (
     build_friction,
@@ -512,3 +515,16 @@ class TestEntryPoint:
             echo = read_json(out, "config.json")
             assert echo["format_version"] == FORMAT_VERSION
             assert echo["config"]["kind"] == command
+
+    def test_import_leaves_scipy_optimize_out(self):
+        # every CLI process pays the package import; scipy.optimize alone
+        # would add about 240 modules to it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kinlang.__file__)))
+        script = ("import sys, kinlang, kinlang.cli\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.startswith('scipy.optimize')))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ from kinlang.linalg import spd_sqrt_directional_derivative
 from kinlang.potentials import (
     COSINE,
     LOG_COSH,
+    _golden_max,
     estimate_constants,
     perturbed_diagonal,
     quadratic_diagonal,
@@ -15,6 +16,16 @@ from kinlang.potentials import (
 # frozen from a dense-grid + local-refinement sweep of
 # sup_x eps |f'''(x)| / (2 sqrt(1 + eps f''(x))) for f = log cosh on [-8, 8]
 GAMMA_LOGCOSH = {0.1: 0.0372739117, 0.01: 0.0038362426, 0.001: 0.0003847720}
+
+# gamma as scipy.optimize's bounded Brent refinement gave it; the
+# golden-section refinement must stay within 2 ulp of each
+GAMMA_BRENT = [
+    (([1.0, 2.0], 0.01), 0.00383624259989183),
+    (([1.0, 3.0], 0.1), 0.037273911664221004),
+    (([1.0], 0.1), 0.037273911664221004),
+    (([1.0], 0.3, "cosine"), 0.1517576992825312),
+    (([0.5, 1.0, 4.0], 0.2), 0.12500000000000003),
+]
 
 
 def central_diff_grad(p, q, h=1e-5):
@@ -124,6 +135,11 @@ class TestPerturbedDiagonal:
             p = perturbed_diagonal([1.0], eps)
             assert p.constants.gamma == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("args, expected", GAMMA_BRENT)
+    def test_gamma_within_2_ulp_of_brent(self, args, expected):
+        gamma = perturbed_diagonal(*args).constants.gamma
+        assert abs(gamma - expected) <= 2 * np.spacing(expected)
+
     def test_gamma_over_eps_nearly_constant(self):
         ratios = [perturbed_diagonal([1.0], e).constants.gamma / e
                   for e in (1e-1, 1e-2, 1e-3)]
@@ -158,6 +174,19 @@ class TestPerturbedDiagonal:
             q = 4 * rng.standard_normal(2)
             w = np.linalg.eigvalsh(p.hess(q))
             assert w[0] >= p.constants.alpha - 1e-8
+
+
+class TestGoldenMax:
+    def test_interior_maximum_of_concave_function(self):
+        # the top value is 0, so a value within 1e-24 of it puts the best
+        # probe within 1e-12 of the maximizer 0.3
+        fmax = _golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
+        assert -1e-24 <= fmax <= 0.0
+
+    @pytest.mark.parametrize("sign, end", [(1.0, 1.0), (-1.0, -0.5)])
+    def test_maximum_at_either_end(self, sign, end):
+        fmax = _golden_max(lambda x: sign * x, -0.5, 1.0)
+        assert abs(fmax - sign * end) <= 1e-12
 
 
 class TestSqrtHessDerivativeConsistency:

@@ -210,10 +210,7 @@ def _proxy_target(p) -> GaussianMoments:
     trend diagnostic rather than a divergence estimate.
     """
     h0 = p.hess(np.zeros(p.dim))
-    cov = np.zeros((2 * p.dim, 2 * p.dim))
-    cov[:p.dim, :p.dim] = np.linalg.inv(h0)
-    cov[p.dim:, p.dim:] = np.eye(p.dim)
-    return GaussianMoments(mean=np.zeros(2 * p.dim), cov=cov)
+    return stationary_moments(kinetic_dynamics(h0, np.eye(p.dim)))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

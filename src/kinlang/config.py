@@ -10,7 +10,7 @@ output file and echoed next to it, which is what makes reruns reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,13 +75,14 @@ class PotentialConfig:
     def from_dict(section: dict) -> "PotentialConfig":
         _require(section, ("family", "v", "matrix", "eps", "perturbation"),
                  "potential.")
+        defaults = PotentialConfig()
         out = PotentialConfig(
-            family=section.get("family", "quadratic_diagonal"),
-            v=_tuple_of_floats(section.get("v", (1.0,)), "potential.v"),
+            family=section.get("family", defaults.family),
+            v=_tuple_of_floats(section.get("v", defaults.v), "potential.v"),
             matrix=tuple(map(tuple, section["matrix"]))
             if section.get("matrix") is not None else None,
-            eps=float(section.get("eps", 0.0)),
-            perturbation=section.get("perturbation", "log_cosh"),
+            eps=float(section.get("eps", defaults.eps)),
+            perturbation=section.get("perturbation", defaults.perturbation),
         )
         if out.family not in ("quadratic_diagonal", "quadratic_general",
                               "perturbed_diagonal"):
@@ -107,16 +108,6 @@ class PotentialConfig:
                 )
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "v": list(self.v) if self.v is not None else None,
-            "matrix": [list(r) for r in self.matrix]
-            if self.matrix is not None else None,
-            "eps": self.eps,
-            "perturbation": self.perturbation,
-        }
-
 
 @dataclass(frozen=True)
 class FrictionConfig:
@@ -128,9 +119,10 @@ class FrictionConfig:
     @staticmethod
     def from_dict(section: dict) -> "FrictionConfig":
         _require(section, ("kind", "s", "lam", "matrix"), "friction.")
+        defaults = FrictionConfig()
         out = FrictionConfig(
-            kind=section.get("kind", "hessian_sqrt"),
-            s=float(section.get("s", 2.0)),
+            kind=section.get("kind", defaults.kind),
+            s=float(section.get("s", defaults.s)),
             lam=None if section.get("lam") is None else float(section["lam"]),
             matrix=tuple(map(tuple, section["matrix"]))
             if section.get("matrix") is not None else None,
@@ -150,15 +142,6 @@ class FrictionConfig:
             raise ConfigError(f"friction.s: must be > 0, got {out.s}")
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "lam": self.lam,
-            "matrix": [list(r) for r in self.matrix]
-            if self.matrix is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -174,12 +157,14 @@ class SimulationConfig:
     def from_dict(section: dict) -> "SimulationConfig":
         _require(section, ("dt", "n_steps", "n_particles", "seed",
                            "record_every", "init_q", "init_p"), "simulation.")
+        defaults = SimulationConfig()
         out = SimulationConfig(
-            dt=float(section.get("dt", 1e-3)),
-            n_steps=int(section.get("n_steps", 1000)),
-            n_particles=int(section.get("n_particles", 10_000)),
+            dt=float(section.get("dt", defaults.dt)),
+            n_steps=int(section.get("n_steps", defaults.n_steps)),
+            n_particles=int(section.get("n_particles", defaults.n_particles)),
             seed=None if section.get("seed") is None else int(section["seed"]),
-            record_every=int(section.get("record_every", 10)),
+            record_every=int(section.get("record_every",
+                                         defaults.record_every)),
             init_q=_tuple_of_floats(section.get("init_q"), "simulation.init_q"),
             init_p=_tuple_of_floats(section.get("init_p"), "simulation.init_p"),
         )
@@ -200,17 +185,6 @@ class SimulationConfig:
         if out.seed is not None and out.seed < 0:
             raise ConfigError(f"simulation.seed: must be >= 0, got {out.seed}")
         return out
-
-    def as_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "n_particles": self.n_particles,
-            "seed": self.seed,
-            "record_every": self.record_every,
-            "init_q": list(self.init_q) if self.init_q is not None else None,
-            "init_p": list(self.init_p) if self.init_p is not None else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -256,15 +230,6 @@ class CertificateConfig:
                 )
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "s_grid": list(self.s_grid),
-            "x0_grid": list(self.x0_grid),
-            "lambda_grid": list(self.lambda_grid),
-            "eps_rates": list(self.eps_rates),
-        }
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -299,14 +264,6 @@ class OracleConfig:
         if out.v is not None and (not out.v or any(x <= 0 for x in out.v)):
             raise ConfigError("oracle.v: must be nonempty with entries > 0")
         return out
-
-    def as_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "lambda_grid": list(self.lambda_grid),
-            "v": list(self.v) if self.v is not None else None,
-            "n_times": self.n_times,
-        }
 
 
 @dataclass(frozen=True)
@@ -343,15 +300,6 @@ class AuditConfig:
             )
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "t_max": self.t_max,
-            "n_times": self.n_times,
-            "init_q_mean": self.init_q_mean,
-            "init_cov_scale": self.init_cov_scale,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -366,16 +314,7 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """The fully materialized config embedded in every output."""
-        return {
-            "kind": self.kind,
-            "out_dir": self.out_dir,
-            "potential": self.potential.as_dict(),
-            "friction": self.friction.as_dict(),
-            "simulation": self.simulation.as_dict(),
-            "certificate": self.certificate.as_dict(),
-            "oracle": self.oracle.as_dict(),
-            "audit": self.audit.as_dict(),
-        }
+        return asdict(self)
 
 
 _TOP_LEVEL = ("kind", "out_dir", "potential", "friction", "simulation",

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .linalg import check_symmetric, spd_sqrt
+from .linalg import check_spd, check_symmetric, spd_sqrt
 from .potentials import Potential
 
 __all__ = ["FrictionSpec", "constant_scalar", "constant_matrix", "hessian_sqrt"]
@@ -124,11 +124,7 @@ def constant_scalar(lam: float) -> FrictionSpec:
 def constant_matrix(m) -> FrictionSpec:
     """Gamma = m for a fixed SPD matrix m; indefinite m is rejected here."""
     m = check_symmetric(m, "friction matrix")
-    w = np.linalg.eigvalsh(m)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"constant friction matrix has eigenvalue {w[0]:.6e} <= 0"
-        )
+    check_spd(np.linalg.eigvalsh(m), "friction matrix", rtol=0.0)
     return FrictionSpec(kind="constant_matrix", matrix=m)
 
 

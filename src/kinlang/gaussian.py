@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFriction,
 )
 from .friction import FrictionSpec
-from .linalg import check_symmetric, expm, spd_sqrt
+from .linalg import check_spd, check_symmetric, expm, spd_sqrt
 
 __all__ = [
     "GaussianMoments",
@@ -88,9 +88,9 @@ def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     """Assemble the phase-space drift and noise for Hessian a and friction
     gamma_mat (both SPD d x d)."""
     a = check_symmetric(a, "a")
-    root_2g = spd_sqrt(2.0 * check_symmetric(gamma_mat, "gamma_mat"))
-    spd_sqrt(a)  # SPD check
-    gamma_mat = 0.5 * (np.asarray(gamma_mat, dtype=float) + np.asarray(gamma_mat, dtype=float).T)
+    gamma_mat = check_symmetric(gamma_mat, "gamma_mat")
+    root_2g = spd_sqrt(2.0 * gamma_mat)
+    check_spd(np.linalg.eigvalsh(a), "a")
     d = a.shape[0]
     drift = np.zeros((2 * d, 2 * d))
     drift[:d, d:] = np.eye(d)
@@ -177,11 +177,7 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
 def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
     """Gibbs moments of the quadratic system: mean 0, cov blockdiag(A^{-1}, I)."""
     d = dyn.dim
-    w = np.linalg.eigvalsh(dyn.a)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"stationary covariance needs A SPD, got eigenvalue {w[0]:.6e}"
-        )
+    check_spd(np.linalg.eigvalsh(dyn.a), "A", rtol=0.0)
     cov = np.zeros((2 * d, 2 * d))
     cov[:d, :d] = np.linalg.inv(dyn.a)
     cov[d:, d:] = np.eye(d)
@@ -190,37 +186,48 @@ def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
 
 def _spd_logdet_inv(cov, name):
     """(inverse, logdet) of an SPD covariance, or NotPositiveDefinite."""
-    w = np.linalg.eigvalsh(cov)
-    if w[0] <= 1e-12 * max(1.0, abs(w[-1])):
-        raise NotPositiveDefinite(
-            f"{name} covariance has eigenvalue {w[0]:.6e}; divergence undefined"
-        )
+    check_spd(np.linalg.eigvalsh(cov), f"{name} covariance",
+              rtol=1e-12, atol=1e-12)
     sign, logdet = np.linalg.slogdet(cov)
     return np.linalg.inv(cov), logdet
 
 
-def log_chi2_plus_one(rho: GaussianMoments, pi: GaussianMoments) -> float:
-    """log(chi2(rho || pi) + 1); +inf when the defining integral diverges.
+def _chi2_factors(rho: GaussianMoments, pi: GaussianMoments):
+    """(A_rho, A_pi, M, log(chi2 + 1)) for rho against pi, shared by
+    log_chi2_plus_one and the Lyapunov functional.
 
     Completing the square in the integral of rho^2/pi gives, with
-    A1 = cov_rho^{-1}, A2 = cov_pi^{-1}, M = 2 A1 - A2, b = 2 A1 mu1 - A2 mu2:
+    A_rho = cov_rho^{-1}, A_pi = cov_pi^{-1}, M = 2 A_rho - A_pi and
+    b = 2 A_rho mu_rho - A_pi mu_pi,
 
         chi2 + 1 = det(cov_pi)^{1/2} det(cov_rho)^{-1} det(M)^{-1/2}
-                   * exp(b'M^{-1}b/2 - mu1'A1 mu1 + mu2'A2 mu2 / 2)
+                   * exp(b'M^{-1}b/2 - mu_rho'A_rho mu_rho + mu_pi'A_pi mu_pi / 2)
 
-    finite exactly when M is positive definite (integrability of rho^2/pi).
+    finite exactly when M is positive definite (integrability of rho^2/pi);
+    otherwise the log is +inf.  Degenerate covariances raise
+    NotPositiveDefinite.
     """
     a1, logdet1 = _spd_logdet_inv(rho.cov, "rho")
     a2, logdet2 = _spd_logdet_inv(pi.cov, "pi")
     m = 2.0 * a1 - a2
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
     if w[0] <= 0:
-        return math.inf
+        return a1, a2, m, math.inf
     sign_m, logdet_m = np.linalg.slogdet(m)
     b = 2.0 * a1 @ rho.mean - a2 @ pi.mean
     quad = 0.5 * b @ np.linalg.solve(m, b) \
         - rho.mean @ a1 @ rho.mean + 0.5 * pi.mean @ a2 @ pi.mean
-    return float(0.5 * logdet2 - logdet1 - 0.5 * logdet_m + quad)
+    return a1, a2, m, float(0.5 * logdet2 - logdet1 - 0.5 * logdet_m + quad)
+
+
+def log_chi2_plus_one(rho: GaussianMoments, pi: GaussianMoments) -> float:
+    """log(chi2(rho || pi) + 1); +inf when the defining integral diverges."""
+    return _chi2_factors(rho, pi)[3]
+
+
+def _chi2_from_log(logval: float) -> float:
+    """chi2 from log(chi2 + 1); +inf beyond e^700, where expm1 overflows."""
+    return float(math.expm1(logval)) if logval < 700 else math.inf
 
 
 def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
@@ -231,10 +238,7 @@ def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
     times; callers fitting decay curves should skip to the first finite
     value.  Degenerate covariances raise NotPositiveDefinite.
     """
-    logval = log_chi2_plus_one(rho, pi)
-    if math.isinf(logval):
-        return math.inf
-    return float(math.expm1(logval)) if logval < 700 else math.inf
+    return _chi2_from_log(log_chi2_plus_one(rho, pi))
 
 
 def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:

@@ -3,29 +3,45 @@
 Everything downstream -- friction matrices, Gaussian propagation, weight
 matrices -- funnels through these few routines:
 
+  * ``check_spd``: the one positive-definiteness rule, applied to ascending
+    eigenvalues of a matrix or a stack
   * ``spd_sqrt``: principal square root of an SPD matrix or a stack of them
   * ``spd_sqrt_directional_derivative``: derivative of that square root along
     a symmetric perturbation (Sylvester equation in the eigenbasis)
   * ``expm``: matrix exponential e^{m t}, for one t or a 1-d grid of them
   * ``gaussian_quadratic_expectation``: E[x' Q x + l' x + c] under N(mean, cov)
 
+``check_spd`` rejects a matrix whose smallest eigenvalue is at or below
+max(rtol * max|w|, atol).  The package uses three settings of it:
+
+  * rtol = 1e-10, atol = 0 (the default): the square root and its
+    derivative, ``kinetic_dynamics``, ``quadratic_general`` and
+    ``gaussian_quadratic_expectation``
+  * rtol = atol = 1e-12, i.e. 1e-12 * max(1, max|w|): the two covariances
+    of the chi-square divergence
+  * rtol = atol = 0, plain positivity: ``constant_matrix``, the friction
+    and the assembled weight of ``build_s``, and ``stationary_moments``
+
+``GaussianMoments`` keeps its own check: it admits positive semidefinite
+covariances (point initial conditions) within a slack.
+
 All routines are pure and deterministic.  The square root and its derivative
 share a single eigendecomposition; ``expm`` is scipy's scaling-and-squaring
 Pade implementation (Al-Mohy & Higham 2009), which also covers the drift
 matrices that are defective at critical damping, and exponentiates a whole
-grid of times in one call.
+grid of times in one call.  SciPy is imported on the first ``expm`` call, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite, NotSymmetric
 
 __all__ = [
     "check_symmetric",
-    "sym_eig",
+    "check_spd",
     "spd_sqrt",
     "spd_sqrt_directional_derivative",
     "expm",
@@ -88,51 +104,54 @@ def _symmetrize(m, name):
     return 0.5 * (m + mt)
 
 
-def sym_eig(m, name="matrix"):
-    """Eigendecomposition of a symmetric matrix (or stack), ascending eigenvalues.
+def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
+    """Positive-definiteness rule on ascending eigenvalues.
 
-    Returns
-    -------
-    (w, u) : (ndarray, ndarray)
-        ``u @ diag(w) @ u.T`` reconstructs each symmetrized input.
+    Parameters
+    ----------
+    w : ndarray, shape (..., d)
+        Ascending eigenvalues of one matrix, or of each matrix of a stack.
+    name : str
+        Names the matrix in the error; a stack adds the failing index,
+        ``name[i]``.
+    rtol, atol : float
+        A matrix is rejected when its smallest eigenvalue is
+        <= max(rtol * max|w|, atol).
+
+    Raises
+    ------
+    NotPositiveDefinite
+        For the first matrix that fails the rule.
     """
-    w, u = np.linalg.eigh(_symmetrize(np.asarray(m, dtype=float), name))
+    if not w.size:
+        return
+    lo = w[..., 0]
+    floor = np.maximum(rtol * np.maximum(-lo, w[..., -1]), atol)
+    bad = lo <= floor
+    if np.count_nonzero(bad):
+        label, i = _first_bad(name, bad)
+        raise NotPositiveDefinite(
+            f"{label} has eigenvalue {lo[i]:.6e} <= tolerance {floor[i]:.3e}"
+        )
+
+
+def _spd_eig(m):
+    """Eigendecomposition (ascending w, u) of a symmetric matrix or stack,
+    after ``check_spd`` with the default rule."""
+    w, u = np.linalg.eigh(_symmetrize(np.asarray(m, dtype=float), "matrix"))
+    check_spd(w)
     return w, u
 
 
-def _spd_floor(w, tol):
-    """Default positive-definiteness floor: 1e-10 * largest |eigenvalue|,
-    per matrix when w holds a stack's ascending eigenvalues."""
-    if tol is not None:
-        return tol
-    return 1e-10 * np.maximum(-w[..., 0], w[..., -1])
-
-
-def _spd_eig(m, tol):
-    """sym_eig of m after checking every eigenvalue is above the floor."""
-    w, u = sym_eig(m)
-    if w.size:
-        floor = _spd_floor(w, tol)
-        bad = w[..., 0] <= floor
-        if np.count_nonzero(bad):
-            label, i = _first_bad("matrix", bad)
-            floor = np.broadcast_to(floor, bad.shape)
-            raise NotPositiveDefinite(
-                f"{label} has eigenvalue {w[i][0]:.6e} <= tolerance {floor[i]:.3e}"
-            )
-    return w, u
-
-
-def spd_sqrt(m, tol=None):
+def spd_sqrt(m):
     """Principal square root of a symmetric positive definite matrix.
 
     Parameters
     ----------
     m : array_like, shape (..., d, d)
-        Symmetric with smallest eigenvalue above ``tol``; a stack is
-        decomposed in one batched call, each matrix against its own floor.
-    tol : float, optional
-        Positive-definiteness floor.  Defaults to ``1e-10 * max |eig|``.
+        Symmetric with smallest eigenvalue above ``1e-10 * max|eig|``; a
+        stack is decomposed in one batched call, each matrix against its
+        own floor.
 
     Returns
     -------
@@ -142,14 +161,14 @@ def spd_sqrt(m, tol=None):
     Raises
     ------
     NotPositiveDefinite
-        If any eigenvalue is <= ``tol``; a stack names the failing index.
+        If any matrix fails ``check_spd``; a stack names the failing index.
     """
-    w, u = _spd_eig(m, tol)
+    w, u = _spd_eig(m)
     r = (u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2)
     return 0.5 * (r + r.swapaxes(-1, -2))
 
 
-def spd_sqrt_directional_derivative(m, dm, tol=None):
+def spd_sqrt_directional_derivative(m, dm):
     """Directional derivative of the SPD square root.
 
     Solves the Sylvester equation R X + X R = dm for X, where
@@ -175,7 +194,7 @@ def spd_sqrt_directional_derivative(m, dm, tol=None):
     NotPositiveDefinite
         Propagated from the square root of ``m``.
     """
-    w, u = _spd_eig(m, tol)
+    w, u = _spd_eig(m)
     dm = check_symmetric(dm, "dm")
     roots = np.sqrt(w)
     dm_tilde = u.T @ dm @ u
@@ -199,6 +218,8 @@ def expm(m, t=1.0):
     if t.ndim > 1:
         raise ValueError(
             f"t must be a float or a 1-d array, got shape {t.shape}")
+    import scipy.linalg  # deferred, so that importing kinlang loads no SciPy
+
     # a zero matrix takes scipy's diagonal branch, which returns I exactly
     return scipy.linalg.expm(m * t[..., None, None])
 
@@ -225,11 +246,7 @@ def gaussian_quadratic_expectation(mean, cov, quad, lin=None, const=0.0):
     """
     mean = np.asarray(mean, dtype=float).ravel()
     cov = check_symmetric(cov, "cov")
-    w = np.linalg.eigvalsh(cov)
-    if w.size and w[0] <= _spd_floor(w, None):
-        raise NotPositiveDefinite(
-            f"covariance has eigenvalue {w[0]:.6e} <= tolerance"
-        )
+    check_spd(np.linalg.eigvalsh(cov), "cov")
     quad = check_symmetric(quad, "quad")
     value = float(np.trace(quad @ cov) + mean @ quad @ mean) + float(const)
     if lin is not None:

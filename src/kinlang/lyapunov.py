@@ -22,15 +22,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateS, Divergent, NotPositiveDefinite
+from .errors import DegenerateS, Divergent
 from .gaussian import (
     GaussianMoments,
     LinearDynamics,
-    gaussian_chi2,
+    _chi2_factors,
+    _chi2_from_log,
     propagate,
     stationary_moments,
 )
-from .linalg import check_symmetric, gaussian_quadratic_expectation
+from .linalg import check_spd, check_symmetric
 
 __all__ = [
     "WeightMatrixS",
@@ -69,11 +70,7 @@ def build_s(coeffs, gamma_matrix, original_alpha: Optional[float] = None) -> Wei
     if b * c - a ** 2 <= 0:
         raise DegenerateS(f"b*c - a^2 = {b * c - a ** 2:.6g} <= 0")
     g = check_symmetric(np.asarray(gamma_matrix, dtype=float), "gamma_matrix")
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"gamma_matrix must be SPD; smallest eigenvalue {w[0]:.6g}"
-        )
+    check_spd(np.linalg.eigvalsh(g), "gamma_matrix", rtol=0.0)
     d = g.shape[0]
     g_inv = np.linalg.inv(g)
     g_inv = 0.5 * (g_inv + g_inv.T)
@@ -88,17 +85,9 @@ def build_s(coeffs, gamma_matrix, original_alpha: Optional[float] = None) -> Wei
         bottom = original_alpha * bottom
     matrix = np.block([[top_left, off], [off.T, bottom]])
     matrix = 0.5 * (matrix + matrix.T)
-    if np.linalg.eigvalsh(matrix)[0] <= 0:
-        raise NotPositiveDefinite(
-            "assembled weight matrix is not positive definite"
-        )
+    check_spd(np.linalg.eigvalsh(matrix), "assembled weight matrix", rtol=0.0)
     return WeightMatrixS(matrix=matrix, a=a, b=b, c=c, gamma_matrix=g,
                          conjugated_alpha=original_alpha)
-
-
-def _precision(cov: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(cov)
-    return 0.5 * (inv + inv.T)
 
 
 def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
@@ -111,22 +100,21 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
         cross = (chi2 + 1) * E_{N(mu_t, Sigma_t)}[(W x + u)^T S (W x + u)]
 
     under the tilted Gaussian with precision M = 2 A_rho - A_pi.  Raises
-    Divergent when that integral does not exist (M not positive definite).
-    The cross term is >= 0, so L >= chi2 always.
+    Divergent when that integral does not exist (M not positive definite),
+    so L is finite wherever chi2 is.  The cross term is >= 0, so L >= chi2
+    always.
     """
     if rho.dim != pi.dim or 2 * rho.dim != s.matrix.shape[0]:
         raise ValueError(
             f"dimension mismatch: rho dim {rho.dim}, pi dim {pi.dim}, "
             f"S is {s.matrix.shape[0]}x{s.matrix.shape[0]}"
         )
-    chi2 = gaussian_chi2(rho, pi)
+    a_rho, a_pi, m, logval = _chi2_factors(rho, pi)
+    chi2 = _chi2_from_log(logval)
     if math.isinf(chi2):
         raise Divergent(
             "chi-square of rho against pi diverges; L is not finite"
         )
-    a_rho = _precision(rho.cov)
-    a_pi = _precision(pi.cov)
-    m = 2.0 * a_rho - a_pi
     sigma_t = np.linalg.inv(m)
     sigma_t = 0.5 * (sigma_t + sigma_t.T)
     mu_t = sigma_t @ (2.0 * a_rho @ rho.mean - a_pi @ pi.mean)
@@ -134,12 +122,12 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
     u = a_rho @ rho.mean - a_pi @ pi.mean
     s_mat = s.matrix
     quad = w @ s_mat @ w
-    lin = 2.0 * (w @ (s_mat @ u))
-    const = float(u @ s_mat @ u)
-    cross = (chi2 + 1.0) * gaussian_quadratic_expectation(
-        mu_t, sigma_t, quad, lin=lin, const=const
-    )
-    return chi2 + cross
+    # E[(W x + u)' S (W x + u)] in closed form; gaussian_quadratic_expectation
+    # would apply its 1e-10 floor to sigma_t and so reject an ill-conditioned
+    # M whose chi2 is finite
+    expectation = float(np.trace(quad @ sigma_t) + mu_t @ quad @ mu_t) \
+        + float(u @ s_mat @ u) + float(2.0 * (w @ (s_mat @ u)) @ mu_t)
+    return chi2 + (chi2 + 1.0) * expectation
 
 
 def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvexityLost, NonPositiveFrequency
-from .linalg import check_symmetric, spd_sqrt
+from .linalg import check_spd, check_symmetric
 
 __all__ = [
     "AssumptionConstants",
@@ -144,9 +144,9 @@ def quadratic_diagonal(v) -> Potential:
 def quadratic_general(a) -> Potential:
     """V(q) = 1/2 q' a q for SPD a; alpha/beta are a's extreme eigenvalues."""
     a = check_symmetric(a)
-    spd_sqrt(a)  # raises NotPositiveDefinite
-    d = a.shape[0]
     w = np.linalg.eigvalsh(a)
+    check_spd(w)
+    d = a.shape[0]
     zero = np.zeros((d, d))
     consts = AssumptionConstants(
         alpha=float(w[0]), beta=float(w[-1]), gamma=0.0, dim=d

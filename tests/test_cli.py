@@ -516,13 +516,15 @@ class TestEntryPoint:
             assert echo["format_version"] == FORMAT_VERSION
             assert echo["config"]["kind"] == command
 
-    def test_import_leaves_scipy_optimize_out(self):
+    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
+    def test_import_leaves_scipy_out(self, module):
         # every CLI process pays the package import; scipy.optimize alone
-        # would add about 240 modules to it
+        # would add about 240 modules to it, and scipy.linalg, which only
+        # expm needs, about 0.3 s
         src = os.path.dirname(os.path.dirname(os.path.abspath(kinlang.__file__)))
         script = ("import sys, kinlang, kinlang.cli\n"
                   "print(sorted(m for m in sys.modules\n"
-                  "             if m.startswith('scipy.optimize')))\n")
+                  f"             if m.startswith({module!r})))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)

@@ -1,7 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from kinlang.errors import NotPositiveDefinite, NotSymmetric
+from kinlang.friction import constant_matrix
+from kinlang.gaussian import (
+    GaussianMoments,
+    LinearDynamics,
+    gaussian_chi2,
+    kinetic_dynamics,
+    stationary_moments,
+)
 from kinlang.linalg import (
     check_symmetric,
     expm,
@@ -9,6 +19,8 @@ from kinlang.linalg import (
     spd_sqrt,
     spd_sqrt_directional_derivative,
 )
+from kinlang.lyapunov import build_s
+from kinlang.potentials import quadratic_general
 
 
 def random_spd(rng, d):
@@ -253,3 +265,72 @@ class TestGaussianQuadraticExpectation:
             gaussian_quadratic_expectation(
                 np.zeros(2), np.diag([1.0, 0.0]), np.eye(2)
             )
+
+
+def _chi2_rho(cov):
+    return gaussian_chi2(GaussianMoments(np.zeros(2), cov),
+                         GaussianMoments(np.zeros(2), np.eye(2)))
+
+
+def _chi2_pi(cov):
+    return gaussian_chi2(GaussianMoments(np.zeros(2), np.eye(2)),
+                         GaussianMoments(np.zeros(2), cov))
+
+
+def _build_s(g):
+    # a = 0 keeps S = blockdiag(b G^-2, c I) diagonal, so its eigenvalues
+    # are exact
+    return build_s(SimpleNamespace(a=0.0, b=1.0, c=1.0), g)
+
+
+def _stationary(a):
+    # kinetic_dynamics rejects such an `a` first; only a hand-built
+    # LinearDynamics reaches stationary_moments' own check
+    return stationary_moments(
+        LinearDynamics(a=a, gamma_mat=None, drift=None, noise=None))
+
+
+#: (site, call, matrix accepted, matrix rejected).  Each pair brackets the
+#: site's rule on the smallest eigenvalue: above 1e-10 * max|w| for the square
+#: root and its users; above 1e-12 * max(1, max|w|) for the chi2 covariances
+#: (0.5 exercises the max(1, .) branch, 4 the relative one); above 0 for the
+#: rest, where 1e-100 would fail either relative rule.
+SPD_RULE_SITES = [
+    ("spd_sqrt", spd_sqrt,
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("spd_sqrt_stack", lambda m: spd_sqrt(np.stack([np.eye(2), m])),
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("spd_sqrt_directional_derivative",
+     lambda m: spd_sqrt_directional_derivative(m, np.zeros((2, 2))),
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("kinetic_dynamics.a", lambda m: kinetic_dynamics(m, np.eye(2)),
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("kinetic_dynamics.gamma_mat", lambda m: kinetic_dynamics(np.eye(2), m),
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("quadratic_general", quadratic_general,
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("gaussian_quadratic_expectation",
+     lambda m: gaussian_quadratic_expectation(np.zeros(2), m, np.eye(2)),
+     np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
+    ("gaussian_chi2.rho", _chi2_rho,
+     np.diag([0.5, 1.01e-12]), np.diag([0.5, 0.99e-12])),
+    ("gaussian_chi2.pi", _chi2_pi,
+     np.diag([4.0, 4.04e-12]), np.diag([4.0, 3.96e-12])),
+    ("constant_matrix", constant_matrix,
+     np.diag([4.0, 1e-100]), np.diag([4.0, 0.0])),
+    ("build_s.gamma_matrix", _build_s,
+     np.diag([4.0, 1e-100]), np.diag([4.0, 0.0])),
+    # G = 1e150 gives the S eigenvalue 1e-300; at 1e200, 1e-400 underflows to 0
+    ("build_s.matrix", _build_s,
+     np.diag([4.0, 1e150]), np.diag([4.0, 1e200])),
+    ("stationary_moments", _stationary,
+     np.diag([4.0, 1e-100]), np.diag([4.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("site, call, accepted, rejected", SPD_RULE_SITES,
+                         ids=[row[0] for row in SPD_RULE_SITES])
+def test_spd_rule_thresholds(site, call, accepted, rejected):
+    call(accepted)
+    with pytest.raises(NotPositiveDefinite):
+        call(rejected)

@@ -158,6 +158,21 @@ class TestLyapunovValue:
             chi2 = gaussian_chi2(rho, pi)
             assert val >= chi2 - 1e-12
 
+    def test_finite_wherever_chi2_is_finite(self):
+        # M = 2 A_rho - A_pi = diag(2e-11, 1) is positive definite, so chi2 is
+        # finite; the tilted covariance M^-1 has condition number 5e10
+        rho = GaussianMoments(mean=np.zeros(2),
+                              cov=np.diag([2.0 / (1.0 + 2e-11), 1.0]))
+        s = _s_131_gamma2()
+        chi2 = gaussian_chi2(rho, _pi_2d())
+        assert math.isfinite(chi2)
+        # cross = (chi2 + 1) S_qq w^2 / m with w = A_pi - A_rho = 1/2 - 1e-11
+        # and m = 2e-11 in the q coordinate; m carries ~1e-5 relative
+        # cancellation error
+        expected = chi2 + (chi2 + 1.0) * s.matrix[0, 0] * 0.25 / 2e-11
+        val = lyapunov_value_gaussian(rho, _pi_2d(), s)
+        assert val == pytest.approx(expected, rel=1e-3)
+
     def test_divergent_raises(self):
         rho = GaussianMoments(mean=np.zeros(2), cov=2.5 * np.eye(2))
         with pytest.raises(Divergent):

@@ -35,7 +35,6 @@ from .certificates import (
     optimize_m1,
 )
 from .config import (
-    KINDS,
     ExperimentConfig,
     build_friction,
     build_potential,
@@ -416,12 +415,18 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
 # entry point
 
 
+#: subcommand -> (handler, help text)
 _COMMANDS = {
-    "oracle-ou": cmd_oracle_ou,
-    "simulate": cmd_simulate,
-    "certify": cmd_certify,
-    "compare": cmd_compare,
-    "audit": cmd_audit,
+    "oracle-ou": (cmd_oracle_ou,
+                  "closed-form oscillator decay curves and fitted rates"),
+    "simulate": (cmd_simulate,
+                 "Euler-Maruyama ensemble run with moment report"),
+    "certify": (cmd_certify,
+                "sweep weight coefficients and emit a rate certificate"),
+    "compare": (cmd_compare,
+                "compare one certificate to constant-friction baselines"),
+    "audit": (cmd_audit,
+              "audit certified decay rates on the Lyapunov functional"),
 }
 
 
@@ -432,15 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Langevin dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "oracle-ou": "closed-form oscillator decay curves and fitted rates",
-        "simulate": "Euler-Maruyama ensemble run with moment report",
-        "certify": "sweep weight coefficients and emit a rate certificate",
-        "compare": "compare one certificate to constant-friction baselines",
-        "audit": "audit certified decay rates on the Lyapunov functional",
-    }
-    for name in KINDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH",
                         help="JSON experiment config (defaults apply "
                              "when omitted)")
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
         else:
             cfg = config_from_dict({}, kind=args.command, out_dir=args.out,
                                    seed=args.seed)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,25 +1,39 @@
 """Experiment configuration: JSON files, defaults, validation, builders.
 
 A config file is one JSON object with optional nested sections; command-line
-flags override individual values.  Validation errors always name the exact
-field (``simulation.seed: ...``) so grid experiments fail loudly and early.
-The fully resolved config (every default materialized) is embedded in every
-output file and echoed next to it, which is what makes reruns reproducible.
+flags override individual values.  Each section is a frozen dataclass, and
+its fields are the schema: a section accepts exactly the keys its dataclass
+declares, and each value must have the field's type.
+
+- A float field takes a JSON number; an integer is read as a float.
+- An int field takes an integer, or a float with an integral value such as
+  ``1000.0``; ``2.7`` and ``true`` are rejected.
+- A str field takes a string, a vector field a list of numbers, and a
+  matrix field a list of rows of numbers.
+- Numbers must be JSON numbers: ``"1.0"`` and ``true`` are not numbers.
+- ``null`` is allowed only for the optional fields, where it means "unset".
+
+The range rules live in each section's ``__post_init__``, so a section built
+directly in Python is checked the same way.  Validation errors always name
+the exact field (``simulation.seed: ...``) so grid experiments fail loudly
+and early.  The fully resolved config (every default materialized) is
+embedded in every output file and echoed next to it, which is what makes
+reruns reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, KinlangError
 from .friction import FrictionSpec, constant_matrix, constant_scalar, hessian_sqrt
 from .potentials import (
-    COSINE,
-    LOG_COSH,
+    PERTURBATIONS,
     Potential,
     perturbed_diagonal,
     quadratic_diagonal,
@@ -42,71 +56,51 @@ __all__ = [
 
 KINDS = ("oracle-ou", "simulate", "certify", "compare", "audit")
 
-_PERTURBATIONS = {"log_cosh": LOG_COSH, "cosine": COSINE}
-
-
-def _require(section: dict, allowed: Sequence[str], prefix: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(
-                f"{prefix}{key}: unknown field (allowed: {', '.join(allowed)})"
-            )
-
-
-def _tuple_of_floats(value, name: str):
-    if value is None:
-        return None
-    try:
-        out = tuple(float(x) for x in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
-    return out
+#: family or kind -> (builder, the fields it is called with); a builder's
+#: error is reported against the first of those fields
+_POTENTIALS = {
+    "quadratic_diagonal": (quadratic_diagonal, ("v",)),
+    "quadratic_general": (quadratic_general, ("matrix",)),
+    "perturbed_diagonal": (perturbed_diagonal, ("v", "eps", "perturbation")),
+}
+_FRICTIONS = {
+    "hessian_sqrt": (hessian_sqrt, ("s",)),
+    "constant_scalar": (constant_scalar, ("lam",)),
+    "constant_matrix": (constant_matrix, ("matrix",)),
+}
 
 
 @dataclass(frozen=True)
 class PotentialConfig:
     family: str = "quadratic_diagonal"
-    v: Optional[tuple] = (1.0,)
-    matrix: Optional[tuple] = None
+    v: Optional[tuple[float, ...]] = (1.0,)
+    matrix: Optional[tuple[tuple[float, ...], ...]] = None
     eps: float = 0.0
     perturbation: str = "log_cosh"
 
-    @staticmethod
-    def from_dict(section: dict) -> "PotentialConfig":
-        _require(section, ("family", "v", "matrix", "eps", "perturbation"),
-                 "potential.")
-        defaults = PotentialConfig()
-        out = PotentialConfig(
-            family=section.get("family", defaults.family),
-            v=_tuple_of_floats(section.get("v", defaults.v), "potential.v"),
-            matrix=tuple(map(tuple, section["matrix"]))
-            if section.get("matrix") is not None else None,
-            eps=float(section.get("eps", defaults.eps)),
-            perturbation=section.get("perturbation", defaults.perturbation),
-        )
-        if out.family not in ("quadratic_diagonal", "quadratic_general",
-                              "perturbed_diagonal"):
+    def __post_init__(self):
+        if self.family not in _POTENTIALS:
             raise ConfigError(
-                f"potential.family: unknown family {out.family!r}"
+                f"potential.family: unknown family {self.family!r}"
             )
-        if out.family == "quadratic_general" and out.matrix is None:
+        if self.family == "quadratic_general" and self.matrix is None:
             raise ConfigError(
                 "potential.matrix: required for family quadratic_general"
             )
-        if out.family != "quadratic_general" and not out.v:
+        if self.family != "quadratic_general" and not self.v:
             raise ConfigError("potential.v: must be a nonempty vector")
-        if out.family == "perturbed_diagonal":
-            if out.perturbation not in _PERTURBATIONS:
+        if self.family == "perturbed_diagonal":
+            if self.perturbation not in PERTURBATIONS:
                 raise ConfigError(
                     f"potential.perturbation: unknown kind "
-                    f"{out.perturbation!r} (allowed: log_cosh, cosine)"
+                    f"{self.perturbation!r} "
+                    f"(allowed: {', '.join(PERTURBATIONS)})"
                 )
-            if not out.eps > 0:
+            if not self.eps > 0:
                 raise ConfigError(
                     f"potential.eps: must be > 0 for perturbed_diagonal, "
-                    f"got {out.eps}"
+                    f"got {self.eps}"
                 )
-        return out
 
 
 @dataclass(frozen=True)
@@ -114,33 +108,22 @@ class FrictionConfig:
     kind: str = "hessian_sqrt"
     s: float = 2.0
     lam: Optional[float] = None
-    matrix: Optional[tuple] = None
+    matrix: Optional[tuple[tuple[float, ...], ...]] = None
 
-    @staticmethod
-    def from_dict(section: dict) -> "FrictionConfig":
-        _require(section, ("kind", "s", "lam", "matrix"), "friction.")
-        defaults = FrictionConfig()
-        out = FrictionConfig(
-            kind=section.get("kind", defaults.kind),
-            s=float(section.get("s", defaults.s)),
-            lam=None if section.get("lam") is None else float(section["lam"]),
-            matrix=tuple(map(tuple, section["matrix"]))
-            if section.get("matrix") is not None else None,
-        )
-        if out.kind not in ("hessian_sqrt", "constant_scalar",
-                            "constant_matrix"):
-            raise ConfigError(f"friction.kind: unknown kind {out.kind!r}")
-        if out.kind == "constant_scalar" and (out.lam is None or out.lam <= 0):
+    def __post_init__(self):
+        if self.kind not in _FRICTIONS:
+            raise ConfigError(f"friction.kind: unknown kind {self.kind!r}")
+        if self.kind == "constant_scalar" and (self.lam is None
+                                               or self.lam <= 0):
             raise ConfigError(
-                f"friction.lam: must be > 0 for constant_scalar, got {out.lam}"
+                f"friction.lam: must be > 0 for constant_scalar, got {self.lam}"
             )
-        if out.kind == "constant_matrix" and out.matrix is None:
+        if self.kind == "constant_matrix" and self.matrix is None:
             raise ConfigError(
                 "friction.matrix: required for kind constant_matrix"
             )
-        if out.kind == "hessian_sqrt" and not out.s > 0:
-            raise ConfigError(f"friction.s: must be > 0, got {out.s}")
-        return out
+        if self.kind == "hessian_sqrt" and not self.s > 0:
+            raise ConfigError(f"friction.s: must be > 0, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -150,120 +133,69 @@ class SimulationConfig:
     n_particles: int = 10_000
     seed: Optional[int] = None
     record_every: int = 10
-    init_q: Optional[tuple] = None
-    init_p: Optional[tuple] = None
+    init_q: Optional[tuple[float, ...]] = None
+    init_p: Optional[tuple[float, ...]] = None
 
-    @staticmethod
-    def from_dict(section: dict) -> "SimulationConfig":
-        _require(section, ("dt", "n_steps", "n_particles", "seed",
-                           "record_every", "init_q", "init_p"), "simulation.")
-        defaults = SimulationConfig()
-        out = SimulationConfig(
-            dt=float(section.get("dt", defaults.dt)),
-            n_steps=int(section.get("n_steps", defaults.n_steps)),
-            n_particles=int(section.get("n_particles", defaults.n_particles)),
-            seed=None if section.get("seed") is None else int(section["seed"]),
-            record_every=int(section.get("record_every",
-                                         defaults.record_every)),
-            init_q=_tuple_of_floats(section.get("init_q"), "simulation.init_q"),
-            init_p=_tuple_of_floats(section.get("init_p"), "simulation.init_p"),
-        )
-        if not out.dt > 0:
-            raise ConfigError(f"simulation.dt: must be > 0, got {out.dt}")
-        if out.n_steps < 1:
-            raise ConfigError(
-                f"simulation.n_steps: must be >= 1, got {out.n_steps}"
-            )
-        if out.n_particles < 1:
-            raise ConfigError(
-                f"simulation.n_particles: must be >= 1, got {out.n_particles}"
-            )
-        if out.record_every < 1:
-            raise ConfigError(
-                f"simulation.record_every: must be >= 1, got {out.record_every}"
-            )
-        if out.seed is not None and out.seed < 0:
-            raise ConfigError(f"simulation.seed: must be >= 0, got {out.seed}")
-        return out
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ConfigError(f"simulation.dt: must be > 0, got {self.dt}")
+        for name in ("n_steps", "n_particles", "record_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"simulation.{name}: must be >= 1, "
+                    f"got {getattr(self, name)}"
+                )
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"simulation.seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class CertificateConfig:
     x0: float = 1000.0
-    s_grid: tuple = (1.0, 1.5, 2.0, 3.0, 4.0)
-    x0_grid: tuple = (1.0, 10.0, 100.0, 1000.0)
-    lambda_grid: tuple = tuple(np.round(np.linspace(0.1, 10.0, 25), 10))
-    eps_rates: tuple = (1.0, 0.5, 0.1)
+    s_grid: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
+    x0_grid: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
+    lambda_grid: tuple[float, ...] = tuple(np.round(np.linspace(0.1, 10.0, 25), 10))
+    eps_rates: tuple[float, ...] = (1.0, 0.5, 0.1)
 
-    @staticmethod
-    def from_dict(section: dict) -> "CertificateConfig":
-        _require(section, ("x0", "s_grid", "x0_grid", "lambda_grid",
-                           "eps_rates"), "certificate.")
-        defaults = CertificateConfig()
-        out = CertificateConfig(
-            x0=float(section.get("x0", defaults.x0)),
-            s_grid=_tuple_of_floats(section.get("s_grid", defaults.s_grid),
-                                    "certificate.s_grid"),
-            x0_grid=_tuple_of_floats(section.get("x0_grid", defaults.x0_grid),
-                                     "certificate.x0_grid"),
-            lambda_grid=_tuple_of_floats(
-                section.get("lambda_grid", defaults.lambda_grid),
-                "certificate.lambda_grid"),
-            eps_rates=_tuple_of_floats(
-                section.get("eps_rates", defaults.eps_rates),
-                "certificate.eps_rates"),
-        )
-        if not out.x0 > 0:
-            raise ConfigError(f"certificate.x0: must be > 0, got {out.x0}")
-        for name, grid in (("s_grid", out.s_grid), ("x0_grid", out.x0_grid)):
-            if not grid:
+    def __post_init__(self):
+        if not self.x0 > 0:
+            raise ConfigError(f"certificate.x0: must be > 0, got {self.x0}")
+        for name in ("s_grid", "x0_grid"):
+            if not getattr(self, name):
                 raise ConfigError(f"certificate.{name}: must be nonempty")
-        if not out.lambda_grid or any(v <= 0 for v in out.lambda_grid):
+        if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
             raise ConfigError(
                 "certificate.lambda_grid: must be nonempty with entries > 0"
             )
-        for e in out.eps_rates:
+        for e in self.eps_rates:
             if not 0.0 < e < 2.0:
                 raise ConfigError(
                     f"certificate.eps_rates: entries must lie in (0, 2), "
                     f"got {e}"
                 )
-        return out
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     w: float = 1.0
-    lambda_grid: tuple = (1.0, 2.0, 3.0)
-    v: Optional[tuple] = None
+    lambda_grid: tuple[float, ...] = (1.0, 2.0, 3.0)
+    v: Optional[tuple[float, ...]] = None
     n_times: int = 51
 
-    @staticmethod
-    def from_dict(section: dict) -> "OracleConfig":
-        _require(section, ("w", "lambda_grid", "v", "n_times"), "oracle.")
-        defaults = OracleConfig()
-        out = OracleConfig(
-            w=float(section.get("w", defaults.w)),
-            lambda_grid=_tuple_of_floats(
-                section.get("lambda_grid", defaults.lambda_grid),
-                "oracle.lambda_grid"),
-            v=_tuple_of_floats(section.get("v"), "oracle.v"),
-            n_times=int(section.get("n_times", defaults.n_times)),
-        )
-        if not out.w > 0:
-            raise ConfigError(f"oracle.w: must be > 0, got {out.w}")
-        if not out.lambda_grid or any(l <= 0 for l in out.lambda_grid):
+    def __post_init__(self):
+        if not self.w > 0:
+            raise ConfigError(f"oracle.w: must be > 0, got {self.w}")
+        if not self.lambda_grid or any(l <= 0 for l in self.lambda_grid):
             raise ConfigError(
                 "oracle.lambda_grid: must be nonempty with entries > 0"
             )
-        if out.n_times < 8:
+        if self.n_times < 8:
             raise ConfigError(
                 f"oracle.n_times: need at least 8 points for a rate fit, "
-                f"got {out.n_times}"
+                f"got {self.n_times}"
             )
-        if out.v is not None and (not out.v or any(x <= 0 for x in out.v)):
+        if self.v is not None and (not self.v or any(x <= 0 for x in self.v)):
             raise ConfigError("oracle.v: must be nonempty with entries > 0")
-        return out
 
 
 @dataclass(frozen=True)
@@ -274,31 +206,17 @@ class AuditConfig:
     init_q_mean: float = 0.5
     init_cov_scale: float = 0.95
 
-    @staticmethod
-    def from_dict(section: dict) -> "AuditConfig":
-        _require(section, ("x0", "t_max", "n_times", "init_q_mean",
-                           "init_cov_scale"), "audit.")
-        defaults = AuditConfig()
-        out = AuditConfig(
-            x0=float(section.get("x0", defaults.x0)),
-            t_max=float(section.get("t_max", defaults.t_max)),
-            n_times=int(section.get("n_times", defaults.n_times)),
-            init_q_mean=float(section.get("init_q_mean",
-                                          defaults.init_q_mean)),
-            init_cov_scale=float(section.get("init_cov_scale",
-                                             defaults.init_cov_scale)),
-        )
-        if not out.t_max > 0:
-            raise ConfigError(f"audit.t_max: must be > 0, got {out.t_max}")
-        if out.n_times < 3:
+    def __post_init__(self):
+        if not self.t_max > 0:
+            raise ConfigError(f"audit.t_max: must be > 0, got {self.t_max}")
+        if self.n_times < 3:
             raise ConfigError(
-                f"audit.n_times: must be >= 3, got {out.n_times}"
+                f"audit.n_times: must be >= 3, got {self.n_times}"
             )
-        if not 0 < out.init_cov_scale:
+        if not 0 < self.init_cov_scale:
             raise ConfigError(
-                f"audit.init_cov_scale: must be > 0, got {out.init_cov_scale}"
+                f"audit.init_cov_scale: must be > 0, got {self.init_cov_scale}"
             )
-        return out
 
 
 @dataclass(frozen=True)
@@ -317,8 +235,94 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_TOP_LEVEL = ("kind", "out_dir", "potential", "friction", "simulation",
-              "certificate", "oracle", "audit")
+# ---------------------------------------------------------------------------
+# parsing: the field annotations (strings, under the __future__ import) say
+# how each JSON value is read
+
+
+def _number(x):
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return float(x)
+    raise TypeError
+
+
+def _integer(x):
+    if _number(x).is_integer():
+        return int(x)
+    raise TypeError
+
+
+def _string(x):
+    if isinstance(x, str):
+        return x
+    raise TypeError
+
+
+def _vector(x):
+    if isinstance(x, (list, tuple)):
+        return tuple(_number(e) for e in x)
+    raise TypeError
+
+
+def _rows(x):
+    if isinstance(x, (list, tuple)):
+        return tuple(_vector(row) for row in x)
+    raise TypeError
+
+
+#: field annotation -> (reader, what the JSON value must be)
+_READERS = {
+    "float": (_number, "a number"),
+    "int": (_integer, "an integer"),
+    "str": (_string, "a string"),
+    "tuple[float, ...]": (_vector, "a list of numbers"),
+    "tuple[tuple[float, ...], ...]": (_rows, "a list of rows of numbers"),
+}
+
+
+def _value(annotation: str, value, name: str):
+    """Read one JSON value as the annotated type; null only if Optional."""
+    optional = annotation.startswith("Optional[")
+    if optional:
+        if value is None:
+            return None
+        annotation = annotation[len("Optional["):-1]
+    read, expected = _READERS[annotation]
+    try:
+        return read(value)
+    except (TypeError, OverflowError):
+        raise ConfigError(
+            f"{name}: expected {expected}{' or null' if optional else ''}, "
+            f"got {json.dumps(value, default=repr)}"
+        )
+
+
+def _check_keys(raw: dict, cls, prefix: str):
+    allowed = [f.name for f in fields(cls)]
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(
+                f"{prefix}{key}: unknown field (allowed: {', '.join(allowed)})"
+            )
+
+
+def _section(cls, raw, name: str, **overrides):
+    """Parse the JSON object ``raw`` into the section dataclass ``cls``.
+
+    Unknown keys and ill-typed values are rejected, absent keys keep their
+    defaults, and ``cls`` then checks the ranges.  ``overrides`` replace
+    file values, which must still be well-formed.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"{name}: expected an object, got {json.dumps(raw, default=repr)}"
+        )
+    _check_keys(raw, cls, name + ".")
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, value in [*raw.items(), *overrides.items()]:
+        values[key] = _value(types[key], value, f"{name}.{key}")
+    return cls(**values)
 
 
 def config_from_dict(raw: dict, kind: Optional[str] = None,
@@ -327,7 +331,7 @@ def config_from_dict(raw: dict, kind: Optional[str] = None,
     """Build and validate a config; keyword arguments override file values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    _require(raw, _TOP_LEVEL, "")
+    _check_keys(raw, ExperimentConfig, "")
     resolved_kind = kind or raw.get("kind")
     if resolved_kind is None:
         raise ConfigError("kind: required (one of " + ", ".join(KINDS) + ")")
@@ -338,18 +342,18 @@ def config_from_dict(raw: dict, kind: Optional[str] = None,
             f"kind: config file says {raw['kind']!r} but the {kind!r} "
             "subcommand was invoked"
         )
-    sim_section = dict(raw.get("simulation", {}))
-    if seed is not None:
-        sim_section["seed"] = seed
+    if "out_dir" in raw:
+        _value("str", raw["out_dir"], "out_dir")
+    overrides = {"simulation": {"seed": seed}} if seed is not None else {}
+    sections = {
+        f.name: _section(f.default_factory, raw.get(f.name, {}), f.name,
+                         **overrides.get(f.name, {}))
+        for f in fields(ExperimentConfig) if f.default_factory is not MISSING
+    }
     cfg = ExperimentConfig(
         kind=resolved_kind,
         out_dir=out_dir or raw.get("out_dir") or f"runs/{resolved_kind}",
-        potential=PotentialConfig.from_dict(dict(raw.get("potential", {}))),
-        friction=FrictionConfig.from_dict(dict(raw.get("friction", {}))),
-        simulation=SimulationConfig.from_dict(sim_section),
-        certificate=CertificateConfig.from_dict(dict(raw.get("certificate", {}))),
-        oracle=OracleConfig.from_dict(dict(raw.get("oracle", {}))),
-        audit=AuditConfig.from_dict(dict(raw.get("audit", {}))),
+        **sections,
     )
     _validate_for_kind(cfg)
     return cfg
@@ -379,31 +383,21 @@ def load_config(path, kind: Optional[str] = None, out_dir: Optional[str] = None,
     return config_from_dict(raw, kind=kind, out_dir=out_dir, seed=seed)
 
 
+# ---------------------------------------------------------------------------
+# builders
+
+
+def _build(table: dict, key: str, cfg, section: str):
+    builder, names = table[key]
+    try:
+        return builder(*(getattr(cfg, name) for name in names))
+    except (KinlangError, ValueError) as exc:
+        raise ConfigError(f"{section}.{names[0]}: {exc}")
+
+
 def build_potential(cfg: PotentialConfig) -> Potential:
-    if cfg.family == "quadratic_diagonal":
-        return quadratic_diagonal(cfg.v)
-    if cfg.family == "quadratic_general":
-        try:
-            return quadratic_general(np.asarray(cfg.matrix, dtype=float))
-        except Exception as exc:
-            raise ConfigError(f"potential.matrix: {exc}")
-    if cfg.family == "perturbed_diagonal":
-        try:
-            return perturbed_diagonal(cfg.v, cfg.eps,
-                                      perturbation=_PERTURBATIONS[cfg.perturbation])
-        except Exception as exc:
-            raise ConfigError(f"potential: {exc}")
-    raise ConfigError(f"potential.family: unknown family {cfg.family!r}")
+    return _build(_POTENTIALS, cfg.family, cfg, "potential")
 
 
 def build_friction(cfg: FrictionConfig) -> FrictionSpec:
-    if cfg.kind == "hessian_sqrt":
-        return hessian_sqrt(cfg.s)
-    if cfg.kind == "constant_scalar":
-        return constant_scalar(cfg.lam)
-    if cfg.kind == "constant_matrix":
-        try:
-            return constant_matrix(np.asarray(cfg.matrix, dtype=float))
-        except Exception as exc:
-            raise ConfigError(f"friction.matrix: {exc}")
-    raise ConfigError(f"friction.kind: unknown kind {cfg.kind!r}")
+    return _build(_FRICTIONS, cfg.kind, cfg, "friction")

@@ -94,16 +94,6 @@ class FrictionSpec:
             return g, spd_sqrt(scale * g)
         return general_field
 
-    def as_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "constant_scalar":
-            out["lam"] = self.lam
-        elif self.kind == "constant_matrix":
-            out["matrix"] = np.asarray(self.matrix).tolist()
-        else:
-            out["s"] = self.s
-        return out
-
 
 def _diffusion_scale(rescaled, alpha):
     """2, or 2/alpha for the rescaled dynamics."""

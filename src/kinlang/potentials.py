@@ -29,6 +29,7 @@ __all__ = [
     "ScalarPerturbation",
     "LOG_COSH",
     "COSINE",
+    "PERTURBATIONS",
     "quadratic_diagonal",
     "quadratic_general",
     "perturbed_diagonal",
@@ -212,7 +213,8 @@ COSINE = ScalarPerturbation(
     sup_d2=1.0,
 )
 
-_FAMILIES = {p.name: p for p in (LOG_COSH, COSINE)}
+#: the perturbations by name, as configs and perturbed_diagonal take them
+PERTURBATIONS = {p.name: p for p in (LOG_COSH, COSINE)}
 
 #: default interval for the numeric sup defining gamma(eps); for the shipped
 #: perturbations f''' is negligible outside it (sech^2(8) ~ 1e-6)
@@ -292,7 +294,7 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH, gamma_box=GAMMA_BOX) -> Po
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if isinstance(perturbation, str):
-        perturbation = _FAMILIES[perturbation]
+        perturbation = PERTURBATIONS[perturbation]
     d = v.size
     v2 = v**2
     pert = perturbation

@@ -12,6 +12,8 @@ import pytest
 import kinlang
 from kinlang.cli import FORMAT_VERSION, main
 from kinlang.config import (
+    PotentialConfig,
+    SimulationConfig,
     build_friction,
     build_potential,
     config_from_dict,
@@ -20,6 +22,29 @@ from kinlang.config import (
 from kinlang.errors import ConfigError
 
 GOLDEN = (3.0 - math.sqrt(5.0))
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+#: a valid config in which every field of every section differs from its
+#: default; integers stand in for some floats, as a JSON writer may emit them
+EVERY_FIELD = {
+    "kind": "certify",
+    "out_dir": "runs/every-field",
+    "potential": {"family": "perturbed_diagonal", "v": [1.5, 2],
+                  "matrix": [[2, 0.5], [0.5, 1]], "eps": 0.2,
+                  "perturbation": "cosine"},
+    "friction": {"kind": "constant_matrix", "s": 3, "lam": 0.7,
+                 "matrix": [[2, 0], [0, 1.5]]},
+    "simulation": {"dt": 0.002, "n_steps": 50, "n_particles": 64.0,
+                   "seed": 5, "record_every": 5, "init_q": [0.5, 0.25],
+                   "init_p": [0, 0.1]},
+    "certificate": {"x0": 100, "s_grid": [2.0, 2.5], "x0_grid": [10, 100.0],
+                    "lambda_grid": [0.5, 1.0, 4.0], "eps_rates": [0.25]},
+    "oracle": {"w": 2.0, "lambda_grid": [0.5, 2.5], "v": [1.0, 3.0],
+               "n_times": 20},
+    "audit": {"x0": 2.0, "t_max": 5.0, "n_times": 50, "init_q_mean": 0.25,
+              "init_cov_scale": 0.5},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -48,6 +73,31 @@ class TestConfigParsing:
         cfg = config_from_dict({"kind": "audit"})
         again = config_from_dict(cfg.resolved())
         assert again == cfg
+
+        cfg = config_from_dict(EVERY_FIELD)
+        assert config_from_dict(cfg.resolved()) == cfg
+        resolved = cfg.resolved()
+        # nothing dropped or changed: the echo reads back as the input
+        assert json.loads(json.dumps(resolved)) == EVERY_FIELD
+
+        def leaves(x):
+            if isinstance(x, (list, tuple)):
+                return [y for e in x for y in leaves(e)]
+            return [x]
+
+        defaults = config_from_dict({"kind": "certify"}).resolved()
+        ints = {"n_steps", "n_particles", "seed", "record_every", "n_times"}
+        for name, section in EVERY_FIELD.items():
+            if not isinstance(section, dict):
+                continue
+            assert set(section) == set(resolved[name]), name
+            for key in section:
+                value = resolved[name][key]
+                assert value != defaults[name][key], (name, key)
+                # every number is a float, except in the int fields
+                want = str if isinstance(value, str) else \
+                    int if key in ints else float
+                assert all(type(x) is want for x in leaves(value)), (name, key)
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -91,10 +141,28 @@ class TestConfigParsing:
             ({"kind": "certify",
               "potential": {"family": "perturbed_diagonal", "v": [1.0]}},
              r"potential\.eps"),
+            ({"kind": "simulate", "simulation": {"seed": 0, "dt": "fast"}},
+             r"simulation\.dt"),
+            ({"kind": "certify", "potential": {"eps": "x"}},
+             r"potential\.eps"),
+            ({"kind": "certify", "friction": {"s": None}}, r"friction\.s"),
+            ({"kind": "certify",
+              "potential": {"family": "quadratic_general", "matrix": 5}},
+             r"potential\.matrix"),
+            ({"kind": "simulate", "simulation": 5}, r"^simulation: "),
+            ({"kind": "simulate", "simulation": {"seed": 0, "n_steps": 2.7}},
+             r"simulation\.n_steps"),
+            ({"kind": "simulate", "simulation": {"seed": True}},
+             r"simulation\.seed"),
         ]
         for raw, pattern in bad:
             with pytest.raises(ConfigError, match=pattern):
                 config_from_dict(raw)
+        # a float with an integral value still reads as an int
+        raw = {"kind": "simulate", "simulation": {"seed": 1.0, "n_steps": 1000.0}}
+        sim = config_from_dict(raw).simulation
+        assert (sim.seed, sim.n_steps) == (1, 1000)
+        assert type(sim.n_steps) is int
 
     def test_stochastic_run_requires_seed(self):
         with pytest.raises(ConfigError, match="seed is mandatory"):
@@ -113,6 +181,45 @@ class TestConfigParsing:
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(bad))
+
+    def test_malformed_values_exit_2(self, tmp_path, capsys):
+        # also when --seed overrides the file's seed
+        for section, field_name in [
+            ({"seed": 0, "dt": "fast"}, "simulation.dt"),
+            ({"n_steps": 2.7}, "simulation.n_steps"),
+            ({"seed": True}, "simulation.seed"),
+            (5, "simulation"),
+        ]:
+            cfg = write_config(tmp_path, {"kind": "simulate",
+                                          "simulation": section})
+            assert main(["simulate", "--config", cfg, "--seed", "1",
+                         "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field_name}: expected "), err
+
+    def test_sections_check_ranges_when_built_directly(self):
+        with pytest.raises(ConfigError, match=r"potential\.family"):
+            PotentialConfig(family="bogus")
+        with pytest.raises(ConfigError, match=r"simulation\.dt"):
+            SimulationConfig(dt=0.0)
+
+    def test_readme_simulate_example_matches_schema(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        usage = text.split("## Command-line usage", 1)[1].split("\n## ", 1)[0]
+        blocks = [b.split("```", 1)[0] for b in usage.split("```json\n")[1:]]
+        examples = [json.loads(b) for b in blocks]
+        (example,) = [e for e in examples if e.get("kind") == "simulate"]
+        resolved = config_from_dict(example).resolved()
+        for name, section in example.items():
+            if not isinstance(section, dict):
+                continue
+            for key, value in section.items():
+                assert json.loads(json.dumps(resolved[name][key])) == value
+                # every field it shows is typed: none takes a boolean
+                bad = dict(example, **{name: dict(section, **{key: True})})
+                with pytest.raises(ConfigError, match=rf"^{name}\.{key}: "):
+                    config_from_dict(bad)
 
 
 class TestBuilders:
@@ -141,6 +248,16 @@ class TestBuilders:
         })
         with pytest.raises(ConfigError, match=r"potential\.matrix"):
             build_potential(cfg.potential)
+
+    def test_bad_frequency_is_config_error(self, tmp_path, capsys):
+        cfg = config_from_dict({"kind": "certify",
+                                "potential": {"v": [-1.0]}})
+        with pytest.raises(ConfigError, match=r"^potential\.v: "):
+            build_potential(cfg.potential)
+        path = write_config(tmp_path, {"potential": {"v": [-1.0]}})
+        assert main(["certify", "--config", path,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config error: potential.v: " in capsys.readouterr().err
 
     def test_friction_kinds(self):
         base = {"kind": "certify"}

@@ -350,9 +350,11 @@ def lambda_dms(lam, alpha, eps):
 #: stay near 128 KB each however long the lambda grid is
 _SUP_ROWS = 64
 
+#: interior eps points of lambda_dms_sup's grid on (0, 1)
+_SUP_GRID = 256
 
-def lambda_dms_sup(lam, alpha: float, grid_size: int = 256,
-                   refine_iters: int = 64):
+
+def lambda_dms_sup(lam, alpha: float):
     """Supremum of lambda_dms over eps, to absolute tolerance 1e-8.
 
     lam is a float or an array of them: a float gives a float, an array an
@@ -362,15 +364,13 @@ def lambda_dms_sup(lam, alpha: float, grid_size: int = 256,
     polishes each cell.  Each result is clipped at 0, the value at eps = 0,
     and does not depend on the other entries of lam.
     """
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
     lam = np.asarray(lam, dtype=float)
     alpha = float(alpha)
     _check_positive("lam", lam)
     _check_positive("alpha", alpha)
     lams = lam.ravel().tolist()
     ks = [_sqrt2_plus_half_squared(v) for v in lams]
-    eps_grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    eps_grid = np.linspace(0.0, 1.0, _SUP_GRID + 2)[1:-1]
     cells, bests = [], []
     for i in range(0, len(lams), _SUP_ROWS):
         rows = slice(i, i + _SUP_ROWS)
@@ -383,10 +383,9 @@ def lambda_dms_sup(lam, alpha: float, grid_size: int = 256,
     sups = []
     for v, k, j, best in zip(lams, ks, cells, bests):
         lo = 0.0 if j == 0 else float(eps_grid[j - 1])
-        hi = 1.0 if j == grid_size - 1 else float(eps_grid[j + 1])
+        hi = 1.0 if j == _SUP_GRID - 1 else float(eps_grid[j + 1])
         refined = _golden_max(
-            lambda e: _lambda_dms_formula(v, alpha, e, k, math.sqrt),
-            lo, hi, refine_iters)
+            lambda e: _lambda_dms_formula(v, alpha, e, k, math.sqrt), lo, hi)
         sups.append(max(best, refined, 0.0))
     if lam.ndim == 0:
         return sups[0]

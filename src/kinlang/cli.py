@@ -213,7 +213,6 @@ def _proxy_target(p) -> GaussianMoments:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     p = build_potential(cfg.potential)
     spec = build_friction(cfg.friction)
     sim = cfg.simulation
@@ -228,6 +227,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 f"potential dimension {d}"
             )
 
+    out = _prepare_out(cfg)
     ens0 = ensemble_at_point(init_q, init_p, sim.n_particles, sim.seed, sim.dt)
     simcfg = SimConfig(dt=sim.dt, n_steps=sim.n_steps,
                        n_particles=sim.n_particles, seed=sim.seed)
@@ -293,8 +293,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_certify(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     p = build_potential(cfg.potential)
+    out = _prepare_out(cfg)
     const = p.constants
 
     best, table = optimize_m1(const, cfg.certificate.s_grid,
@@ -324,13 +324,13 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     p = build_potential(cfg.potential)
     const = p.constants
     try:
         coeffs = coefficient_family(const, cfg.friction.s, cfg.certificate.x0)
     except ValueError as exc:
         raise ConfigError(f"certificate.x0: {exc}")
+    out = _prepare_out(cfg)
     cert = certificate(const, coeffs)
     comparison = compare_to_constant_friction(const, cert,
                                               cfg.certificate.lambda_grid)
@@ -344,7 +344,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def cmd_audit(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     if cfg.potential.family != "quadratic_diagonal":
         raise UnsupportedPotential(
             "the decay audit propagates Gaussian laws in closed form and "
@@ -366,6 +365,7 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
         coeffs = coefficient_family(const, s, aud.x0)
     except ValueError as exc:
         raise ConfigError(f"audit.x0: {exc}")
+    out = _prepare_out(cfg)
     cert = certificate(const, coeffs)
     weight = build_s(coeffs, gamma_mat)
 

@@ -6,9 +6,8 @@ Three kinds of friction Gamma(q):
   * constant_matrix(M):     Gamma = M (SPD, checked at construction)
   * hessian_sqrt(s):        Gamma(q) = s * sqrt(Hess V(q))
 
-The diffusion coefficient is tied to the friction so that the Gibbs measure
-stays invariant: sqrt(2 Gamma(q)) for the original dynamics, and
-sqrt(2 Gamma(q) / alpha) for the time/momentum-rescaled dynamics.
+The diffusion coefficient sqrt(2 Gamma(q)) is tied to the friction so that
+the Gibbs measure stays invariant.
 
 ``FrictionSpec.resolve`` decides, once per (friction, potential) pair, the
 form in which the simulator applies Gamma: a function q -> (Gamma, diffusion)
@@ -56,10 +55,9 @@ class FrictionSpec:
             return self.matrix
         return self.s * spd_sqrt(p.hess(np.asarray(q, dtype=float)))
 
-    def diffusion(self, p: Potential, q, rescaled: bool = False,
-                  alpha: Optional[float] = None) -> np.ndarray:
-        """sqrt(2 Gamma(q)), or sqrt(2 Gamma(q)/alpha) when rescaled."""
-        return spd_sqrt(_diffusion_scale(rescaled, alpha) * self.gamma(p, q))
+    def diffusion(self, p: Potential, q) -> np.ndarray:
+        """sqrt(2 Gamma(q))."""
+        return spd_sqrt(2.0 * self.gamma(p, q))
 
     def gamma_diag(self, p: Potential, positions) -> np.ndarray:
         """Diagonal entries of hessian_sqrt Gamma at each row of positions,
@@ -68,40 +66,29 @@ class FrictionSpec:
 
     # -- the simulator's friction form ---------------------------------------
 
-    def resolve(self, p: Potential, rescaled: bool = False,
-                alpha: Optional[float] = None):
+    def resolve(self, p: Potential):
         """q -> (Gamma, diffusion) over (N, d) positions, in the shapes the
         module docstring lists."""
-        scale = _diffusion_scale(rescaled, alpha)
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))
             diag = np.diagonal(g)
             if np.count_nonzero(g - np.diag(diag)) == 0:
-                const = (diag, np.sqrt(scale * diag))
+                const = (diag, np.sqrt(2.0 * diag))
             else:
-                const = (g[None], spd_sqrt(scale * g)[None])
+                const = (g[None], spd_sqrt(2.0 * g)[None])
             return lambda q: const
         if p.hess_diag is not None:
             def diagonal_field(q):
                 g = self.gamma_diag(p, q)
-                return g, np.sqrt(scale * g)
+                return g, np.sqrt(2.0 * g)
             return diagonal_field
 
         def general_field(q):
             # Potential.hess maps one point to (d, d), so the field is
             # evaluated row by row and decomposed in one batched call
             g = self.s * spd_sqrt(np.stack([p.hess(q_i) for q_i in q]))
-            return g, spd_sqrt(scale * g)
+            return g, spd_sqrt(2.0 * g)
         return general_field
-
-
-def _diffusion_scale(rescaled, alpha):
-    """2, or 2/alpha for the rescaled dynamics."""
-    if not rescaled:
-        return 2.0
-    if alpha is None or alpha <= 0:
-        raise ValueError("rescaled diffusion needs alpha > 0")
-    return 2.0 / alpha
 
 
 def constant_scalar(lam: float) -> FrictionSpec:

@@ -34,7 +34,6 @@ __all__ = [
     "propagate",
     "stationary_moments",
     "gaussian_chi2",
-    "log_chi2_plus_one",
     "fit_decay_rate",
     "ou_rate_closed_form",
     "diagonal_system_rate",
@@ -194,7 +193,7 @@ def _spd_logdet_inv(cov, name):
 
 def _chi2_factors(rho: GaussianMoments, pi: GaussianMoments):
     """(A_rho, A_pi, M, log(chi2 + 1)) for rho against pi, shared by
-    log_chi2_plus_one and the Lyapunov functional.
+    gaussian_chi2 and the Lyapunov functional.
 
     Completing the square in the integral of rho^2/pi gives, with
     A_rho = cov_rho^{-1}, A_pi = cov_pi^{-1}, M = 2 A_rho - A_pi and
@@ -220,11 +219,6 @@ def _chi2_factors(rho: GaussianMoments, pi: GaussianMoments):
     return a1, a2, m, float(0.5 * logdet2 - logdet1 - 0.5 * logdet_m + quad)
 
 
-def log_chi2_plus_one(rho: GaussianMoments, pi: GaussianMoments) -> float:
-    """log(chi2(rho || pi) + 1); +inf when the defining integral diverges."""
-    return _chi2_factors(rho, pi)[3]
-
-
 def _chi2_from_log(logval: float) -> float:
     """chi2 from log(chi2 + 1); +inf beyond e^700, where expm1 overflows."""
     return float(math.expm1(logval)) if logval < 700 else math.inf
@@ -238,7 +232,7 @@ def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
     times; callers fitting decay curves should skip to the first finite
     value.  Degenerate covariances raise NotPositiveDefinite.
     """
-    return _chi2_from_log(log_chi2_plus_one(rho, pi))
+    return _chi2_from_log(_chi2_factors(rho, pi)[3])
 
 
 def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:

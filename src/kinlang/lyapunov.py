@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,21 +50,17 @@ class WeightMatrixS:
     b: float
     c: float
     gamma_matrix: np.ndarray
-    conjugated_alpha: Optional[float] = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0] // 2
 
 
-def build_s(coeffs, gamma_matrix, original_alpha: Optional[float] = None) -> WeightMatrixS:
+def build_s(coeffs, gamma_matrix) -> WeightMatrixS:
     """Assemble S = [[b G^-2, a G^-1], [a G^-1, c I]] for a constant friction G.
 
     coeffs is anything exposing a, b, c with b c - a^2 > 0 (a balanced
-    coefficient triple or a diagonal-quadratic witness).  When
-    ``original_alpha`` is given the momentum block is conjugated by
-    P = blockdiag(I, sqrt(alpha) I), the change of variables that undoes the
-    momentum rescaling; the result is P^T S P.
+    coefficient triple or a diagonal-quadratic witness).
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     if b * c - a ** 2 <= 0:
@@ -77,17 +73,10 @@ def build_s(coeffs, gamma_matrix, original_alpha: Optional[float] = None) -> Wei
     top_left = b * (g_inv @ g_inv)
     off = a * g_inv
     bottom = c * np.eye(d)
-    if original_alpha is not None:
-        if not original_alpha > 0:
-            raise ValueError(f"original_alpha must be > 0, got {original_alpha}")
-        root = math.sqrt(original_alpha)
-        off = root * off
-        bottom = original_alpha * bottom
     matrix = np.block([[top_left, off], [off.T, bottom]])
     matrix = 0.5 * (matrix + matrix.T)
     check_spd(np.linalg.eigvalsh(matrix), "assembled weight matrix", rtol=0.0)
-    return WeightMatrixS(matrix=matrix, a=a, b=b, c=c, gamma_matrix=g,
-                         conjugated_alpha=original_alpha)
+    return WeightMatrixS(matrix=matrix, a=a, b=b, c=c, gamma_matrix=g)
 
 
 def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,

@@ -216,7 +216,7 @@ COSINE = ScalarPerturbation(
 #: the perturbations by name, as configs and perturbed_diagonal take them
 PERTURBATIONS = {p.name: p for p in (LOG_COSH, COSINE)}
 
-#: default interval for the numeric sup defining gamma(eps); for the shipped
+#: interval of the numeric sup defining gamma(eps); for the shipped
 #: perturbations f''' is negligible outside it (sech^2(8) ~ 1e-6)
 GAMMA_BOX = (-8.0, 8.0)
 
@@ -224,11 +224,11 @@ GAMMA_BOX = (-8.0, 8.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo, hi, max_iters=64):
+def _golden_max(f, lo, hi):
     """Golden-section search (Kiefer 1953) for the maximum of f on [lo, hi].
 
     f maps one Python float to a float and should be unimodal on the
-    bracket.  The search stops after max_iters shrinks or once the bracket
+    bracket.  The search stops after 64 shrinks or once the bracket
     is narrower than 1e-12, and returns the larger of its two final probe
     values.
     """
@@ -236,7 +236,7 @@ def _golden_max(f, lo, hi, max_iters=64):
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = f(x1)
     f2 = f(x2)
-    for _ in range(max_iters):
+    for _ in range(64):
         if hi - lo < 1e-12:
             break
         if f1 < f2:
@@ -250,17 +250,17 @@ def _golden_max(f, lo, hi, max_iters=64):
     return max(f1, f2)
 
 
-def _gamma_sup(v2, eps, pert, box, n_grid=4001):
-    """sup over the box of eps |f'''(x)| / (2 sqrt(v_i^2 + eps f''(x))), max over i.
+def _gamma_sup(v2, eps, pert):
+    """sup over GAMMA_BOX of eps |f'''(x)| / (2 sqrt(v_i^2 + eps f''(x))), max over i.
 
-    For each distinct v_i^2 an n_grid-point grid finds the best cell, and
+    For each distinct v_i^2 a 4001-point grid finds the best cell, and
     golden-section search (``_golden_max``) refines it over the two grid
     intervals around it; the sup is the larger of the grid and refined
     values.
     """
     if eps == 0.0:
         return 0.0
-    xs = np.linspace(box[0], box[1], n_grid)
+    xs = np.linspace(GAMMA_BOX[0], GAMMA_BOX[1], 4001)
     best = 0.0
     for vi2 in np.unique(v2):
         def obj(x, vi2=vi2):
@@ -268,12 +268,12 @@ def _gamma_sup(v2, eps, pert, box, n_grid=4001):
         vals = obj(xs)
         k = int(np.argmax(vals))
         lo = float(xs[max(k - 1, 0)])
-        hi = float(xs[min(k + 1, n_grid - 1)])
+        hi = float(xs[min(k + 1, len(xs) - 1)])
         best = max(best, float(vals[k]), float(_golden_max(obj, lo, hi)))
     return best
 
 
-def perturbed_diagonal(v, eps, perturbation=LOG_COSH, gamma_box=GAMMA_BOX) -> Potential:
+def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
     """V(q) = 1/2 sum v_i^2 q_i^2 + eps sum f(q_i).
 
     Hess V = diag(v_i^2 + eps f''(q_i)) stays diagonal, so the derivative of
@@ -283,7 +283,7 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH, gamma_box=GAMMA_BOX) -> Po
 
     at (i, i).  Constants: alpha(eps) = min_i (v_i^2 + eps inf f''),
     beta(eps) = max_i (v_i^2 + eps sup f''), and gamma(eps) the numeric sup
-    of the entry above over gamma_box (recorded on the constants): a
+    of the entry above over GAMMA_BOX (recorded on the constants): a
     4001-point grid, refined by golden-section search around its best cell.
 
     Raises ConvexityLost when alpha(eps) <= 0.
@@ -306,10 +306,10 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH, gamma_box=GAMMA_BOX) -> Po
             f"alpha(eps) = {alpha:.6g} <= 0 for eps={eps} "
             f"(inf f'' = {pert.inf_d2})"
         )
-    gamma = _gamma_sup(v2, eps, pert, gamma_box)
+    gamma = _gamma_sup(v2, eps, pert)
     consts = AssumptionConstants(
         alpha=alpha, beta=beta, gamma=gamma, dim=d,
-        gamma_box=tuple(gamma_box) if eps > 0 else None,
+        gamma_box=GAMMA_BOX if eps > 0 else None,
     )
 
     def value(q):

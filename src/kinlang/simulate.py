@@ -7,9 +7,9 @@ One update per particle and step:
 
 with xi ~ N(0, I_d) drawn from a counter-based stream keyed by (seed, step),
 so runs are reproducible and enlarging the ensemble extends -- never
-reshuffles -- each particle's noise.  The rescaled dynamics form swaps the
-diffusion for sqrt(2 Gamma / alpha); the caller supplies the already
-rescaled potential and friction.
+reshuffles -- each particle's noise.  The diffusion is sqrt(2 Gamma(q)),
+which keeps exp(-V(q) - |p|^2/2) invariant for the continuous-time
+dynamics.
 
 Plain EM on purpose: the step size is plumbing here, and acceptance tests
 control dt explicitly.
@@ -146,8 +146,6 @@ class SimConfig:
     n_steps: int
     n_particles: int
     seed: int
-    dynamics_form: str = "original"   # "original" | "rescaled"
-    alpha: Optional[float] = None     # required for the rescaled form
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -158,14 +156,6 @@ class SimConfig:
             raise ValueError("n_particles must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.dynamics_form not in ("original", "rescaled"):
-            raise ValueError(f"unknown dynamics_form {self.dynamics_form!r}")
-        if self.dynamics_form == "rescaled" and not (self.alpha and self.alpha > 0):
-            raise ValueError("rescaled dynamics needs alpha > 0")
-
-    @property
-    def rescaled(self) -> bool:
-        return self.dynamics_form == "rescaled"
 
 
 @dataclass(frozen=True)
@@ -261,7 +251,7 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     match cfg's; the particle count comes from the ensemble.
     """
     _check_matches(ensemble, cfg)
-    friction = spec.resolve(p, rescaled=cfg.rescaled, alpha=cfg.alpha)
+    friction = spec.resolve(p)
     return _advance(ensemble, p, friction, cfg, xi)
 
 
@@ -300,7 +290,7 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         raise ValueError("record_every must be >= 1")
     _check_matches(init, cfg, ("dt", "seed", "n_particles"))
     stability_warning(init, p, spec, cfg)
-    friction = spec.resolve(p, rescaled=cfg.rescaled, alpha=cfg.alpha)
+    friction = spec.resolve(p)
     shape = init.positions.shape
     prefetch = xi_fn is None and init.positions.size >= PREFETCH_MIN_ELEMENTS
     draw = xi_fn if xi_fn is not None else functools.partial(philox_normals, init.seed)

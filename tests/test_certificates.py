@@ -369,12 +369,6 @@ class TestLambdaDmsSup:
             for alpha in (0.1, 1.0, 4.0, 10.0):
                 assert 2.0 * lambda_dms_sup(lam, alpha) < math.sqrt(alpha) / 2.0
 
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            lambda_dms_sup(2.0, 1.0, grid_size=32)
-        with pytest.raises(ValueError):
-            lambda_dms_sup(np.array([1.0, 2.0]), 1.0, grid_size=63)
-
 
 class TestLambdaDmsSupArray:
     def test_array_equals_scalar_calls_bitwise(self):

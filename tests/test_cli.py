@@ -633,6 +633,21 @@ class TestEntryPoint:
             assert echo["format_version"] == FORMAT_VERSION
             assert echo["config"]["kind"] == command
 
+    @pytest.mark.parametrize("command, payload", [
+        ("certify", {"potential": {"v": [-1.0]}}),
+        ("compare", {"potential": {"v": [-1.0]}}),
+        ("simulate", {"potential": {"v": [-1.0]}}),
+        ("compare", {"certificate": {"x0": 0.1}}),
+        ("audit", {"audit": {"x0": 0.1}}),
+        ("simulate", {"simulation": {"init_q": [1.0, 2.0]}}),
+    ])
+    def test_config_error_leaves_no_output(self, tmp_path, command, payload):
+        # an error found while building the run comes before the config echo
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out), "--seed", "1"]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
     def test_import_leaves_scipy_out(self, module):
         # every CLI process pays the package import; scipy.optimize alone

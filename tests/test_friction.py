@@ -57,19 +57,6 @@ class TestDiffusion:
         out = spec.diffusion(p, np.zeros(2))
         assert np.allclose(out, np.diag([2.0, 2.0 * np.sqrt(2.0)]), atol=1e-12)
 
-    def test_rescaled_scalar(self):
-        # sqrt(2 * (1/4) * 2) = 1
-        spec = constant_scalar(2.0)
-        p = quadratic_diagonal([2.0])
-        out = spec.diffusion(p, np.zeros(1), rescaled=True, alpha=4.0)
-        assert np.allclose(out, np.eye(1))
-
-    def test_rescaled_requires_alpha(self):
-        spec = constant_scalar(2.0)
-        p = quadratic_diagonal([1.0])
-        with pytest.raises(ValueError):
-            spec.diffusion(p, np.zeros(1), rescaled=True)
-
     def test_fluctuation_dissipation(self):
         # diffusion @ diffusion == 2 Gamma at every evaluated q
         rng = np.random.default_rng(17)
@@ -117,7 +104,7 @@ class TestResolve:
             (constant_matrix(np.array([[1.0, 0.1], [0.1, 1.0]])), pd),
         ]
         for spec, p in cases:
-            friction = spec.resolve(p, rescaled=True, alpha=2.0)
+            friction = spec.resolve(p)
             g1, sig1 = friction(np.zeros((3, 2)))
             g2, sig2 = friction(np.array([[3.0, -4.0]] * 5))
             assert g1 is g2 and sig1 is sig2
@@ -151,12 +138,11 @@ class TestResolve:
                  (constant_scalar(0.7), pp),
                  (constant_matrix(np.diag([2.0, 0.5])), pp)]
         for spec, p in cases:
-            for rescaled, alpha in ((False, None), (True, 2.5)):
-                g, sig = spec.resolve(p, rescaled=rescaled, alpha=alpha)(qs)
-                g = np.broadcast_to(g, qs.shape)
-                sig = np.broadcast_to(sig, qs.shape)
-                for n in range(50):
-                    dense_g = spec.gamma(p, qs[n])
-                    dense_sig = spec.diffusion(p, qs[n], rescaled=rescaled, alpha=alpha)
-                    assert np.allclose(np.diag(dense_g), g[n], rtol=0, atol=1e-13)
-                    assert np.allclose(np.diag(dense_sig), sig[n], rtol=0, atol=1e-13)
+            g, sig = spec.resolve(p)(qs)
+            g = np.broadcast_to(g, qs.shape)
+            sig = np.broadcast_to(sig, qs.shape)
+            for n in range(50):
+                dense_g = spec.gamma(p, qs[n])
+                dense_sig = spec.diffusion(p, qs[n])
+                assert np.allclose(np.diag(dense_g), g[n], rtol=0, atol=1e-13)
+                assert np.allclose(np.diag(dense_sig), sig[n], rtol=0, atol=1e-13)

@@ -86,12 +86,6 @@ class TestBuildS:
             build_s(SimpleNamespace(a=1.0, b=3.0, c=1.0),
                     np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_momentum_conjugation(self):
-        s = build_s(SimpleNamespace(a=1.0, b=3.0, c=1.0), np.eye(1),
-                    original_alpha=4.0)
-        assert np.array_equal(s.matrix, np.array([[3.0, 2.0], [2.0, 4.0]]))
-        assert s.conjugated_alpha == 4.0
-
     def test_accepts_balanced_coeffs_and_witness(self):
         coeffs = LyapunovCoefficients(s=math.sqrt(1.5), a=1.0, b=3.0, c=1.0)
         s = build_s(coeffs, 2.0 * np.eye(1))

@@ -140,6 +140,11 @@ class TestPerturbedDiagonal:
         gamma = perturbed_diagonal(*args).constants.gamma
         assert abs(gamma - expected) <= 2 * np.spacing(expected)
 
+    def test_gamma_box_recorded(self):
+        # the interval certificate.json echoes; no sup is taken at eps = 0
+        assert perturbed_diagonal([1.0], 0.1).constants.gamma_box == (-8.0, 8.0)
+        assert perturbed_diagonal([1.0], 0.0).constants.gamma_box is None
+
     def test_gamma_over_eps_nearly_constant(self):
         ratios = [perturbed_diagonal([1.0], e).constants.gamma / e
                   for e in (1e-1, 1e-2, 1e-3)]

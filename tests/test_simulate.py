@@ -117,19 +117,6 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(dt=0.0, n_steps=1, n_particles=1, seed=0)
 
-    def test_rescaled_needs_alpha(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=0,
-                      dynamics_form="rescaled")
-        cfg = SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=0,
-                        dynamics_form="rescaled", alpha=4.0)
-        assert cfg.rescaled
-
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=0,
-                      dynamics_form="implicit")
-
 
 class TestStepFormula:
     """One-step outputs checked against the update written out by hand."""
@@ -210,14 +197,12 @@ def _rotated_log_cosh(v, eps, angle):
 
 
 class TestGeneralFrictionField:
-    @pytest.mark.parametrize("form,alpha", [("original", None), ("rescaled", 0.8)])
-    def test_batched_step_matches_per_particle_loop(self, form, alpha):
+    def test_batched_step_matches_per_particle_loop(self):
         pot = _rotated_log_cosh([1.0, 3.0], 0.5, 0.6)
         assert abs(pot.hess(np.array([0.4, -0.2]))[0, 1]) > 0.1
         spec = hessian_sqrt(2.0)
         n, dt = 40, 0.01
-        cfg = SimConfig(dt=dt, n_steps=1, n_particles=n, seed=8,
-                        dynamics_form=form, alpha=alpha)
+        cfg = SimConfig(dt=dt, n_steps=1, n_particles=n, seed=8)
         init = ensemble_from_moments(
             GaussianMoments(mean=np.zeros(4), cov=np.eye(4)), n, 8, dt)
         out = step(init, pot, spec, cfg)
@@ -226,7 +211,7 @@ class TestGeneralFrictionField:
         ref_p = np.empty_like(mom)
         for i in range(n):
             g = spec.gamma(pot, q[i])
-            sig = spec.diffusion(pot, q[i], rescaled=cfg.rescaled, alpha=alpha)
+            sig = spec.diffusion(pot, q[i])
             ref_p[i] = (mom[i] - pot.grad(q[i]) * dt - (g @ mom[i]) * dt
                         + (sig @ xi[i]) * np.sqrt(dt))
         ref_q = q + mom * dt
@@ -330,33 +315,6 @@ class TestMomentAccuracy:
         assert np.all(
             np.abs(np.diag(cov1) - np.diag(cov0)) < 3 * np.sqrt(2) * se_var
         )
-
-
-class TestRescalingCommutes:
-    def test_same_noise_same_positions(self):
-        # original: Hessian alpha = 4; rescaled: alpha divided out of the
-        # potential, time dilated by sqrt(alpha), momenta shrunk by
-        # sqrt(alpha).  Driven by the same per-step draws the two chains are
-        # the same chain up to that change of variables, exactly.
-        alpha = 4.0
-        pot_orig = quadratic_diagonal([2.0])
-        pot_resc = quadratic_diagonal([1.0])
-        spec = hessian_sqrt(2.0)
-        n, nsteps, dt = 200, 300, 1e-3
-        cfg_o = SimConfig(dt=dt, n_steps=nsteps, n_particles=n, seed=11)
-        cfg_r = SimConfig(dt=np.sqrt(alpha) * dt, n_steps=nsteps,
-                          n_particles=n, seed=11,
-                          dynamics_form="rescaled", alpha=alpha)
-        e_o = ensemble_at_point([1.5], [0.8], n, 11, dt)
-        e_r = ensemble_at_point([1.5], [0.8 / np.sqrt(alpha)], n, 11,
-                                np.sqrt(alpha) * dt)
-        for _ in range(nsteps):
-            e_o = step(e_o, pot_orig, spec, cfg_o)
-            e_r = step(e_r, pot_resc, spec, cfg_r)
-        assert np.allclose(e_o.positions, e_r.positions, atol=1e-12)
-        assert np.allclose(e_o.momenta / np.sqrt(alpha), e_r.momenta,
-                           atol=1e-12)
-        assert np.isclose(e_o.time * np.sqrt(alpha), e_r.time)
 
 
 class TestWeakOrderOne:

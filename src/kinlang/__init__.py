@@ -33,7 +33,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     NumericalBlowup,
-    UnsupportedPotential,
     WitnessNotFound,
 )
 from .friction import FrictionSpec, constant_matrix, constant_scalar, hessian_sqrt
@@ -92,7 +91,6 @@ __all__ = [
     "Potential",
     "RateCertificate",
     "SimConfig",
-    "UnsupportedPotential",
     "WeightMatrixS",
     "WitnessNotFound",
     "attach_chi2_proxies",

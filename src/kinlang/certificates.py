@@ -5,11 +5,14 @@ gamma, d) and a coefficient triple (a, b, c) weighting the Lyapunov matrix
 
     S = [[b Gamma^-2, a Gamma^-1], [a Gamma^-1, c I]].
 
-All certificate formulas live in the rescaled setting (strong convexity
-normalized to 1); ``rescale_rate`` is the single adapter between original and
-rescaled time, multiplying rates by sqrt(alpha).  A certificate that fails to
-accelerate (rate <= 0) is data, not an error: the validity flag records
-whether the hypothesis gamma < sqrt(m1/m2) actually holds.
+The formulas keep alpha explicit (its 1/alpha terms), so ``certificate``
+takes the original constants, gives the rate in rescaled time (strong
+convexity normalized to 1) and multiplies it by sqrt(alpha) inline for the
+original-time rate.  ``rescale_rate`` maps constants to the normalized
+setting and returns that sqrt(alpha) multiplier; ``certificate`` does not
+call it.  A certificate that fails to accelerate (rate <= 0) is data, not
+an error: the validity flag records whether the hypothesis
+gamma < sqrt(m1/m2) actually holds.
 
 The baseline being beaten is the best constant scalar friction rate available
 through the same hypocoercivity route, ``lambda_dms`` and its supremum

@@ -8,13 +8,22 @@ certify     weight-family sweep, best rate certificate, baseline comparison
 compare     single-certificate comparison against constant-friction baselines
 audit       Lyapunov decay audit of the certified rate plus witness sweep
 
-All commands read one JSON config (``--config``), write into ``--out``,
-echo the fully resolved config next to every artifact, and embed it in every
-report together with a format version.  Outputs are byte-identical across
-reruns with the same inputs and the same output directory, which every
-report embeds: no timestamps, sorted JSON keys, repr-format floats, fixed
-row ordering.  Exit status is 0 iff the run completed without
-errors; a certificate that comes out invalid is still a successful run.
+All commands read one JSON config (``--config``).  Each ``cmd_*`` is a pure
+function of the config that returns its artifacts; ``main`` alone creates
+``--out`` and writes them, together with a ``config.json`` echo of the fully
+resolved config, which every JSON report also embeds with a format version.
+One rule covers every command:
+
+- a config error exits 2 and writes nothing;
+- a runtime ``KinlangError`` exits 1 and writes ``config.json`` plus the
+  command's report, whose ``error`` block holds ``type``, ``message`` and
+  ``step_index`` (null unless a simulation blew up);
+- otherwise the run exits 0, and a certificate that comes out invalid is
+  still a successful run.
+
+Outputs are byte-identical across reruns with the same inputs and the same
+output directory, which every report embeds: no timestamps, sorted JSON
+keys, repr-format floats, fixed row ordering.
 """
 
 from __future__ import annotations
@@ -41,13 +50,7 @@ from .config import (
     load_config,
     config_from_dict,
 )
-from .errors import (
-    ConfigError,
-    KinlangError,
-    NumericalBlowup,
-    UnsupportedPotential,
-    WitnessNotFound,
-)
+from .errors import ConfigError, KinlangError, WitnessNotFound
 from .friction import constant_scalar, hessian_sqrt
 from .gaussian import (
     GaussianMoments,
@@ -55,6 +58,7 @@ from .gaussian import (
     fit_decay_rate,
     gaussian_chi2,
     kinetic_dynamics,
+    ou_rate_closed_form,
     propagate,
     stationary_moments,
 )
@@ -86,12 +90,6 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def _write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
 def _write_csv(path, header, rows):
     """UTF-8 CSV, '.' decimal separator, repr floats, fixed row order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -110,19 +108,6 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _report(cfg: ExperimentConfig, **body) -> dict:
-    out = {"format_version": FORMAT_VERSION, "tool": "kinlang",
-           "config": cfg.resolved()}
-    out.update(body)
-    return out
-
-
-def _prepare_out(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.out_dir, "config.json"), _report(cfg))
-    return cfg.out_dir
-
-
 # ---------------------------------------------------------------------------
 # oracle-ou
 
@@ -138,7 +123,7 @@ def _ou_case(w, kind, lam, s, n_times):
     dyn = kinetic_dynamics([[w * w]], [[gamma]])
     pi = stationary_moments(dyn)
     init = GaussianMoments(mean=[3.0, -3.0 * w], cov=np.eye(2))
-    closed = diagonal_system_rate([w], constant_scalar(gamma))
+    closed = ou_rate_closed_form(w, gamma)
     times = np.linspace(10.0 / closed, 20.0 / closed, n_times)
     chi2s = [gaussian_chi2(m, pi) for m in propagate(dyn, init, times)]
     fitted = fit_decay_rate(times, chi2s, tail_fraction=1.0)
@@ -155,8 +140,7 @@ def _ou_case(w, kind, lam, s, n_times):
     return rows, summary
 
 
-def cmd_oracle_ou(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
+def cmd_oracle_ou(cfg: ExperimentConfig) -> dict:
     ora = cfg.oracle
     s = cfg.friction.s
     cases = [(ora.w, "constant_scalar", lam, s, ora.n_times)
@@ -165,9 +149,6 @@ def cmd_oracle_ou(cfg: ExperimentConfig) -> int:
     results = [_ou_case(*case) for case in cases]
 
     rows = [r for case_rows, _ in results for r in case_rows]
-    _write_csv(os.path.join(out, "oracle_ou.csv"),
-               ["w", "friction", "lam", "t", "chi2"], rows)
-
     summaries = [summary for _, summary in results]
     body = {"cases": summaries,
             "max_relative_gap": max(c["relative_gap"] for c in summaries)}
@@ -192,9 +173,11 @@ def cmd_oracle_ou(cfg: ExperimentConfig) -> int:
             "hessian_sqrt_maximal": all(r["dominated"] for r in table),
         }
 
-    _write_json(os.path.join(out, "oracle_ou_summary.json"),
-                _report(cfg, **body))
-    return 0
+    return {
+        "oracle_ou.csv": lambda path: _write_csv(
+            path, ["w", "friction", "lam", "t", "chi2"], rows),
+        "oracle_ou_summary.json": body,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +195,7 @@ def _proxy_target(p) -> GaussianMoments:
     return stationary_moments(kinetic_dynamics(h0, np.eye(p.dim)))
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
+def cmd_simulate(cfg: ExperimentConfig) -> dict:
     p = build_potential(cfg.potential)
     spec = build_friction(cfg.friction)
     sim = cfg.simulation
@@ -227,27 +210,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 f"potential dimension {d}"
             )
 
-    out = _prepare_out(cfg)
     ens0 = ensemble_at_point(init_q, init_p, sim.n_particles, sim.seed, sim.dt)
     simcfg = SimConfig(dt=sim.dt, n_steps=sim.n_steps,
                        n_particles=sim.n_particles, seed=sim.seed)
     target = _proxy_target(p)
-
-    try:
-        points = run(ens0, p, spec, simcfg, record_every=sim.record_every)
-    except NumericalBlowup as exc:
-        report = _report(cfg, error={
-            "type": "NumericalBlowup",
-            "step_index": exc.step_index,
-            "message": str(exc),
-        })
-        _write_json(os.path.join(out, "simulate_report.json"), report)
-        print(f"error: NumericalBlowup at step {exc.step_index}: {exc}",
-              file=sys.stderr)
-        return 1
-
+    points = run(ens0, p, spec, simcfg, record_every=sim.record_every)
     points = attach_chi2_proxies(points, target)
-    write_trajectory_csv(points, os.path.join(out, "trajectory.csv"), d)
 
     final = points[-1]
     body = {
@@ -284,21 +252,23 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     else:
         body["oracle"] = None
 
-    _write_json(os.path.join(out, "simulate_report.json"), _report(cfg, **body))
-    return 0
+    return {
+        "trajectory.csv": lambda path: write_trajectory_csv(points, path, d),
+        "simulate_report.json": body,
+    }
 
 
 # ---------------------------------------------------------------------------
 # certify / compare
 
 
-def cmd_certify(cfg: ExperimentConfig) -> int:
-    p = build_potential(cfg.potential)
-    out = _prepare_out(cfg)
-    const = p.constants
-
-    best, table = optimize_m1(const, cfg.certificate.s_grid,
-                              cfg.certificate.x0_grid)
+def cmd_certify(cfg: ExperimentConfig) -> dict:
+    const = build_potential(cfg.potential).constants
+    try:
+        best, table = optimize_m1(const, cfg.certificate.s_grid,
+                                  cfg.certificate.x0_grid)
+    except ValueError as exc:
+        raise ConfigError(f"certificate.x0_grid: {exc}")
     rows = []
     for entry in table:
         cert = entry.certificate
@@ -309,47 +279,36 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
             rows.append((entry.s, entry.x0, cert.m1, cert.m2,
                          cert.rescaled_rate, cert.original_rate, cert.valid,
                          None))
-    _write_csv(os.path.join(out, "optimizer_table.csv"),
-               ["s", "x0", "m1", "m2", "rescaled_rate", "original_rate",
-                "valid", "error"], rows)
-
     comparison = compare_to_constant_friction(const, best,
                                               cfg.certificate.lambda_grid)
     infeasible = Counter(e.error_type for e in table if e.certificate is None)
-    _write_json(os.path.join(out, "certificate.json"),
-                _report(cfg, certificate=best.as_dict(),
-                        comparison=comparison,
-                        infeasible_cells=dict(infeasible)))
-    return 0
+    return {
+        "optimizer_table.csv": lambda path: _write_csv(
+            path, ["s", "x0", "m1", "m2", "rescaled_rate", "original_rate",
+                   "valid", "error"], rows),
+        "certificate.json": {"certificate": best.as_dict(),
+                             "comparison": comparison,
+                             "infeasible_cells": dict(infeasible)},
+    }
 
 
-def cmd_compare(cfg: ExperimentConfig) -> int:
-    p = build_potential(cfg.potential)
-    const = p.constants
+def cmd_compare(cfg: ExperimentConfig) -> dict:
+    const = build_potential(cfg.potential).constants
     try:
         coeffs = coefficient_family(const, cfg.friction.s, cfg.certificate.x0)
     except ValueError as exc:
         raise ConfigError(f"certificate.x0: {exc}")
-    out = _prepare_out(cfg)
     cert = certificate(const, coeffs)
     comparison = compare_to_constant_friction(const, cert,
                                               cfg.certificate.lambda_grid)
-    _write_json(os.path.join(out, "comparison.json"),
-                _report(cfg, comparison=comparison))
-    return 0
+    return {"comparison.json": {"comparison": comparison}}
 
 
 # ---------------------------------------------------------------------------
 # audit
 
 
-def cmd_audit(cfg: ExperimentConfig) -> int:
-    if cfg.potential.family != "quadratic_diagonal":
-        raise UnsupportedPotential(
-            "the decay audit propagates Gaussian laws in closed form and "
-            "needs a diagonal quadratic potential; got family "
-            f"{cfg.potential.family!r}"
-        )
+def cmd_audit(cfg: ExperimentConfig) -> dict:
     p = build_potential(cfg.potential)
     v = np.asarray(cfg.potential.v, dtype=float)
     s = cfg.friction.s
@@ -365,7 +324,6 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
         coeffs = coefficient_family(const, s, aud.x0)
     except ValueError as exc:
         raise ConfigError(f"audit.x0: {exc}")
-    out = _prepare_out(cfg)
     cert = certificate(const, coeffs)
     weight = build_s(coeffs, gamma_mat)
 
@@ -407,25 +365,25 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
                     for e in sweep)
         ),
     }
-    _write_json(os.path.join(out, "audit.json"), _report(cfg, **body))
-    return 0
+    return {"audit.json": body}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
-#: subcommand -> (handler, help text)
+#: subcommand -> (handler, report file, help text); the report file carries
+#: the error block when the handler raises at run time
 _COMMANDS = {
-    "oracle-ou": (cmd_oracle_ou,
+    "oracle-ou": (cmd_oracle_ou, "oracle_ou_summary.json",
                   "closed-form oscillator decay curves and fitted rates"),
-    "simulate": (cmd_simulate,
+    "simulate": (cmd_simulate, "simulate_report.json",
                  "Euler-Maruyama ensemble run with moment report"),
-    "certify": (cmd_certify,
+    "certify": (cmd_certify, "certificate.json",
                 "sweep weight coefficients and emit a rate certificate"),
-    "compare": (cmd_compare,
+    "compare": (cmd_compare, "comparison.json",
                 "compare one certificate to constant-friction baselines"),
-    "audit": (cmd_audit,
+    "audit": (cmd_audit, "audit.json",
               "audit certified decay rates on the Lyapunov functional"),
 }
 
@@ -437,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Langevin dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH",
                         help="JSON experiment config (defaults apply "
@@ -451,6 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, report_name, _ = _COMMANDS[args.command]
     try:
         if args.config is not None:
             cfg = load_config(args.config, kind=args.command,
@@ -458,13 +417,34 @@ def main(argv=None) -> int:
         else:
             cfg = config_from_dict({}, kind=args.command, out_dir=args.out,
                                    seed=args.seed)
-        return _COMMANDS[args.command][0](cfg)
+        artifacts, code = command(cfg), 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except KinlangError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        artifacts, code = {report_name: {"error": {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "step_index": getattr(exc, "step_index", None),
+        }}}, 1
+
+    # a dict is a JSON report body, written after the format version, the
+    # tool name and the resolved config; anything else is a writer that
+    # takes the file's path
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    head = {"format_version": FORMAT_VERSION, "tool": "kinlang",
+            "config": cfg.resolved()}
+    for name, content in {"config.json": {}, **artifacts}.items():
+        path = os.path.join(cfg.out_dir, name)
+        if not isinstance(content, dict):
+            content(path)
+            continue
+        text = json.dumps({**head, **content}, indent=2, sort_keys=True,
+                          default=_jsonable)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -364,6 +364,12 @@ def _validate_for_kind(cfg: ExperimentConfig):
         raise ConfigError(
             "simulation.seed: a seed is mandatory for stochastic runs"
         )
+    if cfg.kind == "audit" and cfg.potential.family != "quadratic_diagonal":
+        raise ConfigError(
+            "potential.family: the decay audit propagates Gaussian laws in "
+            "closed form and needs quadratic_diagonal; got "
+            + cfg.potential.family
+        )
     if cfg.kind == "audit" and cfg.friction.kind != "hessian_sqrt":
         raise ConfigError(
             "friction.kind: the decay audit certifies the hessian_sqrt "

@@ -35,10 +35,6 @@ class UnsupportedFriction(KinlangError):
     """The operation only supports specific friction kinds."""
 
 
-class UnsupportedPotential(KinlangError):
-    """The operation only supports specific potential families."""
-
-
 class NumericalBlowup(KinlangError):
     """A simulated trajectory left the trusted numerical range."""
 

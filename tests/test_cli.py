@@ -222,6 +222,19 @@ class TestConfigParsing:
                     config_from_dict(bad)
 
 
+class TestReadme:
+    def test_library_quick_start_certifies(self, capsys):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+        assert blocks
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, README, "exec"), namespace)
+        assert namespace["best"].valid
+        assert namespace["report"]["all_dominated"] is True
+
+
 class TestBuilders:
     def test_potential_families(self):
         cfg = config_from_dict({
@@ -609,8 +622,8 @@ class TestAudit:
                           "eps": 0.1},
         })
         assert main(["audit", "--config", cfg,
-                     "--out", str(tmp_path / "x")]) == 1
-        assert "UnsupportedPotential" in capsys.readouterr().err
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "potential.family" in capsys.readouterr().err
 
     def test_out_of_range_eps_rate_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "audit",
@@ -640,6 +653,9 @@ class TestEntryPoint:
         ("compare", {"certificate": {"x0": 0.1}}),
         ("audit", {"audit": {"x0": 0.1}}),
         ("simulate", {"simulation": {"init_q": [1.0, 2.0]}}),
+        ("certify", {"certificate": {"s_grid": [1.0], "x0_grid": [0.1]}}),
+        ("audit", {"potential": {"family": "perturbed_diagonal", "v": [1.0],
+                                 "eps": 0.1}}),
     ])
     def test_config_error_leaves_no_output(self, tmp_path, command, payload):
         # an error found while building the run comes before the config echo
@@ -647,6 +663,21 @@ class TestEntryPoint:
         assert main([command, "--config", write_config(tmp_path, payload),
                      "--out", str(out), "--seed", "1"]) == 2
         assert not out.exists()
+
+    def test_runtime_error_writes_report(self, tmp_path, capsys):
+        # w^2 underflows, so the oscillator's Hessian is not positive definite
+        cfg = write_config(tmp_path, {"kind": "oracle-ou",
+                                      "oracle": {"w": 1e-200}})
+        out = str(tmp_path / "out")
+        assert main(["oracle-ou", "--config", cfg, "--out", out]) == 1
+        assert "error: NotPositiveDefinite: " in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["config.json",
+                                           "oracle_ou_summary.json"]
+        report = read_json(out, "oracle_ou_summary.json")
+        assert report["error"]["type"] == "NotPositiveDefinite"
+        assert report["error"]["step_index"] is None
+        assert report["error"]["message"]
+        assert report["config"] == read_json(out, "config.json")["config"]
 
     @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
     def test_import_leaves_scipy_out(self, module):

@@ -27,7 +27,6 @@ from .config import ExperimentConfig, build_friction, build_potential, load_conf
 from .errors import (
     ConfigError,
     DegenerateS,
-    Divergent,
     InvalidCoefficients,
     KinlangError,
     NotPositiveDefinite,
@@ -76,7 +75,6 @@ __all__ = [
     "ConfigError",
     "DegenerateS",
     "DiagQuadraticWitness",
-    "Divergent",
     "Ensemble",
     "ExperimentConfig",
     "FrictionSpec",

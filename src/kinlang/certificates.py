@@ -22,7 +22,7 @@ through the same hypocoercivity route, ``lambda_dms`` and its supremum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,7 +91,7 @@ class LyapunovCoefficients:
             )
 
     def as_dict(self) -> dict:
-        return {"s": self.s, "a": self.a, "b": self.b, "c": self.c}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,26 +114,15 @@ class RateCertificate:
     valid: bool
 
     def as_dict(self) -> dict:
-        return {
-            "constants": self.constants.as_dict(),
-            "coefficients": self.coeffs.as_dict(),
-            "L1": self.L1,
-            "L2": self.L2,
-            "m1": self.m1,
-            "m2": self.m2,
-            "rescaled_rate": self.rescaled_rate,
-            "original_rate": self.original_rate,
-            "valid": self.valid,
-        }
+        out = asdict(self)
+        out["constants"] = self.constants.as_dict()
+        out["coefficients"] = out.pop("coeffs")
+        return out
 
 
-def _strictness(const: AssumptionConstants, coeffs: LyapunovCoefficients) -> float:
+def _check_strictness(const: AssumptionConstants, coeffs: LyapunovCoefficients) -> float:
     """alpha^-1 + c - a/s^2, required > 0 by the rate derivation."""
-    return 1.0 / const.alpha + coeffs.c - coeffs.a / coeffs.s ** 2
-
-
-def _check_strictness(const: AssumptionConstants, coeffs: LyapunovCoefficients):
-    d0 = _strictness(const, coeffs)
+    d0 = 1.0 / const.alpha + coeffs.c - coeffs.a / coeffs.s ** 2
     if d0 <= 0:
         raise InvalidCoefficients(
             f"strictness condition 1/alpha + c - a/s^2 = {d0:.6g} <= 0"
@@ -197,9 +186,9 @@ def certificate(const: AssumptionConstants, coeffs: LyapunovCoefficients) -> Rat
     f and g are evaluated at the two endpoints x in {1/(s sqrt(kappa)), 1/s};
     m1 is the smaller f value, m2 the larger g value, and the rescaled rate is
     m1 - gamma^2 m2.  Never raises on a non-accelerating input: valid=False
-    certificates are legitimate outputs.
+    certificates are legitimate outputs.  Coefficients that break the
+    strictness condition raise InvalidCoefficients from f_of.
     """
-    _check_strictness(const, coeffs)
     s = coeffs.s
     x_lo = 1.0 / (s * math.sqrt(const.kappa))
     x_hi = 1.0 / s
@@ -486,8 +475,7 @@ class DiagQuadraticWitness:
         return 0.5 * (self.a - self.y)
 
     def as_dict(self) -> dict:
-        return {"a": self.a, "x": self.x, "y": self.y, "b": self.b,
-                "c": self.c, "eps_rate": self.eps_rate}
+        return {**asdict(self), "b": self.b, "c": self.c}
 
 
 def diag_witness_conditions(v, witness: DiagQuadraticWitness, eps_rate: float):

@@ -68,6 +68,7 @@ from .simulate import (
     attach_chi2_proxies,
     ensemble_at_point,
     run,
+    write_csv,
     write_trajectory_csv,
 )
 
@@ -88,24 +89,6 @@ def _jsonable(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
-def _write_csv(path, header, rows):
-    """UTF-8 CSV, '.' decimal separator, repr floats, fixed row order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +157,7 @@ def cmd_oracle_ou(cfg: ExperimentConfig) -> dict:
         }
 
     return {
-        "oracle_ou.csv": lambda path: _write_csv(
+        "oracle_ou.csv": lambda path: write_csv(
             path, ["w", "friction", "lam", "t", "chi2"], rows),
         "oracle_ou_summary.json": body,
     }
@@ -184,15 +167,16 @@ def cmd_oracle_ou(cfg: ExperimentConfig) -> dict:
 # simulate
 
 
-def _proxy_target(p) -> GaussianMoments:
-    """Gaussian reference for the chi2 proxy column.
+def _linear_dynamics(p, spec):
+    """The run's Gaussian oracle: Hess V and Gamma at the origin.
 
-    Exact stationary law for quadratic potentials; for perturbed potentials
-    this is the curvature-matched Gaussian at the origin, so the column is a
-    trend diagnostic rather than a divergence estimate.
+    Exact for quadratic potentials, whose Hessian and friction are constant.
+    For perturbed potentials its stationary law is the curvature-matched
+    Gaussian at the origin, so the chi2 proxy column against it is a trend
+    diagnostic rather than a divergence estimate.
     """
-    h0 = p.hess(np.zeros(p.dim))
-    return stationary_moments(kinetic_dynamics(h0, np.eye(p.dim)))
+    zero = np.zeros(p.dim)
+    return kinetic_dynamics(p.hess(zero), spec.gamma(p, zero))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
@@ -213,9 +197,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
     ens0 = ensemble_at_point(init_q, init_p, sim.n_particles, sim.seed, sim.dt)
     simcfg = SimConfig(dt=sim.dt, n_steps=sim.n_steps,
                        n_particles=sim.n_particles, seed=sim.seed)
-    target = _proxy_target(p)
+    dyn = _linear_dynamics(p, spec)
     points = run(ens0, p, spec, simcfg, record_every=sim.record_every)
-    points = attach_chi2_proxies(points, target)
+    points = attach_chi2_proxies(points, stationary_moments(dyn))
 
     final = points[-1]
     body = {
@@ -227,9 +211,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
     }
 
     if p.constant_hessian:
-        a = p.hess(np.zeros(d))
-        gamma_mat = spec.gamma(p, np.zeros(d))
-        dyn = kinetic_dynamics(a, gamma_mat)
         init_moments = GaussianMoments(
             mean=np.concatenate([init_q, init_p]),
             cov=np.zeros((2 * d, 2 * d)),
@@ -283,7 +264,7 @@ def cmd_certify(cfg: ExperimentConfig) -> dict:
                                               cfg.certificate.lambda_grid)
     infeasible = Counter(e.error_type for e in table if e.certificate is None)
     return {
-        "optimizer_table.csv": lambda path: _write_csv(
+        "optimizer_table.csv": lambda path: write_csv(
             path, ["s", "x0", "m1", "m2", "rescaled_rate", "original_rate",
                    "valid", "error"], rows),
         "certificate.json": {"certificate": best.as_dict(),
@@ -310,22 +291,17 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
 def cmd_audit(cfg: ExperimentConfig) -> dict:
     p = build_potential(cfg.potential)
-    v = np.asarray(cfg.potential.v, dtype=float)
-    s = cfg.friction.s
-    d = v.size
-
-    a = np.diag(v * v)
-    gamma_mat = s * np.diag(v)
-    dyn = kinetic_dynamics(a, gamma_mat)
+    dyn = _linear_dynamics(p, build_friction(cfg.friction))
     const = p.constants
+    d = p.dim
 
     aud = cfg.audit
     try:
-        coeffs = coefficient_family(const, s, aud.x0)
+        coeffs = coefficient_family(const, cfg.friction.s, aud.x0)
     except ValueError as exc:
         raise ConfigError(f"audit.x0: {exc}")
     cert = certificate(const, coeffs)
-    weight = build_s(coeffs, gamma_mat)
+    weight = build_s(coeffs, dyn.gamma_mat)
 
     mean = np.concatenate([np.full(d, aud.init_q_mean), np.zeros(d)])
     init = GaussianMoments(mean=mean,
@@ -338,13 +314,13 @@ def cmd_audit(cfg: ExperimentConfig) -> dict:
     for eps in cfg.certificate.eps_rates:
         entry = {"eps_rate": eps}
         try:
-            witness, rate = diag_quadratic_certificate(v, eps)
+            witness, rate = diag_quadratic_certificate(cfg.potential.v, eps)
         except (ValueError, WitnessNotFound) as exc:
             entry.update({"error": f"{type(exc).__name__}: {exc}",
                           "rate": None, "audit": None})
             sweep.append(entry)
             continue
-        w_weight = build_s(witness, gamma_mat)
+        w_weight = build_s(witness, dyn.gamma_mat)
         entry.update({
             "witness": witness.as_dict(),
             "rate": rate,

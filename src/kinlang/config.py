@@ -10,7 +10,8 @@ declares, and each value must have the field's type.
   ``1000.0``; ``2.7`` and ``true`` are rejected.
 - A str field takes a string, a vector field a list of numbers, and a
   matrix field a list of rows of numbers.
-- Numbers must be JSON numbers: ``"1.0"`` and ``true`` are not numbers.
+- Numbers must be finite JSON numbers: ``"1.0"``, ``true``, ``NaN`` and
+  ``Infinity`` are not numbers.
 - ``null`` is allowed only for the optional fields, where it means "unset".
 
 The range rules live in each section's ``__post_init__``, so a section built
@@ -24,6 +25,7 @@ reruns reproducible.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
@@ -68,6 +70,14 @@ _FRICTIONS = {
     "constant_scalar": (constant_scalar, ("lam",)),
     "constant_matrix": (constant_matrix, ("matrix",)),
 }
+
+
+def _check_lambda_grid(grid, name: str):
+    """Friction strengths are squared: each must be > 0 with a finite square."""
+    if not grid or any(not (v > 0 and math.isfinite(v * v)) for v in grid):
+        raise ConfigError(
+            f"{name}: must be nonempty with entries > 0 whose square is finite"
+        )
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,7 @@ class CertificateConfig:
         for name in ("s_grid", "x0_grid"):
             if not getattr(self, name):
                 raise ConfigError(f"certificate.{name}: must be nonempty")
-        if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
-            raise ConfigError(
-                "certificate.lambda_grid: must be nonempty with entries > 0"
-            )
+        _check_lambda_grid(self.lambda_grid, "certificate.lambda_grid")
         for e in self.eps_rates:
             if not 0.0 < e < 2.0:
                 raise ConfigError(
@@ -185,10 +192,7 @@ class OracleConfig:
     def __post_init__(self):
         if not self.w > 0:
             raise ConfigError(f"oracle.w: must be > 0, got {self.w}")
-        if not self.lambda_grid or any(l <= 0 for l in self.lambda_grid):
-            raise ConfigError(
-                "oracle.lambda_grid: must be nonempty with entries > 0"
-            )
+        _check_lambda_grid(self.lambda_grid, "oracle.lambda_grid")
         if self.n_times < 8:
             raise ConfigError(
                 f"oracle.n_times: need at least 8 points for a rate fit, "
@@ -241,7 +245,8 @@ class ExperimentConfig:
 
 
 def _number(x):
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+    if (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x)):
         return float(x)
     raise TypeError
 

@@ -19,10 +19,6 @@ class NotSymmetric(KinlangError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
-class Divergent(KinlangError):
-    """An integral that must be finite for the requested quantity diverges."""
-
-
 class NonPositiveFrequency(KinlangError):
     """A quadratic potential was given a frequency v_i <= 0."""
 

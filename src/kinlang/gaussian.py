@@ -272,13 +272,15 @@ def ou_rate_closed_form(w: float, lam: float) -> float:
 
     lam <= 2w (under/critically damped): rate lam;
     lam >  2w (overdamped):              rate lam - sqrt(lam^2 - 4 w^2).
-    The maximum over lam is 2w, attained at critical damping lam = 2w.
+    The maximum over lam is 2w, attained at critical damping lam = 2w.  The
+    overdamped rate is evaluated as 4 w^2 / (lam + sqrt(lam^2 - 4 w^2)),
+    which does not cancel for lam >> w.
     """
     if w <= 0 or lam <= 0:
         raise ValueError(f"need w > 0 and lam > 0, got w={w}, lam={lam}")
     if lam <= 2.0 * w:
         return float(lam)
-    return float(lam - math.sqrt(lam * lam - 4.0 * w * w))
+    return float(4.0 * w * w / (lam + math.sqrt(lam * lam - 4.0 * w * w)))
 
 
 def diagonal_system_rate(v, spec: FrictionSpec) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateS, Divergent
+from .errors import DegenerateS
 from .gaussian import (
     GaussianMoments,
     LinearDynamics,
@@ -88,10 +88,10 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
 
         cross = (chi2 + 1) * E_{N(mu_t, Sigma_t)}[(W x + u)^T S (W x + u)]
 
-    under the tilted Gaussian with precision M = 2 A_rho - A_pi.  Raises
-    Divergent when that integral does not exist (M not positive definite),
-    so L is finite wherever chi2 is.  The cross term is >= 0, so L >= chi2
-    always.
+    under the tilted Gaussian with precision M = 2 A_rho - A_pi.  Returns
+    +inf, as gaussian_chi2 does, when that integral does not exist (M not
+    positive definite), so L is finite wherever chi2 is.  The cross term is
+    >= 0, so L >= chi2 always.
     """
     if rho.dim != pi.dim or 2 * rho.dim != s.matrix.shape[0]:
         raise ValueError(
@@ -101,9 +101,7 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
     a_rho, a_pi, m, logval = _chi2_factors(rho, pi)
     chi2 = _chi2_from_log(logval)
     if math.isinf(chi2):
-        raise Divergent(
-            "chi-square of rho against pi diverges; L is not finite"
-        )
+        return math.inf
     sigma_t = np.linalg.inv(m)
     sigma_t = 0.5 * (sigma_t + sigma_t.T)
     mu_t = sigma_t @ (2.0 * a_rho @ rho.mean - a_pi @ pi.mean)
@@ -148,15 +146,10 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
         raise ValueError("times must be nonnegative")
 
     pi = stationary_moments(dyn)
-    values: list = []
-    divergent = []
-    for moments in propagate(dyn, init, np.asarray(ts)):
-        try:
-            values.append(lyapunov_value_gaussian(moments, pi, s))
-            divergent.append(False)
-        except Divergent:
-            values.append(None)
-            divergent.append(True)
+    values = [lyapunov_value_gaussian(m, pi, s)
+              for m in propagate(dyn, init, np.asarray(ts))]
+    divergent = [math.isinf(v) for v in values]
+    values = [None if flag else v for v, flag in zip(values, divergent)]
 
     finite = [i for i, v in enumerate(values) if v is not None]
     report = {

@@ -15,7 +15,7 @@ default) whose gamma scales linearly in the perturbation size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,15 +72,7 @@ class AssumptionConstants:
         return self.beta / self.alpha
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "kappa": self.kappa,
-            "dim": self.dim,
-            "estimated": self.estimated,
-            "gamma_box": list(self.gamma_box) if self.gamma_box else None,
-        }
+        return {**asdict(self), "kappa": self.kappa}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "step",
     "run",
     "attach_chi2_proxies",
+    "write_csv",
     "write_trajectory_csv",
 ]
 
@@ -269,19 +270,16 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 
 
 def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
-        record_every: int = 1,
-        xi_fn: Optional[Callable[[int, tuple], np.ndarray]] = None):
+        record_every: int = 1):
     """Apply cfg.n_steps EM steps, recording moment summaries.
 
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
-    xi_fn(step_index, shape) overrides noise generation for every step
-    (tests only).
 
-    From PREFETCH_MIN_ELEMENTS coordinates on, and without xi_fn, the keyed
-    draw for the next step runs on one helper thread while the current step
-    is applied.  The draw depends on (seed, step) alone, so the arrays, and
-    the records, are the same as with the draw inline.
+    From PREFETCH_MIN_ELEMENTS coordinates on, the keyed draw for the next
+    step runs on one helper thread while the current step is applied.  The
+    draw depends on (seed, step) alone, so the arrays, and the records, are
+    the same as with the draw inline.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index.
@@ -292,8 +290,8 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     stability_warning(init, p, spec, cfg)
     friction = spec.resolve(p)
     shape = init.positions.shape
-    prefetch = xi_fn is None and init.positions.size >= PREFETCH_MIN_ELEMENTS
-    draw = xi_fn if xi_fn is not None else functools.partial(philox_normals, init.seed)
+    prefetch = init.positions.size >= PREFETCH_MIN_ELEMENTS
+    draw = functools.partial(philox_normals, init.seed)
 
     def record(ens):
         mean, cov = ens.summary()
@@ -342,18 +340,31 @@ def attach_chi2_proxies(points, target: GaussianMoments):
     return out
 
 
+def write_csv(path, header, rows):
+    """UTF-8 CSV, '.' decimal separator, repr floats, fixed row order; None
+    is an empty cell and a bool is true/false."""
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(x)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(x) for x in row) + "\n")
+
+
 def write_trajectory_csv(points, path, dim: int):
     """CSV with columns time, mean_1..mean_2d, cov_11..cov_2d2d, chi2_proxy."""
     twod = 2 * dim
-    cols = ["time"]
-    cols += [f"mean_{i + 1}" for i in range(twod)]
-    cols += [f"cov_{i + 1}{j + 1}" for i in range(twod) for j in range(twod)]
-    cols += ["chi2_proxy"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for pt in points:
-            row = [repr(float(pt.time))]
-            row += [repr(float(x)) for x in pt.mean]
-            row += [repr(float(x)) for x in np.asarray(pt.cov).ravel()]
-            row.append("" if pt.chi2_proxy is None else repr(float(pt.chi2_proxy)))
-            fh.write(",".join(row) + "\n")
+    cols = (["time"] + [f"mean_{i + 1}" for i in range(twod)]
+            + [f"cov_{i + 1}{j + 1}" for i in range(twod) for j in range(twod)]
+            + ["chi2_proxy"])
+    write_csv(path, cols, (
+        [float(pt.time), *np.asarray(pt.mean, dtype=float),
+         *np.asarray(pt.cov, dtype=float).ravel(), pt.chi2_proxy]
+        for pt in points))

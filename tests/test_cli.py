@@ -53,9 +53,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(out_dir, name):
+    """A report, parsed as strictly as JSON allows: no NaN or Infinity."""
     with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 class TestConfigParsing:
@@ -183,19 +188,26 @@ class TestConfigParsing:
             load_config(str(bad))
 
     def test_malformed_values_exit_2(self, tmp_path, capsys):
-        # also when --seed overrides the file's seed
-        for section, field_name in [
-            ({"seed": 0, "dt": "fast"}, "simulation.dt"),
-            ({"n_steps": 2.7}, "simulation.n_steps"),
-            ({"seed": True}, "simulation.seed"),
-            (5, "simulation"),
+        # also when --seed overrides the file's seed; NaN and Infinity are
+        # Python's JSON extensions, not JSON numbers
+        for command, payload, field_name in [
+            ("simulate", {"simulation": {"seed": 0, "dt": "fast"}},
+             "simulation.dt"),
+            ("simulate", {"simulation": {"n_steps": 2.7}}, "simulation.n_steps"),
+            ("simulate", {"simulation": {"seed": True}}, "simulation.seed"),
+            ("simulate", {"simulation": 5}, "simulation"),
+            ("audit", {"audit": {"init_q_mean": math.nan}}, "audit.init_q_mean"),
+            ("compare", {"friction": {"s": math.inf}}, "friction.s"),
+            ("oracle-ou", {"oracle": {"w": math.inf}}, "oracle.w"),
+            ("oracle-ou", {"oracle": {"lambda_grid": [1.0, -math.inf]}},
+             "oracle.lambda_grid"),
         ]:
-            cfg = write_config(tmp_path, {"kind": "simulate",
-                                          "simulation": section})
-            assert main(["simulate", "--config", cfg, "--seed", "1",
+            cfg = write_config(tmp_path, {"kind": command, **payload})
+            assert main([command, "--config", cfg, "--seed", "1",
                          "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {field_name}: expected "), err
+            assert not (tmp_path / "x").exists()
 
     def test_sections_check_ranges_when_built_directly(self):
         with pytest.raises(ConfigError, match=r"potential\.family"):
@@ -336,6 +348,16 @@ class TestOracleOu:
             2.0, abs=1e-9)
         assert by_lam[0.5]["constant_scalar_rate"] == pytest.approx(0.5)
         assert all(row["dominated"] for row in dom["table"])
+
+    def test_overdamped_rate_at_huge_friction(self, tmp_path):
+        # lam - sqrt(lam^2 - 4 w^2) cancels to 0.0 here, and the fit window
+        # divides by the rate
+        cfg = write_config(tmp_path, {"kind": "oracle-ou",
+                                      "oracle": {"lambda_grid": [1e9]}})
+        out = str(tmp_path / "ou")
+        assert main(["oracle-ou", "--config", cfg, "--out", out]) == 0
+        case = read_json(out, "oracle_ou_summary.json")["cases"][0]
+        assert case["closed_form_rate"] == pytest.approx(2e-9, rel=1e-15)
 
     def test_empty_lambda_grid_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"oracle": {"lambda_grid": []}})
@@ -615,6 +637,19 @@ class TestAudit:
             assert audit["divergent_points"] == sum(flags)
             assert 0 < audit["divergent_points"] < len(flags)
 
+    def test_witness_sweep_errors_reported(self, tmp_path):
+        # the witness search needs min v >= 1; the main audit does not
+        cfg = write_config(tmp_path, {"kind": "audit",
+                                      "potential": {"v": [0.5]}})
+        out = str(tmp_path / "audit")
+        assert main(["audit", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "audit.json")
+        assert len(report["witness_sweep"]) == 3
+        for entry in report["witness_sweep"]:
+            assert entry["error"].startswith("ValueError: min v = 0.5 < 1")
+            assert entry["rate"] is None and entry["audit"] is None
+        assert report["all_passed"] is False
+
     def test_non_quadratic_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "audit",
@@ -656,6 +691,10 @@ class TestEntryPoint:
         ("certify", {"certificate": {"s_grid": [1.0], "x0_grid": [0.1]}}),
         ("audit", {"potential": {"family": "perturbed_diagonal", "v": [1.0],
                                  "eps": 0.1}}),
+        # friction strengths whose square overflows
+        ("certify", {"certificate": {"lambda_grid": [1.0, 1e155]}}),
+        ("compare", {"certificate": {"lambda_grid": [1e155]}}),
+        ("oracle-ou", {"oracle": {"lambda_grid": [1e200]}}),
     ])
     def test_config_error_leaves_no_output(self, tmp_path, command, payload):
         # an error found while building the run comes before the config echo

@@ -351,6 +351,10 @@ class TestOuRateClosedForm:
         assert ou_rate_closed_form(1.0, 3.0) == pytest.approx(3 - math.sqrt(5), abs=1e-15)
         assert ou_rate_closed_form(1.0, 1.0) == 1.0
 
+    def test_overdamped_without_cancellation(self):
+        # lam - sqrt(lam^2 - 4 w^2) cancels to 0.0 at lam = 1e9
+        assert ou_rate_closed_form(1.0, 1e9) == pytest.approx(2e-9, rel=1e-15)
+
     def test_maximum_at_critical(self):
         lams = np.linspace(0.1, 10, 200)
         rates = [ou_rate_closed_form(1.0, l) for l in lams]

@@ -14,7 +14,7 @@ from kinlang.certificates import (
     diag_quadratic_certificate,
     optimal_coefficients,
 )
-from kinlang.errors import DegenerateS, Divergent, NotPositiveDefinite
+from kinlang.errors import DegenerateS, NotPositiveDefinite
 from kinlang.gaussian import (
     GaussianMoments,
     gaussian_chi2,
@@ -167,10 +167,9 @@ class TestLyapunovValue:
         val = lyapunov_value_gaussian(rho, _pi_2d(), s)
         assert val == pytest.approx(expected, rel=1e-3)
 
-    def test_divergent_raises(self):
+    def test_divergent_is_inf(self):
         rho = GaussianMoments(mean=np.zeros(2), cov=2.5 * np.eye(2))
-        with pytest.raises(Divergent):
-            lyapunov_value_gaussian(rho, _pi_2d(), _s_131_gamma2())
+        assert lyapunov_value_gaussian(rho, _pi_2d(), _s_131_gamma2()) == math.inf
 
     def test_dimension_mismatch(self):
         rho4 = GaussianMoments(mean=np.zeros(4), cov=np.eye(4))
@@ -226,6 +225,18 @@ class TestDecayAudit:
         assert not any(flags[first_ok:])
         assert rep["initial_time"] == pytest.approx(1.2563, abs=1e-3)
         assert rep["all_passed"]
+
+    def test_divergent_at_every_time(self):
+        # the early-divergence law, cut off before L first turns finite
+        wide = GaussianMoments(mean=np.array([0.5, 0.0]), cov=2.5 * np.eye(2))
+        times = np.linspace(0.0, 0.5, 11)
+        rep = decay_audit(self.dyn, wide, self.s, self.cert, times)
+        assert rep["divergent_points"] == len(times)
+        assert rep["initial_value"] is None
+        assert rep["all_passed"] is False
+        assert rep["reason"] == "L diverges at every requested time"
+        text = json.dumps(rep, allow_nan=False)
+        assert json.loads(text)["values"] == [None] * len(times)
 
     def test_witness_rates_certified(self):
         # near-optimal witnesses certify 2 - eps against the same dynamics

@@ -21,7 +21,6 @@ from .certificates import (
     lambda_dms_sup,
     optimal_coefficients,
     optimize_m1,
-    rescale_rate,
 )
 from .config import ExperimentConfig, build_friction, build_potential, load_config
 from .errors import (
@@ -51,7 +50,6 @@ from .lyapunov import WeightMatrixS, build_s, decay_audit, lyapunov_value_gaussi
 from .potentials import (
     AssumptionConstants,
     Potential,
-    estimate_constants,
     perturbed_diagonal,
     quadratic_diagonal,
     quadratic_general,
@@ -105,7 +103,6 @@ __all__ = [
     "diagonal_system_rate",
     "ensemble_at_point",
     "ensemble_from_moments",
-    "estimate_constants",
     "fit_decay_rate",
     "gaussian_chi2",
     "hessian_sqrt",
@@ -122,7 +119,6 @@ __all__ = [
     "propagate",
     "quadratic_diagonal",
     "quadratic_general",
-    "rescale_rate",
     "run",
     "spd_sqrt",
     "spd_sqrt_directional_derivative",

@@ -7,11 +7,9 @@ gamma, d) and a coefficient triple (a, b, c) weighting the Lyapunov matrix
 
 The formulas keep alpha explicit (its 1/alpha terms), so ``certificate``
 takes the original constants, gives the rate in rescaled time (strong
-convexity normalized to 1) and multiplies it by sqrt(alpha) inline for the
-original-time rate.  ``rescale_rate`` maps constants to the normalized
-setting and returns that sqrt(alpha) multiplier; ``certificate`` does not
-call it.  A certificate that fails to accelerate (rate <= 0) is data, not
-an error: the validity flag records whether the hypothesis
+convexity normalized to 1) and multiplies it by sqrt(alpha) for the
+original-time rate.  A certificate that fails to accelerate (rate <= 0) is
+data, not an error: the validity flag records whether the hypothesis
 gamma < sqrt(m1/m2) actually holds.
 
 The baseline being beaten is the best constant scalar friction rate available
@@ -50,7 +48,6 @@ __all__ = [
     "lambda_dms",
     "lambda_dms_sup",
     "compare_to_constant_friction",
-    "rescale_rate",
     "diag_quadratic_certificate",
 ]
 
@@ -138,8 +135,6 @@ def l_constants(const: AssumptionConstants, coeffs: LyapunovCoefficients):
     s, a, b, c = coeffs.s, coeffs.a, coeffs.b, coeffs.c
     alpha, beta, d = const.alpha, const.beta, const.dim
     det = b * c - a ** 2
-    if det <= 0:
-        raise DegenerateS(f"b*c - a^2 = {det:.6g} <= 0")
     load = b * d * alpha + c * d * s ** 2 * beta
     l1 = load / (4.0 * det * alpha) * (
         8.0 * b ** 2 * s ** -5 / alpha + a ** 2 * s ** -3 / alpha
@@ -154,8 +149,6 @@ def f_of(x: float, const: AssumptionConstants, coeffs: LyapunovCoefficients) -> 
     """Rate-side spectral function f(x); m1 is its min over the two endpoints."""
     if not x > 0:
         raise ValueError(f"x must be > 0, got {x}")
-    if coeffs.b * coeffs.c - coeffs.a ** 2 <= 0:
-        raise DegenerateS("b*c - a^2 <= 0")
     d0 = _check_strictness(const, coeffs)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     inv_alpha = 1.0 / const.alpha
@@ -430,26 +423,6 @@ def compare_to_constant_friction(const: AssumptionConstants,
         "min_margin": min(margins),
     })
     return report
-
-
-def rescale_rate(original_constants: AssumptionConstants):
-    """Map constants to the normalized (strong convexity = 1) setting.
-
-    (alpha, beta, gamma) -> (1, beta/alpha, gamma/sqrt(alpha)); the returned
-    multiplier sqrt(alpha) converts rescaled-time rates back to original-time
-    rates.
-    """
-    c = original_constants
-    root = math.sqrt(c.alpha)
-    rescaled = AssumptionConstants(
-        alpha=1.0,
-        beta=c.beta / c.alpha,
-        gamma=c.gamma / root,
-        dim=c.dim,
-        estimated=c.estimated,
-        gamma_box=c.gamma_box,
-    )
-    return rescaled, root
 
 
 @dataclass(frozen=True)

@@ -187,11 +187,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
 
     init_q = sim.init_q if sim.init_q is not None else (1.0,) * d
     init_p = sim.init_p if sim.init_p is not None else (0.0,) * d
-    for name, vec in (("init_q", init_q), ("init_p", init_p)):
-        if len(vec) != d:
+    sized = [("simulation.init_q", init_q), ("simulation.init_p", init_p)]
+    if spec.matrix is not None:
+        sized.append(("friction.matrix", spec.matrix))
+    for name, x in sized:
+        if len(x) != d:
             raise ConfigError(
-                f"simulation.{name}: length {len(vec)} does not match "
-                f"potential dimension {d}"
+                f"{name}: size {len(x)} does not match potential dimension {d}"
             )
 
     ens0 = ensemble_at_point(init_q, init_p, sim.n_particles, sim.seed, sim.dt)

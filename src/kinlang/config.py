@@ -132,7 +132,7 @@ class FrictionConfig:
             raise ConfigError(
                 "friction.matrix: required for kind constant_matrix"
             )
-        if self.kind == "hessian_sqrt" and not self.s > 0:
+        if not self.s > 0:
             raise ConfigError(f"friction.s: must be > 0, got {self.s}")
 
 
@@ -171,8 +171,11 @@ class CertificateConfig:
         if not self.x0 > 0:
             raise ConfigError(f"certificate.x0: must be > 0, got {self.x0}")
         for name in ("s_grid", "x0_grid"):
-            if not getattr(self, name):
-                raise ConfigError(f"certificate.{name}: must be nonempty")
+            grid = getattr(self, name)
+            if not grid or any(not v > 0 for v in grid):
+                raise ConfigError(
+                    f"certificate.{name}: must be nonempty with entries > 0"
+                )
         _check_lambda_grid(self.lambda_grid, "certificate.lambda_grid")
         for e in self.eps_rates:
             if not 0.0 < e < 2.0:

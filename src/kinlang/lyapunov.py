@@ -43,13 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightMatrixS:
-    """Assembled 2d x 2d weight matrix with its ingredients."""
+    """Assembled 2d x 2d weight matrix."""
 
     matrix: np.ndarray
-    a: float
-    b: float
-    c: float
-    gamma_matrix: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -76,7 +72,7 @@ def build_s(coeffs, gamma_matrix) -> WeightMatrixS:
     matrix = np.block([[top_left, off], [off.T, bottom]])
     matrix = 0.5 * (matrix + matrix.T)
     check_spd(np.linalg.eigvalsh(matrix), "assembled weight matrix", rtol=0.0)
-    return WeightMatrixS(matrix=matrix, a=a, b=b, c=c, gamma_matrix=g)
+    return WeightMatrixS(matrix=matrix)
 
 
 def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,

@@ -1,9 +1,8 @@
 """Potential families: V, its derivatives, and the convexity constants.
 
-A Potential bundles the evaluators every other module needs -- V(q), grad V,
-Hess V, and the per-coordinate derivative of sqrt(Hess V) -- together with
-the constants (alpha, beta, gamma) describing how convex and how close to
-quadratic the potential is:
+A Potential bundles the evaluators every other module needs -- V(q), grad V
+and Hess V -- together with the constants (alpha, beta, gamma) describing
+how convex and how close to quadratic the potential is:
 
     alpha I <= Hess V <= beta I,   ||d sqrt(Hess V)/dq_i||_2 <= gamma.
 
@@ -33,7 +32,6 @@ __all__ = [
     "quadratic_diagonal",
     "quadratic_general",
     "perturbed_diagonal",
-    "estimate_constants",
 ]
 
 
@@ -45,8 +43,8 @@ class AssumptionConstants:
     beta: smoothness constant (>= alpha)
     gamma: uniform bound on ||d sqrt(Hess V)/dq_i||_2 over coordinates i
     dim: dimension d
-    estimated: True when the constants came from sampling rather than a
-        closed form
+    estimated: always False, since every family gives its constants in
+        closed form; the reports still carry the key
     gamma_box: interval over which the sup defining gamma was taken, when it
         was computed numerically (None for closed-form gamma)
     """
@@ -79,23 +77,27 @@ class AssumptionConstants:
 class Potential:
     """A potential V with its derivative evaluators.
 
-    value(q) -> float, grad(q) -> (d,), hess(q) -> (d, d),
-    hess_dq(q, i) -> (d, d) the derivative of Hess V along q_i, and
-    sqrt_hess_dq(q, i) -> (d, d) the derivative of sqrt(Hess V) along q_i.
+    value(q) -> float, grad(q) -> (d,), hess(q) -> (d, d).
 
     constant_hessian is True when Hess V does not depend on q (quadratic
     families); friction providers use it to decompose once.
+
+    hess_dq(q, i) and sqrt_hess_dq(q, i), the derivatives of Hess V and of
+    sqrt(Hess V) along q_i, are None on every shipped family, and kinlang
+    reads neither: gamma comes in closed form with the constants.  They
+    stay only because perfbench/rotated.py passes them to
+    ``dataclasses.replace``, and go together with those arguments.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    hess_dq: Callable[[np.ndarray, int], np.ndarray]
-    sqrt_hess_dq: Callable[[np.ndarray, int], np.ndarray]
     constants: Optional[AssumptionConstants]
     constant_hessian: bool
     family: str
+    hess_dq: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    sqrt_hess_dq: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     params: dict = field(default_factory=dict)
     #: vectorized diagonal of Hess V for families whose Hessian is diagonal:
     #: maps (..., d) positions to the (..., d) diagonal entries; None when the
@@ -115,7 +117,6 @@ def quadratic_diagonal(v) -> Potential:
     d = v.size
     v2 = v**2
     hess = np.diag(v2)
-    zero = np.zeros((d, d))
     consts = AssumptionConstants(
         alpha=float(v2.min()), beta=float(v2.max()), gamma=0.0, dim=d
     )
@@ -124,8 +125,6 @@ def quadratic_diagonal(v) -> Potential:
         value=lambda q: 0.5 * float(v2 @ np.asarray(q, dtype=float) ** 2),
         grad=lambda q: v2 * np.asarray(q, dtype=float),
         hess=lambda q: hess,
-        hess_dq=lambda q, i: zero,
-        sqrt_hess_dq=lambda q, i: zero,
         constants=consts,
         constant_hessian=True,
         family="quadratic_diagonal",
@@ -140,7 +139,6 @@ def quadratic_general(a) -> Potential:
     w = np.linalg.eigvalsh(a)
     check_spd(w)
     d = a.shape[0]
-    zero = np.zeros((d, d))
     consts = AssumptionConstants(
         alpha=float(w[0]), beta=float(w[-1]), gamma=0.0, dim=d
     )
@@ -150,8 +148,6 @@ def quadratic_general(a) -> Potential:
         # q @ a == a @ q for symmetric a, and broadcasts over (N, d) batches
         grad=lambda q: np.asarray(q, dtype=float) @ a,
         hess=lambda q: a,
-        hess_dq=lambda q, i: zero,
-        sqrt_hess_dq=lambda q, i: zero,
         constants=consts,
         constant_hessian=True,
         family="quadratic_general",
@@ -316,59 +312,14 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         q = np.asarray(q, dtype=float)
         return np.diag(v2 + eps * pert.d2(q))
 
-    def hess_dq(q, i):
-        q = np.asarray(q, dtype=float)
-        out = np.zeros((d, d))
-        out[i, i] = eps * pert.d3(q[i])
-        return out
-
-    def sqrt_hess_dq(q, i):
-        q = np.asarray(q, dtype=float)
-        out = np.zeros((d, d))
-        hi = v2[i] + eps * pert.d2(q[i])
-        out[i, i] = eps * pert.d3(q[i]) / (2.0 * np.sqrt(hi))
-        return out
-
     return Potential(
         dim=d,
         value=value,
         grad=grad,
         hess=hess,
-        hess_dq=hess_dq,
-        sqrt_hess_dq=sqrt_hess_dq,
         constants=consts,
         constant_hessian=(eps == 0.0),
         family="perturbed_diagonal",
         params={"v": v.tolist(), "eps": eps, "perturbation": pert.name},
         hess_diag=lambda q: v2 + eps * pert.d2(np.asarray(q, dtype=float)),
-    )
-
-
-def estimate_constants(p: Potential, sample_box, n_samples: int, seed: int) -> AssumptionConstants:
-    """Empirical (alpha, beta, gamma) from Hessians sampled in a box.
-
-    alpha-hat = min over samples of lambda_min(Hess V), beta-hat the matching
-    max, gamma-hat = max over samples and coordinates of
-    ||d sqrt(Hess V)/dq_i||_2.  Returned constants are flagged estimated and
-    record the box.  A single sample is allowed (a one-point estimate).
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    lo, hi = sample_box
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (p.dim,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (p.dim,))
-    rng = np.random.default_rng(seed)
-    alpha_hat = np.inf
-    beta_hat = -np.inf
-    gamma_hat = 0.0
-    for _ in range(n_samples):
-        q = lo + (hi - lo) * rng.random(p.dim)
-        w = np.linalg.eigvalsh(p.hess(q))
-        alpha_hat = min(alpha_hat, float(w[0]))
-        beta_hat = max(beta_hat, float(w[-1]))
-        for i in range(p.dim):
-            gamma_hat = max(gamma_hat, float(np.linalg.norm(p.sqrt_hess_dq(q, i), 2)))
-    return AssumptionConstants(
-        alpha=alpha_hat, beta=beta_hat, gamma=gamma_hat, dim=p.dim,
-        estimated=True, gamma_box=(float(lo.min()), float(hi.max())),
     )

@@ -32,7 +32,6 @@ from kinlang.certificates import (
     lambda_dms_sup,
     optimal_coefficients,
     optimize_m1,
-    rescale_rate,
 )
 from kinlang.errors import DegenerateS, InvalidCoefficients, WitnessNotFound
 from kinlang.friction import hessian_sqrt
@@ -210,12 +209,14 @@ class TestCertificate:
 
     def test_rescaling_leaves_rescaled_rate_invariant(self):
         # building the alpha-scaled family from the original constants or the
-        # unit-alpha family from the rescaled constants gives the same
-        # rescaled rate; original-time rates differ by exactly sqrt(alpha)
+        # unit-alpha family from the normalized constants (alpha, beta, gamma)
+        # -> (1, beta/alpha, gamma/sqrt(alpha)) gives the same rescaled rate;
+        # original-time rates differ by exactly sqrt(alpha)
         for alpha in (4.0, 0.25):
             orig = AssumptionConstants(alpha=alpha, beta=2.0 * alpha,
                                        gamma=0.1 * math.sqrt(alpha), dim=3)
-            resc, mult = rescale_rate(orig)
+            mult = math.sqrt(alpha)
+            resc = AssumptionConstants(alpha=1.0, beta=2.0, gamma=0.1, dim=3)
             for x0 in (2.0, 50.0):
                 cert_o = certificate(orig, optimal_coefficients(orig, x0))
                 cert_r = certificate(resc, optimal_coefficients(resc, x0))
@@ -437,7 +438,9 @@ class TestCompareToConstantFriction:
     def test_perturbed_pipeline_dominates(self):
         pot = perturbed_diagonal([1.0], 0.01)
         const = pot.constants
-        resc, _ = rescale_rate(const)
+        resc = AssumptionConstants(
+            alpha=1.0, beta=const.beta / const.alpha,
+            gamma=const.gamma / math.sqrt(const.alpha), dim=const.dim)
         cert = certificate(resc, optimal_coefficients(resc, 1e3))
         report = compare_to_constant_friction(const, cert, [0.5, 1.0, 2.0, 5.0])
         assert report["applicable"] and report["all_dominated"]
@@ -448,35 +451,6 @@ class TestCompareToConstantFriction:
         cert = certificate(UNIT, optimal_coefficients(UNIT, 1e3))
         with pytest.raises(ValueError):
             compare_to_constant_friction(UNIT, cert, [])
-
-
-class TestRescaleRate:
-    def test_identity_at_unit_alpha(self):
-        const = AssumptionConstants(alpha=1.0, beta=3.0, gamma=0.2, dim=2)
-        rescaled, mult = rescale_rate(const)
-        assert mult == 1.0
-        assert (rescaled.alpha, rescaled.beta, rescaled.gamma) == (1.0, 3.0, 0.2)
-
-    def test_reference_map(self):
-        const = AssumptionConstants(alpha=4.0, beta=16.0, gamma=0.2, dim=3)
-        rescaled, mult = rescale_rate(const)
-        assert (rescaled.alpha, rescaled.beta, rescaled.gamma) == (1.0, 4.0, 0.1)
-        assert mult == 2.0
-        assert rescaled.dim == 3
-
-    def test_round_trip_exact(self):
-        const = AssumptionConstants(alpha=4.0, beta=16.0, gamma=0.2, dim=3)
-        rescaled, mult = rescale_rate(const)
-        assert rescaled.beta * const.alpha == const.beta
-        assert rescaled.gamma * mult == const.gamma
-        assert mult * mult == const.alpha
-
-    def test_metadata_preserved(self):
-        const = AssumptionConstants(alpha=4.0, beta=16.0, gamma=0.2, dim=1,
-                                    estimated=True, gamma_box=(-8.0, 8.0))
-        rescaled, _ = rescale_rate(const)
-        assert rescaled.estimated is True
-        assert rescaled.gamma_box == (-8.0, 8.0)
 
 
 class TestDiagQuadraticWitness:

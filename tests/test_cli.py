@@ -668,6 +668,42 @@ class TestAudit:
         assert "certificate.eps_rates" in capsys.readouterr().err
 
 
+#: (command, config, the field the error names); the test ids are the
+#: command and the row index, as they were before the field column
+CONFIG_ERRORS = [
+    ("certify", {"potential": {"v": [-1.0]}}, "potential.v"),
+    ("compare", {"potential": {"v": [-1.0]}}, "potential.v"),
+    ("simulate", {"potential": {"v": [-1.0]}}, "potential.v"),
+    ("compare", {"certificate": {"x0": 0.1}}, "certificate.x0"),
+    ("audit", {"audit": {"x0": 0.1}}, "audit.x0"),
+    ("simulate", {"simulation": {"init_q": [1.0, 2.0]}}, "simulation.init_q"),
+    ("certify", {"certificate": {"s_grid": [1.0], "x0_grid": [0.1]}},
+     "certificate.x0_grid"),
+    ("audit", {"potential": {"family": "perturbed_diagonal", "v": [1.0],
+                             "eps": 0.1}}, "potential.family"),
+    # friction strengths whose square overflows
+    ("certify", {"certificate": {"lambda_grid": [1.0, 1e155]}},
+     "certificate.lambda_grid"),
+    ("compare", {"certificate": {"lambda_grid": [1e155]}},
+     "certificate.lambda_grid"),
+    ("oracle-ou", {"oracle": {"lambda_grid": [1e200]}}, "oracle.lambda_grid"),
+    # friction.s is read whatever the kind
+    ("oracle-ou", {"friction": {"kind": "constant_scalar", "lam": 1.0,
+                                "s": -1.0}}, "friction.s"),
+    ("compare", {"friction": {"kind": "constant_scalar", "lam": 1.0,
+                              "s": -1.0}}, "friction.s"),
+    # a 2 x 2 friction against the 1-d default potential
+    ("simulate", {"friction": {"kind": "constant_matrix",
+                               "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+     "friction.matrix"),
+    ("certify", {"certificate": {"s_grid": [-1.0]}}, "certificate.s_grid"),
+    ("certify", {"certificate": {"s_grid": [-1.0, 2.0]}},
+     "certificate.s_grid"),
+    ("certify", {"certificate": {"x0_grid": [2.0, -1.0]}},
+     "certificate.x0_grid"),
+]
+
+
 class TestEntryPoint:
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -681,26 +717,16 @@ class TestEntryPoint:
             assert echo["format_version"] == FORMAT_VERSION
             assert echo["config"]["kind"] == command
 
-    @pytest.mark.parametrize("command, payload", [
-        ("certify", {"potential": {"v": [-1.0]}}),
-        ("compare", {"potential": {"v": [-1.0]}}),
-        ("simulate", {"potential": {"v": [-1.0]}}),
-        ("compare", {"certificate": {"x0": 0.1}}),
-        ("audit", {"audit": {"x0": 0.1}}),
-        ("simulate", {"simulation": {"init_q": [1.0, 2.0]}}),
-        ("certify", {"certificate": {"s_grid": [1.0], "x0_grid": [0.1]}}),
-        ("audit", {"potential": {"family": "perturbed_diagonal", "v": [1.0],
-                                 "eps": 0.1}}),
-        # friction strengths whose square overflows
-        ("certify", {"certificate": {"lambda_grid": [1.0, 1e155]}}),
-        ("compare", {"certificate": {"lambda_grid": [1e155]}}),
-        ("oracle-ou", {"oracle": {"lambda_grid": [1e200]}}),
+    @pytest.mark.parametrize("command, payload, field", CONFIG_ERRORS, ids=[
+        f"{command}-payload{i}" for i, (command, _, _) in enumerate(CONFIG_ERRORS)
     ])
-    def test_config_error_leaves_no_output(self, tmp_path, command, payload):
+    def test_config_error_leaves_no_output(self, tmp_path, capsys, command,
+                                           payload, field):
         # an error found while building the run comes before the config echo
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, payload),
                      "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not out.exists()
 
     def test_runtime_error_writes_report(self, tmp_path, capsys):

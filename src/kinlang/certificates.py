@@ -14,7 +14,7 @@ gamma < sqrt(m1/m2) actually holds.
 
 The baseline being beaten is the best constant scalar friction rate available
 through the same hypocoercivity route, ``lambda_dms`` and its supremum
-``lambda_dms_sup``.
+``lambda_dms_sup``, which a golden-section search (``_golden_max``) refines.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveDenominator,
     WitnessNotFound,
 )
-from .potentials import AssumptionConstants, _golden_max
+from .potentials import AssumptionConstants
 
 __all__ = [
     "LyapunovCoefficients",
@@ -285,37 +285,24 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def _sqrt2_plus_half_squared(lam: float) -> float:
-    """(sqrt(2) + lam/2)^2 for one Python float lam, squared through C pow."""
-    return (math.sqrt(2.0) + lam / 2.0) ** 2
-
-
-def _lambda_dms_formula(lam, alpha, eps, k, sqrt):
+def _lambda_dms_formula(lam, alpha, eps, sqrt):
     """lambda_dms without checks, for lam and eps both Python floats (with
-    ``sqrt=math.sqrt``) or broadcastable arrays (``sqrt=np.sqrt``); k is
-    ``_sqrt2_plus_half_squared(lam)``.
+    ``sqrt=math.sqrt``) or broadcastable arrays (``sqrt=np.sqrt``).
 
-    The frozen lambda_dms_sup values in the tests pin how each square
-    rounds: ``eps * eps`` is one multiply in both forms, while ``(...) ** 2``
-    is a multiply on arrays but C pow on Python floats (as on NumPy
-    scalars), which can differ from the multiply in the last bit.
+    Every square is a multiply, so both forms round alike.
     """
-    root = sqrt(
-        eps * eps * k
-        + (lam - (2.0 * alpha + 1.0) / (alpha + 1.0) * eps) ** 2
-    )
+    h = math.sqrt(2.0) + lam / 2.0
+    t = lam - (2.0 * alpha + 1.0) / (alpha + 1.0) * eps
+    root = sqrt(eps * eps * (h * h) + t * t)
     return (lam - eps / (1.0 + alpha) - root) / (2.0 * (1.0 + abs(eps)))
 
 
 def lambda_dms(lam, alpha, eps):
     """Constant-scalar-friction decay rate for free parameter eps in (-1, 1).
 
-    Vectorized over eps; may be negative (a bad eps certifies nothing).  At
-    eps = 0 the value is exactly 0.
-
-    An array eps and a float eps can differ in the last bits, because one
-    square rounds differently in the two forms (see ``_lambda_dms_formula``):
-    a few in 10^4 uniform eps differ, by up to about 1e-13 relative.
+    Vectorized over eps, each entry bitwise the float call's result; may be
+    negative (a bad eps certifies nothing).  At eps = 0 the value is
+    exactly 0.
     """
     lam = float(lam)
     alpha = float(alpha)
@@ -324,11 +311,39 @@ def lambda_dms(lam, alpha, eps):
     eps = np.asarray(eps, dtype=float)
     if np.any(np.abs(eps) >= 1.0):
         raise ValueError("eps must lie in (-1, 1)")
-    out = _lambda_dms_formula(lam, alpha, eps, _sqrt2_plus_half_squared(lam),
-                              np.sqrt)
+    out = _lambda_dms_formula(lam, alpha, eps, np.sqrt)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi):
+    """Golden-section search (Kiefer 1953) for the maximum of f on [lo, hi].
+
+    f maps one Python float to a float and should be unimodal on the
+    bracket.  The search stops after 64 shrinks or once the bracket
+    is narrower than 1e-12, and returns the larger of its two final probe
+    values.
+    """
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1 = f(x1)
+    f2 = f(x2)
+    for _ in range(64):
+        if hi - lo < 1e-12:
+            break
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return max(f1, f2)
 
 
 #: lambdas per grid evaluation in lambda_dms_sup, so that its temporaries
@@ -354,23 +369,21 @@ def lambda_dms_sup(lam, alpha: float):
     _check_positive("lam", lam)
     _check_positive("alpha", alpha)
     lams = lam.ravel().tolist()
-    ks = [_sqrt2_plus_half_squared(v) for v in lams]
     eps_grid = np.linspace(0.0, 1.0, _SUP_GRID + 2)[1:-1]
     cells, bests = [], []
     for i in range(0, len(lams), _SUP_ROWS):
         rows = slice(i, i + _SUP_ROWS)
         values = _lambda_dms_formula(np.asarray(lams[rows])[:, None], alpha,
-                                     eps_grid, np.asarray(ks[rows])[:, None],
-                                     np.sqrt)
+                                     eps_grid, np.sqrt)
         j = np.argmax(values, axis=1)
         cells += j.tolist()
         bests += values[np.arange(j.size), j].tolist()
     sups = []
-    for v, k, j, best in zip(lams, ks, cells, bests):
+    for v, j, best in zip(lams, cells, bests):
         lo = 0.0 if j == 0 else float(eps_grid[j - 1])
         hi = 1.0 if j == _SUP_GRID - 1 else float(eps_grid[j + 1])
         refined = _golden_max(
-            lambda e: _lambda_dms_formula(v, alpha, e, k, math.sqrt), lo, hi)
+            lambda e: _lambda_dms_formula(v, alpha, e, math.sqrt), lo, hi)
         sups.append(max(best, refined, 0.0))
     if lam.ndim == 0:
         return sups[0]
@@ -398,8 +411,6 @@ def compare_to_constant_friction(const: AssumptionConstants,
     baselines = (2.0 * lambda_dms_sup(lams, const.alpha)).tolist()
     report = {
         "applicable": bool(cert.valid),
-        "constants": const.as_dict(),
-        "certificate": cert.as_dict(),
         "lambda_grid": lams,
         "baseline_rates": baselines,
         "sufficient_condition_ratio": ratio,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -74,7 +75,7 @@ from .simulate import (
 
 __all__ = ["main", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +96,16 @@ def _jsonable(obj):
 # oracle-ou
 
 
-def _ou_case(w, kind, lam, s, n_times):
-    """One (w, friction, lam) closed-form curve plus its fitted rate."""
+def _ou_case(w, kind, lam, s, gamma, closed, n_times):
+    """One (w, friction, lam) closed-form curve plus its fitted rate; gamma
+    is the friction coefficient and closed its closed-form rate."""
     if kind == "constant_scalar":
-        gamma = lam
         label = f"constant_scalar(lam={lam:g})"
     else:
-        gamma = s * w
         label = f"hessian_sqrt(s={s:g})"
     dyn = kinetic_dynamics([[w * w]], [[gamma]])
     pi = stationary_moments(dyn)
     init = GaussianMoments(mean=[3.0, -3.0 * w], cov=np.eye(2))
-    closed = ou_rate_closed_form(w, gamma)
     times = np.linspace(10.0 / closed, 20.0 / closed, n_times)
     chi2s = [gaussian_chi2(m, pi) for m in propagate(dyn, init, times)]
     fitted = fit_decay_rate(times, chi2s, tail_fraction=1.0)
@@ -125,11 +124,21 @@ def _ou_case(w, kind, lam, s, n_times):
 
 def cmd_oracle_ou(cfg: ExperimentConfig) -> dict:
     ora = cfg.oracle
-    s = cfg.friction.s
-    cases = [(ora.w, "constant_scalar", lam, s, ora.n_times)
-             for lam in ora.lambda_grid]
-    cases.append((ora.w, "hessian_sqrt", None, s, ora.n_times))
-    results = [_ou_case(*case) for case in cases]
+    s, w = cfg.friction.s, ora.w
+    # (friction kind, lam, friction coefficient) per case
+    cases = [("constant_scalar", lam, lam) for lam in ora.lambda_grid]
+    cases.append(("hessian_sqrt", None, s * w))
+    if not 0.0 < w * w < math.inf:
+        raise ConfigError(f"oracle.w: w^2 must be finite and > 0, got "
+                          f"{w * w!r} for w = {w!r}")
+    rates = [ou_rate_closed_form(w, g) if g > 0 else 0.0 for _, _, g in cases]
+    for rate in rates:
+        if not (rate > 0 and math.isfinite(20.0 / rate)):
+            raise ConfigError(
+                f"oracle.w: w = {w!r} gives the closed-form rate {rate!r}, "
+                "so the fit window [10/rate, 20/rate] is not finite and > 0")
+    results = [_ou_case(w, kind, lam, s, gamma, closed, ora.n_times)
+               for (kind, lam, gamma), closed in zip(cases, rates)]
 
     rows = [r for case_rows, _ in results for r in case_rows]
     summaries = [summary for _, summary in results]
@@ -284,7 +293,8 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     cert = certificate(const, coeffs)
     comparison = compare_to_constant_friction(const, cert,
                                               cfg.certificate.lambda_grid)
-    return {"comparison.json": {"comparison": comparison}}
+    return {"comparison.json": {"certificate": cert.as_dict(),
+                                "comparison": comparison}}
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +342,6 @@ def cmd_audit(cfg: ExperimentConfig) -> dict:
 
     body = {
         "main": {
-            "coefficients": coeffs.as_dict(),
             "certificate": cert.as_dict(),
             "audit": main_audit,
         },

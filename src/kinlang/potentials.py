@@ -8,12 +8,13 @@ how convex and how close to quadratic the potential is:
 
 Shipped families: diagonal quadratic, general quadratic, and a diagonal
 quadratic with a small smooth per-coordinate perturbation (log-cosh by
-default) whose gamma scales linearly in the perturbation size.
+default) whose gamma scales linearly in the perturbation size.  Every
+constant is in closed form, gamma included: each perturbation carries the
+exact sup that defines it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -43,18 +44,12 @@ class AssumptionConstants:
     beta: smoothness constant (>= alpha)
     gamma: uniform bound on ||d sqrt(Hess V)/dq_i||_2 over coordinates i
     dim: dimension d
-    estimated: always False, since every family gives its constants in
-        closed form; the reports still carry the key
-    gamma_box: interval over which the sup defining gamma was taken, when it
-        was computed numerically (None for closed-form gamma)
     """
 
     alpha: float
     beta: float
     gamma: float
     dim: int
-    estimated: bool = False
-    gamma_box: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -160,15 +155,19 @@ class ScalarPerturbation:
     """A scalar function f with bounded second and third derivatives.
 
     inf_d2/sup_d2 bound f'' globally; they feed the closed-form alpha(eps)
-    and beta(eps).  The sup defining gamma(eps) is taken numerically over a
-    box (see perturbed_diagonal), so no bound on f''' is required here.
+    and beta(eps).  gamma(v2, eps) is the exact sup over x of
+
+        eps |f'''(x)| / (2 sqrt(v2 + eps f''(x)))
+
+    for each entry of the array v2, at an eps > 0 that keeps v2 + eps f''
+    positive.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
+    gamma: Callable[[np.ndarray, float], np.ndarray]
     inf_d2: float
     sup_d2: float
 
@@ -179,12 +178,30 @@ def _log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
 
+def _log_cosh_gamma(v2, eps):
+    # with u = sech^2 x the entry is eps u sqrt(1 - u) / sqrt(v2 + eps u),
+    # largest at the root in (1/2, 2/3) of 2 eps u^2 + b u - 2 v2 = 0,
+    # b = 3 v2 - eps: 4 v2 / p if b > 0, else p / (4 eps), with p = |b| +
+    # sqrt(b^2 + 16 eps v2) > 0, which never cancels (hypot: b^2 overflows)
+    b = 3.0 * v2 - eps
+    p = np.abs(b) + np.hypot(b, 4.0 * np.sqrt(eps * v2))
+    u = np.where(b > 0, 4.0 * v2 / p, p / (4.0 * eps))
+    return eps * u * np.sqrt(1.0 - u) / np.sqrt(v2 + eps * u)
+
+
+def _cosine_gamma(v2, eps):
+    # with c = cos x the entry is eps sqrt(1 - c^2) / (2 sqrt(v2 - eps c)),
+    # largest at c = eps / (v2 + sqrt(v2^2 - eps^2)), in (0, 1) for v2 > eps
+    c = eps / (v2 + np.sqrt(v2 * v2 - eps * eps))
+    return eps * np.sqrt(1.0 - c * c) / (2.0 * np.sqrt(v2 - eps * c))
+
+
 LOG_COSH = ScalarPerturbation(
     name="log_cosh",
     f=_log_cosh,
     d1=np.tanh,
     d2=lambda x: 1.0 - np.tanh(x) ** 2,
-    d3=lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2),
+    gamma=_log_cosh_gamma,
     inf_d2=0.0,
     sup_d2=1.0,
 )
@@ -196,69 +213,13 @@ COSINE = ScalarPerturbation(
     f=np.cos,
     d1=lambda x: -np.sin(x),
     d2=lambda x: -np.cos(x),
-    d3=np.sin,
+    gamma=_cosine_gamma,
     inf_d2=-1.0,
     sup_d2=1.0,
 )
 
 #: the perturbations by name, as configs and perturbed_diagonal take them
 PERTURBATIONS = {p.name: p for p in (LOG_COSH, COSINE)}
-
-#: interval of the numeric sup defining gamma(eps); for the shipped
-#: perturbations f''' is negligible outside it (sech^2(8) ~ 1e-6)
-GAMMA_BOX = (-8.0, 8.0)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo, hi):
-    """Golden-section search (Kiefer 1953) for the maximum of f on [lo, hi].
-
-    f maps one Python float to a float and should be unimodal on the
-    bracket.  The search stops after 64 shrinks or once the bracket
-    is narrower than 1e-12, and returns the larger of its two final probe
-    values.
-    """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = f(x1)
-    f2 = f(x2)
-    for _ in range(64):
-        if hi - lo < 1e-12:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return max(f1, f2)
-
-
-def _gamma_sup(v2, eps, pert):
-    """sup over GAMMA_BOX of eps |f'''(x)| / (2 sqrt(v_i^2 + eps f''(x))), max over i.
-
-    For each distinct v_i^2 a 4001-point grid finds the best cell, and
-    golden-section search (``_golden_max``) refines it over the two grid
-    intervals around it; the sup is the larger of the grid and refined
-    values.
-    """
-    if eps == 0.0:
-        return 0.0
-    xs = np.linspace(GAMMA_BOX[0], GAMMA_BOX[1], 4001)
-    best = 0.0
-    for vi2 in np.unique(v2):
-        def obj(x, vi2=vi2):
-            return eps * np.abs(pert.d3(x)) / (2.0 * np.sqrt(vi2 + eps * pert.d2(x)))
-        vals = obj(xs)
-        k = int(np.argmax(vals))
-        lo = float(xs[max(k - 1, 0)])
-        hi = float(xs[min(k + 1, len(xs) - 1)])
-        best = max(best, float(vals[k]), float(_golden_max(obj, lo, hi)))
-    return best
 
 
 def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
@@ -270,9 +231,9 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         eps f'''(q_i) / (2 sqrt(v_i^2 + eps f''(q_i)))
 
     at (i, i).  Constants: alpha(eps) = min_i (v_i^2 + eps inf f''),
-    beta(eps) = max_i (v_i^2 + eps sup f''), and gamma(eps) the numeric sup
-    of the entry above over GAMMA_BOX (recorded on the constants): a
-    4001-point grid, refined by golden-section search around its best cell.
+    beta(eps) = max_i (v_i^2 + eps sup f''), and gamma(eps) the max over i
+    of the perturbation's closed-form sup of that entry, exactly 0 at
+    eps = 0.
 
     Raises ConvexityLost when alpha(eps) <= 0.
     """
@@ -294,11 +255,9 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
             f"alpha(eps) = {alpha:.6g} <= 0 for eps={eps} "
             f"(inf f'' = {pert.inf_d2})"
         )
-    gamma = _gamma_sup(v2, eps, pert)
-    consts = AssumptionConstants(
-        alpha=alpha, beta=beta, gamma=gamma, dim=d,
-        gamma_box=GAMMA_BOX if eps > 0 else None,
-    )
+    # pert.gamma divides by eps in a branch np.where also evaluates
+    gamma = float(np.max(pert.gamma(v2, eps))) if eps > 0 else 0.0
+    consts = AssumptionConstants(alpha=alpha, beta=beta, gamma=gamma, dim=d)
 
     def value(q):
         q = np.asarray(q, dtype=float)

@@ -584,8 +584,8 @@ class TestAudit:
         assert main(["audit", "--out", out]) == 0
         report = read_json(out, "audit.json")
         main_part = report["main"]
-        assert main_part["coefficients"] == {"a": 4.0, "b": 20.0, "c": 1.0,
-                                             "s": 2.0}
+        assert main_part["certificate"]["coefficients"] == {
+            "a": 4.0, "b": 20.0, "c": 1.0, "s": 2.0}
         assert main_part["certificate"]["original_rate"] == pytest.approx(0.5)
         audit = main_part["audit"]
         assert audit["all_passed"] is True
@@ -701,6 +701,12 @@ CONFIG_ERRORS = [
      "certificate.s_grid"),
     ("certify", {"certificate": {"x0_grid": [2.0, -1.0]}},
      "certificate.x0_grid"),
+    # w^2 or a closed-form rate that underflows leaves no finite fit window
+    ("oracle-ou", {"oracle": {"w": 1e-160}}, "oracle.w"),
+    ("oracle-ou", {"oracle": {"w": 1e-154}}, "oracle.w"),
+    ("oracle-ou", {"oracle": {"w": 1e-100, "lambda_grid": [1e150]}},
+     "oracle.w"),
+    ("oracle-ou", {"oracle": {"w": 1e-200}}, "oracle.w"),
 ]
 
 
@@ -730,9 +736,10 @@ class TestEntryPoint:
         assert not out.exists()
 
     def test_runtime_error_writes_report(self, tmp_path, capsys):
-        # w^2 underflows, so the oscillator's Hessian is not positive definite
+        # at w = 1e5 the propagated covariance loses its positive
+        # definiteness to rounding
         cfg = write_config(tmp_path, {"kind": "oracle-ou",
-                                      "oracle": {"w": 1e-200}})
+                                      "oracle": {"w": 1e5}})
         out = str(tmp_path / "out")
         assert main(["oracle-ou", "--config", cfg, "--out", out]) == 1
         assert "error: NotPositiveDefinite: " in capsys.readouterr().err
@@ -758,3 +765,116 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+#: small configs, one per command, for the report-schema snapshot
+SCHEMA_CONFIGS = {
+    "oracle-ou": {"oracle": {"lambda_grid": [1.0, 3.0], "v": [1.0, 2.0],
+                             "n_times": 8}},
+    "simulate": {"simulation": {"n_steps": 4, "n_particles": 16,
+                                "record_every": 2, "seed": 1}},
+    "certify": {"certificate": {"s_grid": [2.0], "x0_grid": [10.0],
+                                "lambda_grid": [1.0]}},
+    "compare": {"certificate": {"lambda_grid": [1.0]}},
+    "audit": {"certificate": {"eps_rates": [0.5]}, "audit": {"n_times": 5}},
+}
+
+_CERTIFICATE_KEYS = (
+    "certificate certificate.L1 certificate.L2 certificate.coefficients "
+    "certificate.coefficients.a certificate.coefficients.b "
+    "certificate.coefficients.c certificate.coefficients.s "
+    "certificate.constants certificate.constants.alpha "
+    "certificate.constants.beta certificate.constants.dim "
+    "certificate.constants.gamma certificate.constants.kappa certificate.m1 "
+    "certificate.m2 certificate.original_rate certificate.rescaled_rate "
+    "certificate.valid")
+_COMPARISON_KEYS = (
+    "comparison comparison.all_dominated comparison.applicable "
+    "comparison.baseline_rates comparison.certificate_rate "
+    "comparison.dominates comparison.lambda_grid comparison.min_margin "
+    "comparison.sufficient_condition_ratio")
+_AUDIT_KEYS = (
+    "audit audit.all_passed audit.bound_margins audit.bound_satisfied "
+    "audit.derivative_satisfied audit.divergent_flags audit.divergent_points "
+    "audit.initial_time audit.initial_value audit.monotone_nonincreasing "
+    "audit.rate audit.times audit.tol audit.values")
+
+#: the key paths of every JSON report at FORMAT_VERSION 3, with list
+#: indices collapsed to []; each report embeds config.json's config, whose
+#: keys are listed once, under config.json
+REPORT_KEYS = {
+    "config.json": " ".join(
+        ["config config.kind config.out_dir format_version tool"]
+        + [f"config.{section} " + " ".join(f"config.{section}.{f}"
+                                           for f in fields.split())
+           for section, fields in (
+               ("audit", "init_cov_scale init_q_mean n_times t_max x0"),
+               ("certificate", "eps_rates lambda_grid s_grid x0 x0_grid"),
+               ("friction", "kind lam matrix s"),
+               ("oracle", "lambda_grid n_times v w"),
+               ("potential", "eps family matrix perturbation v"),
+               ("simulation", "dt init_p init_q n_particles n_steps "
+                              "record_every seed"))]),
+    "oracle_ou_summary.json": (
+        "cases cases[].closed_form_rate cases[].fitted_rate cases[].friction "
+        "cases[].lam cases[].relative_gap cases[].s cases[].w config "
+        "dominance dominance.hessian_sqrt_maximal dominance.hessian_sqrt_rate "
+        "dominance.s dominance.table dominance.table[].constant_scalar_rate "
+        "dominance.table[].dominated dominance.table[].hessian_sqrt_rate "
+        "dominance.table[].lam dominance.v format_version max_relative_gap "
+        "tool"),
+    "simulate_report.json": (
+        "chi2_proxy_target config final_chi2_proxy final_time format_version "
+        "n_records oracle oracle.cov_scale oracle.exact_cov oracle.exact_mean "
+        "oracle.max_abs_cov_error oracle.max_abs_mean_error oracle.max_mean_z "
+        "oracle.sample_cov oracle.sample_mean tool"),
+    "certificate.json": " ".join([
+        _CERTIFICATE_KEYS, _COMPARISON_KEYS,
+        "config format_version infeasible_cells tool"]),
+    "comparison.json": " ".join([
+        _CERTIFICATE_KEYS, _COMPARISON_KEYS, "config format_version tool"]),
+    "audit.json": " ".join(
+        ["all_passed config format_version main tool witness_sweep "
+         "witness_sweep[].eps_rate witness_sweep[].rate witness_sweep[].witness "
+         "witness_sweep[].witness.a witness_sweep[].witness.b "
+         "witness_sweep[].witness.c witness_sweep[].witness.eps_rate "
+         "witness_sweep[].witness.x witness_sweep[].witness.y"]
+        + [f"main.{k}" for k in (_AUDIT_KEYS + " " + _CERTIFICATE_KEYS).split()]
+        + [f"witness_sweep[].{k}" for k in _AUDIT_KEYS.split()]),
+}
+
+
+def key_paths(node, prefix=""):
+    """Every dict key in node as a dotted path; list indices become []."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | key_paths(value, path)
+    elif isinstance(node, list):
+        for value in node:
+            paths |= key_paths(value, prefix + "[]")
+    return paths
+
+
+class TestReportSchema:
+    def test_key_paths_frozen(self, tmp_path):
+        # a key comes or goes only together with a FORMAT_VERSION bump,
+        # which must update REPORT_KEYS
+        assert FORMAT_VERSION == 3
+        seen = set()
+        for command, payload in SCHEMA_CONFIGS.items():
+            cfg = write_config(tmp_path, {"kind": command, **payload},
+                               name=f"{command}.json")
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            for name in sorted(os.listdir(out)):
+                if not name.endswith(".json"):
+                    continue
+                report = read_json(out, name)
+                if name != "config.json":
+                    report["config"] = {}
+                assert sorted(key_paths(report)) == sorted(
+                    REPORT_KEYS[name].split()), (command, name)
+                seen.add(name)
+        assert seen == set(REPORT_KEYS)

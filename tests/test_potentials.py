@@ -1,12 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from kinlang.certificates import _golden_max
 from kinlang.errors import ConvexityLost, NonPositiveFrequency, NotPositiveDefinite
 from kinlang.linalg import spd_sqrt_directional_derivative
 from kinlang.potentials import (
     COSINE,
-    GAMMA_BOX,
-    _golden_max,
     perturbed_diagonal,
     quadratic_diagonal,
     quadratic_general,
@@ -16,8 +17,8 @@ from kinlang.potentials import (
 # sup_x eps |f'''(x)| / (2 sqrt(1 + eps f''(x))) for f = log cosh on [-8, 8]
 GAMMA_LOGCOSH = {0.1: 0.0372739117, 0.01: 0.0038362426, 0.001: 0.0003847720}
 
-# gamma as scipy.optimize's bounded Brent refinement gave it; the
-# golden-section refinement must stay within 2 ulp of each
+# gamma as scipy.optimize's bounded Brent refinement of a grid sup gave it;
+# the closed form must stay within 2 ulp of each
 GAMMA_BRENT = [
     (([1.0, 2.0], 0.01), 0.00383624259989183),
     (([1.0, 3.0], 0.1), 0.037273911664221004),
@@ -139,11 +140,6 @@ class TestPerturbedDiagonal:
         gamma = perturbed_diagonal(*args).constants.gamma
         assert abs(gamma - expected) <= 2 * np.spacing(expected)
 
-    def test_gamma_box_recorded(self):
-        # the interval certificate.json echoes; no sup is taken at eps = 0
-        assert perturbed_diagonal([1.0], 0.1).constants.gamma_box == (-8.0, 8.0)
-        assert perturbed_diagonal([1.0], 0.0).constants.gamma_box is None
-
     def test_gamma_over_eps_nearly_constant(self):
         ratios = [perturbed_diagonal([1.0], e).constants.gamma / e
                   for e in (1e-1, 1e-2, 1e-3)]
@@ -180,6 +176,56 @@ class TestPerturbedDiagonal:
             assert w[0] >= p.constants.alpha - 1e-8
 
 
+#: f'' and f''' of each shipped perturbation, written out here so that the
+#: dense-grid reference shares no code with the closed forms
+DERIVATIVES = {
+    "log_cosh": (lambda x: 1.0 - np.tanh(x) ** 2,
+                 lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)),
+    "cosine": (lambda x: -np.cos(x), np.sin),
+}
+
+
+class TestGammaClosedForm:
+    @pytest.mark.parametrize("perturbation", sorted(DERIVATIVES))
+    def test_matches_dense_grid(self, perturbation):
+        # the sup of eps |f'''| / (2 sqrt(v^2 + eps f'')) over a grid of
+        # spacing 2e-5 on [-20, 20] sits just below the closed form
+        d2, d3 = DERIVATIVES[perturbation]
+        xs = np.linspace(-20.0, 20.0, 2_000_001)
+        f2, f3 = d2(xs), np.abs(d3(xs))
+        rng = np.random.default_rng(13)
+        for k in range(20):
+            v2 = rng.uniform(0.1, 4.0)
+            if perturbation == "cosine":
+                eps = rng.uniform(0.01, 0.999) * v2
+            elif k % 2:
+                eps = rng.uniform(0.01, 3.0 * v2)  # 3 v^2 > eps
+            else:
+                eps = rng.uniform(3.0 * v2, 30.0)  # 3 v^2 <= eps
+            gamma = perturbed_diagonal([np.sqrt(v2)], eps,
+                                       perturbation).constants.gamma
+            grid = np.max(eps * f3 / (2.0 * np.sqrt(v2 + eps * f2)))
+            assert grid <= gamma * (1.0 + 4.0 * np.finfo(float).eps)
+            assert gamma - grid <= 1e-9 * gamma
+
+    @pytest.mark.parametrize("eps, limit", [
+        (1e-20, 2.0 / (3.0 * np.sqrt(3.0)) * 1e-20),  # u -> 2/3 as eps -> 0
+        (1e20, 0.5 * np.sqrt(1e20)),  # u -> 1/2 as eps -> inf
+        (1e160, 0.5 * np.sqrt(1e160)),  # where b^2 overflows
+    ])
+    def test_log_cosh_limits(self, eps, limit):
+        # each form of the root holds where the other would cancel
+        gamma = perturbed_diagonal([1.0], eps).constants.gamma
+        assert gamma == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("perturbation", sorted(DERIVATIVES))
+    def test_eps_zero_is_exact_zero_without_warning(self, perturbation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = perturbed_diagonal([0.5, 2.0], 0.0, perturbation)
+        assert p.constants.gamma == 0.0
+
+
 class TestGoldenMax:
     def test_interior_maximum_of_concave_function(self):
         # the top value is 0, so a value within 1e-24 of it puts the best
@@ -203,7 +249,7 @@ class TestGammaBoundsSqrtHessDerivative:
         p = perturbed_diagonal(v, 0.1, perturbation=perturbation)
         h = 1e-5
         sup = 0.0
-        for x in np.linspace(GAMMA_BOX[0], GAMMA_BOX[1], 2001):
+        for x in np.linspace(-8.0, 8.0, 2001):
             q = np.full(p.dim, x)
             for i in range(p.dim):
                 e = np.zeros(p.dim)

@@ -407,7 +407,9 @@ def compare_to_constant_friction(const: AssumptionConstants,
         raise ValueError("lambda_grid must be nonempty")
     if any(not v > 0 for v in lams):
         raise ValueError("lambda_grid entries must be > 0")
-    ratio = const.beta ** 2 * const.gamma ** 2 * const.dim / const.alpha ** 3
+    # products, not powers: float ** overflows to OverflowError, * to inf
+    ratio = ((const.beta * const.beta) * (const.gamma * const.gamma)
+             * const.dim / (const.alpha * const.alpha * const.alpha))
     baselines = (2.0 * lambda_dms_sup(lams, const.alpha)).tolist()
     report = {
         "applicable": bool(cert.valid),

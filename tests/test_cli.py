@@ -577,6 +577,23 @@ class TestCompare:
                      "--out", str(tmp_path / "x")]) == 2
         assert "certificate.x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [
+        ("certify", "certificate.json"), ("compare", "comparison.json")])
+    def test_huge_eps_ratio_is_infinite(self, tmp_path, command, name):
+        # beta^2 gamma^2 overflows a float at eps = 1e160: the ratio is
+        # data (Infinity), not an OverflowError
+        cfg = write_config(tmp_path, {
+            "kind": command,
+            "potential": {"family": "perturbed_diagonal", "v": [1.0],
+                          "eps": 1e160},
+        })
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["certificate"]["valid"] is False
+        assert report["comparison"]["sufficient_condition_ratio"] == math.inf
+
 
 class TestAudit:
     def test_reference_audit_and_witness_sweep(self, tmp_path):

@@ -11,9 +11,7 @@ from kinlang.errors import (
 )
 from kinlang.friction import constant_matrix, constant_scalar, hessian_sqrt
 from kinlang.gaussian import (
-    _VAN_LOAN_MAX_SPREAD,
     GaussianMoments,
-    _noise_covariance_van_loan,
     diagonal_system_rate,
     fit_decay_rate,
     gaussian_chi2,
@@ -47,10 +45,6 @@ class TestKineticDynamics:
         assert np.array_equal(f[:2, 2:], np.eye(2))
         assert np.allclose(f[2:, :2], -np.diag([1.0, 4.0]))
         assert np.allclose(f[2:, 2:], -np.diag([2.0, 4.0]))
-        # sigma sigma' = [[0, 0], [0, 2 Gamma]]
-        q = dyn.noise @ dyn.noise.T
-        assert np.allclose(q[2:, 2:], 2 * np.diag([2.0, 4.0]), atol=1e-12)
-        assert np.allclose(q[:2, :], 0.0)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -79,36 +73,43 @@ class TestPropagate:
 
     def test_overdamped_covariance_formulas(self):
         # independent oracle: the explicit (p, q, r) integrals for w=1, lam=3
-        w, lam, t = 1.0, 3.0, 1.3
+        w, lam = 1.0, 3.0
         a1 = (-lam + math.sqrt(lam**2 - 4 * w**2)) / 2
         a2 = (-lam - math.sqrt(lam**2 - 4 * w**2)) / 2
-        p = (math.exp(2 * a1 * t) - 1) / (2 * a1)
-        q = -(math.exp((a1 + a2) * t) - 1) / (a1 + a2)
-        r = (math.exp(2 * a2 * t) - 1) / (2 * a2)
         pref = 2 * lam / (a1 - a2) ** 2
-        expected = pref * np.array(
-            [
-                [p + 2 * q + r, a1 * (p + q) + a2 * (q + r)],
-                [a1 * (p + q) + a2 * (q + r), a1**2 * p + 2 * a1 * a2 * q + a2**2 * r],
-            ]
-        )
         dyn = oscillator(w, lam)
         init = GaussianMoments(np.zeros(2), np.zeros((2, 2)))
-        out = propagate(dyn, init, t)
-        assert np.allclose(out.cov, expected, atol=1e-13)
+        for t in (0.5, 1.0, 1.3, 3.0):
+            p = (math.exp(2 * a1 * t) - 1) / (2 * a1)
+            q = -(math.exp((a1 + a2) * t) - 1) / (a1 + a2)
+            r = (math.exp(2 * a2 * t) - 1) / (2 * a2)
+            expected = pref * np.array(
+                [
+                    [p + 2 * q + r, a1 * (p + q) + a2 * (q + r)],
+                    [a1 * (p + q) + a2 * (q + r),
+                     a1**2 * p + 2 * a1 * a2 * q + a2**2 * r],
+                ]
+            )
+            out = propagate(dyn, init, t)
+            assert np.allclose(out.cov, expected, atol=1e-13), t
 
-    def test_augmented_and_anchored_routes_agree(self):
-        # two independent evaluations of the same noise integral
-        dyn = oscillator(1.0, 3.0)
+    def test_critical_covariance_closed_form(self):
+        # w = 1, lam = 2 from a point: cov(t) = C_inf + D(t) with
+        # D = -e^{-2t} [[1 + 2t + 2t^2, -2t^2], [-2t^2, 1 - 2t + 2t^2]];
+        # the error is measured against max|C_inf|, since chi2 reads D
+        dyn = oscillator(1.0, 2.0)
         cov_inf = stationary_moments(dyn).cov
-        for t in (0.5, 1.0, 3.0):
-            g1 = _noise_covariance_van_loan(dyn, t)
-            eft = expm(dyn.drift, t)
-            g2 = cov_inf - eft @ cov_inf @ eft.T
-            assert np.max(np.abs(g1 - g2)) < 1e-12
+        init = GaussianMoments(np.array([1.0, 0.0]), np.zeros((2, 2)))
+        for t in (1e-4, 1e-2, 1.0, 3.0, 5.0, 10.0, 15.0):
+            d = -math.exp(-2 * t) * np.array(
+                [[1 + 2 * t + 2 * t * t, -2 * t * t],
+                 [-2 * t * t, 1 - 2 * t + 2 * t * t]])
+            cov = propagate(dyn, init, t).cov
+            err = np.max(np.abs(cov - cov_inf - d))
+            assert err <= 1e-15 * np.max(np.abs(cov_inf)), (t, err)
 
     def test_large_t_covariance_stays_psd(self):
-        # the overdamped spread made the naive augmented route indefinite
+        # a noise integral that cancels at large t can come out indefinite
         dyn = oscillator(1.0, 3.0)
         init = GaussianMoments(np.array([3.0, -3.0]), np.eye(2))
         out = propagate(dyn, init, 26.0)
@@ -157,11 +158,6 @@ def rotated_system(d, s, seed):
     return kinetic_dynamics(q @ np.diag(v**2) @ q.T, s * q @ np.diag(v) @ q.T)
 
 
-def decay_spread(dyn):
-    decay = -np.real(np.linalg.eigvals(dyn.drift))
-    return decay.max() - decay.min()
-
-
 class TestPropagateGrid:
     TIMES = np.concatenate([[0.0], np.linspace(0.05, 30.0, 37), [0.0, 7.0]])
 
@@ -175,7 +171,6 @@ class TestPropagateGrid:
 
     def test_entries_equal_scalar_calls_bitwise(self):
         rng = np.random.default_rng(3)
-        crossed = 0
         for name, dyn in self.cases():
             n = 2 * dyn.dim
             b = rng.standard_normal((n, n))
@@ -187,9 +182,6 @@ class TestPropagateGrid:
                 assert np.array_equal(got.mean, one.mean), (name, t)
                 assert np.array_equal(got.cov, one.cov), (name, t)
             assert grid[0] is init and grid[-2] is init
-            # the grid spans both the Van Loan and the stationary route
-            crossed += decay_spread(dyn) * self.TIMES.max() > _VAN_LOAN_MAX_SPREAD
-        assert crossed == 5
 
     def test_scalar_forms(self):
         dyn = rotated_system(3, 2.0, 0)

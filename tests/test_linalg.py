@@ -287,7 +287,7 @@ def _stationary(a):
     # kinetic_dynamics rejects such an `a` first; only a hand-built
     # LinearDynamics reaches stationary_moments' own check
     return stationary_moments(
-        LinearDynamics(a=a, gamma_mat=None, drift=None, noise=None))
+        LinearDynamics(a=a, gamma_mat=None, drift=None))
 
 
 #: (site, call, matrix accepted, matrix rejected).  Each pair brackets the

@@ -447,6 +447,32 @@ class TestStabilityAndBlowup:
             warnings.simplefilter("error")
             run(init, pot, spec, cfg)
 
+    # (friction, dt, spectral radius of I + dt F) on V = q^2 / 2; the first
+    # two blow up although dt * lambda_max(Gamma) < 2, the third is stable
+    # although dt * lambda_max(Gamma) = 3
+    EXACT_CRITERION = [
+        (constant_scalar(0.1), 0.2, math.sqrt(1.02)),
+        (hessian_sqrt(1.0), 1.5, 1.32),
+        (hessian_sqrt(2.0), 1.5, 0.5),
+    ]
+
+    @pytest.mark.parametrize("spec, dt, radius", EXACT_CRITERION,
+                             ids=["weak-friction", "underdamped", "critical"])
+    def test_warns_exactly_when_spectral_radius_reaches_one(self, spec, dt,
+                                                            radius):
+        pot = quadratic_diagonal([1.0])
+        cfg = SimConfig(dt=dt, n_steps=5000, n_particles=100, seed=0)
+        init = ensemble_at_point([1.0], [0.0], 100, 0, dt)
+        if radius < 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                points = run(init, pot, spec, cfg, record_every=5000)
+            assert points[-1].time == pytest.approx(5000 * dt)
+        else:
+            with pytest.warns(RuntimeWarning, match=f"{radius:.3g} >= 1"):
+                with pytest.raises(NumericalBlowup):
+                    run(init, pot, spec, cfg, record_every=5000)
+
 
 class TestFiniteCheck:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12, -2e12])

@@ -16,7 +16,7 @@ over (N, d) positions, returning either
   * diagonal entries: a constant (d,) vector when Gamma is a constant
     diagonal matrix, or the (N, d) field s * sqrt(hess_diag(q)); or
   * matrix stacks: (1, d, d) for any other constant Gamma, or (N, d, d)
-    from one batched square root of the per-particle Hessians.
+    from one batched eigendecomposition of the per-particle Hessians.
 
 Constant forms are computed when resolving, not on every step.
 """
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .linalg import check_spd, check_symmetric, spd_sqrt
+from .linalg import check_spd, check_symmetric, from_eig, spd_eig, spd_sqrt
 from .potentials import Potential
 
 __all__ = ["FrictionSpec", "constant_scalar", "constant_matrix", "hessian_sqrt"]
@@ -85,9 +85,11 @@ class FrictionSpec:
 
         def general_field(q):
             # Potential.hess maps one point to (d, d), so the field is
-            # evaluated row by row and decomposed in one batched call
-            g = self.s * spd_sqrt(np.stack([p.hess(q_i) for q_i in q]))
-            return g, spd_sqrt(2.0 * g)
+            # evaluated row by row; one batched eigh of the Hessians gives
+            # Gamma = U s sqrt(w) U' and sqrt(2 Gamma) = U sqrt(2 s sqrt(w)) U'
+            w, u = spd_eig(np.array([p.hess(q_i) for q_i in q]))
+            root = np.sqrt(w)
+            return self.s * from_eig(u, root), from_eig(u, np.sqrt(2.0 * self.s * root))
         return general_field
 
 

@@ -42,6 +42,8 @@ from .errors import NotPositiveDefinite, NotSymmetric
 __all__ = [
     "check_symmetric",
     "check_spd",
+    "spd_eig",
+    "from_eig",
     "spd_sqrt",
     "spd_sqrt_directional_derivative",
     "expm",
@@ -135,12 +137,20 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
         )
 
 
-def _spd_eig(m):
+def spd_eig(m):
     """Eigendecomposition (ascending w, u) of a symmetric matrix or stack,
     after ``check_spd`` with the default rule."""
     w, u = np.linalg.eigh(_symmetrize(np.asarray(m, dtype=float), "matrix"))
     check_spd(w)
     return w, u
+
+
+def from_eig(u, v):
+    """u diag(v) u', symmetrized, for eigenvectors u from ``spd_eig``: the
+    function of the matrix (or of each matrix of a stack) that maps its
+    eigenvalues to v."""
+    r = (u * v[..., None, :]) @ u.swapaxes(-1, -2)
+    return 0.5 * (r + r.swapaxes(-1, -2))
 
 
 def spd_sqrt(m):
@@ -163,9 +173,8 @@ def spd_sqrt(m):
     NotPositiveDefinite
         If any matrix fails ``check_spd``; a stack names the failing index.
     """
-    w, u = _spd_eig(m)
-    r = (u * np.sqrt(w)[..., None, :]) @ u.swapaxes(-1, -2)
-    return 0.5 * (r + r.swapaxes(-1, -2))
+    w, u = spd_eig(m)
+    return from_eig(u, np.sqrt(w))
 
 
 def spd_sqrt_directional_derivative(m, dm):
@@ -194,7 +203,7 @@ def spd_sqrt_directional_derivative(m, dm):
     NotPositiveDefinite
         Propagated from the square root of ``m``.
     """
-    w, u = _spd_eig(m)
+    w, u = spd_eig(m)
     dm = check_symmetric(dm, "dm")
     roots = np.sqrt(w)
     dm_tilde = u.T @ dm @ u

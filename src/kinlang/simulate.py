@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, NotSymmetric, NumericalBlowup
 from .friction import FrictionSpec
-from .gaussian import GaussianMoments, gaussian_chi2, kinetic_dynamics
+from .gaussian import GaussianMoments, gaussian_chi2
 from .potentials import Potential
 
 __all__ = [
@@ -47,11 +47,16 @@ __all__ = [
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
 
-#: N * d (4 MiB of float64 per array) from which run draws step k+1's noise
-#: on a helper thread while step k is applied.  Below it the draw and the
-#: update were measured not to overlap on a 2-core host, and the hand-off
-#: only costs time (per-step timings in CHANGES.md)
-PREFETCH_MIN_ELEMENTS = 1 << 19
+#: N * d from which run draws the noise ahead on one helper thread while
+#: earlier steps are applied.  Below it the draw is small next to a step's
+#: Python overhead, and the thread cost more than it saved on a 2-core host
+#: (size sweep in CHANGES.md)
+PREFETCH_MIN_ELEMENTS = 1 << 13
+
+#: coordinates (1 MiB of float64) the helper draws per hand-off: whole steps,
+#: max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) of them, so a small ensemble
+#: pays the hand-off once per batch and from this size on it is per step
+PREFETCH_BATCH_ELEMENTS = 1 << 17
 
 #: counter-domain words keeping the init-sampling stream disjoint from the
 #: per-step dynamics streams
@@ -262,10 +267,15 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 
     On a quadratic potential with constant friction the mean of the EM chain
     is m_{k+1} = (I + dt F) m_k exactly, so this is the exact criterion there.
+    F = [[0, I], [-Hess V, -Gamma]] is assembled here, with no SPD rule, so
+    an ill-conditioned Hessian or friction gets a verdict rather than an
+    error, as it does from step.
     """
     q_bar = ensemble.positions.mean(axis=0)
-    drift = kinetic_dynamics(p.hess(q_bar), spec.gamma(p, q_bar)).drift
-    b = np.eye(len(drift)) + cfg.dt * drift
+    d = ensemble.dim
+    drift = np.block([[np.zeros((d, d)), np.eye(d)],
+                      [-p.hess(q_bar), -spec.gamma(p, q_bar)]])
+    b = np.eye(2 * d) + cfg.dt * drift
     rho = float(np.max(np.abs(np.linalg.eigvals(b))))
     if rho >= 1.0:
         warnings.warn(
@@ -283,10 +293,13 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
-    From PREFETCH_MIN_ELEMENTS coordinates on, the keyed draw for the next
-    step runs on one helper thread while the current step is applied.  The
-    draw depends on (seed, step) alone, so the arrays, and the records, are
-    the same as with the draw inline.
+    From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws run
+    on one helper thread, a batch of whole steps at a time: about
+    PREFETCH_BATCH_ELEMENTS coordinates, at least one step, and never past
+    the last step.  The helper draws batch j + 1 while batch j is applied.
+    Each step is still its own philox_normals call, which depends on
+    (seed, step) alone, so the arrays, and the records, are the same as
+    with the draw inline.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index.
@@ -296,30 +309,38 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     _check_matches(init, cfg, ("dt", "seed", "n_particles"))
     stability_warning(init, p, spec, cfg)
     friction = spec.resolve(p)
-    shape = init.positions.shape
-    prefetch = init.positions.size >= PREFETCH_MIN_ELEMENTS
-    draw = functools.partial(philox_normals, init.seed)
+    size = init.positions.size
+    per_batch = max(1, PREFETCH_BATCH_ELEMENTS // size)
+    draw = functools.partial(philox_normals, init.seed, shape=init.positions.shape)
+    start = init.steps_taken
+    end = start + cfg.n_steps
+
+    def draw_batch(first):
+        return [draw(i) for i in range(first, min(first + per_batch, end))]
 
     def record(ens):
         mean, cov = ens.summary()
         return TrajectoryPoint(time=ens.time, mean=mean, cov=cov)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        def fetch(step_index):
-            """A callable returning the noise for step_index."""
-            if prefetch:
-                return pool.submit(draw, step_index, shape).result
-            return functools.partial(draw, step_index, shape)
+        def noise():
+            """Each step's noise in step order."""
+            firsts = range(start, end, per_batch)
+            if size < PREFETCH_MIN_ELEMENTS or not firsts:
+                yield from map(draw, range(start, end))
+                return
+            pending = pool.submit(draw_batch, start)
+            for first in firsts:
+                batch = pending.result()
+                if first + per_batch < end:
+                    pending = pool.submit(draw_batch, first + per_batch)
+                yield from batch
 
         ens = init
-        pending = fetch(ens.steps_taken) if cfg.n_steps else None
         out = [record(ens)]
-        for k in range(cfg.n_steps):
-            xi = pending()
-            if k + 1 < cfg.n_steps:
-                pending = fetch(ens.steps_taken + 1)
+        for k, xi in enumerate(noise(), 1):
             ens = _advance(ens, p, friction, cfg, xi)
-            if (k + 1) % record_every == 0 or k + 1 == cfg.n_steps:
+            if k % record_every == 0 or k == cfg.n_steps:
                 out.append(record(ens))
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 from kinlang.errors import NotPositiveDefinite
 from kinlang.friction import constant_matrix, constant_scalar, hessian_sqrt
+from kinlang.linalg import spd_sqrt
 from kinlang.potentials import perturbed_diagonal, quadratic_diagonal, quadratic_general
 
 
@@ -128,6 +129,24 @@ class TestResolve:
         for spec, p, shape in cases:
             g, sig = spec.resolve(p)(q)
             assert g.shape == sig.shape == shape, (spec.kind, p.family)
+
+    def test_general_field_from_one_eigh_matches_two_roots(self):
+        # a q-dependent Hessian with off-diagonal entries; the reference is
+        # the two batched square roots s sqrt(H) and sqrt(2 Gamma)
+        c, s = np.cos(0.6), np.sin(0.6)
+        rot = np.array([[c, -s], [s, c]])
+        base = perturbed_diagonal([1.0, 3.0], 0.5)
+        p = dataclasses.replace(base, hess=lambda q: rot.T @ base.hess(rot @ q) @ rot,
+                                hess_diag=None)
+        spec = hessian_sqrt(2.0)
+        q = np.random.default_rng(43).standard_normal((40, 2))
+        g, sig = spec.resolve(p)(q)
+        ref_g = 2.0 * spd_sqrt(np.array([p.hess(q_i) for q_i in q]))
+        ref_sig = spd_sqrt(2.0 * ref_g)
+        assert np.abs(ref_g[:, 0, 1]).max() > 0.1
+        assert np.array_equal(g, ref_g)
+        err = np.abs(sig - ref_sig).max(axis=(1, 2)) / np.abs(ref_sig).max(axis=(1, 2))
+        assert err.max() <= 8 * np.finfo(float).eps
 
     def test_diagonal_entries_match_dense(self):
         rng = np.random.default_rng(37)

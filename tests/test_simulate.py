@@ -473,6 +473,21 @@ class TestStabilityAndBlowup:
                 with pytest.raises(NumericalBlowup):
                     run(init, pot, spec, cfg, record_every=5000)
 
+    def test_ill_conditioned_hessian_runs_like_step(self):
+        # Hess V = diag(1e-12, 1) fails the SPD rule's 1e10 condition limit;
+        # the criterion needs no factorization, so run goes ahead as step does
+        pot = quadratic_diagonal([1e-6, 1.0])
+        spec = constant_scalar(1.0)
+        cfg = SimConfig(dt=0.01, n_steps=3, n_particles=10, seed=0)
+        init = ensemble_at_point([1.0, 1.0], [0.0, 0.0], 10, 0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = run(init, pot, spec, cfg, record_every=3)
+        e = init
+        for _ in range(3):
+            e = step(e, pot, spec, cfg)
+        assert np.array_equal(points[-1].mean, e.summary()[0])
+
 
 class TestFiniteCheck:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12, -2e12])
@@ -538,31 +553,46 @@ class TestSummary:
 
 
 class TestNoisePrefetch:
-    """run draws the next step's noise on a helper thread from
-    PREFETCH_MIN_ELEMENTS coordinates on; nothing observable may change."""
+    """run draws the noise ahead on a helper thread from
+    PREFETCH_MIN_ELEMENTS coordinates on, in batches of whole steps;
+    nothing observable may change.  Here a batch is one step."""
 
-    N = simulate.PREFETCH_MIN_ELEMENTS   # d = 1, so exactly at the threshold
+    N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so one step per batch
+    N_STEPS = 5
 
-    def _setup(self, dt=1e-3, n_steps=5):
+    def _setup(self, dt=1e-3, n_steps=None):
         n = self.N
         pot, spec, _ = _ou_1d()
-        cfg = SimConfig(dt=dt, n_steps=n_steps, n_particles=n, seed=4)
+        cfg = SimConfig(dt=dt, n_steps=n_steps or self.N_STEPS, n_particles=n, seed=4)
         init = ensemble_from_moments(
             GaussianMoments(mean=[1.0, 0.0], cov=np.eye(2)), n, 4, dt)
         return pot, spec, cfg, init
 
-    def test_records_equal_step_loop(self):
-        pot, spec, cfg, init = self._setup()
-        pts = run(init, pot, spec, cfg)
+    @staticmethod
+    def _assert_step_loop_records(pts, init, pot, spec, cfg, record_every=1):
         e = init
         ref = [e.summary()]
-        for _ in range(cfg.n_steps):
+        for k in range(1, cfg.n_steps + 1):
             e = step(e, pot, spec, cfg)
-            ref.append(e.summary())
-        assert len(pts) == len(ref) == cfg.n_steps + 1
+            if k % record_every == 0 or k == cfg.n_steps:
+                ref.append(e.summary())
+        assert len(pts) == len(ref)
         for pt, (mean, cov) in zip(pts, ref):
             assert np.array_equal(pt.mean, mean)
             assert np.array_equal(pt.cov, cov)
+
+    def test_records_equal_step_loop(self):
+        pot, spec, cfg, init = self._setup()
+        pts = run(init, pot, spec, cfg)
+        assert len(pts) == cfg.n_steps + 1
+        self._assert_step_loop_records(pts, init, pot, spec, cfg)
+
+    def test_sparse_records_from_stepped_ensemble_equal_step_loop(self):
+        # a run that starts at step 1 and records every 4th step
+        pot, spec, cfg, init = self._setup()
+        init = step(init, pot, spec, cfg)
+        pts = run(init, pot, spec, cfg, record_every=4)
+        self._assert_step_loop_records(pts, init, pot, spec, cfg, record_every=4)
 
     def test_reruns_identical(self):
         pot, spec, cfg, init = self._setup()
@@ -577,6 +607,7 @@ class TestNoisePrefetch:
         # the first m particles of a prefetched run follow the same
         # trajectories as a run of m particles with the draw inline
         m = 1000
+        assert m < simulate.PREFETCH_MIN_ELEMENTS
         pot, spec, cfg, init = self._setup()
         seen = []
         advance = simulate._advance
@@ -619,6 +650,34 @@ class TestNoisePrefetch:
             with pytest.raises(NumericalBlowup):
                 run(init, pot, spec, cfg)
         assert threading.active_count() == start
+
+
+class TestBatchedPrefetch(TestNoisePrefetch):
+    """The same checks where a batch holds several steps, the steps do not
+    fill the last batch, and records fall inside batches."""
+
+    N = 10_000
+    N_STEPS = 30
+    PER_BATCH = simulate.PREFETCH_BATCH_ELEMENTS // N
+
+    def test_sizes_cover_batches(self):
+        assert self.N >= simulate.PREFETCH_MIN_ELEMENTS
+        assert self.PER_BATCH > 4
+        assert self.N_STEPS % self.PER_BATCH != 0
+        assert self.N_STEPS > 2 * self.PER_BATCH
+
+    def test_blowup_inside_batch_matches_step_loop(self):
+        pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            with pytest.raises(NumericalBlowup) as excinfo:
+                run(init, pot, spec, cfg)
+        e = init
+        with pytest.raises(NumericalBlowup) as ref:
+            for _ in range(cfg.n_steps):
+                e = step(e, pot, spec, cfg)
+        assert excinfo.value.step_index == ref.value.step_index
+        # neither the first nor the last step of its batch
+        assert ref.value.step_index % self.PER_BATCH not in (0, 1)
 
 
 class TestTrajectoryCsv:

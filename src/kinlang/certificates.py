@@ -14,7 +14,8 @@ gamma < sqrt(m1/m2) actually holds.
 
 The baseline being beaten is the best constant scalar friction rate available
 through the same hypocoercivity route, ``lambda_dms`` and its supremum
-``lambda_dms_sup``, which a golden-section search (``_golden_max``) refines.
+``lambda_dms_sup``, which is in closed form: the roots of one quadratic in
+the free parameter.
 """
 
 from __future__ import annotations
@@ -281,28 +282,36 @@ def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
 
 
 def _check_positive(name, value):
-    if not (np.asarray(value) > 0).all():
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not (np.isfinite(value) & (np.asarray(value) > 0)).all():
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _lambda_dms_formula(lam, alpha, eps, sqrt):
-    """lambda_dms without checks, for lam and eps both Python floats (with
-    ``sqrt=math.sqrt``) or broadcastable arrays (``sqrt=np.sqrt``).
+def _lambda_dms_formula(lam, alpha, eps):
+    """lambda_dms without checks, for broadcastable lam and eps.
 
-    Every square is a multiply, so both forms round alike.
+    Rationalized, (lam - c eps - R) = eps (B - eps D) / (lam - c eps + R)
+    with R = hypot(h eps, lam - k eps), B = 2 (k - c) lam and
+    D = h^2 + k^2 - c^2 = h^2 + 2 (k - c), since k + c = 2: the
+    denominator is positive on (-1, 1], so nothing cancels, and the ratio
+    (B - eps D) / (lam - c eps + R) is taken first, so nothing underflows at
+    small lam.  Arrays and floats take the same NumPy calls, so they round
+    alike.
     """
+    c = 1.0 / (1.0 + alpha)
+    k_minus_c = 2.0 * alpha / (1.0 + alpha)
     h = math.sqrt(2.0) + lam / 2.0
-    t = lam - (2.0 * alpha + 1.0) / (alpha + 1.0) * eps
-    root = sqrt(eps * eps * (h * h) + t * t)
-    return (lam - eps / (1.0 + alpha) - root) / (2.0 * (1.0 + abs(eps)))
+    root = np.hypot(h * eps, lam - (2.0 * alpha + 1.0) / (alpha + 1.0) * eps)
+    ratio = ((2.0 * k_minus_c * lam - eps * (h * h + 2.0 * k_minus_c))
+             / (lam - c * eps + root))
+    return eps * ratio / (2.0 * (1.0 + np.abs(eps)))
 
 
 def lambda_dms(lam, alpha, eps):
     """Constant-scalar-friction decay rate for free parameter eps in (-1, 1).
 
-    Vectorized over eps, each entry bitwise the float call's result; may be
-    negative (a bad eps certifies nothing).  At eps = 0 the value is
-    exactly 0.
+    Vectorized over eps, each entry bitwise the float call's result.  It is
+    exactly 0 at eps = 0 and negative for every eps < 0 (a bad eps
+    certifies nothing).
     """
     lam = float(lam)
     alpha = float(alpha)
@@ -311,83 +320,64 @@ def lambda_dms(lam, alpha, eps):
     eps = np.asarray(eps, dtype=float)
     if np.any(np.abs(eps) >= 1.0):
         raise ValueError("eps must lie in (-1, 1)")
-    out = _lambda_dms_formula(lam, alpha, eps, np.sqrt)
+    out = _lambda_dms_formula(lam, alpha, eps)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo, hi):
-    """Golden-section search (Kiefer 1953) for the maximum of f on [lo, hi].
-
-    f maps one Python float to a float and should be unimodal on the
-    bracket.  The search stops after 64 shrinks or once the bracket
-    is narrower than 1e-12, and returns the larger of its two final probe
-    values.
-    """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = f(x1)
-    f2 = f(x2)
-    for _ in range(64):
-        if hi - lo < 1e-12:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return max(f1, f2)
-
-
-#: lambdas per grid evaluation in lambda_dms_sup, so that its temporaries
-#: stay near 128 KB each however long the lambda grid is
-_SUP_ROWS = 64
-
-#: interior eps points of lambda_dms_sup's grid on (0, 1)
-_SUP_GRID = 256
-
-
 def lambda_dms_sup(lam, alpha: float):
-    """Supremum of lambda_dms over eps, to absolute tolerance 1e-8.
+    """Supremum of lambda_dms over eps, in closed form.
 
     lam is a float or an array of them: a float gives a float, an array an
-    array of its shape.  A dense grid on (0, 1), evaluated for up to
-    ``_SUP_ROWS`` lams at once, locates each lam's best cell (the maximizing
-    eps is positive); golden-section refinement in float arithmetic then
-    polishes each cell.  Each result is clipped at 0, the value at eps = 0,
-    and does not depend on the other entries of lam.
+    array of its shape, each entry independent of the others.
+
+    lambda_dms < 0 for eps < 0, so the sup is over [0, 1], where
+    lambda_dms = (lam - c eps - R(eps)) / (2 (1 + eps)) with c = 1/(1+alpha),
+    k = (2 alpha + 1)/(1 + alpha), h = sqrt(2) + lam/2 and
+    R^2 = h^2 eps^2 + (lam - k eps)^2.  Its derivative vanishes where
+
+        lam^2 + lam k - eps (lam k + A) = (lam + c) R(eps),  A = h^2 + k^2.
+
+    With eps = lam eta, squaring and dividing by lam^2 gives
+    a2 eta^2 + a1 eta + a0 = 0 with a2 = (lam k + A)^2 - (lam + c)^2 A,
+    a1 = 2 (lam + c)^2 k - 2 (lam + k)(lam k + A) and
+    a0 = (k - c)(2 lam + 2).  Squaring only adds candidates, so the sup is
+    the max of 0 (the value at eps = 0), the value at eps = 1 and the
+    values at the real roots in (0, 1).  The condition is homogeneous of
+    degree 2 in (lam, k, c, h), so for lam > 1 those four are divided by
+    lam first (lam^4 would overflow; then eps = eta), and the roots are
+    taken in the form that does not cancel.  Accurate to a few ulp for every normal lam whose
+    square is finite, the range the config accepts.
     """
     lam = np.asarray(lam, dtype=float)
     alpha = float(alpha)
     _check_positive("lam", lam)
     _check_positive("alpha", alpha)
-    lams = lam.ravel().tolist()
-    eps_grid = np.linspace(0.0, 1.0, _SUP_GRID + 2)[1:-1]
-    cells, bests = [], []
-    for i in range(0, len(lams), _SUP_ROWS):
-        rows = slice(i, i + _SUP_ROWS)
-        values = _lambda_dms_formula(np.asarray(lams[rows])[:, None], alpha,
-                                     eps_grid, np.sqrt)
-        j = np.argmax(values, axis=1)
-        cells += j.tolist()
-        bests += values[np.arange(j.size), j].tolist()
-    sups = []
-    for v, j, best in zip(lams, cells, bests):
-        lo = 0.0 if j == 0 else float(eps_grid[j - 1])
-        hi = 1.0 if j == _SUP_GRID - 1 else float(eps_grid[j + 1])
-        refined = _golden_max(
-            lambda e: _lambda_dms_formula(v, alpha, e, math.sqrt), lo, hi)
-        sups.append(max(best, refined, 0.0))
+    x = lam.ravel()
+    scale = np.maximum(x, 1.0)
+    ls = x / scale
+    ks = (2.0 * alpha + 1.0) / (1.0 + alpha) / scale
+    cs = 1.0 / (1.0 + alpha) / scale
+    hs = math.sqrt(2.0) / scale + ls / 2.0
+    a = hs * hs + ks * ks
+    u = ls * ks + a
+    v = (ls + cs) * (ls + cs)
+    a2 = u * u - v * a
+    a1 = 2.0 * (v * ks - (ls + ks) * u)
+    # k - c = 2 alpha / (1 + alpha) and k + c = 2, without cancellation
+    a0 = 2.0 * alpha / (1.0 + alpha) / scale * (2.0 * ls + 2.0 / scale)
+    # a negative discriminant only adds a spurious candidate
+    q = -0.5 * (a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0,
+                                                    0.0)), a1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([ls * (q / a2), ls * (a0 / q), np.ones_like(x)])
+    # eps = 0 stands in for every root outside (0, 1], NaN included
+    roots = np.where((roots > 0.0) & (roots <= 1.0), roots, 0.0)
+    sups = np.maximum(_lambda_dms_formula(x, alpha, roots).max(axis=0), 0.0)
     if lam.ndim == 0:
-        return sups[0]
-    return np.array(sups).reshape(lam.shape)
+        return float(sups[0])
+    return sups.reshape(lam.shape)
 
 
 def compare_to_constant_friction(const: AssumptionConstants,

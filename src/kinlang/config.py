@@ -149,10 +149,12 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigError(f"simulation.dt: must be > 0, got {self.dt}")
-        for name in ("n_steps", "n_particles", "record_every"):
-            if getattr(self, name) < 1:
+        # one particle has no covariance to report
+        for name, least in (("n_steps", 1), ("n_particles", 2),
+                            ("record_every", 1)):
+            if getattr(self, name) < least:
                 raise ConfigError(
-                    f"simulation.{name}: must be >= 1, "
+                    f"simulation.{name}: must be >= {least}, "
                     f"got {getattr(self, name)}"
                 )
         if self.seed is not None and self.seed < 0:

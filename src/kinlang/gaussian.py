@@ -57,8 +57,11 @@ class GaussianMoments:
             raise ValueError(
                 f"mean has size {mean.size} but cov is {cov.shape}"
             )
+        # LAPACK may give zeros, or fail, for a matrix with a NaN entry
+        if not np.isfinite(cov).all():
+            raise NotPositiveDefinite("covariance has a non-finite entry")
         w = np.linalg.eigvalsh(cov)
-        if w.size and w[0] < -1e-10 * max(1.0, abs(w[-1])):
+        if w.size and not w[0] >= -1e-10 * max(1.0, abs(w[-1])):
             raise NotPositiveDefinite(
                 f"covariance has eigenvalue {w[0]:.6e} < 0 beyond tolerance"
             )

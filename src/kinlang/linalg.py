@@ -117,8 +117,8 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
         Names the matrix in the error; a stack adds the failing index,
         ``name[i]``.
     rtol, atol : float
-        A matrix is rejected when its smallest eigenvalue is
-        <= max(rtol * max|w|, atol).
+        A matrix is rejected unless its smallest eigenvalue is
+        > max(rtol * max|w|, atol); a NaN eigenvalue is rejected.
 
     Raises
     ------
@@ -129,7 +129,7 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
         return
     lo = w[..., 0]
     floor = np.maximum(rtol * np.maximum(-lo, w[..., -1]), atol)
-    bad = lo <= floor
+    bad = ~(lo > floor)
     if np.count_nonzero(bad):
         label, i = _first_bad(name, bad)
         raise NotPositiveDefinite(

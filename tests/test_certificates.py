@@ -44,21 +44,22 @@ REF_COEFFS = LyapunovCoefficients(s=2.0, a=4.0, b=20.0, c=1.0)
 LAMBDA_DMS_SUP_2_1 = 0.0567166513  # frozen from the 1e6-point brute force
 
 # frozen: sha256 of the float64 bytes of lambda_dms_sup over
-# round(linspace(0.1, 10, n), 10) at alpha, one scalar call per lambda, as
-# computed before the array form existed, with (first, middle, last) values;
-# n = 400 and 500 at alpha = 1 are the certify and compare grids of the
-# benchmark's CLI session.  (500, 0.3) was frozen again when every square in
-# lambda_dms became a multiply: its entry 193 moved by 3.7e-15 relative
+# round(linspace(0.1, 10, n), 10) at alpha, with (first, middle, last)
+# values; n = 400 and 500 at alpha = 1 are the certify and compare grids of
+# the benchmark's CLI session.  Frozen again when the sup became a closed
+# form: the entries moved by at most 1.1e-13 relative, toward 60-digit
+# mpmath (every 25th entry checked: the error fell from <= 8.6e-14 to
+# <= 5.1e-16)
 FROZEN_SUP_GRIDS = {
-    (400, 1.0): ("7fe753ec98a29593ede433364a2f04eb0fc655b735c1e481793bc9af6bcb7895",
-                 (0.007357651800806804, 0.059015566645378055,
-                  0.048257528708692564)),
-    (500, 1.0): ("2d9e441d1995da7eef2e081914627f556dc3a91e78c174c8ac5d07fc71ad4f59",
-                 (0.007357651800806804, 0.05902012500561158,
-                  0.048257528708692564)),
-    (500, 0.3): ("d026a2ebc6df331efb1a20021dabc02957228ef2ddb11931e377ed408f5b3b3f",
-                 (0.001986853954640586, 0.014725195437541421,
-                  0.011543807643860126)),
+    (400, 1.0): ("0bb226508e774636139433e83361188cffb891e7a5ae1981b9e7297087c57498",
+                 (0.007357651800806805, 0.0590155666453778,
+                  0.048257528708691766)),
+    (500, 1.0): ("bc155fb145dd9b1e4b05f9c98fc54f1336c0f5dacb1278eb86a00f360403cd47",
+                 (0.007357651800806805, 0.05902012500561136,
+                  0.048257528708691766)),
+    (500, 0.3): ("2913661bd2b4310cb894b0b488fffed623eda8c4334d36bd4f93cff8f448b892",
+                 (0.0019868539546405812, 0.014725195437541192,
+                  0.011543807643859266)),
 }
 
 
@@ -344,6 +345,26 @@ class TestLambdaDms:
         with pytest.raises(ValueError):
             lambda_dms(2.0, -1.0, 0.5)
 
+    def test_negative_eps_certifies_nothing(self):
+        eps = -np.concatenate([np.logspace(-300, -1, 2000),
+                               np.linspace(1e-3, 1.0 - 1e-12, 2000)])
+        for lam in (1e-150, 1e-6, 0.5, 2.0, 1e8, 1e150):
+            for alpha in (1e-3, 0.3, 1.0, 1e3):
+                assert (lambda_dms(lam, alpha, eps) <= 0.0).all(), (lam, alpha)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0])
+    def test_non_finite_strengths_rejected(self, bad):
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            lambda_dms(bad, 1.0, 0.5)
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            lambda_dms(2.0, bad, 0.5)
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            lambda_dms_sup(bad, 1.0)
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            lambda_dms_sup(np.array([1.0, bad]), 1.0)
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            lambda_dms_sup(2.0, bad)
+
 
 class TestLambdaDmsSup:
     def test_frozen_reference(self):
@@ -359,6 +380,30 @@ class TestLambdaDmsSup:
                 max(brute, 0.0), abs=1e-6
             )
             assert lambda_dms_sup(lam, alpha) >= brute - 1e-12
+
+    @pytest.mark.parametrize("lam", [1e8, 1e12, 1e50, 1e150])
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    def test_large_friction_asymptote(self, lam, alpha):
+        # near the maximizer eps ~ 1/lam the denominator tends to 4 lam,
+        # B = 4 alpha lam / (1 + alpha) and D ~ lam^2 / 4, so the sup tends
+        # to max eps (B - eps D) / (4 lam) = B^2 / (16 D lam)
+        asymptote = 4.0 * alpha * alpha / ((1.0 + alpha) * (1.0 + alpha))
+        assert lam * lambda_dms_sup(lam, alpha) == pytest.approx(
+            asymptote, rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-20, 1e-6])
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    def test_small_friction_log_grid(self, lam, alpha):
+        # the maximizer is near eps ~ lam, far below a linear grid's first
+        # cell: a log grid over 320 decades finds its cell, and a 1e5-point
+        # log grid across the two neighbouring cells polishes it
+        coarse = np.logspace(-320.0, 0.0, 32_001)[:-1]
+        j = int(np.argmax(lambda_dms(lam, alpha, coarse)))
+        fine = np.geomspace(coarse[j - 1], coarse[j + 1], 100_001)
+        brute = float(lambda_dms(lam, alpha, fine).max())
+        sup = lambda_dms_sup(lam, alpha)
+        assert sup >= brute
+        assert sup == pytest.approx(brute, rel=1e-12)
 
     def test_positive_on_grid(self):
         for lam in (0.1, 1.0, 5.0, 10.0):

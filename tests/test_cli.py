@@ -1,5 +1,6 @@
 """Command-line harness: config validation, artifacts, determinism, exits."""
 
+import hashlib
 import json
 import math
 import os
@@ -189,24 +190,30 @@ class TestConfigParsing:
 
     def test_malformed_values_exit_2(self, tmp_path, capsys):
         # also when --seed overrides the file's seed; NaN and Infinity are
-        # Python's JSON extensions, not JSON numbers
-        for command, payload, field_name in [
+        # Python's JSON extensions, not JSON numbers; one particle would
+        # report an Infinity and a NaN
+        for command, payload, message in [
             ("simulate", {"simulation": {"seed": 0, "dt": "fast"}},
-             "simulation.dt"),
-            ("simulate", {"simulation": {"n_steps": 2.7}}, "simulation.n_steps"),
-            ("simulate", {"simulation": {"seed": True}}, "simulation.seed"),
-            ("simulate", {"simulation": 5}, "simulation"),
-            ("audit", {"audit": {"init_q_mean": math.nan}}, "audit.init_q_mean"),
-            ("compare", {"friction": {"s": math.inf}}, "friction.s"),
-            ("oracle-ou", {"oracle": {"w": math.inf}}, "oracle.w"),
+             "simulation.dt: expected "),
+            ("simulate", {"simulation": {"n_steps": 2.7}},
+             "simulation.n_steps: expected "),
+            ("simulate", {"simulation": {"seed": True}},
+             "simulation.seed: expected "),
+            ("simulate", {"simulation": 5}, "simulation: expected "),
+            ("audit", {"audit": {"init_q_mean": math.nan}},
+             "audit.init_q_mean: expected "),
+            ("compare", {"friction": {"s": math.inf}}, "friction.s: expected "),
+            ("oracle-ou", {"oracle": {"w": math.inf}}, "oracle.w: expected "),
             ("oracle-ou", {"oracle": {"lambda_grid": [1.0, -math.inf]}},
-             "oracle.lambda_grid"),
+             "oracle.lambda_grid: expected "),
+            ("simulate", {"simulation": {"n_particles": 1}},
+             "simulation.n_particles: must be >= 2, got 1"),
         ]:
             cfg = write_config(tmp_path, {"kind": command, **payload})
             assert main([command, "--config", cfg, "--seed", "1",
                          "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"config error: {field_name}: expected "), err
+            assert err.startswith(f"config error: {message}"), err
             assert not (tmp_path / "x").exists()
 
     def test_sections_check_ranges_when_built_directly(self):
@@ -570,6 +577,18 @@ class TestCompare:
             comparison["lambda_grid"])
         assert comparison["all_dominated"] is True
 
+    def test_large_friction_baselines(self, tmp_path):
+        # 2 lam sup lambda_dms tends to 8 alpha^2 / (1 + alpha)^2
+        cfg = write_config(tmp_path, {"kind": "compare", "certificate": {
+            "lambda_grid": [1e8, 1e12]}})
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "comparison.json")
+        alpha = report["certificate"]["constants"]["alpha"]
+        limit = 8.0 * alpha * alpha / ((1.0 + alpha) * (1.0 + alpha))
+        assert report["comparison"]["baseline_rates"] == [
+            pytest.approx(limit / lam, rel=1e-6) for lam in (1e8, 1e12)]
+
     def test_infeasible_x0_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "compare",
                                       "certificate": {"x0": 0.5}})
@@ -895,3 +914,57 @@ class TestReportSchema:
                     REPORT_KEYS[name].split()), (command, name)
                 seen.add(name)
         assert seen == set(REPORT_KEYS)
+
+
+#: sha256 of every file the five default commands write (``--seed 1`` for
+#: simulate), each run with the relative ``--out`` named after the command
+GOLDEN_DIGESTS = {
+    "oracle-ou/config.json":
+        "70a5b09c1b7e08830ccb0d6346c6c48f4aedec8bd7c578d39d93fff60cd4c89e",
+    "oracle-ou/oracle_ou.csv":
+        "289ce402f0521c77fef21c1a685aaf633494e007157e3e1d12f12f3836c17686",
+    "oracle-ou/oracle_ou_summary.json":
+        "50b2fab1de61b20f4fe506494b8fae63404f62c4e570fc9d1bbd78e65b680a22",
+    "simulate/config.json":
+        "d5e9c9c2e739d5a0483bdbc2b52279dabad43f73a24c42ee2e51cbf4f70ad9c8",
+    "simulate/simulate_report.json":
+        "c858571c8824fc5c6d85577947fad17ac37c2f78d40dce0cd1fae09e1e2422db",
+    "simulate/trajectory.csv":
+        "139d013b6901ba27fbe8f17d424ddeedc8170bdb9ae73c40c897919bf98b377e",
+    "certify/certificate.json":
+        "6b8a1c729936b1982cf8fb953c1c9825006149b8c6d78cc43b7abf4c53d86afe",
+    "certify/config.json":
+        "ea16428f13a06c2b6923f01cb2ed7525c3e8f0ba5247c01b9c99f60d3956b26b",
+    "certify/optimizer_table.csv":
+        "f0b2a590780ac4f8ca1c0a0c74af1e7f3eb02998e11844564c6104887cb1b3a0",
+    "compare/comparison.json":
+        "2553250d64b6f7ea3d6d740eccda595523d23364a7444ebdbb7f2616a635f614",
+    "compare/config.json":
+        "98ca5dae2060f8183d9a73ac5253bb2964a1f61e0ea8ef7697075f051d6ba03f",
+    "audit/audit.json":
+        "b4a7f0d6f6a495a0d42b97d1d0bd1166506819c0017b17bb508c1f42beb80a38",
+    "audit/config.json":
+        "9129be26ee21c75cce119907aaa768f070ba63d04532b076a394b0326d7328c4",
+}
+
+
+class TestGoldenDigests:
+    def test_default_outputs_frozen(self, tmp_path, monkeypatch):
+        """The bytes of the default outputs, frozen.
+
+        The digests belong to the NumPy/LAPACK build they were frozen on;
+        another build may move last bits.  An intended bit change freezes
+        them again and says so in the change log.  The runs use a fixed
+        relative ``--out`` from a temporary working directory, because every
+        report embeds its ``out_dir``.
+        """
+        monkeypatch.chdir(tmp_path)
+        digests = {}
+        for command in ("oracle-ou", "simulate", "certify", "compare", "audit"):
+            seed = ["--seed", "1"] if command == "simulate" else []
+            assert main([command, "--out", command, *seed]) == 0
+            for name in sorted(os.listdir(command)):
+                with open(os.path.join(command, name), "rb") as fh:
+                    digests[f"{command}/{name}"] = hashlib.sha256(
+                        fh.read()).hexdigest()
+        assert digests == GOLDEN_DIGESTS

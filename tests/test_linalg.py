@@ -13,6 +13,7 @@ from kinlang.gaussian import (
     stationary_moments,
 )
 from kinlang.linalg import (
+    check_spd,
     check_symmetric,
     expm,
     gaussian_quadratic_expectation,
@@ -86,6 +87,21 @@ class TestSpdSqrt:
         with pytest.raises(NotPositiveDefinite):
             spd_sqrt(np.diag([1.0, 0.0]))
 
+    def test_rejects_nan(self):
+        # NaN is not above any floor, so the rule rejects it
+        with pytest.raises(NotPositiveDefinite, match="^matrix has"):
+            check_spd(np.array([np.nan, 1.0]))
+        with pytest.raises(NotPositiveDefinite):
+            spd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_nan_covariance_rejected(self):
+        # eigvalsh gives [0, -0] for the 2 x 2 matrix and fails to converge
+        # on the 4 x 4 one
+        for cov in (np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                    np.full((4, 4), np.nan)):
+            with pytest.raises(NotPositiveDefinite, match="^covariance"):
+                GaussianMoments(np.zeros(len(cov)), cov)
+
 
 class TestSpdSqrtStack:
     def test_single_matrix_bit_identical_to_one_decomposition(self):
@@ -114,6 +130,13 @@ class TestSpdSqrtStack:
     def test_indefinite_member_named_by_index(self):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(NotPositiveDefinite, match=r"matrix\[2\] has eigenvalue"):
+            spd_sqrt(stack)
+
+    def test_nan_member_named_by_index(self):
+        with pytest.raises(NotPositiveDefinite, match=r"^w\[1\] has"):
+            check_spd(np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0]]), "w")
+        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0])])
+        with pytest.raises(NotPositiveDefinite, match=r"matrix\[1\] has"):
             spd_sqrt(stack)
 
     def test_asymmetric_member_named_by_index(self):

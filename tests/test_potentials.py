@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from kinlang.certificates import _golden_max
 from kinlang.errors import ConvexityLost, NonPositiveFrequency, NotPositiveDefinite
 from kinlang.linalg import spd_sqrt_directional_derivative
 from kinlang.potentials import (
@@ -224,19 +223,6 @@ class TestGammaClosedForm:
             warnings.simplefilter("error")
             p = perturbed_diagonal([0.5, 2.0], 0.0, perturbation)
         assert p.constants.gamma == 0.0
-
-
-class TestGoldenMax:
-    def test_interior_maximum_of_concave_function(self):
-        # the top value is 0, so a value within 1e-24 of it puts the best
-        # probe within 1e-12 of the maximizer 0.3
-        fmax = _golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
-        assert -1e-24 <= fmax <= 0.0
-
-    @pytest.mark.parametrize("sign, end", [(1.0, 1.0), (-1.0, -0.5)])
-    def test_maximum_at_either_end(self, sign, end):
-        fmax = _golden_max(lambda x: sign * x, -0.5, 1.0)
-        assert abs(fmax - sign * end) <= 1e-12
 
 
 class TestGammaBoundsSqrtHessDerivative:

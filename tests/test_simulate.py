@@ -427,6 +427,15 @@ class TestChi2Proxy:
         e = ensemble_at_point([1.0], [0.0], 50, 0, 0.01)
         assert _proxy(e, pi) is None
 
+    def test_single_particle_nan_covariance_gets_none(self):
+        # one particle's summary covariance is NaN, in d = 1 and d = 2
+        _, _, dyn = _ou_1d()
+        pi = stationary_moments(dyn)
+        assert _proxy(ensemble_at_point([1.0], [0.0], 1, 0, 0.01), pi) is None
+        pi2 = GaussianMoments(mean=np.zeros(4), cov=np.eye(4))
+        e = ensemble_at_point([1.0, 2.0], [0.0, 0.0], 1, 0, 0.01)
+        assert _proxy(e, pi2) is None
+
 
 class TestStabilityAndBlowup:
     def test_unstable_dt_warns_then_blows_up(self):

@@ -286,6 +286,11 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _finite_square(lam) -> bool:
+    # friction strengths are squared; the config's lambda grids share this rule
+    return all(v > 0 and math.isfinite(v * v) for v in np.ravel(lam).tolist())
+
+
 def _lambda_dms_formula(lam, alpha, eps):
     """lambda_dms without checks, for broadcastable lam and eps.
 
@@ -311,11 +316,13 @@ def lambda_dms(lam, alpha, eps):
 
     Vectorized over eps, each entry bitwise the float call's result.  It is
     exactly 0 at eps = 0 and negative for every eps < 0 (a bad eps
-    certifies nothing).
+    certifies nothing).  A lam whose square overflows raises ValueError.
     """
     lam = float(lam)
     alpha = float(alpha)
-    _check_positive("lam", lam)
+    if not _finite_square(lam):
+        raise ValueError(
+            f"lam must be finite and > 0 with a finite square, got {lam}")
     _check_positive("alpha", alpha)
     eps = np.asarray(eps, dtype=float)
     if np.any(np.abs(eps) >= 1.0):
@@ -347,12 +354,14 @@ def lambda_dms_sup(lam, alpha: float):
     values at the real roots in (0, 1).  The condition is homogeneous of
     degree 2 in (lam, k, c, h), so for lam > 1 those four are divided by
     lam first (lam^4 would overflow; then eps = eta), and the roots are
-    taken in the form that does not cancel.  Accurate to a few ulp for every normal lam whose
-    square is finite, the range the config accepts.
+    taken in the form that does not cancel.  Accurate to a few ulp for
+    every normal lam; a lam whose square overflows raises ValueError.
     """
     lam = np.asarray(lam, dtype=float)
     alpha = float(alpha)
-    _check_positive("lam", lam)
+    if not _finite_square(lam):
+        raise ValueError(
+            f"lam must be finite and > 0 with a finite square, got {lam}")
     _check_positive("alpha", alpha)
     x = lam.ravel()
     scale = np.maximum(x, 1.0)

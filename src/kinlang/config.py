@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .certificates import _finite_square
 from .errors import ConfigError, KinlangError
 from .friction import FrictionSpec, constant_matrix, constant_scalar, hessian_sqrt
 from .potentials import (
@@ -74,7 +75,7 @@ _FRICTIONS = {
 
 def _check_lambda_grid(grid, name: str):
     """Friction strengths are squared: each must be > 0 with a finite square."""
-    if not grid or any(not (v > 0 and math.isfinite(v * v)) for v in grid):
+    if not grid or not _finite_square(grid):
         raise ConfigError(
             f"{name}: must be nonempty with entries > 0 whose square is finite"
         )

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFriction,
 )
 from .friction import FrictionSpec
-from .linalg import check_spd, check_symmetric, expm
+from .linalg import check_spd, check_symmetric, expm, from_eig
 
 __all__ = [
     "GaussianMoments",
@@ -159,56 +159,48 @@ def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
     return GaussianMoments(mean=np.zeros(2 * d), cov=cov)
 
 
-def _spd_logdet_inv(cov, name):
-    """(inverse, logdet) of an SPD covariance, or NotPositiveDefinite."""
-    check_spd(np.linalg.eigvalsh(cov), f"{name} covariance",
-              rtol=1e-12, atol=1e-12)
-    sign, logdet = np.linalg.slogdet(cov)
-    return np.linalg.inv(cov), logdet
+def _whitened(rho: GaussianMoments, pi: GaussianMoments):
+    """(s, e, wu, chi2) of rho against pi, in pi's whitened frame.
 
+    chi2 is invariant under affine maps, so it is read in the frame
+    y = (W u)' (x - mu_pi), with W = cov_pi^{-1/2} and u the eigenvectors of
+    W cov_rho W.  There pi = N(0, I) and rho = N(nu, diag(s)) with
+    nu = (W u)' (mu_rho - mu_pi), and rho^2/pi factors over coordinates.
+    With d = s - 1 and e = nu / (1 - d),
 
-def _chi2_factors(rho: GaussianMoments, pi: GaussianMoments):
-    """(A_rho, A_pi, M, log(chi2 + 1)) for rho against pi, shared by
-    gaussian_chi2 and the Lyapunov functional.
+        log(chi2 + 1) = sum_i [nu_i e_i - log1p(-d_i^2) / 2],
 
-    Completing the square in the integral of rho^2/pi gives, with
-    A_rho = cov_rho^{-1}, A_pi = cov_pi^{-1}, M = 2 A_rho - A_pi and
-    b = 2 A_rho mu_rho - A_pi mu_pi,
-
-        chi2 + 1 = det(cov_pi)^{1/2} det(cov_rho)^{-1} det(M)^{-1/2}
-                   * exp(b'M^{-1}b/2 - mu_rho'A_rho mu_rho + mu_pi'A_pi mu_pi / 2)
-
-    finite exactly when M is positive definite (integrability of rho^2/pi);
-    otherwise the log is +inf.  Degenerate covariances raise
-    NotPositiveDefinite.
+    finite exactly when every s_i < 2; otherwise chi2 is +inf and e None.
+    Each term is O(d^2 + nu^2) near the target, so nothing cancels.
+    Degenerate covariances and roundoff s_i <= 0 raise NotPositiveDefinite.
     """
-    a1, logdet1 = _spd_logdet_inv(rho.cov, "rho")
-    a2, logdet2 = _spd_logdet_inv(pi.cov, "pi")
-    m = 2.0 * a1 - a2
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if w[0] <= 0:
-        return a1, a2, m, math.inf
-    sign_m, logdet_m = np.linalg.slogdet(m)
-    b = 2.0 * a1 @ rho.mean - a2 @ pi.mean
-    quad = 0.5 * b @ np.linalg.solve(m, b) \
-        - rho.mean @ a1 @ rho.mean + 0.5 * pi.mean @ a2 @ pi.mean
-    return a1, a2, m, float(0.5 * logdet2 - logdet1 - 0.5 * logdet_m + quad)
-
-
-def _chi2_from_log(logval: float) -> float:
-    """chi2 from log(chi2 + 1); +inf beyond e^700, where expm1 overflows."""
-    return float(math.expm1(logval)) if logval < 700 else math.inf
+    check_spd(np.linalg.eigvalsh(rho.cov), "rho covariance",
+              rtol=1e-12, atol=1e-12)
+    p, v = np.linalg.eigh(pi.cov)
+    check_spd(p, "pi covariance", rtol=1e-12, atol=1e-12)
+    w = from_eig(v, 1.0 / np.sqrt(p))
+    s, u = np.linalg.eigh(w @ rho.cov @ w)
+    wu = w @ u
+    if not s[-1] < 2.0:
+        return s, None, wu, math.inf
+    check_spd(s, "whitened rho covariance", rtol=0.0)
+    d = s - 1.0
+    nu = wu.T @ (rho.mean - pi.mean)
+    e = nu / (1.0 - d)
+    log_val = float(nu @ e - 0.5 * np.sum(np.log1p(-d * d)))
+    # expm1 overflows beyond e^700
+    return s, e, wu, math.expm1(log_val) if log_val < 700 else math.inf
 
 
 def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
-    """chi-square divergence between Gaussians, in closed form.
+    """chi-square divergence between Gaussians, in closed form (``_whitened``).
 
     Returns +inf (as a value, not an exception) when rho^2/pi is not
     integrable -- legitimate for aggressive initial conditions at early
     times; callers fitting decay curves should skip to the first finite
     value.  Degenerate covariances raise NotPositiveDefinite.
     """
-    return _chi2_from_log(_chi2_factors(rho, pi)[3])
+    return _whitened(rho, pi)[3]
 
 
 def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:

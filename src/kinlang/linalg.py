@@ -19,8 +19,8 @@ max(rtol * max|w|, atol).  The package uses three settings of it:
     ``gaussian_quadratic_expectation``
   * rtol = atol = 1e-12, i.e. 1e-12 * max(1, max|w|): the two covariances
     of the chi-square divergence
-  * rtol = atol = 0, plain positivity: ``constant_matrix``, the friction
-    and the assembled weight of ``build_s``, and ``stationary_moments``
+  * rtol = atol = 0, plain positivity: ``constant_matrix``, ``build_s``'s
+    friction and weight, ``stationary_moments`` and chi2's whitened rho
 
 ``GaussianMoments`` keeps its own check: it admits positive semidefinite
 covariances (point initial conditions) within a slack.
@@ -139,8 +139,15 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
 
 def spd_eig(m):
     """Eigendecomposition (ascending w, u) of a symmetric matrix or stack,
-    after ``check_spd`` with the default rule."""
-    w, u = np.linalg.eigh(_symmetrize(np.asarray(m, dtype=float), "matrix"))
+    after ``check_spd`` with the default rule.  A matrix with a non-finite
+    entry that LAPACK cannot converge on is named as such."""
+    m = _symmetrize(np.asarray(m, dtype=float), "matrix")
+    try:
+        w, u = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        raise NotPositiveDefinite(
+            f"{_first_bad('matrix', bad)[0]} has a non-finite entry") from None
     check_spd(w)
     return w, u
 

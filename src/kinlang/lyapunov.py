@@ -6,9 +6,9 @@ The functional is
 
 with S the block weight matrix [[b G^-2, a G^-1], [a G^-1, c I]] built from a
 coefficient triple and a constant friction matrix G.  For Gaussian rho and pi
-both terms are closed-form: h is the exponential of a quadratic, so the cross
-term is a Gaussian expectation of a quadratic form under the same tilted
-Gaussian that appears in the chi-square formula.
+both terms are closed-form in the target's whitened frame, where h is the
+exponential of a separable quadratic and the cross term a Gaussian
+expectation under the tilted law rho^2/pi, one coordinate at a time.
 
 ``decay_audit`` tracks L along exactly propagated trajectories and checks the
 exponential decay bound promised by a rate certificate, point by point.
@@ -26,8 +26,7 @@ from .errors import DegenerateS
 from .gaussian import (
     GaussianMoments,
     LinearDynamics,
-    _chi2_factors,
-    _chi2_from_log,
+    _whitened,
     propagate,
     stationary_moments,
 )
@@ -79,14 +78,16 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
                             s: WeightMatrixS) -> float:
     """Closed-form L(rho) = chi2 + cross term for Gaussian rho against pi.
 
-    h = rho/pi is exp(quadratic), so grad h = h (W x + u) with
-    W = A_pi - A_rho and u = A_rho mu_rho - A_pi mu_pi, and
+    In gaussian_chi2's whitened frame y (pi = N(0, I), rho = N(nu, diag(s)),
+    d = s - 1) the weight is S_bar = (W u)' S (W u) and grad h = h g with
+    g = (d y + nu) / s.  Under the tilted law rho^2/pi / (chi2 + 1),
+    coordinatewise N(2 nu / (2 - s), s / (2 - s)), g has mean
+    e = nu / (1 - d) and covariance diag(d^2 / (s (2 - s))), so
 
-        cross = (chi2 + 1) * E_{N(mu_t, Sigma_t)}[(W x + u)^T S (W x + u)]
+        cross = (chi2 + 1) [sum_i S_bar_ii d_i^2 / (s_i (2 - s_i)) + e' S_bar e].
 
-    under the tilted Gaussian with precision M = 2 A_rho - A_pi.  Returns
-    +inf, as gaussian_chi2 does, when that integral does not exist (M not
-    positive definite), so L is finite wherever chi2 is.  The cross term is
+    Returns +inf, as gaussian_chi2 does, when the tilted law does not exist
+    (some s_i >= 2), so L is finite wherever chi2 is.  The cross term is
     >= 0, so L >= chi2 always.
     """
     if rho.dim != pi.dim or 2 * rho.dim != s.matrix.shape[0]:
@@ -94,23 +95,12 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
             f"dimension mismatch: rho dim {rho.dim}, pi dim {pi.dim}, "
             f"S is {s.matrix.shape[0]}x{s.matrix.shape[0]}"
         )
-    a_rho, a_pi, m, logval = _chi2_factors(rho, pi)
-    chi2 = _chi2_from_log(logval)
+    s_eig, e, wu, chi2 = _whitened(rho, pi)
     if math.isinf(chi2):
         return math.inf
-    sigma_t = np.linalg.inv(m)
-    sigma_t = 0.5 * (sigma_t + sigma_t.T)
-    mu_t = sigma_t @ (2.0 * a_rho @ rho.mean - a_pi @ pi.mean)
-    w = a_pi - a_rho
-    u = a_rho @ rho.mean - a_pi @ pi.mean
-    s_mat = s.matrix
-    quad = w @ s_mat @ w
-    # E[(W x + u)' S (W x + u)] in closed form; gaussian_quadratic_expectation
-    # would apply its 1e-10 floor to sigma_t and so reject an ill-conditioned
-    # M whose chi2 is finite
-    expectation = float(np.trace(quad @ sigma_t) + mu_t @ quad @ mu_t) \
-        + float(u @ s_mat @ u) + float(2.0 * (w @ (s_mat @ u)) @ mu_t)
-    return chi2 + (chi2 + 1.0) * expectation
+    s_bar = wu.T @ s.matrix @ wu
+    var = (s_eig - 1.0) ** 2 / (s_eig * (2.0 - s_eig))
+    return chi2 + (chi2 + 1.0) * float(np.diag(s_bar) @ var + e @ s_bar @ e)
 
 
 def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,

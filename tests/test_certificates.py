@@ -366,6 +366,19 @@ class TestLambdaDms:
             lambda_dms_sup(2.0, bad)
 
 
+    @pytest.mark.parametrize("lam", [1e155, 1e200, np.finfo(float).max])
+    def test_overflowing_square_rejected(self, lam):
+        # the config's lambda-grid rule: lam is squared, so lam^2 must be
+        # finite; 1e154 still passes
+        with pytest.raises(ValueError, match="finite square"):
+            lambda_dms(lam, 1.0, 0.5)
+        with pytest.raises(ValueError, match="finite square"):
+            lambda_dms_sup(lam, 1.0)
+        with pytest.raises(ValueError, match="finite square"):
+            lambda_dms_sup(np.array([2.0, lam]), 1.0)
+        assert lambda_dms_sup(1e154, 1.0) > 0.0
+
+
 class TestLambdaDmsSup:
     def test_frozen_reference(self):
         assert lambda_dms_sup(2.0, 1.0) == pytest.approx(

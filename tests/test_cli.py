@@ -928,9 +928,9 @@ GOLDEN_DIGESTS = {
     "simulate/config.json":
         "d5e9c9c2e739d5a0483bdbc2b52279dabad43f73a24c42ee2e51cbf4f70ad9c8",
     "simulate/simulate_report.json":
-        "c858571c8824fc5c6d85577947fad17ac37c2f78d40dce0cd1fae09e1e2422db",
+        "aa0a295e97bec7caf6d7eabdea6fd2a61006f1a0e3b05f48f78029f3e9f9a21a",
     "simulate/trajectory.csv":
-        "139d013b6901ba27fbe8f17d424ddeedc8170bdb9ae73c40c897919bf98b377e",
+        "affd474a1213621dfe4c9a9a0212a0192f1333cce855f9778ab30992309676e6",
     "certify/certificate.json":
         "6b8a1c729936b1982cf8fb953c1c9825006149b8c6d78cc43b7abf4c53d86afe",
     "certify/config.json":
@@ -942,7 +942,7 @@ GOLDEN_DIGESTS = {
     "compare/config.json":
         "98ca5dae2060f8183d9a73ac5253bb2964a1f61e0ea8ef7697075f051d6ba03f",
     "audit/audit.json":
-        "b4a7f0d6f6a495a0d42b97d1d0bd1166506819c0017b17bb508c1f42beb80a38",
+        "646e7b3895dee804f83701a5d2eaede4db97c5aeb1f817d9841a1b50f5fbe41f",
     "audit/config.json":
         "9129be26ee21c75cce119907aaa768f070ba63d04532b076a394b0326d7328c4",
 }
@@ -967,4 +967,7 @@ class TestGoldenDigests:
                 with open(os.path.join(command, name), "rb") as fh:
                     digests[f"{command}/{name}"] = hashlib.sha256(
                         fh.read()).hexdigest()
-        assert digests == GOLDEN_DIGESTS
+        # pytest's dict diff truncates; the message names every moved file
+        moved = sorted(name for name in set(digests) | set(GOLDEN_DIGESTS)
+                       if digests.get(name) != GOLDEN_DIGESTS.get(name))
+        assert digests == GOLDEN_DIGESTS, f"moved: {', '.join(moved)}"

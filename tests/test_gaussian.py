@@ -21,6 +21,7 @@ from kinlang.gaussian import (
     stationary_moments,
 )
 from kinlang.linalg import expm
+from kinlang.lyapunov import WeightMatrixS, lyapunov_value_gaussian
 
 # frozen: least-squares slope of log((1+t^2) e^{-2t}) over [20, 40];
 # the t^2 prefactor biases it below 2 by ~0.068 (within the 2/t <= 0.1
@@ -281,6 +282,41 @@ class TestGaussianChi2:
         pi = GaussianMoments(np.zeros(2), np.eye(2))
         with pytest.raises(NotPositiveDefinite):
             gaussian_chi2(rho, pi)
+
+    def test_divergent_before_whitened_rule(self):
+        # rho's large direction gives s_max = q' cov_pi^-1 q ~ 8.7e3 >= 2, so
+        # rho^2/pi is not integrable: +inf, even though the whitened rho
+        # covariance is only ~2.3e-16 from singular, below its roundoff
+        def rot(a):
+            return np.array([[math.cos(a), -math.sin(a)],
+                             [math.sin(a), math.cos(a)]])
+        rho = GaussianMoments(
+            np.zeros(2), rot(1.5) @ np.diag([1.0, 2e-12]) @ rot(1.5).T)
+        pi = GaussianMoments(
+            np.zeros(2), rot(0.3) @ np.diag([1e4, 1e-4]) @ rot(0.3).T)
+        assert gaussian_chi2(rho, pi) == math.inf
+        assert lyapunov_value_gaussian(
+            rho, pi, WeightMatrixS(np.eye(2))) == math.inf
+
+    def test_whitened_rho_covariance_checked(self, monkeypatch):
+        # a whitened eigenvalue s <= 0 with s_max < 2 (roundoff) must raise,
+        # not give log1p(-1) or NaN; the second eigh is the whitened one
+        rho = GaussianMoments(np.zeros(2), np.eye(2))
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def eigh(m):
+            w, u = real_eigh(m)
+            calls.append(m)
+            if len(calls) == 2:
+                w = np.array([-1e-17, w[-1]])
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(NotPositiveDefinite,
+                           match="^whitened rho covariance"):
+            gaussian_chi2(rho, rho)
+        assert len(calls) == 2
 
     def test_zero_iff_equal(self):
         base = GaussianMoments(np.zeros(2), np.eye(2))

@@ -94,6 +94,12 @@ class TestSpdSqrt:
         with pytest.raises(NotPositiveDefinite):
             spd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_unconvergeable_nan_named(self):
+        # eigh fails to converge on a 4 x 4 NaN matrix
+        with pytest.raises(NotPositiveDefinite,
+                           match="^matrix has a non-finite entry$"):
+            spd_sqrt(np.full((4, 4), np.nan))
+
     def test_nan_covariance_rejected(self):
         # eigvalsh gives [0, -0] for the 2 x 2 matrix and fails to converge
         # on the 4 x 4 one
@@ -137,6 +143,12 @@ class TestSpdSqrtStack:
             check_spd(np.array([[1.0, 2.0], [np.nan, 1.0], [1.0, 1.0]]), "w")
         stack = np.stack([np.eye(2), np.diag([np.nan, 1.0])])
         with pytest.raises(NotPositiveDefinite, match=r"matrix\[1\] has"):
+            spd_sqrt(stack)
+
+    def test_unconvergeable_nan_member_named_by_index(self):
+        stack = np.stack([np.eye(4), np.full((4, 4), np.nan), np.eye(4)])
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^matrix\[1\] has a non-finite entry$"):
             spd_sqrt(stack)
 
     def test_asymmetric_member_named_by_index(self):

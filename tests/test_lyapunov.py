@@ -14,14 +14,28 @@ from kinlang.certificates import (
     diag_quadratic_certificate,
     optimal_coefficients,
 )
+from kinlang.config import (
+    AuditConfig,
+    CertificateConfig,
+    FrictionConfig,
+    PotentialConfig,
+    build_friction,
+    build_potential,
+)
 from kinlang.errors import DegenerateS, NotPositiveDefinite
 from kinlang.gaussian import (
     GaussianMoments,
     gaussian_chi2,
     kinetic_dynamics,
+    propagate,
     stationary_moments,
 )
-from kinlang.lyapunov import build_s, decay_audit, lyapunov_value_gaussian
+from kinlang.lyapunov import (
+    WeightMatrixS,
+    build_s,
+    decay_audit,
+    lyapunov_value_gaussian,
+)
 from kinlang.potentials import AssumptionConstants
 
 UNIT = AssumptionConstants(alpha=1.0, beta=1.0, gamma=0.0, dim=1)
@@ -175,6 +189,116 @@ class TestLyapunovValue:
         rho4 = GaussianMoments(mean=np.zeros(4), cov=np.eye(4))
         with pytest.raises(ValueError):
             lyapunov_value_gaussian(rho4, rho4, _s_131_gamma2())
+
+
+class TestNearTarget:
+    """rho built in pi's whitened frame, s = 1 + delta and mean nu, then
+    mapped with pi by a fixed affine map x -> A x + b."""
+
+    DELTA = np.array([1.3e-6, -0.7e-6, 0.9e-6, -1.1e-6])
+    NU = np.array([0.8e-7, -1.2e-7, 0.5e-7, 1.0e-7])
+    A = np.array([[1.0, 0.3, -0.2, 0.1],
+                  [0.2, 1.5, 0.4, -0.3],
+                  [-0.1, 0.2, 0.8, 0.25],
+                  [0.3, -0.2, 0.1, 1.2]])  # condition number 4.1
+    SHIFT = np.array([0.5, -1.0, 2.0, 0.25])
+
+    def laws(self):
+        rho = GaussianMoments(self.A @ self.NU + self.SHIFT,
+                              self.A @ np.diag(1.0 + self.DELTA) @ self.A.T)
+        return rho, GaussianMoments(self.SHIFT, self.A @ self.A.T)
+
+    def test_chi2_second_order(self):
+        # chi2 = sum nu^2 / (1 - delta) - log(1 - delta^2) / 2 to first
+        # order in the exponent, so 1/2 sum delta^2 + sum nu^2 is exact to
+        # O(delta) relative.  A formula that cancels O(1) log-determinants
+        # cannot resolve chi2 ~ 2e-12 to this tolerance.
+        expected = 0.5 * np.sum(self.DELTA ** 2) + np.sum(self.NU ** 2)
+        assert gaussian_chi2(*self.laws()) == pytest.approx(
+            expected, rel=1e-4, abs=0.0)
+
+    def test_lyapunov_affine_invariant(self):
+        # grad h pulls back through A^-T, so L(A rho, A pi; A S A') equals
+        # L(rho, pi; S).  Rounding the mapped covariances moves d = s - 1 by
+        # about 1e-16 against |d| ~ 1e-6, so L agrees to ~2e-10 relative.
+        # pytest.approx's default abs=1e-12 would pass anything at L ~ 7e-12.
+        s = build_s(SimpleNamespace(a=1.0, b=3.0, c=1.0),
+                    np.array([[2.0, 0.3], [0.3, 1.0]]))
+        whitened = lyapunov_value_gaussian(
+            GaussianMoments(self.NU, np.diag(1.0 + self.DELTA)),
+            GaussianMoments(np.zeros(4), np.eye(4)), s)
+        mapped = lyapunov_value_gaussian(
+            *self.laws(), WeightMatrixS(self.A @ s.matrix @ self.A.T))
+        assert mapped == pytest.approx(whitened, rel=1e-9, abs=0.0)
+
+
+def _default_audit(v):
+    """(pi, weights, moments) of the default audit run on the diagonal
+    quadratic potential with frequencies v: the main certificate's weight,
+    each default witness's weight, and the exact moments on the time grid."""
+    p = build_potential(PotentialConfig(v=tuple(v)))
+    fric, aud = FrictionConfig(), AuditConfig()
+    zero = np.zeros(p.dim)
+    dyn = kinetic_dynamics(p.hess(zero), build_friction(fric).gamma(p, zero))
+    coeffs = [coefficient_family(p.constants, fric.s, aud.x0)]
+    coeffs += [diag_quadratic_certificate(v, eps)[0]
+               for eps in CertificateConfig().eps_rates]
+    mean = np.concatenate([np.full(p.dim, aud.init_q_mean), np.zeros(p.dim)])
+    init = GaussianMoments(mean, aud.init_cov_scale * np.eye(2 * p.dim))
+    times = np.linspace(0.0, aud.t_max, aud.n_times)
+    return (stationary_moments(dyn),
+            [build_s(c, dyn.gamma_mat) for c in coeffs],
+            propagate(dyn, init, times))
+
+
+def _mp_chi2_and_l(rho, pi, weights, mp):
+    """chi2 and L for each weight, from the same float inputs, by completing
+    the square in the precision matrices: M = 2 A_rho - A_pi,
+    b = 2 A_rho mu_rho - A_pi mu_pi, the tilted law N(M^-1 b, M^-1) and
+    grad log h = (A_pi - A_rho) x + A_rho mu_rho - A_pi mu_pi.  Its O(1)
+    log-determinants cancel, harmlessly at 50 digits.  Both are +inf where
+    M is not positive definite."""
+    cov_r, cov_p = mp.matrix(rho.cov.tolist()), mp.matrix(pi.cov.tolist())
+    mu_r, mu_p = mp.matrix(rho.mean.tolist()), mp.matrix(pi.mean.tolist())
+    a_r, a_p = cov_r ** -1, cov_p ** -1
+    m = 2 * a_r - a_p
+    if min(mp.eigsy(m, eigvals_only=True)) <= 0:
+        return math.inf, [math.inf] * len(weights)
+    b = 2 * a_r * mu_r - a_p * mu_p
+    m_inv = m ** -1
+    expo = (b.T * m_inv * b)[0] / 2 - (mu_r.T * a_r * mu_r)[0] \
+        + (mu_p.T * a_p * mu_p)[0] / 2
+    ratio = mp.sqrt(mp.det(cov_p)) / mp.det(cov_r) / mp.sqrt(mp.det(m)) \
+        * mp.exp(expo)
+    w = a_p - a_r
+    g = w * (m_inv * b) + a_r * mu_r - a_p * mu_p
+    values = []
+    for weight in weights:
+        s = mp.matrix(weight.matrix.tolist())
+        quad = w * s * w
+        trace = mp.fsum(quad[i, j] * m_inv[j, i]
+                        for i in range(quad.rows) for j in range(quad.rows))
+        values.append(ratio - 1 + ratio * (trace + (g.T * s * g)[0]))
+    return ratio - 1, values
+
+
+@pytest.mark.parametrize("v", [[1.0], [1.0, 2.0, 3.0]], ids=["d1", "d3"])
+def test_default_audit_against_mpmath(v):
+    # the d = 1 trajectory is the default audit's; d = 3 swaps in the
+    # frequencies 1, 2, 3.  The same formula in floating point is up to
+    # 8.1e-9 (chi2) and 6.7e-9 (L) off here.
+    mpmath = pytest.importorskip("mpmath")
+    pi, weights, moments = _default_audit(v)
+    with mpmath.workdps(50):
+        for rho in moments:
+            chi2_mp, l_mp = _mp_chi2_and_l(rho, pi, weights, mpmath.mp)
+            values = [gaussian_chi2(rho, pi)] + [
+                lyapunov_value_gaussian(rho, pi, weight) for weight in weights]
+            for value, exact in zip(values, [chi2_mp] + l_mp):
+                if math.isinf(exact):
+                    assert value == math.inf
+                else:
+                    assert abs(value - exact) <= 1e-13 * exact
 
 
 class TestDecayAudit:

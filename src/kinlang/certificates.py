@@ -235,8 +235,9 @@ def optimal_coefficients(const: AssumptionConstants, x0: float) -> LyapunovCoeff
 @dataclass(frozen=True)
 class SweepEntry:
     """One cell of an optimize_m1 sweep; certificate is None if the (s, x0)
-    pair cannot form a positive definite S, and error and error_type then
-    hold the message and the class name of the exception."""
+    pair cannot form a positive definite S or its arithmetic overflows, and
+    error and error_type then hold the message and the class name of the
+    exception."""
 
     s: float
     x0: float
@@ -266,8 +267,8 @@ def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
         for x0 in x0_grid:
             try:
                 cert = certificate(const, coefficient_family(const, s, x0))
-            except (ValueError, DegenerateS, InvalidCoefficients,
-                    NonPositiveDenominator) as exc:
+            except (ValueError, OverflowError, DegenerateS,
+                    InvalidCoefficients, NonPositiveDenominator) as exc:
                 table.append(SweepEntry(s=s, x0=x0, certificate=None,
                                         error=str(exc),
                                         error_type=type(exc).__name__))

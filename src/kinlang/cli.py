@@ -254,13 +254,30 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
 # certify / compare
 
 
+def _family_certificate(const, s, x0, x0_name):
+    """The weight family's coefficients at (s, x0) and their certificate.
+
+    An x0 too small for s is an error in the field x0_name; a pair whose
+    certificate arithmetic overflows is an error in both fields.
+    """
+    try:
+        coeffs = coefficient_family(const, s, x0)
+        return coeffs, certificate(const, coeffs)
+    except ValueError as exc:
+        raise ConfigError(f"{x0_name}: {exc}")
+    except OverflowError:
+        raise ConfigError(f"friction.s, {x0_name}: the certificate arithmetic "
+                          f"overflows at s = {s!r}, x0 = {x0!r}")
+
+
 def cmd_certify(cfg: ExperimentConfig) -> dict:
     const = build_potential(cfg.potential).constants
     try:
         best, table = optimize_m1(const, cfg.certificate.s_grid,
                                   cfg.certificate.x0_grid)
     except ValueError as exc:
-        raise ConfigError(f"certificate.x0_grid: {exc}")
+        # feasibility depends on both grids
+        raise ConfigError(f"certificate.s_grid, certificate.x0_grid: {exc}")
     rows = []
     for entry in table:
         cert = entry.certificate
@@ -286,11 +303,8 @@ def cmd_certify(cfg: ExperimentConfig) -> dict:
 
 def cmd_compare(cfg: ExperimentConfig) -> dict:
     const = build_potential(cfg.potential).constants
-    try:
-        coeffs = coefficient_family(const, cfg.friction.s, cfg.certificate.x0)
-    except ValueError as exc:
-        raise ConfigError(f"certificate.x0: {exc}")
-    cert = certificate(const, coeffs)
+    _, cert = _family_certificate(const, cfg.friction.s, cfg.certificate.x0,
+                                  "certificate.x0")
     comparison = compare_to_constant_friction(const, cert,
                                               cfg.certificate.lambda_grid)
     return {"comparison.json": {"certificate": cert.as_dict(),
@@ -308,11 +322,8 @@ def cmd_audit(cfg: ExperimentConfig) -> dict:
     d = p.dim
 
     aud = cfg.audit
-    try:
-        coeffs = coefficient_family(const, cfg.friction.s, aud.x0)
-    except ValueError as exc:
-        raise ConfigError(f"audit.x0: {exc}")
-    cert = certificate(const, coeffs)
+    coeffs, cert = _family_certificate(const, cfg.friction.s, aud.x0,
+                                       "audit.x0")
     weight = build_s(coeffs, dyn.gamma_mat)
 
     mean = np.concatenate([np.full(d, aud.init_q_mean), np.zeros(d)])

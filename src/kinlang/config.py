@@ -42,6 +42,7 @@ from .potentials import (
     quadratic_diagonal,
     quadratic_general,
 )
+from .simulate import SEED_LIMIT
 
 __all__ = [
     "ExperimentConfig",
@@ -73,8 +74,9 @@ _FRICTIONS = {
 }
 
 
-def _check_lambda_grid(grid, name: str):
-    """Friction strengths are squared: each must be > 0 with a finite square."""
+def _check_squared_grid(grid, name: str):
+    """Friction strengths and scales are squared: each must be > 0 with a
+    finite square."""
     if not grid or not _finite_square(grid):
         raise ConfigError(
             f"{name}: must be nonempty with entries > 0 whose square is finite"
@@ -133,8 +135,9 @@ class FrictionConfig:
             raise ConfigError(
                 "friction.matrix: required for kind constant_matrix"
             )
-        if not self.s > 0:
-            raise ConfigError(f"friction.s: must be > 0, got {self.s}")
+        if not _finite_square(self.s):
+            raise ConfigError(
+                f"friction.s: must be > 0 with a finite square, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,9 @@ class SimulationConfig:
                     f"simulation.{name}: must be >= {least}, "
                     f"got {getattr(self, name)}"
                 )
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"simulation.seed: must be >= 0, got {self.seed}")
+        if self.seed is not None and not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(
+                f"simulation.seed: must be in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -173,13 +177,11 @@ class CertificateConfig:
     def __post_init__(self):
         if not self.x0 > 0:
             raise ConfigError(f"certificate.x0: must be > 0, got {self.x0}")
-        for name in ("s_grid", "x0_grid"):
-            grid = getattr(self, name)
-            if not grid or any(not v > 0 for v in grid):
-                raise ConfigError(
-                    f"certificate.{name}: must be nonempty with entries > 0"
-                )
-        _check_lambda_grid(self.lambda_grid, "certificate.lambda_grid")
+        _check_squared_grid(self.s_grid, "certificate.s_grid")
+        if not self.x0_grid or any(not v > 0 for v in self.x0_grid):
+            raise ConfigError(
+                "certificate.x0_grid: must be nonempty with entries > 0")
+        _check_squared_grid(self.lambda_grid, "certificate.lambda_grid")
         for e in self.eps_rates:
             if not 0.0 < e < 2.0:
                 raise ConfigError(
@@ -198,7 +200,7 @@ class OracleConfig:
     def __post_init__(self):
         if not self.w > 0:
             raise ConfigError(f"oracle.w: must be > 0, got {self.w}")
-        _check_lambda_grid(self.lambda_grid, "oracle.lambda_grid")
+        _check_squared_grid(self.lambda_grid, "oracle.lambda_grid")
         if self.n_times < 8:
             raise ConfigError(
                 f"oracle.n_times: need at least 8 points for a rate fit, "

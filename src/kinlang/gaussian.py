@@ -16,7 +16,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,10 +45,13 @@ __all__ = [
 @dataclass(frozen=True)
 class GaussianMoments:
     """Mean (2d,) and covariance (2d, 2d) of a phase-space Gaussian,
-    q-block first then p-block."""
+    q-block first then p-block.  ``eig`` is the covariance's one
+    ``np.linalg.eigh`` (ascending w, v), taken at construction; the PSD
+    slack rule, chi2, L and ensemble sampling all read it."""
 
     mean: np.ndarray
     cov: np.ndarray
+    eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).ravel()
@@ -60,13 +63,14 @@ class GaussianMoments:
         # LAPACK may give zeros, or fail, for a matrix with a NaN entry
         if not np.isfinite(cov).all():
             raise NotPositiveDefinite("covariance has a non-finite entry")
-        w = np.linalg.eigvalsh(cov)
+        w, v = np.linalg.eigh(cov)
         if w.size and not w[0] >= -1e-10 * max(1.0, abs(w[-1])):
             raise NotPositiveDefinite(
                 f"covariance has eigenvalue {w[0]:.6e} < 0 beyond tolerance"
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "eig", (w, v))
 
     @property
     def dim(self) -> int:
@@ -95,12 +99,18 @@ def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     gamma_mat = check_symmetric(gamma_mat, "gamma_mat")
     check_spd(np.linalg.eigvalsh(gamma_mat), "gamma_mat")
     check_spd(np.linalg.eigvalsh(a), "a")
+    return LinearDynamics(a=a, gamma_mat=gamma_mat, drift=_drift(a, gamma_mat))
+
+
+def _drift(a, g):
+    """The kinetic drift F = [[0, I], [-a, -g]] for d x d blocks a and g,
+    with no check on them."""
     d = a.shape[0]
     drift = np.zeros((2 * d, 2 * d))
     drift[:d, d:] = np.eye(d)
     drift[d:, :d] = -a
-    drift[d:, d:] = -gamma_mat
-    return LinearDynamics(a=a, gamma_mat=gamma_mat, drift=drift)
+    drift[d:, d:] = -g
+    return drift
 
 
 def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
@@ -173,10 +183,11 @@ def _whitened(rho: GaussianMoments, pi: GaussianMoments):
     finite exactly when every s_i < 2; otherwise chi2 is +inf and e None.
     Each term is O(d^2 + nu^2) near the target, so nothing cancels.
     Degenerate covariances and roundoff s_i <= 0 raise NotPositiveDefinite.
+    Both laws come with their ``eig``, so the one ``eigh`` here is
+    W cov_rho W's, and a target built once per trajectory is factored once.
     """
-    check_spd(np.linalg.eigvalsh(rho.cov), "rho covariance",
-              rtol=1e-12, atol=1e-12)
-    p, v = np.linalg.eigh(pi.cov)
+    check_spd(rho.eig[0], "rho covariance", rtol=1e-12, atol=1e-12)
+    p, v = pi.eig
     check_spd(p, "pi covariance", rtol=1e-12, atol=1e-12)
     w = from_eig(v, 1.0 / np.sqrt(p))
     s, u = np.linalg.eigh(w @ rho.cov @ w)

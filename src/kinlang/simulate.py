@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, NotSymmetric, NumericalBlowup
 from .friction import FrictionSpec
-from .gaussian import GaussianMoments, gaussian_chi2
+from .gaussian import GaussianMoments, _drift, gaussian_chi2
 from .potentials import Potential
 
 __all__ = [
@@ -58,6 +58,9 @@ PREFETCH_MIN_ELEMENTS = 1 << 13
 #: pays the hand-off once per batch and from this size on it is per step
 PREFETCH_BATCH_ELEMENTS = 1 << 17
 
+#: seeds are one 64-bit Philox key word: 0 <= seed < SEED_LIMIT
+SEED_LIMIT = 1 << 64
+
 #: counter-domain words keeping the init-sampling stream disjoint from the
 #: per-step dynamics streams
 _DOMAIN_INIT = 0
@@ -72,9 +75,10 @@ def philox_normals(seed: int, step_index: int, shape, domain: int = _DOMAIN_STEP
     contract.  Exposed publicly so tests can rebuild or aggregate the exact
     increments a run consumed.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    bitgen = np.random.Philox(counter=[0, 0, step_index, domain], key=[seed, 0])
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    bitgen = np.random.Philox(counter=[0, 0, step_index, domain],
+                              key=np.array([seed, 0], dtype=np.uint64))
     return np.random.Generator(bitgen).standard_normal(shape)
 
 
@@ -160,8 +164,8 @@ class SimConfig:
             raise ValueError("n_steps must be >= 0")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ def ensemble_from_moments(moments: GaussianMoments, n: int, seed: int, dt: float
     """Particles drawn from a phase-space Gaussian, from the init stream."""
     d = moments.dim
     z = philox_normals(seed, 0, (n, 2 * d), domain=_DOMAIN_INIT)
-    w, u = np.linalg.eigh(moments.cov)
+    w, u = moments.eig
     root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
     x = moments.mean + z @ root.T
     return Ensemble(
@@ -267,15 +271,13 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 
     On a quadratic potential with constant friction the mean of the EM chain
     is m_{k+1} = (I + dt F) m_k exactly, so this is the exact criterion there.
-    F = [[0, I], [-Hess V, -Gamma]] is assembled here, with no SPD rule, so
-    an ill-conditioned Hessian or friction gets a verdict rather than an
-    error, as it does from step.
+    F = [[0, I], [-Hess V, -Gamma]] is assembled with no SPD rule, so an
+    ill-conditioned Hessian or friction gets a verdict rather than an error,
+    as it does from step.
     """
     q_bar = ensemble.positions.mean(axis=0)
-    d = ensemble.dim
-    drift = np.block([[np.zeros((d, d)), np.eye(d)],
-                      [-p.hess(q_bar), -spec.gamma(p, q_bar)]])
-    b = np.eye(2 * d) + cfg.dt * drift
+    drift = _drift(p.hess(q_bar), spec.gamma(p, q_bar))
+    b = np.eye(len(drift)) + cfg.dt * drift
     rho = float(np.max(np.abs(np.linalg.eigvals(b))))
     if rho >= 1.0:
         warnings.warn(

@@ -296,6 +296,13 @@ class TestOptimizeM1:
         assert table[1].certificate is not None
         assert best is table[1].certificate
 
+    def test_overflowing_cells_recorded(self):
+        # s^-5 overflows at s = 1e-100, a^2 at x0 = 1e300
+        best, table = optimize_m1(UNIT, [1e-100, 2.0], [1e300, 10.0])
+        assert [e.error_type for e in table] == [
+            "OverflowError", "OverflowError", "OverflowError", None]
+        assert best is table[3].certificate
+
     def test_empty_and_all_infeasible(self):
         with pytest.raises(ValueError):
             optimize_m1(UNIT, [], [1.0])

@@ -216,6 +216,17 @@ class TestConfigParsing:
             assert err.startswith(f"config error: {message}"), err
             assert not (tmp_path / "x").exists()
 
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        # a seed is one 64-bit Philox key word, from --seed or the file
+        too_big = 2 ** 64
+        cfg = write_config(tmp_path, {"simulation": {"seed": too_big}})
+        for args in (["--seed", str(too_big)], ["--config", cfg]):
+            out = tmp_path / "x"
+            assert main(["simulate", *args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: simulation.seed: "), err
+            assert not out.exists()
+
     def test_sections_check_ranges_when_built_directly(self):
         with pytest.raises(ConfigError, match=r"potential\.family"):
             PotentialConfig(family="bogus")
@@ -564,6 +575,18 @@ class TestCertify:
             rows = fh.read().splitlines()[1:]
         assert sum(1 for r in rows if r.split(",")[-1]) == 2
 
+    def test_overflowing_cell_is_infeasible(self, tmp_path):
+        # s^-5 overflows at s = 1e-100; the sweep goes on past that row
+        cfg = write_config(tmp_path, {
+            "kind": "certify",
+            "certificate": {"s_grid": [1e-100, 2.0], "x0_grid": [10.0]},
+        })
+        out = str(tmp_path / "cert")
+        assert main(["certify", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "certificate.json")
+        assert report["infeasible_cells"] == {"OverflowError": 1}
+        assert report["certificate"]["coefficients"]["s"] == 2.0
+
 
 class TestCompare:
     def test_reference_comparison(self, tmp_path):
@@ -714,7 +737,7 @@ CONFIG_ERRORS = [
     ("audit", {"audit": {"x0": 0.1}}, "audit.x0"),
     ("simulate", {"simulation": {"init_q": [1.0, 2.0]}}, "simulation.init_q"),
     ("certify", {"certificate": {"s_grid": [1.0], "x0_grid": [0.1]}},
-     "certificate.x0_grid"),
+     "certificate.s_grid, certificate.x0_grid"),
     ("audit", {"potential": {"family": "perturbed_diagonal", "v": [1.0],
                              "eps": 0.1}}, "potential.family"),
     # friction strengths whose square overflows
@@ -743,6 +766,17 @@ CONFIG_ERRORS = [
     ("oracle-ou", {"oracle": {"w": 1e-100, "lambda_grid": [1e150]}},
      "oracle.w"),
     ("oracle-ou", {"oracle": {"w": 1e-200}}, "oracle.w"),
+    # certificate arithmetic that overflows: s^2 is checked with the
+    # config, s^-5 and a^2 when the certificate is taken
+    ("compare", {"friction": {"s": 1e160}}, "friction.s"),
+    ("audit", {"friction": {"s": 1e300}}, "friction.s"),
+    ("compare", {"friction": {"s": 1e-100}}, "friction.s, certificate.x0"),
+    ("audit", {"friction": {"s": 1e-100}}, "friction.s, audit.x0"),
+    ("certify", {"certificate": {"s_grid": [1e300]}}, "certificate.s_grid"),
+    ("certify", {"certificate": {"s_grid": [1e-100]}},
+     "certificate.s_grid, certificate.x0_grid"),
+    ("compare", {"certificate": {"x0": 1e300}}, "friction.s, certificate.x0"),
+    ("audit", {"audit": {"x0": 1e300}}, "friction.s, audit.x0"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,22 @@ CRITICAL_GENERIC_INIT_FIT = 1.747335
 
 def oscillator(w=1.0, lam=2.0):
     return kinetic_dynamics(np.array([[w**2]]), np.array([[lam]]))
+
+
+class TestGaussianMoments:
+    def test_eig_is_the_covariance_eigh(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        w, v = GaussianMoments(np.zeros(2), cov).eig
+        ref_w, ref_v = np.linalg.eigh(cov)
+        assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+
+    def test_replace_recomputes_eig(self):
+        base = GaussianMoments(np.zeros(2), np.eye(2))
+        moved = dataclasses.replace(base, cov=np.diag([3.0, 2.0]))
+        assert np.array_equal(moved.eig[0], [2.0, 3.0])
+        assert np.array_equal(base.eig[0], [1.0, 1.0])
+        with pytest.raises(NotPositiveDefinite):
+            dataclasses.replace(base, cov=np.diag([1.0, -1.0]))
 
 
 class TestKineticDynamics:
@@ -300,7 +317,8 @@ class TestGaussianChi2:
 
     def test_whitened_rho_covariance_checked(self, monkeypatch):
         # a whitened eigenvalue s <= 0 with s_max < 2 (roundoff) must raise,
-        # not give log1p(-1) or NaN; the second eigh is the whitened one
+        # not give log1p(-1) or NaN; both laws carry their eig, so the only
+        # eigh is the whitened one
         rho = GaussianMoments(np.zeros(2), np.eye(2))
         real_eigh = np.linalg.eigh
         calls = []
@@ -308,7 +326,7 @@ class TestGaussianChi2:
         def eigh(m):
             w, u = real_eigh(m)
             calls.append(m)
-            if len(calls) == 2:
+            if len(calls) == 1:
                 w = np.array([-1e-17, w[-1]])
             return w, u
 
@@ -316,7 +334,33 @@ class TestGaussianChi2:
         with pytest.raises(NotPositiveDefinite,
                            match="^whitened rho covariance"):
             gaussian_chi2(rho, rho)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", [
+        gaussian_chi2,
+        lambda rho, pi: lyapunov_value_gaussian(rho, pi,
+                                                WeightMatrixS(np.eye(4))),
+    ], ids=["chi2", "lyapunov"])
+    def test_one_decomposition_per_point(self, monkeypatch, value):
+        # laws built beforehand carry their eig: only the whitened W cov W
+        # is decomposed
+        dyn = kinetic_dynamics(np.diag([1.0, 4.0]), np.diag([2.0, 4.0]))
+        pi = stationary_moments(dyn)
+        rho = propagate(dyn, GaussianMoments(np.ones(4), 0.5 * np.eye(4)), 1.0)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(m):
+                calls[name] += 1
+                return real(m)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        assert math.isfinite(value(rho, pi))
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_zero_iff_equal(self):
         base = GaussianMoments(np.zeros(2), np.eye(2))

@@ -70,6 +70,23 @@ class TestPhiloxStream:
         with pytest.raises(ValueError):
             philox_normals(-1, 0, (2, 2))
 
+    def test_seed_is_one_64_bit_key_word(self):
+        # above 2^63 a list key became float64: 2^63 and 2^63 + 1 drew the
+        # same noise, 2^64 - 1 warned on the cast and 2^64 overflowed
+        top = 2 ** 63
+        assert not np.array_equal(philox_normals(top, 0, (4,)),
+                                  philox_normals(top + 1, 0, (4,)))
+        philox_normals(2 ** 64 - 1, 0, (4,))
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            philox_normals(2 ** 64, 0, (4,))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
+    def test_draws_below_2_63_unchanged(self, seed):
+        # the stream a list key [seed, 0] gives below 2^63
+        legacy = np.random.Generator(np.random.Philox(
+            counter=[0, 0, 3, 1], key=[seed, 0])).standard_normal((5, 2))
+        assert np.array_equal(philox_normals(seed, 3, (5, 2)), legacy)
+
 
 class TestEnsembleConstruction:
     def test_at_point_tiles(self):
@@ -98,6 +115,21 @@ class TestEnsembleConstruction:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.momenta, b.momenta)
 
+    def test_from_moments_reads_eig(self, monkeypatch):
+        # the moments carry their eigh; sampling decomposes nothing again
+        mom = GaussianMoments(mean=np.zeros(2),
+                              cov=np.array([[2.0, 0.5], [0.5, 1.0]]))
+        ref = ensemble_from_moments(mom, 50, seed=9, dt=0.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed again")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        e = ensemble_from_moments(mom, 50, seed=9, dt=0.1)
+        assert np.array_equal(e.positions, ref.positions)
+        assert np.array_equal(e.momenta, ref.momenta)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Ensemble(positions=np.zeros((3, 2)), momenta=np.zeros((3, 1)),
@@ -116,6 +148,11 @@ class TestSimConfigValidation:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.0, n_steps=1, n_particles=1, seed=0)
+
+    def test_seed_below_2_64(self):
+        SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=2 ** 64 - 1)
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=2 ** 64)
 
 
 class TestStepFormula:

@@ -232,12 +232,17 @@ def optimal_coefficients(const: AssumptionConstants, x0: float) -> LyapunovCoeff
     return coefficient_family(const, 2.0, x0)
 
 
+def _overflow_message(s, x0) -> str:
+    """What an (s, x0) cell whose certificate arithmetic overflows reports."""
+    return f"the certificate arithmetic overflows at s = {s!r}, x0 = {x0!r}"
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     """One cell of an optimize_m1 sweep; certificate is None if the (s, x0)
     pair cannot form a positive definite S or its arithmetic overflows, and
     error and error_type then hold the message and the class name of the
-    exception."""
+    exception; an overflow's message names the cell's s and x0."""
 
     s: float
     x0: float
@@ -269,8 +274,10 @@ def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
                 cert = certificate(const, coefficient_family(const, s, x0))
             except (ValueError, OverflowError, DegenerateS,
                     InvalidCoefficients, NonPositiveDenominator) as exc:
+                error = (_overflow_message(s, x0)
+                         if isinstance(exc, OverflowError) else str(exc))
                 table.append(SweepEntry(s=s, x0=x0, certificate=None,
-                                        error=str(exc),
+                                        error=error,
                                         error_type=type(exc).__name__))
                 continue
             table.append(SweepEntry(s=s, x0=x0, certificate=cert))

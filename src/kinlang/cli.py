@@ -38,6 +38,7 @@ from collections import Counter
 import numpy as np
 
 from .certificates import (
+    _overflow_message,
     certificate,
     coefficient_family,
     compare_to_constant_friction,
@@ -61,7 +62,6 @@ from .gaussian import (
     kinetic_dynamics,
     ou_rate_closed_form,
     propagate,
-    stationary_moments,
 )
 from .lyapunov import build_s, decay_audit
 from .simulate import (
@@ -104,7 +104,7 @@ def _ou_case(w, kind, lam, s, gamma, closed, n_times):
     else:
         label = f"hessian_sqrt(s={s:g})"
     dyn = kinetic_dynamics([[w * w]], [[gamma]])
-    pi = stationary_moments(dyn)
+    pi = dyn.stationary
     init = GaussianMoments(mean=[3.0, -3.0 * w], cov=np.eye(2))
     times = np.linspace(10.0 / closed, 20.0 / closed, n_times)
     chi2s = [gaussian_chi2(m, pi) for m in propagate(dyn, init, times)]
@@ -210,7 +210,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
                        n_particles=sim.n_particles, seed=sim.seed)
     dyn = _linear_dynamics(p, spec)
     points = run(ens0, p, spec, simcfg, record_every=sim.record_every)
-    points = attach_chi2_proxies(points, stationary_moments(dyn))
+    points = attach_chi2_proxies(points, dyn.stationary)
 
     final = points[-1]
     body = {
@@ -266,8 +266,7 @@ def _family_certificate(const, s, x0, x0_name):
     except ValueError as exc:
         raise ConfigError(f"{x0_name}: {exc}")
     except OverflowError:
-        raise ConfigError(f"friction.s, {x0_name}: the certificate arithmetic "
-                          f"overflows at s = {s!r}, x0 = {x0!r}")
+        raise ConfigError(f"friction.s, {x0_name}: {_overflow_message(s, x0)}")
 
 
 def cmd_certify(cfg: ExperimentConfig) -> dict:

@@ -80,12 +80,15 @@ class GaussianMoments:
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """Kinetic drift of the linear SDE; build via kinetic_dynamics(), which
-    ties the noise to sqrt(2 gamma_mat)."""
+    """Kinetic drift of the linear SDE and its Gibbs law; build via
+    kinetic_dynamics(), which ties the noise to sqrt(2 gamma_mat) and builds
+    the law once, so ``propagate``, chi2 and the Lyapunov audit read one
+    factored target per dynamics."""
 
     a: np.ndarray        # Hessian of the quadratic potential, SPD (d, d)
     gamma_mat: np.ndarray  # friction matrix, SPD (d, d)
     drift: np.ndarray    # F = [[0, I], [-A, -G]], (2d, 2d)
+    stationary: GaussianMoments  # Gibbs law N(0, blockdiag(A^{-1}, I))
 
     @property
     def dim(self) -> int:
@@ -94,12 +97,21 @@ class LinearDynamics:
 
 def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     """Assemble the phase-space drift for Hessian a and friction gamma_mat
-    (both SPD d x d); the noise is sqrt(2 gamma_mat) on the momenta."""
+    (both SPD d x d) and its Gibbs law; the noise is sqrt(2 gamma_mat) on
+    the momenta.  The one SPD rule on a and A^{-1} = u diag(1/w) u' read the
+    same ``eigh`` of a."""
     a = check_symmetric(a, "a")
     gamma_mat = check_symmetric(gamma_mat, "gamma_mat")
     check_spd(np.linalg.eigvalsh(gamma_mat), "gamma_mat")
-    check_spd(np.linalg.eigvalsh(a), "a")
-    return LinearDynamics(a=a, gamma_mat=gamma_mat, drift=_drift(a, gamma_mat))
+    w, u = np.linalg.eigh(a)
+    check_spd(w, "a")
+    d = a.shape[0]
+    cov = np.zeros((2 * d, 2 * d))
+    cov[:d, :d] = from_eig(u, 1.0 / w)
+    cov[d:, d:] = np.eye(d)
+    return LinearDynamics(
+        a=a, gamma_mat=gamma_mat, drift=_drift(a, gamma_mat),
+        stationary=GaussianMoments(mean=np.zeros(2 * d), cov=cov))
 
 
 def _drift(a, g):
@@ -119,7 +131,8 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
     mean(t) = e^{Ft} mean(0);
     cov(t)  = e^{Ft} cov(0) e^{F't} + (C_inf - e^{Ft} C_inf e^{F't}),
 
-    with C_inf = blockdiag(A^{-1}, I) the stationary covariance.  The
+    with C_inf = blockdiag(A^{-1}, I) the covariance of ``dyn.stationary``,
+    which kinetic_dynamics built, so nothing here inverts A.  The
     bracket is the noise integral over [0, t] exactly: C_inf solves
     F C + C F' + sigma sigma' = 0 because kinetic_dynamics ties the noise to
     sigma sigma' = blockdiag(0, 2G), so d/ds (e^{Fs} C_inf e^{F's}) is
@@ -151,7 +164,7 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
         eft = expm(dyn.drift, times[moving])
         eft_t = eft.swapaxes(-1, -2)
         mean = eft @ init.mean
-        cov_inf = stationary_moments(dyn).cov
+        cov_inf = dyn.stationary.cov
         cov = eft @ init.cov @ eft_t + (cov_inf - eft @ cov_inf @ eft_t)
         cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         for k, i in enumerate(moving.tolist()):
@@ -160,13 +173,9 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
 
 
 def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
-    """Gibbs moments of the quadratic system: mean 0, cov blockdiag(A^{-1}, I)."""
-    d = dyn.dim
-    check_spd(np.linalg.eigvalsh(dyn.a), "A", rtol=0.0)
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = np.linalg.inv(dyn.a)
-    cov[d:, d:] = np.eye(d)
-    return GaussianMoments(mean=np.zeros(2 * d), cov=cov)
+    """Gibbs moments of the quadratic system, mean 0 and cov
+    blockdiag(A^{-1}, I): the law kinetic_dynamics built, ``dyn.stationary``."""
+    return dyn.stationary
 
 
 def _whitened(rho: GaussianMoments, pi: GaussianMoments):
@@ -184,7 +193,7 @@ def _whitened(rho: GaussianMoments, pi: GaussianMoments):
     Each term is O(d^2 + nu^2) near the target, so nothing cancels.
     Degenerate covariances and roundoff s_i <= 0 raise NotPositiveDefinite.
     Both laws come with their ``eig``, so the one ``eigh`` here is
-    W cov_rho W's, and a target built once per trajectory is factored once.
+    W cov_rho W's, and the Gibbs law built once per dynamics is factored once.
     """
     check_spd(rho.eig[0], "rho covariance", rtol=1e-12, atol=1e-12)
     p, v = pi.eig

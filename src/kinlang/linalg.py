@@ -15,12 +15,13 @@ matrices -- funnels through these few routines:
 max(rtol * max|w|, atol).  The package uses three settings of it:
 
   * rtol = 1e-10, atol = 0 (the default): the square root and its
-    derivative, ``kinetic_dynamics``, ``quadratic_general`` and
+    derivative, ``kinetic_dynamics`` (its friction, and the one rule on the
+    Hessian A whose inverse its Gibbs law holds), ``quadratic_general`` and
     ``gaussian_quadratic_expectation``
   * rtol = atol = 1e-12, i.e. 1e-12 * max(1, max|w|): the two covariances
     of the chi-square divergence
   * rtol = atol = 0, plain positivity: ``constant_matrix``, ``build_s``'s
-    friction and weight, ``stationary_moments`` and chi2's whitened rho
+    friction and weight, and chi2's whitened rho
 
 ``GaussianMoments`` keeps its own check: it admits positive semidefinite
 covariances (point initial conditions) within a slack.

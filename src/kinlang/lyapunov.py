@@ -23,14 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateS
-from .gaussian import (
-    GaussianMoments,
-    LinearDynamics,
-    _whitened,
-    propagate,
-    stationary_moments,
-)
-from .linalg import check_spd, check_symmetric
+from .gaussian import GaussianMoments, LinearDynamics, _whitened, propagate
+from .linalg import check_spd, check_symmetric, from_eig
 
 __all__ = [
     "WeightMatrixS",
@@ -55,18 +49,18 @@ def build_s(coeffs, gamma_matrix) -> WeightMatrixS:
     """Assemble S = [[b G^-2, a G^-1], [a G^-1, c I]] for a constant friction G.
 
     coeffs is anything exposing a, b, c with b c - a^2 > 0 (a balanced
-    coefficient triple or a diagonal-quadratic witness).
+    coefficient triple or a diagonal-quadratic witness).  G^-1 and G^-2 come
+    from the one ``eigh`` of G that its positivity rule reads.
     """
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     if b * c - a ** 2 <= 0:
         raise DegenerateS(f"b*c - a^2 = {b * c - a ** 2:.6g} <= 0")
     g = check_symmetric(np.asarray(gamma_matrix, dtype=float), "gamma_matrix")
-    check_spd(np.linalg.eigvalsh(g), "gamma_matrix", rtol=0.0)
+    w, u = np.linalg.eigh(g)
+    check_spd(w, "gamma_matrix", rtol=0.0)
     d = g.shape[0]
-    g_inv = np.linalg.inv(g)
-    g_inv = 0.5 * (g_inv + g_inv.T)
-    top_left = b * (g_inv @ g_inv)
-    off = a * g_inv
+    top_left = b * from_eig(u, (1.0 / w) ** 2)
+    off = a * from_eig(u, 1.0 / w)
     bottom = c * np.eye(d)
     matrix = np.block([[top_left, off], [off.T, bottom]])
     matrix = 0.5 * (matrix + matrix.T)
@@ -131,7 +125,7 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
     if ts[0] < 0:
         raise ValueError("times must be nonnegative")
 
-    pi = stationary_moments(dyn)
+    pi = dyn.stationary
     values = [lyapunov_value_gaussian(m, pi, s)
               for m in propagate(dyn, init, np.asarray(ts))]
     divergent = [math.isinf(v) for v in values]

@@ -17,6 +17,7 @@ control dt explicitly.
 
 from __future__ import annotations
 
+import csv
 import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -372,7 +373,8 @@ def attach_chi2_proxies(points, target: GaussianMoments):
 
 def write_csv(path, header, rows):
     """UTF-8 CSV, '.' decimal separator, repr floats, fixed row order; None
-    is an empty cell and a bool is true/false."""
+    is an empty cell and a bool is true/false.  A cell holding a comma, a
+    quote or a line break is quoted, so every row has the header's width."""
     def cell(x):
         if x is None:
             return ""
@@ -382,10 +384,10 @@ def write_csv(path, header, rows):
             return repr(float(x))
         return str(x)
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(x) for x in row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([cell(x) for x in row] for row in rows)
 
 
 def write_trajectory_csv(points, path, dim: int):

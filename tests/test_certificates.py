@@ -303,6 +303,11 @@ class TestOptimizeM1:
             "OverflowError", "OverflowError", "OverflowError", None]
         assert best is table[3].certificate
 
+    def test_overflowing_cell_names_s_and_x0(self):
+        _, table = optimize_m1(UNIT, [1e-100, 2.0], [10.0])
+        assert table[0].error == ("the certificate arithmetic overflows at "
+                                  "s = 1e-100, x0 = 10.0")
+
     def test_empty_and_all_infeasible(self):
         with pytest.raises(ValueError):
             optimize_m1(UNIT, [], [1.0])

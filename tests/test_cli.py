@@ -1,5 +1,6 @@
 """Command-line harness: config validation, artifacts, determinism, exits."""
 
+import csv
 import hashlib
 import json
 import math
@@ -56,6 +57,13 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not a JSON number")
+
+
+def read_csv(out_dir, name):
+    """A CSV artifact's rows, header first, as csv.reader parses them."""
+    with open(os.path.join(out_dir, name), encoding="utf-8",
+              newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def read_json(out_dir, name):
@@ -570,10 +578,8 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", out]) == 0
         report = read_json(out, "certificate.json")
         assert report["infeasible_cells"] == {"ValueError": 2}
-        with open(os.path.join(out, "optimizer_table.csv"),
-                  encoding="utf-8") as fh:
-            rows = fh.read().splitlines()[1:]
-        assert sum(1 for r in rows if r.split(",")[-1]) == 2
+        rows = read_csv(out, "optimizer_table.csv")[1:]
+        assert sum(1 for r in rows if r[-1]) == 2
 
     def test_overflowing_cell_is_infeasible(self, tmp_path):
         # s^-5 overflows at s = 1e-100; the sweep goes on past that row
@@ -586,6 +592,24 @@ class TestCertify:
         report = read_json(out, "certificate.json")
         assert report["infeasible_cells"] == {"OverflowError": 1}
         assert report["certificate"]["coefficients"]["s"] == 2.0
+
+
+    def test_rows_keep_header_width(self, tmp_path):
+        # both infeasible kinds of cell have an error message with a comma
+        cfg = write_config(tmp_path, {
+            "kind": "certify",
+            "certificate": {"s_grid": [1e-100, 2.0], "x0_grid": [0.5, 10.0]},
+        })
+        out = str(tmp_path / "cert")
+        assert main(["certify", "--config", cfg, "--out", out]) == 0
+        header, *rows = read_csv(out, "optimizer_table.csv")
+        assert [len(r) for r in rows] == [len(header)] * 4
+        overflow = "the certificate arithmetic overflows at s = 1e-100, x0 = "
+        assert [r[-1] for r in rows] == [
+            overflow + "0.5", overflow + "10.0",
+            "x0 must exceed 0.707107 for s = 2 to keep S positive definite, "
+            "got 0.5",
+            ""]
 
 
 class TestCompare:
@@ -657,6 +681,19 @@ class TestAudit:
         for entry in report["witness_sweep"]:
             assert entry["audit"]["all_passed"] is True
         assert report["all_passed"] is True
+
+    def test_default_audit_inverts_nothing(self, tmp_path, monkeypatch):
+        # A^-1 and G^-1 come from the eigh that checks each matrix
+        real_inv = np.linalg.inv
+        calls = []
+
+        def inv(m):
+            calls.append(m)
+            return real_inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        assert main(["audit", "--out", str(tmp_path / "audit")]) == 0
+        assert calls == []
 
     def test_three_dimensional_audit(self, tmp_path):
         cfg = write_config(tmp_path, {

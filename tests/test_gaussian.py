@@ -22,7 +22,11 @@ from kinlang.gaussian import (
     stationary_moments,
 )
 from kinlang.linalg import expm
-from kinlang.lyapunov import WeightMatrixS, lyapunov_value_gaussian
+from kinlang.lyapunov import (
+    WeightMatrixS,
+    decay_audit,
+    lyapunov_value_gaussian,
+)
 
 # frozen: least-squares slope of log((1+t^2) e^{-2t}) over [20, 40];
 # the t^2 prefactor biases it below 2 by ~0.068 (within the 2/t <= 0.1
@@ -37,6 +41,24 @@ CRITICAL_GENERIC_INIT_FIT = 1.747335
 
 def oscillator(w=1.0, lam=2.0):
     return kinetic_dynamics(np.array([[w**2]]), np.array([[lam]]))
+
+
+def count_calls(monkeypatch, *names):
+    """{name: 0} for the named np.linalg routines, counting their calls from
+    here on."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
 
 
 class TestGaussianMoments:
@@ -232,6 +254,18 @@ class TestStationaryMoments:
         pi = stationary_moments(kinetic_dynamics(np.eye(2), 2 * np.eye(2)))
         assert np.allclose(pi.cov, np.eye(4), atol=1e-14)
 
+    def test_built_once_per_dynamics(self, monkeypatch):
+        # kinetic_dynamics builds and factors the Gibbs law; propagating and
+        # auditing read it, and neither inverts nor re-checks A
+        dyn = kinetic_dynamics(np.diag([1.0, 4.0]), np.diag([2.0, 4.0]))
+        assert stationary_moments(dyn) is dyn.stationary
+        init = GaussianMoments(np.ones(4), 0.5 * np.eye(4))
+        times = np.linspace(0.0, 1.0, 5)
+        calls = count_calls(monkeypatch, "inv", "eigvalsh")
+        propagate(dyn, init, times)
+        decay_audit(dyn, init, WeightMatrixS(np.eye(4)), 0.1, times)
+        assert calls == {"inv": 0, "eigvalsh": 0}
+
     def test_invariance_under_propagation(self):
         for lam in (1.0, 2.0, 3.0):
             dyn = oscillator(1.0, lam)
@@ -347,18 +381,7 @@ class TestGaussianChi2:
         dyn = kinetic_dynamics(np.diag([1.0, 4.0]), np.diag([2.0, 4.0]))
         pi = stationary_moments(dyn)
         rho = propagate(dyn, GaussianMoments(np.ones(4), 0.5 * np.eye(4)), 1.0)
-        calls = {"eigh": 0, "eigvalsh": 0}
-
-        def counted(name):
-            real = getattr(np.linalg, name)
-
-            def call(m):
-                calls[name] += 1
-                return real(m)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        calls = count_calls(monkeypatch, "eigh", "eigvalsh")
         assert math.isfinite(value(rho, pi))
         assert calls == {"eigh": 1, "eigvalsh": 0}
 

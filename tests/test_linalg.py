@@ -5,13 +5,7 @@ import pytest
 
 from kinlang.errors import NotPositiveDefinite, NotSymmetric
 from kinlang.friction import constant_matrix
-from kinlang.gaussian import (
-    GaussianMoments,
-    LinearDynamics,
-    gaussian_chi2,
-    kinetic_dynamics,
-    stationary_moments,
-)
+from kinlang.gaussian import GaussianMoments, gaussian_chi2, kinetic_dynamics
 from kinlang.linalg import (
     check_spd,
     check_symmetric,
@@ -318,13 +312,6 @@ def _build_s(g):
     return build_s(SimpleNamespace(a=0.0, b=1.0, c=1.0), g)
 
 
-def _stationary(a):
-    # kinetic_dynamics rejects such an `a` first; only a hand-built
-    # LinearDynamics reaches stationary_moments' own check
-    return stationary_moments(
-        LinearDynamics(a=a, gamma_mat=None, drift=None))
-
-
 #: (site, call, matrix accepted, matrix rejected).  Each pair brackets the
 #: site's rule on the smallest eigenvalue: above 1e-10 * max|w| for the square
 #: root and its users; above 1e-12 * max(1, max|w|) for the chi2 covariances
@@ -358,8 +345,6 @@ SPD_RULE_SITES = [
     # G = 1e150 gives the S eigenvalue 1e-300; at 1e200, 1e-400 underflows to 0
     ("build_s.matrix", _build_s,
      np.diag([4.0, 1e150]), np.diag([4.0, 1e200])),
-    ("stationary_moments", _stationary,
-     np.diag([4.0, 1e-100]), np.diag([4.0, 0.0])),
 ]
 
 

@@ -37,6 +37,7 @@ from .friction import FrictionSpec, constant_matrix, constant_scalar, hessian_sq
 from .gaussian import (
     GaussianMoments,
     LinearDynamics,
+    chi2_along,
     diagonal_system_rate,
     fit_decay_rate,
     gaussian_chi2,
@@ -97,6 +98,7 @@ __all__ = [
     "coefficient_family",
     "compare_to_constant_friction",
     "constant_matrix",
+    "chi2_along",
     "constant_scalar",
     "decay_audit",
     "diag_quadratic_certificate",

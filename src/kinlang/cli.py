@@ -56,9 +56,9 @@ from .errors import ConfigError, KinlangError, WitnessNotFound
 from .friction import constant_scalar, hessian_sqrt
 from .gaussian import (
     GaussianMoments,
+    chi2_along,
     diagonal_system_rate,
     fit_decay_rate,
-    gaussian_chi2,
     kinetic_dynamics,
     ou_rate_closed_form,
     propagate,
@@ -104,10 +104,9 @@ def _ou_case(w, kind, lam, s, gamma, closed, n_times):
     else:
         label = f"hessian_sqrt(s={s:g})"
     dyn = kinetic_dynamics([[w * w]], [[gamma]])
-    pi = dyn.stationary
     init = GaussianMoments(mean=[3.0, -3.0 * w], cov=np.eye(2))
     times = np.linspace(10.0 / closed, 20.0 / closed, n_times)
-    chi2s = [gaussian_chi2(m, pi) for m in propagate(dyn, init, times)]
+    chi2s = chi2_along(dyn, init, times).tolist()
     fitted = fit_decay_rate(times, chi2s, tail_fraction=1.0)
     rows = [(w, label, lam, t, c) for t, c in zip(times, chi2s)]
     summary = {

@@ -18,7 +18,8 @@ over (N, d) positions, returning either
   * matrix stacks: (1, d, d) for any other constant Gamma, or (N, d, d)
     from one batched eigendecomposition of the per-particle Hessians.
 
-Constant forms are computed when resolving, not on every step.
+Constant forms are computed when resolving, not on every step, and the
+diagonal field can write into the caller's buffer.
 """
 
 from __future__ import annotations
@@ -59,16 +60,21 @@ class FrictionSpec:
         """sqrt(2 Gamma(q))."""
         return spd_sqrt(2.0 * self.gamma(p, q))
 
-    def gamma_diag(self, p: Potential, positions) -> np.ndarray:
+    def gamma_diag(self, p: Potential, positions, out=None) -> np.ndarray:
         """Diagonal entries of hessian_sqrt Gamma at each row of positions,
-        shape (..., d); needs the potential's hess_diag field."""
-        return self.s * np.sqrt(p.hess_diag(np.asarray(positions, dtype=float)))
+        shape (..., d), written to out when given; needs the potential's
+        hess_diag field."""
+        g = np.sqrt(p.hess_diag(np.asarray(positions, dtype=float)), out=out)
+        return np.multiply(g, self.s, out=g)
 
     # -- the simulator's friction form ---------------------------------------
 
     def resolve(self, p: Potential):
-        """q -> (Gamma, diffusion) over (N, d) positions, in the shapes the
-        module docstring lists."""
+        """(q, out=None) -> (Gamma, diffusion) over (N, d) positions, in the
+        shapes the module docstring lists.  The diagonal field writes the
+        pair into out, a (2, N, d) array, when one is given, so a caller
+        that steps many times allocates it once; the other forms ignore
+        it."""
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))
             diag = np.diagonal(g)
@@ -76,14 +82,16 @@ class FrictionSpec:
                 const = (diag, np.sqrt(2.0 * diag))
             else:
                 const = (g[None], spd_sqrt(2.0 * g)[None])
-            return lambda q: const
+            return lambda q, out=None: const
         if p.hess_diag is not None:
-            def diagonal_field(q):
-                g = self.gamma_diag(p, q)
-                return g, np.sqrt(2.0 * g)
+            def diagonal_field(q, out=None):
+                g, sig = np.empty((2,) + q.shape) if out is None else out
+                self.gamma_diag(p, q, out=g)
+                np.multiply(g, 2.0, out=sig)
+                return g, np.sqrt(sig, out=sig)
             return diagonal_field
 
-        def general_field(q):
+        def general_field(q, out=None):
             # Potential.hess maps one point to (d, d), so the field is
             # evaluated row by row; one batched eigh of the Hessians gives
             # Gamma = U s sqrt(w) U' and sqrt(2 Gamma) = U sqrt(2 s sqrt(w)) U'

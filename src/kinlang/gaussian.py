@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFriction,
 )
 from .friction import FrictionSpec
-from .linalg import check_spd, check_symmetric, expm, from_eig
+from .linalg import _first_bad, check_spd, check_symmetric, expm, from_eig
 
 __all__ = [
     "GaussianMoments",
@@ -36,6 +36,7 @@ __all__ = [
     "propagate",
     "stationary_moments",
     "gaussian_chi2",
+    "chi2_along",
     "fit_decay_rate",
     "ou_rate_closed_form",
     "diagonal_system_rate",
@@ -60,22 +61,36 @@ class GaussianMoments:
             raise ValueError(
                 f"mean has size {mean.size} but cov is {cov.shape}"
             )
-        # LAPACK may give zeros, or fail, for a matrix with a NaN entry
-        if not np.isfinite(cov).all():
-            raise NotPositiveDefinite("covariance has a non-finite entry")
-        w, v = np.linalg.eigh(cov)
-        if w.size and not w[0] >= -1e-10 * max(1.0, abs(w[-1])):
-            raise NotPositiveDefinite(
-                f"covariance has eigenvalue {w[0]:.6e} < 0 beyond tolerance"
-            )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "eig", (w, v))
+        object.__setattr__(self, "eig", _law_eig(cov))
 
     @property
     def dim(self) -> int:
         """Position-space dimension d (phase space is 2d)."""
         return self.mean.size // 2
+
+
+def _law_eig(cov):
+    """The one ``np.linalg.eigh`` of a covariance, or of each of a stack,
+    and the rule every Gaussian law meets: finite entries, and a smallest
+    eigenvalue >= -1e-10 * max(1, |largest|), a slack that admits the
+    singular covariances of point laws.  A failing covariance of a stack is
+    named by its index."""
+    # LAPACK may give zeros, or fail, for a matrix with a NaN entry
+    bad = ~np.isfinite(cov).all(axis=(-2, -1))
+    if np.count_nonzero(bad):
+        raise NotPositiveDefinite(
+            f"{_first_bad('covariance', bad)[0]} has a non-finite entry")
+    w, v = np.linalg.eigh(cov)
+    if w.shape[-1]:
+        lo = w[..., 0]
+        bad = ~(lo >= -1e-10 * np.maximum(1.0, np.abs(w[..., -1])))
+        if np.count_nonzero(bad):
+            label, i = _first_bad("covariance", bad)
+            raise NotPositiveDefinite(
+                f"{label} has eigenvalue {lo[i]:.6e} < 0 beyond tolerance")
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -150,26 +165,34 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
     bitwise the result for the float ``t[k]``: a float goes through the same
     stacked exponentials with one time.  t = 0 returns ``init`` itself.
     """
+    mean, cov = _moments(dyn, init, t)
+    out = [GaussianMoments(mean=m, cov=c) if tk > 0 else init
+           for tk, m, c in zip(np.ravel(t), mean, cov)]
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def _moments(dyn, init, t):
+    """``propagate``'s moments stacked: means (K, 2d) and covariances
+    (K, 2d, 2d) at the K times of t (a float or a 1-d array), with no law
+    built per time.  Rows at t = 0 are copies of init's."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(
             f"t must be a float or a 1-d array, got shape {times.shape}")
-    scalar = times.ndim == 0
     times = times.reshape(-1)
     if not np.all(times >= 0):
         raise ValueError(f"t must be >= 0, got {t}")
-    out = [init] * times.size
+    mean = np.repeat(init.mean[None], times.size, axis=0)
+    cov = np.repeat(init.cov[None], times.size, axis=0)
     moving = np.flatnonzero(times > 0)
     if moving.size:
         eft = expm(dyn.drift, times[moving])
         eft_t = eft.swapaxes(-1, -2)
-        mean = eft @ init.mean
         cov_inf = dyn.stationary.cov
-        cov = eft @ init.cov @ eft_t + (cov_inf - eft @ cov_inf @ eft_t)
-        cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-        for k, i in enumerate(moving.tolist()):
-            out[i] = GaussianMoments(mean=mean[k], cov=cov[k])
-    return out[0] if scalar else out
+        mean[moving] = eft @ init.mean
+        c = eft @ init.cov @ eft_t + (cov_inf - eft @ cov_inf @ eft_t)
+        cov[moving] = 0.5 * (c + c.swapaxes(-1, -2))
+    return mean, cov
 
 
 def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
@@ -178,8 +201,10 @@ def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
     return dyn.stationary
 
 
-def _whitened(rho: GaussianMoments, pi: GaussianMoments):
-    """(s, e, wu, chi2) of rho against pi, in pi's whitened frame.
+def _whitened(mean, cov, pi: GaussianMoments, rho_w=None):
+    """(s, e, wu, chi2) of each law rho = N(mean, cov) against pi, in pi's
+    whitened frame: the one chi2 implementation, for one law (mean (2d,),
+    cov (2d, 2d)) or a stack of K (mean (K, 2d), cov (K, 2d, 2d)).
 
     chi2 is invariant under affine maps, so it is read in the frame
     y = (W u)' (x - mu_pi), with W = cov_pi^{-1/2} and u the eigenvectors of
@@ -189,27 +214,41 @@ def _whitened(rho: GaussianMoments, pi: GaussianMoments):
 
         log(chi2 + 1) = sum_i [nu_i e_i - log1p(-d_i^2) / 2],
 
-    finite exactly when every s_i < 2; otherwise chi2 is +inf and e None.
-    Each term is O(d^2 + nu^2) near the target, so nothing cancels.
-    Degenerate covariances and roundoff s_i <= 0 raise NotPositiveDefinite.
-    Both laws come with their ``eig``, so the one ``eigh`` here is
-    W cov_rho W's, and the Gibbs law built once per dynamics is factored once.
+    finite exactly when every s_i < 2; otherwise chi2 is +inf and e is not
+    defined (it holds nu there).  Each term is O(d^2 + nu^2) near the
+    target, so nothing cancels.
+
+    rho_w is the ascending eigenvalues of cov, for laws that carry their
+    ``eig``; without it one batched ``eigh`` applies ``GaussianMoments``'
+    rule to every law.  Degenerate covariances and roundoff s_i <= 0 raise
+    NotPositiveDefinite, naming the failing law of a stack by its index.
+    pi comes with its ``eig``, so the one other ``eigh`` is W cov_rho W's,
+    batched over the stack.  Each law gets the bits it gets alone.
     """
-    check_spd(rho.eig[0], "rho covariance", rtol=1e-12, atol=1e-12)
+    if rho_w is None:
+        rho_w = _law_eig(cov)[0]
+    check_spd(rho_w, "rho covariance", rtol=1e-12, atol=1e-12)
     p, v = pi.eig
     check_spd(p, "pi covariance", rtol=1e-12, atol=1e-12)
     w = from_eig(v, 1.0 / np.sqrt(p))
-    s, u = np.linalg.eigh(w @ rho.cov @ w)
+    s, u = np.linalg.eigh(w @ cov @ w)
     wu = w @ u
-    if not s[-1] < 2.0:
-        return s, None, wu, math.inf
-    check_spd(s, "whitened rho covariance", rtol=0.0)
-    d = s - 1.0
-    nu = wu.T @ (rho.mean - pi.mean)
+    finite = s[..., -1] < 2.0
+    # the rule on the whitened spectrum holds where rho^2/pi is integrable;
+    # d = 0 on the other laws keeps their (discarded) terms finite
+    check_spd(np.where(finite[..., None], s, 1.0), "whitened rho covariance",
+              rtol=0.0)
+    d = np.where(finite[..., None], s - 1.0, 0.0)
+    nu = (wu.swapaxes(-1, -2) @ (mean - pi.mean)[..., None])[..., 0]
     e = nu / (1.0 - d)
-    log_val = float(nu @ e - 0.5 * np.sum(np.log1p(-d * d)))
-    # expm1 overflows beyond e^700
-    return s, e, wu, math.expm1(log_val) if log_val < 700 else math.inf
+    log_val = ((nu[..., None, :] @ e[..., None])[..., 0, 0]
+               - 0.5 * np.sum(np.log1p(-d * d), axis=-1))
+    # math.expm1, whose bits NumPy's vectorized expm1 does not match; expm1
+    # overflows beyond e^700
+    chi2 = np.reshape([math.expm1(x) if x < 700 else math.inf
+                       for x in np.where(finite, log_val, math.inf).flat],
+                      finite.shape)
+    return s, e, wu, chi2
 
 
 def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
@@ -220,7 +259,14 @@ def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
     times; callers fitting decay curves should skip to the first finite
     value.  Degenerate covariances raise NotPositiveDefinite.
     """
-    return _whitened(rho, pi)[3]
+    return float(_whitened(rho.mean, rho.cov, pi, rho.eig[0])[3])
+
+
+def chi2_along(dyn: LinearDynamics, init: GaussianMoments, times) -> np.ndarray:
+    """chi2 of the exact law against ``dyn.stationary`` at each of a 1-d
+    array of times: one stacked ``_whitened`` over ``propagate``'s moments,
+    entry k equal to gaussian_chi2(propagate(dyn, init, times[k]), pi)."""
+    return _whitened(*_moments(dyn, init, times), dyn.stationary)[3]
 
 
 def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:

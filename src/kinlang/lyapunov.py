@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateS
-from .gaussian import GaussianMoments, LinearDynamics, _whitened, propagate
+from .gaussian import GaussianMoments, LinearDynamics, _moments, _whitened
 from .linalg import check_spd, check_symmetric, from_eig
 
 __all__ = [
@@ -84,17 +84,30 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
     (some s_i >= 2), so L is finite wherever chi2 is.  The cross term is
     >= 0, so L >= chi2 always.
     """
-    if rho.dim != pi.dim or 2 * rho.dim != s.matrix.shape[0]:
+    return float(_values(rho.mean, rho.cov, pi, s, rho.eig[0]))
+
+
+def _values(mean, cov, pi: GaussianMoments, s: WeightMatrixS, rho_w=None):
+    """L of each law N(mean, cov) against pi, for one law or a stack of
+    them as ``_whitened`` takes them: the one implementation of
+    lyapunov_value_gaussian's formula, +inf where chi2 is."""
+    dim = mean.shape[-1]
+    if dim != pi.mean.size or dim != s.matrix.shape[0]:
         raise ValueError(
-            f"dimension mismatch: rho dim {rho.dim}, pi dim {pi.dim}, "
+            f"dimension mismatch: rho dim {dim // 2}, pi dim {pi.dim}, "
             f"S is {s.matrix.shape[0]}x{s.matrix.shape[0]}"
         )
-    s_eig, e, wu, chi2 = _whitened(rho, pi)
-    if math.isinf(chi2):
-        return math.inf
-    s_bar = wu.T @ s.matrix @ wu
+    s_eig, e, wu, chi2 = _whitened(mean, cov, pi, rho_w)
+    finite = np.isfinite(chi2)
+    values = np.full(chi2.shape, math.inf)
+    s_eig, e, wu, chi2 = s_eig[finite], e[finite], wu[finite], chi2[finite]
+    s_bar = wu.swapaxes(-1, -2) @ s.matrix @ wu
     var = (s_eig - 1.0) ** 2 / (s_eig * (2.0 - s_eig))
-    return chi2 + (chi2 + 1.0) * float(np.diag(s_bar) @ var + e @ s_bar @ e)
+    diag = np.diagonal(s_bar, axis1=-2, axis2=-1)
+    cross = ((diag[..., None, :] @ var[..., None])
+             + (e[..., None, :] @ s_bar @ e[..., None]))[..., 0, 0]
+    values[finite] = chi2 + (chi2 + 1.0) * cross
+    return values
 
 
 def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
@@ -125,9 +138,7 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
     if ts[0] < 0:
         raise ValueError("times must be nonnegative")
 
-    pi = dyn.stationary
-    values = [lyapunov_value_gaussian(m, pi, s)
-              for m in propagate(dyn, init, np.asarray(ts))]
+    values = _values(*_moments(dyn, init, ts), dyn.stationary, s).tolist()
     divergent = [math.isinf(v) for v in values]
     values = [None if flag else v for v, flag in zip(values, divergent)]
 

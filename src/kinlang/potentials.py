@@ -72,7 +72,10 @@ class AssumptionConstants:
 class Potential:
     """A potential V with its derivative evaluators.
 
-    value(q) -> float, grad(q) -> (d,), hess(q) -> (d, d).
+    value(q) -> float, grad(q) -> (d,), hess(q) -> (d, d).  grad maps an
+    (N, d) batch row by row.  The shipped families' grad also takes an out=
+    array, as NumPy ufuncs do; the simulator passes one when grad takes it,
+    so that a step allocates no array for the gradient.
 
     constant_hessian is True when Hess V does not depend on q (quadratic
     families); friction providers use it to decompose once.
@@ -118,7 +121,7 @@ def quadratic_diagonal(v) -> Potential:
     return Potential(
         dim=d,
         value=lambda q: 0.5 * float(v2 @ np.asarray(q, dtype=float) ** 2),
-        grad=lambda q: v2 * np.asarray(q, dtype=float),
+        grad=lambda q, out=None: np.multiply(v2, np.asarray(q, dtype=float), out=out),
         hess=lambda q: hess,
         constants=consts,
         constant_hessian=True,
@@ -141,7 +144,7 @@ def quadratic_general(a) -> Potential:
         dim=d,
         value=lambda q: 0.5 * float(np.asarray(q, dtype=float) @ a @ np.asarray(q, dtype=float)),
         # q @ a == a @ q for symmetric a, and broadcasts over (N, d) batches
-        grad=lambda q: np.asarray(q, dtype=float) @ a,
+        grad=lambda q, out=None: np.matmul(np.asarray(q, dtype=float), a, out=out),
         hess=lambda q: a,
         constants=consts,
         constant_hessian=True,
@@ -160,16 +163,31 @@ class ScalarPerturbation:
         eps |f'''(x)| / (2 sqrt(v2 + eps f''(x)))
 
     for each entry of the array v2, at an eps > 0 that keeps v2 + eps f''
-    positive.
+    positive.  d1(x, out) and d2(x, out), f' and f'', write into the array
+    out and return it, so each evaluation holds one array.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gamma: Callable[[np.ndarray, float], np.ndarray]
     inf_d2: float
     sup_d2: float
+
+
+def _sech2(x, out):
+    np.tanh(x, out)
+    np.square(out, out)
+    return np.subtract(1.0, out, out)
+
+
+def _neg_sin(x, out):
+    return np.negative(np.sin(x, out), out)
+
+
+def _neg_cos(x, out):
+    return np.negative(np.cos(x, out), out)
 
 
 def _log_cosh(x):
@@ -200,7 +218,7 @@ LOG_COSH = ScalarPerturbation(
     name="log_cosh",
     f=_log_cosh,
     d1=np.tanh,
-    d2=lambda x: 1.0 - np.tanh(x) ** 2,
+    d2=_sech2,
     gamma=_log_cosh_gamma,
     inf_d2=0.0,
     sup_d2=1.0,
@@ -211,8 +229,8 @@ LOG_COSH = ScalarPerturbation(
 COSINE = ScalarPerturbation(
     name="cosine",
     f=np.cos,
-    d1=lambda x: -np.sin(x),
-    d2=lambda x: -np.cos(x),
+    d1=_neg_sin,
+    d2=_neg_cos,
     gamma=_cosine_gamma,
     inf_d2=-1.0,
     sup_d2=1.0,
@@ -263,13 +281,23 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         q = np.asarray(q, dtype=float)
         return 0.5 * float(v2 @ q**2) + eps * float(np.sum(pert.f(q)))
 
-    def grad(q):
+    # in place: hess_diag allocates only its result, and grad one array
+    # besides it
+    def grad(q, out=None):
         q = np.asarray(q, dtype=float)
-        return v2 * q + eps * pert.d1(q)
+        kick = pert.d1(q, np.empty(q.shape))
+        np.multiply(kick, eps, out=kick)
+        out = np.multiply(v2, q, out=out)
+        return np.add(out, kick, out=out)
+
+    def hess_diag(q):
+        q = np.asarray(q, dtype=float)
+        h = pert.d2(q, np.empty(np.broadcast(q, v2).shape))
+        np.multiply(h, eps, out=h)
+        return np.add(h, v2, out=h)
 
     def hess(q):
-        q = np.asarray(q, dtype=float)
-        return np.diag(v2 + eps * pert.d2(q))
+        return np.diag(hess_diag(q))
 
     return Potential(
         dim=d,
@@ -280,5 +308,5 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         constant_hessian=(eps == 0.0),
         family="perturbed_diagonal",
         params={"v": v.tolist(), "eps": eps, "perturbation": pert.name},
-        hess_diag=lambda q: v2 + eps * pert.d2(np.asarray(q, dtype=float)),
+        hess_diag=hess_diag,
     )

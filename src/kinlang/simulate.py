@@ -18,7 +18,7 @@ control dt explicitly.
 from __future__ import annotations
 
 import csv
-import functools
+import inspect
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -68,19 +68,21 @@ _DOMAIN_INIT = 0
 _DOMAIN_STEP = 1
 
 
-def philox_normals(seed: int, step_index: int, shape, domain: int = _DOMAIN_STEP) -> np.ndarray:
+def philox_normals(seed: int, step_index: int, shape, domain: int = _DOMAIN_STEP,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard normals from the counter-based stream for (seed, step_index).
 
     The array fills row-major from one Philox stream, so particle i's draws
     (row i) do not depend on how many rows are requested -- the N-extension
-    contract.  Exposed publicly so tests can rebuild or aggregate the exact
-    increments a run consumed.
+    contract.  out, a C-contiguous float64 array of that shape, receives the
+    same numbers in place and is returned.  Exposed publicly so tests can
+    rebuild or aggregate the exact increments a run consumed.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     bitgen = np.random.Philox(counter=[0, 0, step_index, domain],
                               key=np.array([seed, 0], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal(shape)
+    return np.random.Generator(bitgen).standard_normal(shape, out=out)
 
 
 @dataclass(frozen=True)
@@ -212,36 +214,57 @@ def _check_finite(q, p, step_index):
         )
 
 
-def _apply(m, x):
-    """Each particle's Gamma (or diffusion) times its row of x, for either
-    resolved shape: diagonal entries or a (1 | N, d, d) matrix stack."""
+def _apply(m, x, out):
+    """Each particle's Gamma (or diffusion) times its row of x, written to
+    out, for either resolved shape: diagonal entries or a (1 | N, d, d)
+    matrix stack."""
     if m.ndim < 3:
-        return m * x
+        return np.multiply(m, x, out=out)
     if len(m) == 1:
-        return x @ m[0].T
-    return (m @ x[:, :, None])[:, :, 0]
+        return np.matmul(x, m[0].T, out=out)
+    np.matmul(m, x[:, :, None], out=out[:, :, None])
+    return out
 
 
-def _advance(ensemble: Ensemble, p: Potential, friction, cfg: SimConfig,
-             xi: Optional[np.ndarray]) -> Ensemble:
-    """The EM update with friction resolved by FrictionSpec.resolve."""
-    q = ensemble.positions
-    mom = ensemble.momenta
-    if xi is None:
-        xi = philox_normals(ensemble.seed, ensemble.steps_taken, q.shape)
-    dt = cfg.dt
-    g, sig = friction(q)
-    new_q = q + mom * dt
-    new_p = mom - p.grad(q) * dt - _apply(g, mom) * dt + _apply(sig, xi) * np.sqrt(dt)
-    step_index = ensemble.steps_taken + 1
+def _gradient(p: Potential):
+    """(q, out) -> grad V(q): written into the (N, d) array out when p.grad
+    takes an out= array (a functools.wraps wrapper is read through), else a
+    new array."""
+    try:
+        into = "out" in inspect.signature(p.grad).parameters
+    except (TypeError, ValueError):   # a callable with no signature
+        into = False
+    if into:
+        return lambda q, out: p.grad(q, out=out)
+    return lambda q, out: p.grad(q)
+
+
+def _advance(q, mom, xi, gradient, friction, dt: float, step_index: int,
+             out, term, friction_out=None):
+    """The EM update, gradient from _gradient and friction resolved by
+    FrictionSpec.resolve, written to out = (new_q, new_p), (N, d) arrays.
+    new_q may be q itself; new_p must be neither q nor mom.  The (N, d)
+    array term is overwritten, and may be new_q unless that is q; so is
+    friction_out, the (2, N, d) buffer a diagonal friction field writes
+    into (None: the field allocates).  q, mom and xi are only read.  With
+    the shipped potentials a step allocates at most one (N, d) temporary.
+    Each value is the operation the module docstring writes, in its order,
+
+        p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
+
+    so the bits do not depend on which arrays hold them.  Raises
+    NumericalBlowup naming step_index when the new state is not trusted."""
+    new_q, new_p = out
+    g, sig = friction(q, friction_out)
+    np.multiply(gradient(q, new_p), dt, out=new_p)
+    np.subtract(mom, new_p, out=new_p)
+    np.multiply(_apply(g, mom, term), dt, out=term)
+    np.subtract(new_p, term, out=new_p)
+    np.multiply(_apply(sig, xi, term), np.sqrt(dt), out=term)
+    np.add(new_p, term, out=new_p)
+    np.multiply(mom, dt, out=term)
+    np.add(q, term, out=new_q)
     _check_finite(new_q, new_p, step_index)
-    return replace(
-        ensemble,
-        positions=new_q,
-        momenta=new_p,
-        time=ensemble.time + dt,
-        steps_taken=step_index,
-    )
 
 
 def _check_matches(ensemble: Ensemble, cfg: SimConfig, fields=("dt", "seed")):
@@ -257,13 +280,31 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     """One Euler-Maruyama update of the whole ensemble.
 
     xi overrides the (N, d) noise draw -- tests use it for zero-noise and
-    common-random-number runs; None draws from the keyed stream for
-    step index `ensemble.steps_taken`.  The ensemble's dt and seed must
-    match cfg's; the particle count comes from the ensemble.
+    common-random-number runs; it must have the positions' shape exactly,
+    since a row or a column would broadcast silently.  None draws from the
+    keyed stream for step index `ensemble.steps_taken`.  The ensemble's dt
+    and seed must match cfg's; the particle count comes from the ensemble.
+    The update is run's, into one new (2, N, d) array whose rows are the
+    new positions and momenta, so neither the ensemble nor xi changes.
     """
     _check_matches(ensemble, cfg)
-    friction = spec.resolve(p)
-    return _advance(ensemble, p, friction, cfg, xi)
+    shape = ensemble.positions.shape
+    if xi is None:
+        xi = philox_normals(ensemble.seed, ensemble.steps_taken, shape)
+    else:
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != shape:
+            raise ValueError(f"xi has shape {xi.shape}, but the ensemble's "
+                             f"positions have shape {shape}")
+    step_index = ensemble.steps_taken + 1
+    # one block for both: a caller stepping in a loop frees the previous
+    # pair at once, and two separate arrays were then often handed back to
+    # the system and faulted in again (CHANGES.md)
+    out = np.empty((2,) + shape)
+    _advance(ensemble.positions, ensemble.momenta, xi, _gradient(p),
+             spec.resolve(p), cfg.dt, step_index, out, out[0])
+    return replace(ensemble, positions=out[0], momenta=out[1],
+                   time=ensemble.time + cfg.dt, steps_taken=step_index)
 
 
 def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig):
@@ -296,13 +337,22 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
+    The state, the scratch of ``_advance`` and the noise buffers are rows
+    of one workspace array, allocated once per call and released whole at
+    the end, and every step is written into them by ``_advance``, the
+    kernel step runs too; init is never written.  Fresh (N, d) arrays per
+    step cost page faults whenever the allocator hands their memory back
+    between steps: at N = 20,000, d = 1, 1,000 steps took 42,700-60,000
+    minor faults in a fresh process, against about 1,400 with the buffers
+    reused (CHANGES.md).
+
     From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws run
     on one helper thread, a batch of whole steps at a time: about
     PREFETCH_BATCH_ELEMENTS coordinates, at least one step, and never past
-    the last step.  The helper draws batch j + 1 while batch j is applied.
-    Each step is still its own philox_normals call, which depends on
-    (seed, step) alone, so the arrays, and the records, are the same as
-    with the draw inline.
+    the last step.  The helper draws batch j + 1 into one of two buffers
+    while batch j, in the other, is applied.  Each step is still its own
+    philox_normals call, which depends on (seed, step) alone, so the
+    arrays, and the records, are the same as with the draw inline.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index.
@@ -311,40 +361,62 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         raise ValueError("record_every must be >= 1")
     _check_matches(init, cfg, ("dt", "seed", "n_particles"))
     stability_warning(init, p, spec, cfg)
+    gradient = _gradient(p)
     friction = spec.resolve(p)
-    size = init.positions.size
-    per_batch = max(1, PREFETCH_BATCH_ELEMENTS // size)
-    draw = functools.partial(philox_normals, init.seed, shape=init.positions.shape)
+    shape = init.positions.shape
     start = init.steps_taken
     end = start + cfg.n_steps
+    per_batch = max(1, PREFETCH_BATCH_ELEMENTS // init.positions.size)
+    inline = init.positions.size < PREFETCH_MIN_ELEMENTS or start == end
+    # rows: q, two momenta that trade places every step, a term, the
+    # friction field's pair, then one step of noise inline or two batches
+    # of per_batch steps prefetched
+    work = np.empty((6 + (1 if inline else 2 * per_batch),) + shape)
+    q, mom, new_mom, term = work[:4]
+    friction_out, noise_rows = work[4:6], work[6:]
+    q[...] = init.positions
+    mom[...] = init.momenta
 
-    def draw_batch(first):
-        return [draw(i) for i in range(first, min(first + per_batch, end))]
+    def draw(i, out):
+        return philox_normals(init.seed, i, shape, out=out)
 
-    def record(ens):
-        mean, cov = ens.summary()
-        return TrajectoryPoint(time=ens.time, mean=mean, cov=cov)
+    def draw_batch(first, buf):
+        batch = buf[:min(per_batch, end - first)]
+        for i, xi in enumerate(batch, first):
+            draw(i, xi)
+        return batch
+
+    def record(time):
+        mean, cov = replace(init, positions=q, momenta=mom, time=time).summary()
+        return TrajectoryPoint(time=time, mean=mean, cov=cov)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         def noise():
-            """Each step's noise in step order."""
-            firsts = range(start, end, per_batch)
-            if size < PREFETCH_MIN_ELEMENTS or not firsts:
-                yield from map(draw, range(start, end))
+            """Each step's noise in step order, in a buffer that a later
+            step overwrites."""
+            if inline:
+                for i in range(start, end):
+                    yield draw(i, noise_rows[0])
                 return
-            pending = pool.submit(draw_batch, start)
-            for first in firsts:
+            bufs = noise_rows.reshape((2, per_batch) + shape)
+            pending = pool.submit(draw_batch, start, bufs[0])
+            for j, first in enumerate(range(start, end, per_batch)):
                 batch = pending.result()
                 if first + per_batch < end:
-                    pending = pool.submit(draw_batch, first + per_batch)
+                    # the other buffer's batch, j - 1, has been applied
+                    pending = pool.submit(draw_batch, first + per_batch,
+                                          bufs[(j + 1) % 2])
                 yield from batch
 
-        ens = init
-        out = [record(ens)]
+        time = init.time
+        out = [record(time)]
         for k, xi in enumerate(noise(), 1):
-            ens = _advance(ens, p, friction, cfg, xi)
+            _advance(q, mom, xi, gradient, friction, cfg.dt, start + k,
+                     (q, new_mom), term, friction_out)
+            mom, new_mom = new_mom, mom
+            time += cfg.dt
             if k % record_every == 0 or k == cfg.n_steps:
-                out.append(record(ens))
+                out.append(record(time))
     return out
 
 

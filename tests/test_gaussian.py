@@ -13,6 +13,7 @@ from kinlang.errors import (
 from kinlang.friction import constant_matrix, constant_scalar, hessian_sqrt
 from kinlang.gaussian import (
     GaussianMoments,
+    _whitened,
     diagonal_system_rate,
     fit_decay_rate,
     gaussian_chi2,
@@ -384,6 +385,18 @@ class TestGaussianChi2:
         calls = count_calls(monkeypatch, "eigh", "eigvalsh")
         assert math.isfinite(value(rho, pi))
         assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.0, -1e-3]), r"^covariance\[2\] has eigenvalue"),
+        (np.diag([1.0, np.nan]), r"^covariance\[2\] has a non-finite entry"),
+        (np.diag([1.0, 1e-14]), r"^rho covariance\[2\] has eigenvalue"),
+    ], ids=["not-psd", "nan", "degenerate"])
+    def test_stack_names_failing_law(self, bad, message):
+        # the stacked core applies each law's rules and names the law
+        pi = GaussianMoments(np.zeros(2), np.eye(2))
+        cov = np.stack([np.eye(2), 0.5 * np.eye(2), bad, np.eye(2)])
+        with pytest.raises(NotPositiveDefinite, match=message):
+            _whitened(np.zeros((4, 2)), cov, pi)
 
     def test_zero_iff_equal(self):
         base = GaussianMoments(np.zeros(2), np.eye(2))

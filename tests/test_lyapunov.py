@@ -25,6 +25,7 @@ from kinlang.config import (
 from kinlang.errors import DegenerateS, NotPositiveDefinite
 from kinlang.gaussian import (
     GaussianMoments,
+    chi2_along,
     gaussian_chi2,
     kinetic_dynamics,
     propagate,
@@ -299,6 +300,37 @@ def test_default_audit_against_mpmath(v):
                     assert value == math.inf
                 else:
                     assert abs(value - exact) <= 1e-13 * exact
+
+
+def test_grid_matches_single_law_functions():
+    # the audit's grid at d = 8: it starts at t = 0, where the 0.95 I start
+    # is too wide for rho^2/pi in the stiff coordinates, so the early
+    # points diverge.  chi2_along and decay_audit evaluate the grid as one
+    # stack; each point must be what the single-law functions give for it
+    v = np.round(np.linspace(1.0, 2.0, 8), 10)
+    p = build_potential(PotentialConfig(v=tuple(v)))
+    fric, aud = FrictionConfig(), AuditConfig()
+    zero = np.zeros(p.dim)
+    dyn = kinetic_dynamics(p.hess(zero), build_friction(fric).gamma(p, zero))
+    weight = build_s(coefficient_family(p.constants, fric.s, aud.x0),
+                     dyn.gamma_mat)
+    mean = np.concatenate([np.full(p.dim, aud.init_q_mean), np.zeros(p.dim)])
+    init = GaussianMoments(mean, aud.init_cov_scale * np.eye(2 * p.dim))
+    times = np.linspace(0.0, aud.t_max, 100)
+    laws = propagate(dyn, init, times)
+    chi2 = [gaussian_chi2(m, dyn.stationary) for m in laws]
+    lyap = [lyapunov_value_gaussian(m, dyn.stationary, weight) for m in laws]
+    divergent = [math.isinf(c) for c in chi2]
+    assert divergent[0] and 0 < sum(divergent) < len(times) // 2
+    assert [math.isinf(x) for x in lyap] == divergent
+
+    grid_chi2 = chi2_along(dyn, init, times).tolist()
+    grid_lyap = decay_audit(dyn, init, weight, 1.0, times)["values"]
+    assert [math.isinf(x) for x in grid_chi2] == divergent
+    assert [x is None for x in grid_lyap] == divergent
+    for got, ref in zip(grid_chi2 + grid_lyap, chi2 + lyap):
+        if not math.isinf(ref):
+            assert abs(got - ref) <= 4 * np.spacing(ref)
 
 
 class TestDecayAudit:

@@ -7,6 +7,7 @@ the relevant sampling error before freezing; bounds quote those margins.
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -213,6 +214,33 @@ class TestStepFormula:
         assert np.allclose(out.momenta, 2.0 * xi * np.sqrt(0.04), atol=1e-15)
 
 
+class TestNoiseOverride:
+    """step's xi must have the positions' shape: a row or a column would
+    broadcast over the ensemble silently."""
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (4, 2, 1)])
+    def test_shape_mismatch_rejected(self, shape):
+        pot = quadratic_diagonal([1.0, 2.0])
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=4, seed=0)
+        e = ensemble_at_point([1.0, -1.0], [0.0, 0.0], 4, 0, 0.01)
+        xi = np.ones(shape)
+        with pytest.raises(ValueError, match=r"^xi has shape " + re.escape(
+                f"{shape}, but the ensemble's positions have shape (4, 2)")):
+            step(e, pot, constant_scalar(1.0), cfg, xi=xi)
+
+    def test_caller_arrays_untouched(self):
+        pot = quadratic_diagonal([1.0, 2.0])
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=4, seed=0)
+        e = ensemble_from_moments(
+            GaussianMoments(mean=np.zeros(4), cov=np.eye(4)), 4, 0, 0.01)
+        xi = philox_normals(9, 0, (4, 2))
+        arrays = [a.copy() for a in (e.positions, e.momenta, xi)]
+        out = step(e, pot, constant_scalar(1.0), cfg, xi=xi)
+        assert not np.array_equal(out.momenta, e.momenta)
+        for a, b in zip((e.positions, e.momenta, xi), arrays):
+            assert np.array_equal(a, b)
+
+
 def _rotated_log_cosh(v, eps, angle):
     """V(q) = sum v_i^2 y_i^2 / 2 + eps sum log cosh(y_i) with y = R q and R
     a plane rotation: a Hessian that is neither diagonal nor constant."""
@@ -291,8 +319,12 @@ class TestDeterministicLimits:
         # with xi == 0 EM is explicit Euler on the linear ODE; at dt = 1e-4
         # over t = 5 the Euler error stays far below 1e-5.  run looks the
         # draw up when called, so patching the module's draw zeroes the noise
-        monkeypatch.setattr(simulate, "philox_normals",
-                            lambda seed, k, shape, domain=1: np.zeros(shape))
+        def no_noise(seed, k, shape, domain=1, out=None):
+            out = np.empty(shape) if out is None else out
+            out.fill(0.0)
+            return out
+
+        monkeypatch.setattr(simulate, "philox_normals", no_noise)
         pot, spec, dyn = _ou_1d()
         cfg = SimConfig(dt=1e-4, n_steps=50_000, n_particles=1, seed=0)
         pts = run(ensemble_at_point([1.0], [0.0], 1, 0, 1e-4), pot, spec, cfg,
@@ -659,8 +691,10 @@ class TestNoisePrefetch:
         advance = simulate._advance
 
         def spy(*args):
-            seen.append(advance(*args))
-            return seen[-1]
+            # run steps its state in buffers it reuses, so each step's new
+            # state, the out pair, is copied
+            advance(*args)
+            seen.append(tuple(x.copy() for x in args[7]))
 
         monkeypatch.setattr(simulate, "_advance", spy)
         run(init, pot, spec, cfg)
@@ -670,9 +704,9 @@ class TestNoisePrefetch:
                         time=0.0, seed=init.seed, steps_taken=0, dt=init.dt)
         run(part, pot, spec, dataclasses.replace(cfg, n_particles=m))
         assert len(big) == len(seen) == cfg.n_steps
-        for a, b in zip(big, seen):
-            assert np.array_equal(a.positions[:m], b.positions)
-            assert np.array_equal(a.momenta[:m], b.momenta)
+        for (qa, pa), (qb, pb) in zip(big, seen):
+            assert np.array_equal(qa[:m], qb)
+            assert np.array_equal(pa[:m], pb)
 
     def test_blowup_step_index_matches_inline(self, monkeypatch):
         pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
@@ -724,6 +758,66 @@ class TestBatchedPrefetch(TestNoisePrefetch):
         assert excinfo.value.step_index == ref.value.step_index
         # neither the first nor the last step of its batch
         assert ref.value.step_index % self.PER_BATCH not in (0, 1)
+
+
+class TestRunBuffers:
+    """run steps its own copy of the state in buffers it allocates once."""
+
+    @pytest.mark.parametrize("n", [64, simulate.PREFETCH_MIN_ELEMENTS // 2],
+                             ids=["inline", "prefetch"])
+    @pytest.mark.parametrize("kind", ["constant_scalar", "constant_matrix",
+                                      "diagonal_field", "general_field"])
+    def test_init_never_written(self, n, kind):
+        # d = 2, so the larger ensemble has N * d = PREFETCH_MIN_ELEMENTS
+        pot = perturbed_diagonal([1.0, 2.0], 0.1)
+        spec = {"constant_scalar": constant_scalar(1.5),
+                "constant_matrix": constant_matrix([[2.0, 0.3], [0.3, 1.0]]),
+                }.get(kind, hessian_sqrt(2.0))
+        if kind == "general_field":
+            pot = _rotated_log_cosh([1.0, 2.0], 0.1, 0.6)
+        dt = 0.01
+        cfg = SimConfig(dt=dt, n_steps=5, n_particles=n, seed=6)
+        init = dataclasses.replace(
+            ensemble_from_moments(
+                GaussianMoments(mean=[0.5, -0.5, 0.0, 0.0], cov=np.eye(4)),
+                n, 6, dt),
+            steps_taken=3, time=3 * dt)
+        q0, p0 = init.positions.copy(), init.momenta.copy()
+        first = run(init, pot, spec, cfg, record_every=2)
+        assert np.array_equal(init.positions, q0)
+        assert np.array_equal(init.momenta, p0)
+        again = run(init, pot, spec, cfg, record_every=2)
+        assert len(first) == len(again) == 4
+        for a, b in zip(first, again):
+            assert a.time == b.time
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert not np.array_equal(first[-1].mean, first[0].mean)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads minor page faults through getrusage")
+    def test_no_page_faults_per_step(self):
+        # a step of fresh (N, d) arrays page-faulted 42,700-60,000 times over
+        # this run whenever the allocator handed their memory back between
+        # steps; the buffers, touched once, take about 1,400
+        script = (
+            "import resource\n"
+            "from kinlang.friction import hessian_sqrt\n"
+            "from kinlang.potentials import perturbed_diagonal\n"
+            "from kinlang.simulate import SimConfig, ensemble_at_point, run\n"
+            "n, dt = 20_000, 0.002\n"
+            "pot, spec = perturbed_diagonal([1.0], 0.1), hessian_sqrt(2.0)\n"
+            "cfg = SimConfig(dt=dt, n_steps=1000, n_particles=n, seed=3)\n"
+            "init = ensemble_at_point([2.0], [0.0], n, 3, dt)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run(init, pot, spec, cfg, record_every=50)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kinlang.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 10_000
 
 
 class TestTrajectoryCsv:

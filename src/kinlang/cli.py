@@ -286,6 +286,13 @@ def cmd_certify(cfg: ExperimentConfig) -> dict:
             rows.append((entry.s, entry.x0, cert.m1, cert.m2,
                          cert.rescaled_rate, cert.original_rate, cert.valid,
                          None))
+    # the certified rate is sqrt(alpha) (m1 - gamma^2 m2), so the largest m1
+    # is the best cell only at gamma = 0: take the valid cell with the
+    # largest rate (the first on a tie), and the m1 choice when none is valid
+    valid = [e.certificate for e in table
+             if e.certificate is not None and e.certificate.valid]
+    if valid:
+        best = max(valid, key=lambda cert: cert.original_rate)
     comparison = compare_to_constant_friction(const, best,
                                               cfg.certificate.lambda_grid)
     infeasible = Counter(e.error_type for e in table if e.certificate is None)

@@ -10,20 +10,24 @@ The diffusion coefficient sqrt(2 Gamma(q)) is tied to the friction so that
 the Gibbs measure stays invariant.
 
 ``FrictionSpec.resolve`` decides, once per (friction, potential) pair, the
-form in which the simulator applies Gamma: a function q -> (Gamma, diffusion)
-over (N, d) positions, returning either
+form in which the simulator evaluates the force of a step: a function
+q -> (grad V, Gamma, diffusion) over (N, d) positions, with Gamma and the
+diffusion either
 
   * diagonal entries: a constant (d,) vector when Gamma is a constant
     diagonal matrix, or the (N, d) field s * sqrt(hess_diag(q)); or
   * matrix stacks: (1, d, d) for any other constant Gamma, or (N, d, d)
     from one batched eigendecomposition of the per-particle Hessians.
 
-Constant forms are computed when resolving, not on every step, and the
-diagonal field can write into the caller's buffer.
+Constant forms are computed when resolving, not on every step.  The
+gradient and the diagonal field can write into the caller's buffers, and
+the field takes the gradient and the Hessian diagonal from one evaluation
+when the potential has grad_hess_diag.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,11 +74,16 @@ class FrictionSpec:
     # -- the simulator's friction form ---------------------------------------
 
     def resolve(self, p: Potential):
-        """(q, out=None) -> (Gamma, diffusion) over (N, d) positions, in the
-        shapes the module docstring lists.  The diagonal field writes the
-        pair into out, a (2, N, d) array, when one is given, so a caller
-        that steps many times allocates it once; the other forms ignore
-        it."""
+        """(q, grad_out=None, out=None) -> (grad V(q), Gamma, diffusion)
+        over (N, d) positions, Gamma and the diffusion in the shapes the
+        module docstring lists.  The gradient is written into the (N, d)
+        array grad_out when one is given and p.grad takes an out= array
+        (_gradient), else it is a new array.  The diagonal field writes Gamma and the diffusion into out, a
+        (2, N, d) array, when one is given, so a caller that steps many
+        times allocates it once; the other forms ignore it.  With
+        p.grad_hess_diag and both buffers, the diagonal field allocates
+        nothing."""
+        gradient = _gradient(p)
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))
             diag = np.diagonal(g)
@@ -82,23 +91,45 @@ class FrictionSpec:
                 const = (diag, np.sqrt(2.0 * diag))
             else:
                 const = (g[None], spd_sqrt(2.0 * g)[None])
-            return lambda q, out=None: const
+            return lambda q, grad_out=None, out=None: (gradient(q, grad_out), *const)
         if p.hess_diag is not None:
-            def diagonal_field(q, out=None):
+            def diagonal_field(q, grad_out=None, out=None):
                 g, sig = np.empty((2,) + q.shape) if out is None else out
-                self.gamma_diag(p, q, out=g)
+                if p.grad_hess_diag is None:
+                    grad = gradient(q, grad_out)
+                    self.gamma_diag(p, q, out=g)
+                else:
+                    # the Hessian diagonal lands in sig, and g is scratch
+                    grad, _ = p.grad_hess_diag(
+                        q, np.empty(q.shape) if grad_out is None else grad_out,
+                        sig, g)
+                    np.multiply(np.sqrt(sig, out=g), self.s, out=g)
                 np.multiply(g, 2.0, out=sig)
-                return g, np.sqrt(sig, out=sig)
+                return grad, g, np.sqrt(sig, out=sig)
             return diagonal_field
 
-        def general_field(q, out=None):
+        def general_field(q, grad_out=None, out=None):
             # Potential.hess maps one point to (d, d), so the field is
             # evaluated row by row; one batched eigh of the Hessians gives
             # Gamma = U s sqrt(w) U' and sqrt(2 Gamma) = U sqrt(2 s sqrt(w)) U'
             w, u = spd_eig(np.array([p.hess(q_i) for q_i in q]))
             root = np.sqrt(w)
-            return self.s * from_eig(u, root), from_eig(u, np.sqrt(2.0 * self.s * root))
+            return (gradient(q, grad_out), self.s * from_eig(u, root),
+                    from_eig(u, np.sqrt(2.0 * self.s * root)))
         return general_field
+
+
+def _gradient(p: Potential):
+    """(q, out) -> grad V(q): written into the (N, d) array out when out is
+    given and p.grad takes an out= array (a functools.wraps wrapper is read
+    through), else a new array."""
+    try:
+        into = "out" in inspect.signature(p.grad).parameters
+    except (TypeError, ValueError):   # a callable with no signature
+        into = False
+    if into:
+        return lambda q, out: p.grad(q, out=out)
+    return lambda q, out: p.grad(q)
 
 
 def constant_scalar(lam: float) -> FrictionSpec:

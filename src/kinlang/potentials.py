@@ -77,6 +77,13 @@ class Potential:
     array, as NumPy ufuncs do; the simulator passes one when grad takes it,
     so that a step allocates no array for the gradient.
 
+    grad_hess_diag, set by perturbed_diagonal, evaluates the gradient and
+    hess_diag together: f' and f'' come from one evaluation of the
+    perturbation (one tanh for log_cosh), and each value is bitwise grad's
+    and hess_diag's.  The simulator's diagonal friction field calls it once
+    per step in place of the two.  A ``dataclasses.replace`` that changes
+    grad or hess_diag must set it too (None: the two are called).
+
     constant_hessian is True when Hess V does not depend on q (quadratic
     families); friction providers use it to decompose once.
 
@@ -101,6 +108,10 @@ class Potential:
     #: maps (..., d) positions to the (..., d) diagonal entries; None when the
     #: Hessian has off-diagonal structure
     hess_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    #: (q, grad_out, hess_out, scratch) -> (grad_out, hess_out): grad V(q)
+    #: and hess_diag(q) written into the first two arrays of (N, d) positions
+    #: q's shape; the third, of the same shape, is overwritten
+    grad_hess_diag: Optional[Callable] = None
 
 
 def quadratic_diagonal(v) -> Potential:
@@ -164,22 +175,30 @@ class ScalarPerturbation:
 
     for each entry of the array v2, at an eps > 0 that keeps v2 + eps f''
     positive.  d1(x, out) and d2(x, out), f' and f'', write into the array
-    out and return it, so each evaluation holds one array.
+    out and return it, so each evaluation holds one array.  d1_d2(x, d1,
+    d2) writes both and returns the pair, with the operations of d1 and d2
+    but from one evaluation where f'' follows from f'.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d1_d2: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     gamma: Callable[[np.ndarray, float], np.ndarray]
     inf_d2: float
     sup_d2: float
 
 
+def _tanh_sech2(x, d1, d2):
+    # sech^2 = 1 - tanh^2 from the one tanh; d2 may be d1
+    np.tanh(x, d1)
+    np.square(d1, d2)
+    return d1, np.subtract(1.0, d2, d2)
+
+
 def _sech2(x, out):
-    np.tanh(x, out)
-    np.square(out, out)
-    return np.subtract(1.0, out, out)
+    return _tanh_sech2(x, out, out)[1]
 
 
 def _neg_sin(x, out):
@@ -188,6 +207,10 @@ def _neg_sin(x, out):
 
 def _neg_cos(x, out):
     return np.negative(np.cos(x, out), out)
+
+
+def _neg_sin_cos(x, d1, d2):
+    return _neg_sin(x, d1), _neg_cos(x, d2)
 
 
 def _log_cosh(x):
@@ -219,6 +242,7 @@ LOG_COSH = ScalarPerturbation(
     f=_log_cosh,
     d1=np.tanh,
     d2=_sech2,
+    d1_d2=_tanh_sech2,
     gamma=_log_cosh_gamma,
     inf_d2=0.0,
     sup_d2=1.0,
@@ -231,6 +255,7 @@ COSINE = ScalarPerturbation(
     f=np.cos,
     d1=_neg_sin,
     d2=_neg_cos,
+    d1_d2=_neg_sin_cos,
     gamma=_cosine_gamma,
     inf_d2=-1.0,
     sup_d2=1.0,
@@ -281,20 +306,28 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         q = np.asarray(q, dtype=float)
         return 0.5 * float(v2 @ q**2) + eps * float(np.sum(pert.f(q)))
 
-    # in place: hess_diag allocates only its result, and grad one array
-    # besides it
-    def grad(q, out=None):
-        q = np.asarray(q, dtype=float)
-        kick = pert.d1(q, np.empty(q.shape))
+    # in place: hess_diag allocates only its result, grad one array besides
+    # it, and grad_hess_diag nothing; the three combine f' and f'' alike
+    def grad_from(q, kick, out):
         np.multiply(kick, eps, out=kick)
         out = np.multiply(v2, q, out=out)
         return np.add(out, kick, out=out)
 
-    def hess_diag(q):
-        q = np.asarray(q, dtype=float)
-        h = pert.d2(q, np.empty(np.broadcast(q, v2).shape))
+    def hess_from(h):
         np.multiply(h, eps, out=h)
         return np.add(h, v2, out=h)
+
+    def grad(q, out=None):
+        q = np.asarray(q, dtype=float)
+        return grad_from(q, pert.d1(q, np.empty(q.shape)), out)
+
+    def hess_diag(q):
+        q = np.asarray(q, dtype=float)
+        return hess_from(pert.d2(q, np.empty(np.broadcast(q, v2).shape)))
+
+    def grad_hess_diag(q, grad_out, hess_out, scratch):
+        kick, h = pert.d1_d2(q, scratch, hess_out)
+        return grad_from(q, kick, grad_out), hess_from(h)
 
     def hess(q):
         return np.diag(hess_diag(q))
@@ -309,4 +342,5 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         family="perturbed_diagonal",
         params={"v": v.tolist(), "eps": eps, "perturbation": pert.name},
         hess_diag=hess_diag,
+        grad_hess_diag=grad_hess_diag,
     )

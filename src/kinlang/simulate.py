@@ -17,10 +17,10 @@ control dt explicitly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import inspect
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,15 +48,16 @@ __all__ = [
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
 
-#: N * d from which run draws the noise ahead on one helper thread while
-#: earlier steps are applied.  Below it the draw is small next to a step's
-#: Python overhead, and the thread cost more than it saved on a 2-core host
-#: (size sweep in CHANGES.md)
+#: N * d from which run draws the noise ahead on one helper thread, into a
+#: ring of per-step slots, while earlier steps are applied.  Below it the
+#: draw is small next to a step's Python overhead, and the thread cost more
+#: than it saved on a 2-core host (size sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
-#: coordinates (1 MiB of float64) the helper draws per hand-off: whole steps,
-#: max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) of them, so a small ensemble
-#: pays the hand-off once per batch and from this size on it is per step
+#: coordinates (1 MiB of float64) in half the ring: it holds two halves of
+#: max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) whole steps, so the helper may
+#: run that far ahead of the step being applied, and from this size on the
+#: ring is two steps
 PREFETCH_BATCH_ELEMENTS = 1 << 17
 
 #: seeds are one 64-bit Philox key word: 0 <= seed < SEED_LIMIT
@@ -226,37 +227,24 @@ def _apply(m, x, out):
     return out
 
 
-def _gradient(p: Potential):
-    """(q, out) -> grad V(q): written into the (N, d) array out when p.grad
-    takes an out= array (a functools.wraps wrapper is read through), else a
-    new array."""
-    try:
-        into = "out" in inspect.signature(p.grad).parameters
-    except (TypeError, ValueError):   # a callable with no signature
-        into = False
-    if into:
-        return lambda q, out: p.grad(q, out=out)
-    return lambda q, out: p.grad(q)
-
-
-def _advance(q, mom, xi, gradient, friction, dt: float, step_index: int,
-             out, term, friction_out=None):
-    """The EM update, gradient from _gradient and friction resolved by
-    FrictionSpec.resolve, written to out = (new_q, new_p), (N, d) arrays.
-    new_q may be q itself; new_p must be neither q nor mom.  The (N, d)
-    array term is overwritten, and may be new_q unless that is q; so is
-    friction_out, the (2, N, d) buffer a diagonal friction field writes
-    into (None: the field allocates).  q, mom and xi are only read.  With
-    the shipped potentials a step allocates at most one (N, d) temporary.
-    Each value is the operation the module docstring writes, in its order,
+def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
+             friction_out=None):
+    """The EM update, its force from FrictionSpec.resolve, written to out =
+    (new_q, new_p), (N, d) arrays.  new_q may be q itself; new_p must be
+    neither q nor mom.  The (N, d) array term is overwritten, and may be
+    new_q unless that is q; so is friction_out, the (2, N, d) buffer a
+    diagonal friction field writes into (None: the field allocates).  q,
+    mom and xi are only read.  With the shipped potentials a step allocates
+    at most one (N, d) temporary, and none on the diagonal field.  Each
+    value is the operation the module docstring writes, in its order,
 
         p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
 
     so the bits do not depend on which arrays hold them.  Raises
     NumericalBlowup naming step_index when the new state is not trusted."""
     new_q, new_p = out
-    g, sig = friction(q, friction_out)
-    np.multiply(gradient(q, new_p), dt, out=new_p)
+    grad, g, sig = force(q, new_p, friction_out)
+    np.multiply(grad, dt, out=new_p)
     np.subtract(mom, new_p, out=new_p)
     np.multiply(_apply(g, mom, term), dt, out=term)
     np.subtract(new_p, term, out=new_p)
@@ -301,8 +289,8 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     # pair at once, and two separate arrays were then often handed back to
     # the system and faulted in again (CHANGES.md)
     out = np.empty((2,) + shape)
-    _advance(ensemble.positions, ensemble.momenta, xi, _gradient(p),
-             spec.resolve(p), cfg.dt, step_index, out, out[0])
+    _advance(ensemble.positions, ensemble.momenta, xi, spec.resolve(p),
+             cfg.dt, step_index, out, out[0])
     return replace(ensemble, positions=out[0], momenta=out[1],
                    time=ensemble.time + cfg.dt, steps_taken=step_index)
 
@@ -330,6 +318,91 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
         )
 
 
+class _NoiseRing:
+    """The noise of a run's n steps, drawn into a ring of per-step slots by
+    one helper thread and, while it waits, by the thread applying them.
+
+    Step k (counted from the run's first) goes to slot k % len(slots), which
+    is free once step k - len(slots) has been applied.  The helper draws the
+    steps in order from the front.  When the step get needs is still being
+    drawn, the calling thread draws the farthest free undrawn step itself,
+    but only while at least two such steps lie ahead, so that the helper is
+    never left idle.  Each step is one draw(k, slot) call either way, so
+    which thread drew it moves no bit.  An exception the helper's draw
+    raises is raised by get when that step is needed.  Entering starts the
+    helper, and leaving stops and joins it.
+    """
+
+    def __init__(self, draw, n: int, slots):
+        self._draw, self._n, self._slots = draw, n, slots
+        self._cond = threading.Condition()
+        self._owner = [-1] * len(slots)     # the step claimed into each slot
+        self._ready = [False] * len(slots)  # ... and whether it is drawn
+        self._next = 0                      # get's step; earlier ones are applied
+        self._error = None
+        self._closed = False
+        self._helper = threading.Thread(target=self._fill)
+
+    def __enter__(self):
+        self._helper.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        self._helper.join()
+
+    def _taken(self, k):
+        return self._owner[k % len(self._slots)] == k
+
+    def _claim_and_draw(self, k):
+        # called holding the lock, which the draw itself runs without
+        i = k % len(self._slots)
+        self._owner[i], self._ready[i] = k, False
+        self._cond.release()
+        try:
+            self._draw(k, self._slots[i])
+        finally:
+            self._cond.acquire()
+        self._ready[i] = True
+        self._cond.notify_all()
+
+    def _fill(self):
+        k = 0
+        with self._cond:
+            try:
+                while not self._closed:
+                    while k < self._n and self._taken(k):
+                        k += 1
+                    if k == self._n:
+                        return
+                    if k < self._next + len(self._slots):
+                        self._claim_and_draw(k)
+                    else:
+                        self._cond.wait()
+            except BaseException as exc:   # raised again by get
+                self._error = exc
+                self._cond.notify_all()
+
+    def get(self, k: int):
+        """Step k's noise; steps before k must have been applied."""
+        i = k % len(self._slots)
+        with self._cond:
+            self._next = k
+            self._cond.notify_all()
+            while not (self._taken(k) and self._ready[i]):
+                if self._error is not None:
+                    raise self._error
+                ahead = [j for j in range(k + 1, min(self._n, k + len(self._slots)))
+                         if not self._taken(j)]
+                if len(ahead) >= 2:
+                    self._claim_and_draw(ahead[-1])
+                else:
+                    self._cond.wait()
+        return self._slots[i]
+
+
 def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         record_every: int = 1):
     """Apply cfg.n_steps EM steps, recording moment summaries.
@@ -344,15 +417,18 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     step cost page faults whenever the allocator hands their memory back
     between steps: at N = 20,000, d = 1, 1,000 steps took 42,700-60,000
     minor faults in a fresh process, against about 1,400 with the buffers
-    reused (CHANGES.md).
+    reused (CHANGES.md).  On the diagonal friction field the gradient and
+    the Hessian diagonal come from one evaluation of the potential
+    (FrictionSpec.resolve), written into the workspace.
 
-    From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws run
-    on one helper thread, a batch of whole steps at a time: about
-    PREFETCH_BATCH_ELEMENTS coordinates, at least one step, and never past
-    the last step.  The helper draws batch j + 1 into one of two buffers
-    while batch j, in the other, is applied.  Each step is still its own
-    philox_normals call, which depends on (seed, step) alone, so the
-    arrays, and the records, are the same as with the draw inline.
+    From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws go
+    into a ring of 2 * max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) per-step
+    slots (_NoiseRing): one helper thread fills it from the front while
+    earlier steps are applied, and the thread applying them draws the
+    farthest free step while it would otherwise wait, as long as two lie
+    ahead.  Each step is still its own philox_normals call, which depends
+    on (seed, step) alone, so the arrays, and the records, are the same as
+    with the draw inline.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index.
@@ -361,61 +437,37 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         raise ValueError("record_every must be >= 1")
     _check_matches(init, cfg, ("dt", "seed", "n_particles"))
     stability_warning(init, p, spec, cfg)
-    gradient = _gradient(p)
-    friction = spec.resolve(p)
+    force = spec.resolve(p)
     shape = init.positions.shape
     start = init.steps_taken
-    end = start + cfg.n_steps
-    per_batch = max(1, PREFETCH_BATCH_ELEMENTS // init.positions.size)
-    inline = init.positions.size < PREFETCH_MIN_ELEMENTS or start == end
+    n = cfg.n_steps
+    inline = init.positions.size < PREFETCH_MIN_ELEMENTS or n == 0
+    ring = 2 * max(1, PREFETCH_BATCH_ELEMENTS // init.positions.size)
     # rows: q, two momenta that trade places every step, a term, the
-    # friction field's pair, then one step of noise inline or two batches
-    # of per_batch steps prefetched
-    work = np.empty((6 + (1 if inline else 2 * per_batch),) + shape)
+    # friction field's pair, then one step of noise inline or the ring
+    work = np.empty((6 + (1 if inline else ring),) + shape)
     q, mom, new_mom, term = work[:4]
-    friction_out, noise_rows = work[4:6], work[6:]
+    friction_out, slots = work[4:6], work[6:]
     q[...] = init.positions
     mom[...] = init.momenta
 
-    def draw(i, out):
-        return philox_normals(init.seed, i, shape, out=out)
-
-    def draw_batch(first, buf):
-        batch = buf[:min(per_batch, end - first)]
-        for i, xi in enumerate(batch, first):
-            draw(i, xi)
-        return batch
+    def draw(k, out):
+        return philox_normals(init.seed, start + k, shape, out=out)
 
     def record(time):
         mean, cov = replace(init, positions=q, momenta=mom, time=time).summary()
         return TrajectoryPoint(time=time, mean=mean, cov=cov)
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def noise():
-            """Each step's noise in step order, in a buffer that a later
-            step overwrites."""
-            if inline:
-                for i in range(start, end):
-                    yield draw(i, noise_rows[0])
-                return
-            bufs = noise_rows.reshape((2, per_batch) + shape)
-            pending = pool.submit(draw_batch, start, bufs[0])
-            for j, first in enumerate(range(start, end, per_batch)):
-                batch = pending.result()
-                if first + per_batch < end:
-                    # the other buffer's batch, j - 1, has been applied
-                    pending = pool.submit(draw_batch, first + per_batch,
-                                          bufs[(j + 1) % 2])
-                yield from batch
-
-        time = init.time
-        out = [record(time)]
-        for k, xi in enumerate(noise(), 1):
-            _advance(q, mom, xi, gradient, friction, cfg.dt, start + k,
-                     (q, new_mom), term, friction_out)
+    time = init.time
+    out = [record(time)]
+    with contextlib.nullcontext() if inline else _NoiseRing(draw, n, slots) as noise:
+        for k in range(1, n + 1):
+            xi = draw(k - 1, slots[0]) if noise is None else noise.get(k - 1)
+            _advance(q, mom, xi, force, cfg.dt, start + k, (q, new_mom), term,
+                     friction_out)
             mom, new_mom = new_mom, mom
             time += cfg.dt
-            if k % record_every == 0 or k == cfg.n_steps:
+            if k % record_every == 0 or k == n:
                 out.append(record(time))
     return out
 

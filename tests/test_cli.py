@@ -534,19 +534,43 @@ class TestCertify:
                               for _ in range(4)]
 
     def test_invalid_certificate_still_exits_zero(self, tmp_path):
+        # no cell of the default grid is valid at eps = 0.5, so the report
+        # falls back to the cell with the largest m1
         cfg = write_config(tmp_path, {
             "kind": "certify",
             "potential": {"family": "perturbed_diagonal", "v": [1.0],
-                          "eps": 0.3},
+                          "eps": 0.5},
         })
         out = str(tmp_path / "cert")
         assert main(["certify", "--config", cfg, "--out", out]) == 0
         report = read_json(out, "certificate.json")
         assert report["certificate"]["valid"] is False
+        rows = read_csv(out, "optimizer_table.csv")[1:]
+        assert all(r[6] == "false" for r in rows)
+        assert report["certificate"]["m1"] == max(float(r[2]) for r in rows)
         comparison = report["comparison"]
         assert comparison["applicable"] is False
         assert comparison["dominates"] is None
         assert "reason" in comparison
+
+    @pytest.mark.parametrize("v, eps", [([1.0, 2.0], 0.1), ([1.0], 0.3)])
+    def test_best_valid_rate_chosen(self, tmp_path, v, eps):
+        # the largest m1 (s = 2, x0 = 1) is invalid here; valid cells with
+        # smaller m1 certify a positive rate that dominates the baseline
+        cfg = write_config(tmp_path, {
+            "kind": "certify",
+            "potential": {"family": "perturbed_diagonal", "v": v, "eps": eps},
+        })
+        out = str(tmp_path / "cert")
+        assert main(["certify", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "certificate.json")
+        cert = report["certificate"]
+        assert cert["valid"] is True
+        assert report["comparison"]["all_dominated"] is True
+        rows = read_csv(out, "optimizer_table.csv")[1:]
+        rates = [float(r[5]) for r in rows if r[6] == "true"]
+        assert cert["original_rate"] == max(rates) > 0
+        assert any(r[6] == "false" and float(r[2]) > cert["m1"] for r in rows)
 
     def test_small_perturbation_dominates(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -106,8 +106,8 @@ class TestResolve:
         ]
         for spec, p in cases:
             friction = spec.resolve(p)
-            g1, sig1 = friction(np.zeros((3, 2)))
-            g2, sig2 = friction(np.array([[3.0, -4.0]] * 5))
+            _, g1, sig1 = friction(np.zeros((3, 2)))
+            _, g2, sig2 = friction(np.array([[3.0, -4.0]] * 5))
             assert g1 is g2 and sig1 is sig2
 
     def test_resolved_shapes(self):
@@ -127,7 +127,7 @@ class TestResolve:
         ]
         q = np.random.default_rng(41).standard_normal((5, 2))
         for spec, p, shape in cases:
-            g, sig = spec.resolve(p)(q)
+            _, g, sig = spec.resolve(p)(q)
             assert g.shape == sig.shape == shape, (spec.kind, p.family)
 
     def test_general_field_from_one_eigh_matches_two_roots(self):
@@ -140,7 +140,7 @@ class TestResolve:
                                 hess_diag=None)
         spec = hessian_sqrt(2.0)
         q = np.random.default_rng(43).standard_normal((40, 2))
-        g, sig = spec.resolve(p)(q)
+        _, g, sig = spec.resolve(p)(q)
         ref_g = 2.0 * spd_sqrt(np.array([p.hess(q_i) for q_i in q]))
         ref_sig = spd_sqrt(2.0 * ref_g)
         assert np.abs(ref_g[:, 0, 1]).max() > 0.1
@@ -157,7 +157,7 @@ class TestResolve:
                  (constant_scalar(0.7), pp),
                  (constant_matrix(np.diag([2.0, 0.5])), pp)]
         for spec, p in cases:
-            g, sig = spec.resolve(p)(qs)
+            _, g, sig = spec.resolve(p)(qs)
             g = np.broadcast_to(g, qs.shape)
             sig = np.broadcast_to(sig, qs.shape)
             for n in range(50):
@@ -165,3 +165,40 @@ class TestResolve:
                 dense_sig = spec.diffusion(p, qs[n])
                 assert np.allclose(np.diag(dense_g), g[n], rtol=0, atol=1e-13)
                 assert np.allclose(np.diag(dense_sig), sig[n], rtol=0, atol=1e-13)
+
+    def test_gradient_written_into_caller_buffer(self):
+        # every form returns grad V(q), written into grad_out when grad takes
+        # out=; the diagonal field from grad_hess_diag gives the bits of the
+        # field from grad and gamma_diag, which it takes without it
+        pp = perturbed_diagonal([1.0, 1.4], 0.3)
+        two_calls = dataclasses.replace(pp, grad_hess_diag=None)
+        general = dataclasses.replace(pp, hess_diag=None)
+        qs = np.random.default_rng(47).standard_normal((20, 2))
+        for spec, p in [(hessian_sqrt(2.0), pp), (hessian_sqrt(2.0), two_calls),
+                        (hessian_sqrt(2.0), general), (constant_scalar(0.7), pp)]:
+            grad_out = np.empty_like(qs)
+            grad, _, _ = spec.resolve(p)(qs, grad_out, np.empty((2,) + qs.shape))
+            assert grad is grad_out
+            assert np.array_equal(grad, pp.grad(qs))
+        fused = hessian_sqrt(2.0).resolve(pp)(qs)
+        ref = hessian_sqrt(2.0).resolve(two_calls)(qs)
+        for a, b in zip(fused, ref):
+            assert np.array_equal(a, b)
+        assert np.array_equal(ref[1], hessian_sqrt(2.0).gamma_diag(pp, qs))
+
+    def test_one_argument_grad_on_general_path(self):
+        # as perfbench/rotated.py builds it: grad without out=, no
+        # hess_diag, and the base's grad_hess_diag left in place, which the
+        # general path must not call
+        base = perturbed_diagonal([1.0, 3.0], 0.5)
+
+        def refuse(*args):
+            raise AssertionError("the general field called grad_hess_diag")
+
+        p = dataclasses.replace(base, grad=lambda q: base.grad(q),
+                                hess_diag=None, grad_hess_diag=refuse)
+        qs = np.random.default_rng(53).standard_normal((10, 2))
+        grad_out = np.empty_like(qs)
+        grad, g, _ = hessian_sqrt(2.0).resolve(p)(qs, grad_out)
+        assert grad is not grad_out and np.array_equal(grad, base.grad(qs))
+        assert g.shape == (10, 2, 2)

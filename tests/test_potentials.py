@@ -184,6 +184,30 @@ DERIVATIVES = {
 }
 
 
+class TestGradHessDiag:
+    """grad_hess_diag evaluates f' and f'' once and must give grad's and
+    hess_diag's bits, non-finite inputs and overflowing ones included."""
+
+    @pytest.mark.parametrize("perturbation", ["log_cosh", "cosine"])
+    @pytest.mark.parametrize("v", [[1.5], [1.0, 2.0, 0.8]], ids=["d1", "d3"])
+    def test_bitwise_equal_to_grad_and_hess_diag(self, perturbation, v):
+        p = perturbed_diagonal(v, 0.3, perturbation)
+        special = [0.0, -0.0, 1e-300, 0.5, -3.0, 20.0, -1e3, 1e3,
+                   np.inf, -np.inf, np.nan]
+        column = np.concatenate(
+            [special, np.random.default_rng(5).uniform(-1e3, 1e3, 64)])
+        q = np.stack([np.roll(column, i) for i in range(len(v))], axis=1)
+        grad_out, hess_out, scratch = np.full((3,) + q.shape, 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # sin(inf)
+            got = p.grad_hess_diag(q, grad_out, hess_out, scratch)
+            want = (p.grad(q), p.hess_diag(q))
+        assert got[0] is grad_out and got[1] is hess_out
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestGammaClosedForm:
     @pytest.mark.parametrize("perturbation", sorted(DERIVATIVES))
     def test_matches_dense_grid(self, perturbation):

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -202,6 +203,32 @@ class TestStepFormula:
         b = step(e, dense, spec, cfg)
         assert np.allclose(a.positions, b.positions, atol=1e-12)
         assert np.allclose(a.momenta, b.momenta, atol=1e-12)
+
+    def test_diagonal_field_evaluates_tanh_once_per_step(self, monkeypatch):
+        # the gradient and the Hessian diagonal share one tanh through
+        # grad_hess_diag; the potential's grad and hess_diag are not called
+        calls = {"tanh": 0, "grad": 0, "hess_diag": 0}
+        tanh = np.tanh
+
+        def counting_tanh(*args, **kwargs):
+            calls["tanh"] += 1
+            return tanh(*args, **kwargs)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        base = perturbed_diagonal([1.0, 2.0], 0.1)
+        pot = dataclasses.replace(base, grad=counted("grad", base.grad),
+                                  hess_diag=counted("hess_diag", base.hess_diag))
+        cfg = SimConfig(dt=0.005, n_steps=3, n_particles=16, seed=3)
+        e = ensemble_at_point([0.3, -0.7], [0.1, 0.4], 16, 3, 0.005)
+        monkeypatch.setattr(np, "tanh", counting_tanh)
+        for k in range(1, 4):
+            e = step(e, pot, hessian_sqrt(2.0), cfg)
+            assert calls == {"tanh": k, "grad": 0, "hess_diag": 0}
 
     def test_pure_noise_kick_from_rest(self):
         # grad V and Gamma p both vanish at the origin with zero momentum
@@ -630,13 +657,55 @@ class TestSummary:
         assert digests[0] == digests[1]
 
 
+def _slow_helper(monkeypatch, delay):
+    """simulate.philox_normals sleeping delay seconds when called off the
+    main thread; returns the list it appends (step index, drawn on the main
+    thread) to, one pair per draw."""
+    draws = []
+    draw = simulate.philox_normals
+
+    def slow(seed, step_index, *args, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        if not on_main:
+            time.sleep(delay)
+        draws.append((step_index, on_main))
+        return draw(seed, step_index, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "philox_normals", slow)
+    return draws
+
+
+def _bounded(fn, timeout=120):
+    """fn(caller) on a new thread, caller being that thread; it must return
+    within timeout seconds, and its result is returned or its exception
+    raised."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn(threading.current_thread())
+        except BaseException as exc:   # raised again below
+            box["error"] = exc
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "run did not return"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
 class TestNoisePrefetch:
     """run draws the noise ahead on a helper thread from
-    PREFETCH_MIN_ELEMENTS coordinates on, in batches of whole steps;
-    nothing observable may change.  Here a batch is one step."""
+    PREFETCH_MIN_ELEMENTS coordinates on, into a ring of per-step slots;
+    nothing observable may change.  Here the ring is two slots."""
 
-    N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so one step per batch
+    N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so a ring of two steps
     N_STEPS = 5
+    #: whether the thread applying the steps draws any while the helper is
+    #: slow: never on a ring of two, where no free step lies two ahead
+    APPLIER_DRAWS = False
 
     def _setup(self, dt=1e-3, n_steps=None):
         n = self.N
@@ -694,7 +763,7 @@ class TestNoisePrefetch:
             # run steps its state in buffers it reuses, so each step's new
             # state, the out pair, is copied
             advance(*args)
-            seen.append(tuple(x.copy() for x in args[7]))
+            seen.append(tuple(x.copy() for x in args[6]))
 
         monkeypatch.setattr(simulate, "_advance", spy)
         run(init, pot, spec, cfg)
@@ -720,6 +789,71 @@ class TestNoisePrefetch:
         assert indices[0] is not None and 1 <= indices[0] <= 200
         assert indices[0] == indices[1]
 
+    def test_shared_draws_equal_step_loop(self, monkeypatch):
+        pot, spec, cfg, init = self._setup()
+        draws = _slow_helper(monkeypatch, 0.02)
+        pts = run(init, pot, spec, cfg)
+        assert sorted(i for i, _ in draws) == list(range(cfg.n_steps))
+        assert any(on_main for _, on_main in draws) == self.APPLIER_DRAWS
+        self._assert_step_loop_records(pts, init, pot, spec, cfg)
+
+    def test_helper_failure_raised_and_joined(self, monkeypatch):
+        # the helper's draws fail from the third step on: run raises the
+        # failure once it needs that step, every earlier step applied, and
+        # leaves no thread behind
+        start = threading.active_count()
+        pot, spec, cfg, init = self._setup()
+        draw, advance = simulate.philox_normals, simulate._advance
+        caller, applied = [], []
+
+        class DrawFailed(Exception):
+            pass
+
+        def failing(seed, step_index, *args, **kwargs):
+            if (threading.current_thread() is not caller[0]
+                    and step_index >= init.steps_taken + 2):
+                raise DrawFailed(step_index)
+            return draw(seed, step_index, *args, **kwargs)
+
+        def spy(*args):
+            applied.append(args[5])
+            advance(*args)
+
+        def target(thread):
+            caller.append(thread)
+            return run(init, pot, spec, cfg)
+
+        monkeypatch.setattr(simulate, "philox_normals", failing)
+        monkeypatch.setattr(simulate, "_advance", spy)
+        with pytest.raises(DrawFailed) as excinfo:
+            _bounded(target)
+        failed = excinfo.value.args[0]
+        assert applied == list(range(1, failed + 1))
+        assert threading.active_count() == start
+
+    def test_concurrent_runs_with_fast_thread_switching(self):
+        # three runs at once, six threads on fewer cores, switching every
+        # microsecond: a lost update in the ring would move a record
+        pot, spec, cfg, init = self._setup()
+        results = [None] * 3
+
+        def target(i):
+            results[i] = run(init, pot, spec, cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=target, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for pts in results:
+            self._assert_step_loop_records(pts, init, pot, spec, cfg)
+
     def test_no_thread_left_behind(self):
         start = threading.active_count()
         pot, spec, cfg, init = self._setup()
@@ -733,12 +867,13 @@ class TestNoisePrefetch:
 
 
 class TestBatchedPrefetch(TestNoisePrefetch):
-    """The same checks where a batch holds several steps, the steps do not
-    fill the last batch, and records fall inside batches."""
+    """The same checks where each half of the ring holds several steps, the
+    steps do not fill the last half, and records fall inside halves."""
 
     N = 10_000
     N_STEPS = 30
     PER_BATCH = simulate.PREFETCH_BATCH_ELEMENTS // N
+    APPLIER_DRAWS = True
 
     def test_sizes_cover_batches(self):
         assert self.N >= simulate.PREFETCH_MIN_ELEMENTS
@@ -758,6 +893,24 @@ class TestBatchedPrefetch(TestNoisePrefetch):
         assert excinfo.value.step_index == ref.value.step_index
         # neither the first nor the last step of its batch
         assert ref.value.step_index % self.PER_BATCH not in (0, 1)
+
+    def test_blowup_on_step_drawn_by_applier(self, monkeypatch):
+        # with a slow helper the thread applying the steps draws the far
+        # ones, the noise of the blown-up step among them
+        start = threading.active_count()
+        pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
+        draws = _slow_helper(monkeypatch, 0.1)
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            with pytest.raises(NumericalBlowup) as excinfo:
+                run(init, pot, spec, cfg)
+        assert threading.active_count() == start
+        index = excinfo.value.step_index
+        assert dict(draws)[index - 1] is True
+        e = init
+        with pytest.raises(NumericalBlowup) as ref:
+            for _ in range(cfg.n_steps):
+                e = step(e, pot, spec, cfg)
+        assert index == ref.value.step_index
 
 
 class TestRunBuffers:

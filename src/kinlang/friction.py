@@ -78,11 +78,11 @@ class FrictionSpec:
         over (N, d) positions, Gamma and the diffusion in the shapes the
         module docstring lists.  The gradient is written into the (N, d)
         array grad_out when one is given and p.grad takes an out= array
-        (_gradient), else it is a new array.  The diagonal field writes Gamma and the diffusion into out, a
-        (2, N, d) array, when one is given, so a caller that steps many
-        times allocates it once; the other forms ignore it.  With
-        p.grad_hess_diag and both buffers, the diagonal field allocates
-        nothing."""
+        (_gradient), else it is a new array.  The diagonal field writes
+        Gamma and the diffusion into out, a (2, N, d) array, when one is
+        given, so a caller that steps many times allocates it once; the
+        other forms ignore it.  With p.grad_hess_diag and both buffers, the
+        diagonal field allocates nothing."""
         gradient = _gradient(p)
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))

@@ -174,16 +174,16 @@ class ScalarPerturbation:
         eps |f'''(x)| / (2 sqrt(v2 + eps f''(x)))
 
     for each entry of the array v2, at an eps > 0 that keeps v2 + eps f''
-    positive.  d1(x, out) and d2(x, out), f' and f'', write into the array
-    out and return it, so each evaluation holds one array.  d1_d2(x, d1,
-    d2) writes both and returns the pair, with the operations of d1 and d2
-    but from one evaluation where f'' follows from f'.
+    positive.  d1(x, out), f', writes into the array out and returns it,
+    so each evaluation holds one array.  d1_d2(x, d1, d2) writes f', with
+    d1's operations, and f'' into the arrays d1 and d2, from one evaluation
+    where f'' follows from f', and returns the pair.  f'' is written last,
+    so d2 may be d1, and d1_d2(x, h, h)[1] is f'' alone.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d1_d2: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     gamma: Callable[[np.ndarray, float], np.ndarray]
     inf_d2: float
@@ -197,20 +197,12 @@ def _tanh_sech2(x, d1, d2):
     return d1, np.subtract(1.0, d2, d2)
 
 
-def _sech2(x, out):
-    return _tanh_sech2(x, out, out)[1]
-
-
 def _neg_sin(x, out):
     return np.negative(np.sin(x, out), out)
 
 
-def _neg_cos(x, out):
-    return np.negative(np.cos(x, out), out)
-
-
 def _neg_sin_cos(x, d1, d2):
-    return _neg_sin(x, d1), _neg_cos(x, d2)
+    return _neg_sin(x, d1), np.negative(np.cos(x, d2), d2)
 
 
 def _log_cosh(x):
@@ -241,7 +233,6 @@ LOG_COSH = ScalarPerturbation(
     name="log_cosh",
     f=_log_cosh,
     d1=np.tanh,
-    d2=_sech2,
     d1_d2=_tanh_sech2,
     gamma=_log_cosh_gamma,
     inf_d2=0.0,
@@ -254,7 +245,6 @@ COSINE = ScalarPerturbation(
     name="cosine",
     f=np.cos,
     d1=_neg_sin,
-    d2=_neg_cos,
     d1_d2=_neg_sin_cos,
     gamma=_cosine_gamma,
     inf_d2=-1.0,
@@ -323,7 +313,8 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
 
     def hess_diag(q):
         q = np.asarray(q, dtype=float)
-        return hess_from(pert.d2(q, np.empty(np.broadcast(q, v2).shape)))
+        h = np.empty(np.broadcast(q, v2).shape)
+        return hess_from(pert.d1_d2(q, h, h)[1])
 
     def grad_hess_diag(q, grad_out, hess_out, scratch):
         kick, h = pert.d1_d2(q, scratch, hess_out)

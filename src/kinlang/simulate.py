@@ -323,22 +323,23 @@ class _NoiseRing:
     one helper thread and, while it waits, by the thread applying them.
 
     Step k (counted from the run's first) goes to slot k % len(slots), which
-    is free once step k - len(slots) has been applied.  The helper draws the
-    steps in order from the front.  When the step get needs is still being
-    drawn, the calling thread draws the farthest free undrawn step itself,
-    but only while at least two such steps lie ahead, so that the helper is
-    never left idle.  Each step is one draw(k, slot) call either way, so
-    which thread drew it moves no bit.  An exception the helper's draw
-    raises is raised by get when that step is needed.  Entering starts the
-    helper, and leaving stops and joins it.
+    is free once step k - len(slots) has been applied.  Both threads claim
+    steps in increasing order from one counter.  The helper claims the next
+    step whenever its slot is free.  The thread in get, while its own step
+    k is still being drawn, claims the next step only if two or more steps
+    before k + len(slots) are unclaimed, so that the helper is never left
+    idle.  Each step is one draw(k, slot) call either way, so which thread
+    drew it moves no bit.  An exception the helper's draw raises is raised
+    by get when that step is needed.  Entering starts the helper, and
+    leaving stops and joins it.
     """
 
     def __init__(self, draw, n: int, slots):
         self._draw, self._n, self._slots = draw, n, slots
         self._cond = threading.Condition()
-        self._owner = [-1] * len(slots)     # the step claimed into each slot
-        self._ready = [False] * len(slots)  # ... and whether it is drawn
-        self._next = 0                      # get's step; earlier ones are applied
+        self._claimed = 0                  # steps claimed so far, in order
+        self._drawn = [-1] * len(slots)    # the step drawn into each slot
+        self._next = 0                     # get's step; earlier ones are applied
         self._error = None
         self._closed = False
         self._helper = threading.Thread(target=self._fill)
@@ -353,32 +354,25 @@ class _NoiseRing:
             self._cond.notify_all()
         self._helper.join()
 
-    def _taken(self, k):
-        return self._owner[k % len(self._slots)] == k
-
-    def _claim_and_draw(self, k):
+    def _claim_and_draw(self):
         # called holding the lock, which the draw itself runs without
+        k = self._claimed
+        self._claimed += 1
         i = k % len(self._slots)
-        self._owner[i], self._ready[i] = k, False
         self._cond.release()
         try:
             self._draw(k, self._slots[i])
         finally:
             self._cond.acquire()
-        self._ready[i] = True
+        self._drawn[i] = k
         self._cond.notify_all()
 
     def _fill(self):
-        k = 0
         with self._cond:
             try:
-                while not self._closed:
-                    while k < self._n and self._taken(k):
-                        k += 1
-                    if k == self._n:
-                        return
-                    if k < self._next + len(self._slots):
-                        self._claim_and_draw(k)
+                while not self._closed and self._claimed < self._n:
+                    if self._claimed < self._next + len(self._slots):
+                        self._claim_and_draw()
                     else:
                         self._cond.wait()
             except BaseException as exc:   # raised again by get
@@ -391,13 +385,11 @@ class _NoiseRing:
         with self._cond:
             self._next = k
             self._cond.notify_all()
-            while not (self._taken(k) and self._ready[i]):
+            while self._drawn[i] != k:
                 if self._error is not None:
                     raise self._error
-                ahead = [j for j in range(k + 1, min(self._n, k + len(self._slots)))
-                         if not self._taken(j)]
-                if len(ahead) >= 2:
-                    self._claim_and_draw(ahead[-1])
+                if self._claimed + 2 <= min(self._n, k + len(self._slots)):
+                    self._claim_and_draw()
                 else:
                     self._cond.wait()
         return self._slots[i]
@@ -423,12 +415,13 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
 
     From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws go
     into a ring of 2 * max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) per-step
-    slots (_NoiseRing): one helper thread fills it from the front while
-    earlier steps are applied, and the thread applying them draws the
-    farthest free step while it would otherwise wait, as long as two lie
-    ahead.  Each step is still its own philox_normals call, which depends
-    on (seed, step) alone, so the arrays, and the records, are the same as
-    with the draw inline.
+    slots (_NoiseRing).  Steps are claimed in order from one counter: by
+    one helper thread whenever a slot is free, while earlier steps are
+    applied, and by the thread applying them while it would otherwise
+    wait, as long as two or more steps within one ring's length of its own
+    are unclaimed.  Each step is still its own philox_normals call, which
+    depends on (seed, step) alone, so the arrays, and the records, are the
+    same as with the draw inline.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index.

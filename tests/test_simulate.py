@@ -657,18 +657,18 @@ class TestSummary:
         assert digests[0] == digests[1]
 
 
-def _slow_helper(monkeypatch, delay):
+def _slow_helper(monkeypatch, delay, caller):
     """simulate.philox_normals sleeping delay seconds when called off the
-    main thread; returns the list it appends (step index, drawn on the main
-    thread) to, one pair per draw."""
+    thread caller[0], the one applying the steps; returns the list it
+    appends (step index, calling thread) to on entry, one pair per draw."""
     draws = []
     draw = simulate.philox_normals
 
     def slow(seed, step_index, *args, **kwargs):
-        on_main = threading.current_thread() is threading.main_thread()
-        if not on_main:
+        thread = threading.current_thread()
+        draws.append((step_index, thread))
+        if thread is not caller[0]:
             time.sleep(delay)
-        draws.append((step_index, on_main))
         return draw(seed, step_index, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "philox_normals", slow)
@@ -678,7 +678,8 @@ def _slow_helper(monkeypatch, delay):
 def _bounded(fn, timeout=120):
     """fn(caller) on a new thread, caller being that thread; it must return
     within timeout seconds, and its result is returned or its exception
-    raised."""
+    raised.  The thread is a daemon, and so are the threads it starts, so
+    one left waiting does not hold the interpreter at exit either."""
     box = {}
 
     def target():
@@ -687,7 +688,7 @@ def _bounded(fn, timeout=120):
         except BaseException as exc:   # raised again below
             box["error"] = exc
 
-    worker = threading.Thread(target=target)
+    worker = threading.Thread(target=target, daemon=True)
     worker.start()
     worker.join(timeout)
     assert not worker.is_alive(), "run did not return"
@@ -699,7 +700,9 @@ def _bounded(fn, timeout=120):
 class TestNoisePrefetch:
     """run draws the noise ahead on a helper thread from
     PREFETCH_MIN_ELEMENTS coordinates on, into a ring of per-step slots;
-    nothing observable may change.  Here the ring is two slots."""
+    nothing observable may change.  Here the ring is two slots.  Every run
+    goes through _bounded, so a ring that strands a step fails the test
+    instead of hanging the suite."""
 
     N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so a ring of two steps
     N_STEPS = 5
@@ -716,6 +719,17 @@ class TestNoisePrefetch:
         return pot, spec, cfg, init
 
     @staticmethod
+    def _run(*args, caller=None, **kwargs):
+        """run(*args, **kwargs) under _bounded; the list caller, when
+        given, receives the thread applying the steps."""
+        def target(thread):
+            if caller is not None:
+                caller.append(thread)
+            return run(*args, **kwargs)
+
+        return _bounded(target)
+
+    @staticmethod
     def _assert_step_loop_records(pts, init, pot, spec, cfg, record_every=1):
         e = init
         ref = [e.summary()]
@@ -730,7 +744,7 @@ class TestNoisePrefetch:
 
     def test_records_equal_step_loop(self):
         pot, spec, cfg, init = self._setup()
-        pts = run(init, pot, spec, cfg)
+        pts = self._run(init, pot, spec, cfg)
         assert len(pts) == cfg.n_steps + 1
         self._assert_step_loop_records(pts, init, pot, spec, cfg)
 
@@ -738,13 +752,13 @@ class TestNoisePrefetch:
         # a run that starts at step 1 and records every 4th step
         pot, spec, cfg, init = self._setup()
         init = step(init, pot, spec, cfg)
-        pts = run(init, pot, spec, cfg, record_every=4)
+        pts = self._run(init, pot, spec, cfg, record_every=4)
         self._assert_step_loop_records(pts, init, pot, spec, cfg, record_every=4)
 
     def test_reruns_identical(self):
         pot, spec, cfg, init = self._setup()
-        a = run(init, pot, spec, cfg, record_every=2)
-        b = run(init, pot, spec, cfg, record_every=2)
+        a = self._run(init, pot, spec, cfg, record_every=2)
+        b = self._run(init, pot, spec, cfg, record_every=2)
         for pa, pb in zip(a, b):
             assert pa.time == pb.time
             assert np.array_equal(pa.mean, pb.mean)
@@ -766,12 +780,12 @@ class TestNoisePrefetch:
             seen.append(tuple(x.copy() for x in args[6]))
 
         monkeypatch.setattr(simulate, "_advance", spy)
-        run(init, pot, spec, cfg)
+        self._run(init, pot, spec, cfg)
         big = list(seen)
         seen.clear()
         part = Ensemble(positions=init.positions[:m], momenta=init.momenta[:m],
                         time=0.0, seed=init.seed, steps_taken=0, dt=init.dt)
-        run(part, pot, spec, dataclasses.replace(cfg, n_particles=m))
+        self._run(part, pot, spec, dataclasses.replace(cfg, n_particles=m))
         assert len(big) == len(seen) == cfg.n_steps
         for (qa, pa), (qb, pb) in zip(big, seen):
             assert np.array_equal(qa[:m], qb)
@@ -784,17 +798,22 @@ class TestNoisePrefetch:
             monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", threshold)
             with pytest.warns(RuntimeWarning, match="unstable"):
                 with pytest.raises(NumericalBlowup) as excinfo:
-                    run(init, pot, spec, cfg)
+                    self._run(init, pot, spec, cfg)
             indices.append(excinfo.value.step_index)
         assert indices[0] is not None and 1 <= indices[0] <= 200
         assert indices[0] == indices[1]
 
     def test_shared_draws_equal_step_loop(self, monkeypatch):
         pot, spec, cfg, init = self._setup()
-        draws = _slow_helper(monkeypatch, 0.02)
-        pts = run(init, pot, spec, cfg)
+        caller = []
+        draws = _slow_helper(monkeypatch, 0.02, caller)
+        pts = self._run(init, pot, spec, cfg, caller=caller)
         assert sorted(i for i, _ in draws) == list(range(cfg.n_steps))
-        assert any(on_main for _, on_main in draws) == self.APPLIER_DRAWS
+        assert any(t is caller[0] for _, t in draws) == self.APPLIER_DRAWS
+        # steps are claimed from one counter, so each thread's draws increase
+        for thread in {t for _, t in draws}:
+            mine = [i for i, t in draws if t is thread]
+            assert all(a < b for a, b in zip(mine, mine[1:])), mine
         self._assert_step_loop_records(pts, init, pot, spec, cfg)
 
     def test_helper_failure_raised_and_joined(self, monkeypatch):
@@ -819,14 +838,10 @@ class TestNoisePrefetch:
             applied.append(args[5])
             advance(*args)
 
-        def target(thread):
-            caller.append(thread)
-            return run(init, pot, spec, cfg)
-
         monkeypatch.setattr(simulate, "philox_normals", failing)
         monkeypatch.setattr(simulate, "_advance", spy)
         with pytest.raises(DrawFailed) as excinfo:
-            _bounded(target)
+            self._run(init, pot, spec, cfg, caller=caller)
         failed = excinfo.value.args[0]
         assert applied == list(range(1, failed + 1))
         assert threading.active_count() == start
@@ -840,29 +855,31 @@ class TestNoisePrefetch:
         def target(i):
             results[i] = run(init, pot, spec, cfg)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        def three_at_once(caller):
             threads = [threading.Thread(target=target, args=(i,)) for i in range(3)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(120)
+                t.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _bounded(three_at_once)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
         for pts in results:
             self._assert_step_loop_records(pts, init, pot, spec, cfg)
 
     def test_no_thread_left_behind(self):
         start = threading.active_count()
         pot, spec, cfg, init = self._setup()
-        run(init, pot, spec, cfg)
+        self._run(init, pot, spec, cfg)
         assert threading.active_count() == start
         pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
         with pytest.warns(RuntimeWarning, match="unstable"):
             with pytest.raises(NumericalBlowup):
-                run(init, pot, spec, cfg)
+                self._run(init, pot, spec, cfg)
         assert threading.active_count() == start
 
 
@@ -885,7 +902,7 @@ class TestBatchedPrefetch(TestNoisePrefetch):
         pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
         with pytest.warns(RuntimeWarning, match="unstable"):
             with pytest.raises(NumericalBlowup) as excinfo:
-                run(init, pot, spec, cfg)
+                self._run(init, pot, spec, cfg)
         e = init
         with pytest.raises(NumericalBlowup) as ref:
             for _ in range(cfg.n_steps):
@@ -895,17 +912,18 @@ class TestBatchedPrefetch(TestNoisePrefetch):
         assert ref.value.step_index % self.PER_BATCH not in (0, 1)
 
     def test_blowup_on_step_drawn_by_applier(self, monkeypatch):
-        # with a slow helper the thread applying the steps draws the far
-        # ones, the noise of the blown-up step among them
+        # with a slow helper the thread applying the steps draws most of
+        # them while it waits, the noise of the blown-up step among them
         start = threading.active_count()
         pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
-        draws = _slow_helper(monkeypatch, 0.1)
+        caller = []
+        draws = _slow_helper(monkeypatch, 0.1, caller)
         with pytest.warns(RuntimeWarning, match="unstable"):
             with pytest.raises(NumericalBlowup) as excinfo:
-                run(init, pot, spec, cfg)
+                self._run(init, pot, spec, cfg, caller=caller)
         assert threading.active_count() == start
         index = excinfo.value.step_index
-        assert dict(draws)[index - 1] is True
+        assert dict(draws)[index - 1] is caller[0]
         e = init
         with pytest.raises(NumericalBlowup) as ref:
             for _ in range(cfg.n_steps):

@@ -32,11 +32,19 @@ class UnsupportedFriction(KinlangError):
 
 
 class NumericalBlowup(KinlangError):
-    """A simulated trajectory left the trusted numerical range."""
+    """A simulated trajectory left the trusted numerical range.
 
-    def __init__(self, message, step_index=None):
+    step_index is the step whose new state failed; particle, coordinate and
+    block ("positions" or "momenta") name its first untrusted entry, in
+    row-major order over the particles' (q, p) rows."""
+
+    def __init__(self, message, step_index=None, particle=None,
+                 coordinate=None, block=None):
         super().__init__(message)
         self.step_index = step_index
+        self.particle = particle
+        self.coordinate = coordinate
+        self.block = block
 
 
 class DegenerateS(KinlangError):

@@ -54,11 +54,17 @@ BLOWUP_LIMIT = 1e12
 #: than it saved on a 2-core host (size sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
-#: coordinates (1 MiB of float64) in half the ring: it holds two halves of
-#: max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) whole steps, so the helper may
-#: run that far ahead of the step being applied, and from this size on the
-#: ring is two steps
+#: coordinates (1 MiB of float64) in half the ring: it holds
+#: max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d))) whole steps, so the
+#: helper may run that far ahead of the step being applied.  Above half this
+#: size the ring is three steps, the fewest that leave the applying thread a
+#: step to draw after the helper's while it waits
 PREFETCH_BATCH_ELEMENTS = 1 << 17
+
+#: coordinates (256 KiB of float64) in one row block of the elementwise EM
+#: update and its finite check on the diagonal forms, so that a block's
+#: operands stay in cache from one ufunc to the next
+BLOCK_ELEMENTS = 1 << 15
 
 #: seeds are one 64-bit Philox key word: 0 <= seed < SEED_LIMIT
 SEED_LIMIT = 1 << 64
@@ -204,15 +210,27 @@ def ensemble_from_moments(moments: GaussianMoments, n: int, seed: int, dt: float
     )
 
 
-def _check_finite(q, p, step_index):
+def _check_finite(q, p, step_index, offset=0):
+    """Raise NumericalBlowup naming step_index unless every entry of q and p
+    is finite and within BLOWUP_LIMIT.  q and p are rows offset, offset + 1,
+    ... of the ensemble, so the error names the ensemble's particle."""
     # a NaN carries through min and max and fails both comparisons
-    if not all(-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT for x in (q, p)):
-        raise NumericalBlowup(
-            f"trajectory left the trusted range at step {step_index} "
-            f"(|coordinate| > {BLOWUP_LIMIT:g} or non-finite); "
-            "check dt against the stability criterion",
-            step_index=step_index,
-        )
+    if all(-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT for x in (q, p)):
+        return
+    # the first bad entry in row-major order over the phase-space rows
+    # (q_i, p_i): a row-blocked check finds the same one as a whole check
+    x = np.hstack([q, p])
+    row, col = divmod(int(np.argmax(~(np.abs(x) <= BLOWUP_LIMIT))), x.shape[1])
+    half, coordinate = divmod(col, q.shape[1])
+    block = ("positions", "momenta")[half]
+    raise NumericalBlowup(
+        f"trajectory left the trusted range at step {step_index}: "
+        f"{block}[{offset + row}, {coordinate}] = {float(x[row, col])!r} "
+        f"(|coordinate| > {BLOWUP_LIMIT:g} or non-finite); "
+        "check dt against the stability criterion",
+        step_index=step_index, particle=offset + row, coordinate=coordinate,
+        block=block,
+    )
 
 
 def _apply(m, x, out):
@@ -231,28 +249,46 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
              friction_out=None):
     """The EM update, its force from FrictionSpec.resolve, written to out =
     (new_q, new_p), (N, d) arrays.  new_q may be q itself; new_p must be
-    neither q nor mom.  The (N, d) array term is overwritten, and may be
-    new_q unless that is q; so is friction_out, the (2, N, d) buffer a
-    diagonal friction field writes into (None: the field allocates).  q,
-    mom and xi are only read.  With the shipped potentials a step allocates
-    at most one (N, d) temporary, and none on the diagonal field.  Each
-    value is the operation the module docstring writes, in its order,
+    neither q nor mom.  term is the update's scratch: None takes each
+    row's scratch from new_q, which must then not be q; an (N, d) array
+    apart from the other operands has its first rows reused by every row
+    block.  friction_out, the (2, N, d) buffer a diagonal friction field
+    writes into (None: the field allocates), is overwritten too.  q, mom
+    and xi are only read.  With the shipped potentials a step allocates at
+    most one (N, d) temporary, and none on the diagonal field.  Each value
+    is the operation the module docstring writes, in its order,
 
         p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
 
-    so the bits do not depend on which arrays hold them.  Raises
-    NumericalBlowup naming step_index when the new state is not trusted."""
+    so the bits do not depend on which arrays hold them.
+
+    The force is evaluated over the whole ensemble.  When Gamma and the
+    diffusion are diagonal entries and N * d > BLOCK_ELEMENTS, the update
+    and the finite check then run in blocks of max(1, BLOCK_ELEMENTS // d)
+    rows, each element through the same ufuncs, so no bit moves.  A matrix
+    form stays one block: a 2-D matmul's bits can depend on its row count.
+    Raises NumericalBlowup naming step_index and the first untrusted
+    entry."""
     new_q, new_p = out
     grad, g, sig = force(q, new_p, friction_out)
-    np.multiply(grad, dt, out=new_p)
-    np.subtract(mom, new_p, out=new_p)
-    np.multiply(_apply(g, mom, term), dt, out=term)
-    np.subtract(new_p, term, out=new_p)
-    np.multiply(_apply(sig, xi, term), np.sqrt(dt), out=term)
-    np.add(new_p, term, out=new_p)
-    np.multiply(mom, dt, out=term)
-    np.add(q, term, out=new_q)
-    _check_finite(new_q, new_p, step_index)
+    n, d = q.shape
+    rows = n
+    if q.size > BLOCK_ELEMENTS and g.ndim < 3 and sig.ndim < 3:
+        rows = max(1, BLOCK_ELEMENTS // d)
+    for start in range(0, n, rows):
+        b = slice(start, start + rows)
+        bq, bp, bmom = new_q[b], new_p[b], mom[b]
+        t = bq if term is None else term[:len(bmom)]
+        np.multiply(grad[b], dt, out=bp)
+        np.subtract(bmom, bp, out=bp)
+        np.multiply(_apply(g[b] if g.ndim == 2 else g, bmom, t), dt, out=t)
+        np.subtract(bp, t, out=bp)
+        np.multiply(_apply(sig[b] if sig.ndim == 2 else sig, xi[b], t),
+                    np.sqrt(dt), out=t)
+        np.add(bp, t, out=bp)
+        np.multiply(bmom, dt, out=t)
+        np.add(q[b], t, out=bq)
+        _check_finite(bq, bp, step_index, start)
 
 
 def _check_matches(ensemble: Ensemble, cfg: SimConfig, fields=("dt", "seed")):
@@ -273,7 +309,8 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     keyed stream for step index `ensemble.steps_taken`.  The ensemble's dt
     and seed must match cfg's; the particle count comes from the ensemble.
     The update is run's, into one new (2, N, d) array whose rows are the
-    new positions and momenta, so neither the ensemble nor xi changes.
+    new positions and momenta, so neither the ensemble nor xi changes; each
+    row block's scratch is its own rows of the new positions.
     """
     _check_matches(ensemble, cfg)
     shape = ensemble.positions.shape
@@ -290,7 +327,7 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     # the system and faulted in again (CHANGES.md)
     out = np.empty((2,) + shape)
     _advance(ensemble.positions, ensemble.momenta, xi, spec.resolve(p),
-             cfg.dt, step_index, out, out[0])
+             cfg.dt, step_index, out, None)
     return replace(ensemble, positions=out[0], momenta=out[1],
                    time=ensemble.time + cfg.dt, steps_taken=step_index)
 
@@ -328,10 +365,12 @@ class _NoiseRing:
     step whenever its slot is free.  The thread in get, while its own step
     k is still being drawn, claims the next step only if two or more steps
     before k + len(slots) are unclaimed, so that the helper is never left
-    idle.  Each step is one draw(k, slot) call either way, so which thread
-    drew it moves no bit.  An exception the helper's draw raises is raised
-    by get when that step is needed.  Entering starts the helper, and
-    leaving stops and joins it.
+    idle.  A ring needs three slots for that: while the helper draws step
+    k, the waiting thread draws step k + 1, and the helper's next claim,
+    k + 2, fills the third.  Each step is one draw(k, slot) call either
+    way, so which thread drew it moves no bit.  An exception the helper's
+    draw raises is raised by get when that step is needed.  Entering starts
+    the helper, and leaving stops and joins it.
     """
 
     def __init__(self, draw, n: int, slots):
@@ -414,17 +453,22 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     (FrictionSpec.resolve), written into the workspace.
 
     From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws go
-    into a ring of 2 * max(1, PREFETCH_BATCH_ELEMENTS // (N * d)) per-step
-    slots (_NoiseRing).  Steps are claimed in order from one counter: by
-    one helper thread whenever a slot is free, while earlier steps are
-    applied, and by the thread applying them while it would otherwise
-    wait, as long as two or more steps within one ring's length of its own
-    are unclaimed.  Each step is still its own philox_normals call, which
+    into a ring of max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d)))
+    per-step slots (_NoiseRing).  Steps are claimed in order from one
+    counter: by one helper thread whenever a slot is free, while earlier
+    steps are applied, and by the thread applying them while it would
+    otherwise wait, as long as two or more steps within one ring's length
+    of its own are unclaimed; on a ring of three, that is the step after
+    the helper's.  Each step is still its own philox_normals call, which
     depends on (seed, step) alone, so the arrays, and the records, are the
-    same as with the draw inline.
+    same as with the draw inline.  On the diagonal forms, where _advance
+    updates the ensemble in row blocks, only the first block of the
+    workspace's term row is used; the rest of its pages are never touched,
+    which pays for the ring's third slot at N * d > 2^16.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
-    summaries.  Raises NumericalBlowup with the offending step index.
+    summaries.  Raises NumericalBlowup with the offending step index and
+    the first untrusted entry.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -435,7 +479,7 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     start = init.steps_taken
     n = cfg.n_steps
     inline = init.positions.size < PREFETCH_MIN_ELEMENTS or n == 0
-    ring = 2 * max(1, PREFETCH_BATCH_ELEMENTS // init.positions.size)
+    ring = max(3, 2 * (PREFETCH_BATCH_ELEMENTS // init.positions.size))
     # rows: q, two momenta that trade places every step, a term, the
     # friction field's pair, then one step of noise inline or the ring
     work = np.empty((6 + (1 if inline else ring),) + shape)

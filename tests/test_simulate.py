@@ -700,15 +700,17 @@ def _bounded(fn, timeout=120):
 class TestNoisePrefetch:
     """run draws the noise ahead on a helper thread from
     PREFETCH_MIN_ELEMENTS coordinates on, into a ring of per-step slots;
-    nothing observable may change.  Here the ring is two slots.  Every run
-    goes through _bounded, so a ring that strands a step fails the test
-    instead of hanging the suite."""
+    nothing observable may change.  Here the ring is three slots, the
+    fewest it has.  Every run goes through _bounded, so a ring that strands
+    a step fails the test instead of hanging the suite."""
 
-    N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so a ring of two steps
+    N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so a ring of three steps
     N_STEPS = 5
+    RING = 3
     #: whether the thread applying the steps draws any while the helper is
-    #: slow: never on a ring of two, where no free step lies two ahead
-    APPLIER_DRAWS = False
+    #: slow: yes on a ring of three, where it draws the step after the one
+    #: the helper is drawing
+    APPLIER_DRAWS = True
 
     def _setup(self, dt=1e-3, n_steps=None):
         n = self.N
@@ -741,6 +743,19 @@ class TestNoisePrefetch:
         for pt, (mean, cov) in zip(pts, ref):
             assert np.array_equal(pt.mean, mean)
             assert np.array_equal(pt.cov, cov)
+
+    def test_ring_length(self, monkeypatch):
+        lengths = []
+
+        class Ring(simulate._NoiseRing):
+            def __init__(self, draw, n, slots):
+                lengths.append(len(slots))
+                super().__init__(draw, n, slots)
+
+        monkeypatch.setattr(simulate, "_NoiseRing", Ring)
+        pot, spec, cfg, init = self._setup()
+        self._run(init, pot, spec, cfg)
+        assert lengths == [self.RING]
 
     def test_records_equal_step_loop(self):
         pot, spec, cfg, init = self._setup()
@@ -890,7 +905,7 @@ class TestBatchedPrefetch(TestNoisePrefetch):
     N = 10_000
     N_STEPS = 30
     PER_BATCH = simulate.PREFETCH_BATCH_ELEMENTS // N
-    APPLIER_DRAWS = True
+    RING = 2 * PER_BATCH
 
     def test_sizes_cover_batches(self):
         assert self.N >= simulate.PREFETCH_MIN_ELEMENTS
@@ -989,6 +1004,186 @@ class TestRunBuffers:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 10_000
+
+
+def _bits(*arrays):
+    return b"".join(np.ascontiguousarray(x).tobytes() for x in arrays)
+
+
+class TestBlockedUpdate:
+    """Above BLOCK_ELEMENTS coordinates, _advance updates and checks the
+    ensemble in row blocks of BLOCK_ELEMENTS // d rows on the diagonal
+    forms; every bit must be the one-block update's."""
+
+    D = 2
+    ROWS = simulate.BLOCK_ELEMENTS // D
+    N = 3 * ROWS + 1          # three whole blocks and a one-row tail
+    FORMS = {
+        "constant_scalar": lambda: (quadratic_diagonal([1.0, 2.0]),
+                                    constant_scalar(1.5)),
+        "diagonal_matrix": lambda: (quadratic_diagonal([1.0, 2.0]),
+                                    constant_matrix([[2.0, 0.0], [0.0, 1.0]])),
+        "diagonal_field": lambda: (perturbed_diagonal([1.0, 2.0], 0.1),
+                                   hessian_sqrt(2.0)),
+    }
+
+    def _setup(self, kind, n_steps=3):
+        pot, spec = self.FORMS[kind]()
+        dt = 0.01
+        cfg = SimConfig(dt=dt, n_steps=n_steps, n_particles=self.N, seed=9)
+        init = dataclasses.replace(
+            ensemble_from_moments(
+                GaussianMoments(mean=[0.5, -0.5, 0.0, 0.0], cov=np.eye(4)),
+                self.N, 9, dt),
+            steps_taken=2, time=2 * dt)
+        return pot, spec, cfg, init
+
+    def test_sizes_span_blocks(self):
+        assert self.N * self.D > simulate.BLOCK_ELEMENTS
+        assert self.N // self.ROWS == 3 and self.N % self.ROWS == 1
+        assert self.N * self.D >= simulate.PREFETCH_MIN_ELEMENTS
+
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_step_bitwise_one_block(self, kind, monkeypatch):
+        # step's scratch is each block's own rows of the new positions; a
+        # scratch shared by the blocks would overwrite block 0's positions
+        pot, spec, cfg, init = self._setup(kind)
+        blocked = step(init, pot, spec, cfg)
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1 << 62)
+        whole = step(init, pot, spec, cfg)
+        assert _bits(blocked.positions, blocked.momenta) == _bits(
+            whole.positions, whole.momenta)
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["ring", "inline"])
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_run_bitwise_one_block(self, kind, inline, monkeypatch):
+        pot, spec, cfg, init = self._setup(kind)
+        if inline:
+            monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
+        states = []
+        advance = simulate._advance
+
+        def spy(*args):
+            advance(*args)
+            states.append(_bits(*args[6]))
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        blocked = TestNoisePrefetch._run(init, pot, spec, cfg, record_every=2)
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1 << 62)
+        whole = TestNoisePrefetch._run(init, pot, spec, cfg, record_every=2)
+        assert len(states) == 2 * cfg.n_steps
+        assert states[:cfg.n_steps] == states[cfg.n_steps:]
+        assert len(blocked) == len(whole) == 3
+        for a, b in zip(blocked, whole):
+            assert _bits(a.mean, a.cov) == _bits(b.mean, b.cov)
+
+    @pytest.mark.parametrize("kind", ["constant_matrix", "general_field"])
+    def test_matrix_form_applied_in_one_block(self, kind, monkeypatch):
+        # a 2-D matmul's bits can depend on its row count, so Gamma and the
+        # diffusion each take one _apply call over all N rows per step
+        if kind == "constant_matrix":
+            pot = quadratic_diagonal([1.0, 2.0])
+            spec = constant_matrix([[2.0, 0.3], [0.3, 1.0]])
+        else:
+            pot, spec = _rotated_log_cosh([1.0, 2.0], 0.1, 0.6), hessian_sqrt(2.0)
+        _, _, cfg, init = self._setup("constant_scalar", n_steps=2)
+        rows = []
+        apply = simulate._apply
+
+        def spy(m, x, out):
+            rows.append(len(x))
+            return apply(m, x, out)
+
+        monkeypatch.setattr(simulate, "_apply", spy)
+        TestNoisePrefetch._run(init, pot, spec, cfg)
+        assert rows == [self.N] * 2 * cfg.n_steps
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["ring", "inline"])
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_run_writes_first_block_of_term_only(self, kind, inline,
+                                                 monkeypatch):
+        # the rows of the workspace's term past the first block keep a
+        # sentinel written before the first step, so their pages are never
+        # touched by the update
+        pot, spec, cfg, init = self._setup(kind)
+        if inline:
+            monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
+        sentinel = -7.25
+        steps = []
+        advance = simulate._advance
+
+        def spy(*args):
+            term = args[7]
+            assert term.shape == init.positions.shape
+            if not steps:
+                term[self.ROWS:] = sentinel
+            advance(*args)
+            assert np.all(term[self.ROWS:] == sentinel)
+            steps.append(args[5])
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        TestNoisePrefetch._run(init, pot, spec, cfg)
+        assert len(steps) == cfg.n_steps
+
+
+class TestBlowupForensics:
+    """NumericalBlowup names the first untrusted entry, in row-major order
+    over the particles' (q, p) rows; a blocked check names its row in the
+    whole ensemble."""
+
+    N = TestBlockedUpdate.N
+
+    def _planted(self, *entries):
+        # (block, row, coordinate) entries set to 2e13, which stays out of
+        # range in its own block after one step and leaves the other block
+        # in range
+        n = self.N
+        pot, spec = quadratic_diagonal([1.0, 2.0]), constant_scalar(1.5)
+        cfg = SimConfig(dt=0.01, n_steps=2, n_particles=n, seed=0)
+        arrays = {"positions": np.ones((n, 2)), "momenta": np.zeros((n, 2))}
+        for block, row, coordinate in entries:
+            arrays[block][row, coordinate] = 2e13
+        e = Ensemble(**arrays, time=0.07, seed=0, steps_taken=7, dt=0.01)
+        return pot, spec, cfg, e
+
+    @staticmethod
+    def _assert_names(exc, block, particle, coordinate):
+        assert (exc.step_index, exc.block, exc.particle, exc.coordinate) == (
+            8, block, particle, coordinate)
+        assert "at step 8" in str(exc)
+        assert f"{block}[{particle}, {coordinate}]" in str(exc)
+
+    @pytest.mark.parametrize("mode", ["step", "ring", "inline"])
+    @pytest.mark.parametrize("block", ["positions", "momenta"])
+    def test_bad_entry_in_last_one_row_block(self, block, mode, monkeypatch):
+        pot, spec, cfg, e = self._planted((block, self.N - 1, 1))
+        if mode == "inline":
+            monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
+        with pytest.raises(NumericalBlowup) as excinfo:
+            if mode == "step":
+                step(e, pot, spec, cfg)
+            else:
+                TestNoisePrefetch._run(e, pot, spec, cfg)
+        self._assert_names(excinfo.value, block, self.N - 1, 1)
+
+    @pytest.mark.parametrize("one_block", [False, True])
+    @pytest.mark.parametrize("entries, first", [
+        # an earlier particle first, whichever block holds it
+        ([("positions", -1, 0), ("momenta", TestBlockedUpdate.ROWS + 3, 1)],
+         ("momenta", TestBlockedUpdate.ROWS + 3, 1)),
+        # within a particle, positions before momenta, then by coordinate
+        ([("momenta", 5, 0), ("positions", 5, 1)], ("positions", 5, 1)),
+        ([("momenta", 5, 1), ("momenta", 5, 0)], ("momenta", 5, 0)),
+    ])
+    def test_first_entry_in_row_major_order(self, entries, first, one_block,
+                                            monkeypatch):
+        if one_block:
+            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1 << 62)
+        entries = [(b, r % self.N, c) for b, r, c in entries]
+        pot, spec, cfg, e = self._planted(*entries)
+        with pytest.raises(NumericalBlowup) as excinfo:
+            step(e, pot, spec, cfg)
+        self._assert_names(excinfo.value, *first)
 
 
 class TestTrajectoryCsv:

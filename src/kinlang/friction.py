@@ -20,8 +20,8 @@ diffusion either
     from one batched eigendecomposition of the per-particle Hessians.
 
 Constant forms are computed when resolving, not on every step.  The
-gradient and the diagonal field can write into the caller's buffers, and
-the field takes the gradient and the Hessian diagonal from one evaluation
+gradient and the diagonal field write into the caller's buffers, and the
+field takes the gradient and the Hessian diagonal from one evaluation
 when the potential has grad_hess_diag.
 """
 
@@ -74,15 +74,14 @@ class FrictionSpec:
     # -- the simulator's friction form ---------------------------------------
 
     def resolve(self, p: Potential):
-        """(q, grad_out=None, out=None) -> (grad V(q), Gamma, diffusion)
-        over (N, d) positions, Gamma and the diffusion in the shapes the
-        module docstring lists.  The gradient is written into the (N, d)
-        array grad_out when one is given and p.grad takes an out= array
-        (_gradient), else it is a new array.  The diagonal field writes
-        Gamma and the diffusion into out, a (2, N, d) array, when one is
-        given, so a caller that steps many times allocates it once; the
-        other forms ignore it.  With p.grad_hess_diag and both buffers, the
-        diagonal field allocates nothing."""
+        """(q, grad_out, out) -> (grad V(q), Gamma, diffusion) over (N, d)
+        positions, Gamma and the diffusion in the shapes the module
+        docstring lists.  Both buffers are required: grad_out, an (N, d)
+        array, receives the gradient when p.grad takes an out= array
+        (_gradient), else the gradient is a new array; out, a (2, N, d)
+        array, receives the diagonal field's Gamma and diffusion, and the
+        other forms ignore it.  With p.grad_hess_diag the diagonal field
+        allocates nothing."""
         gradient = _gradient(p)
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))
@@ -91,24 +90,22 @@ class FrictionSpec:
                 const = (diag, np.sqrt(2.0 * diag))
             else:
                 const = (g[None], spd_sqrt(2.0 * g)[None])
-            return lambda q, grad_out=None, out=None: (gradient(q, grad_out), *const)
+            return lambda q, grad_out, out: (gradient(q, grad_out), *const)
         if p.hess_diag is not None:
-            def diagonal_field(q, grad_out=None, out=None):
-                g, sig = np.empty((2,) + q.shape) if out is None else out
+            def diagonal_field(q, grad_out, out):
+                g, sig = out
                 if p.grad_hess_diag is None:
                     grad = gradient(q, grad_out)
                     self.gamma_diag(p, q, out=g)
                 else:
                     # the Hessian diagonal lands in sig, and g is scratch
-                    grad, _ = p.grad_hess_diag(
-                        q, np.empty(q.shape) if grad_out is None else grad_out,
-                        sig, g)
+                    grad, _ = p.grad_hess_diag(q, grad_out, sig, g)
                     np.multiply(np.sqrt(sig, out=g), self.s, out=g)
                 np.multiply(g, 2.0, out=sig)
                 return grad, g, np.sqrt(sig, out=sig)
             return diagonal_field
 
-        def general_field(q, grad_out=None, out=None):
+        def general_field(q, grad_out, out):
             # Potential.hess maps one point to (d, d), so the field is
             # evaluated row by row; one batched eigh of the Hessians gives
             # Gamma = U s sqrt(w) U' and sqrt(2 Gamma) = U sqrt(2 s sqrt(w)) U'
@@ -120,9 +117,9 @@ class FrictionSpec:
 
 
 def _gradient(p: Potential):
-    """(q, out) -> grad V(q): written into the (N, d) array out when out is
-    given and p.grad takes an out= array (a functools.wraps wrapper is read
-    through), else a new array."""
+    """(q, out) -> grad V(q): written into the (N, d) array out when p.grad
+    takes an out= array (a functools.wraps wrapper is read through), else a
+    new array."""
     try:
         into = "out" in inspect.signature(p.grad).parameters
     except (TypeError, ValueError):   # a callable with no signature

@@ -203,7 +203,8 @@ def ensemble_from_moments(moments: GaussianMoments, n: int, seed: int, dt: float
     z = philox_normals(seed, 0, (n, 2 * d), domain=_DOMAIN_INIT)
     w, u = moments.eig
     root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
-    x = moments.mean + z @ root.T
+    x = z @ root.T
+    x += moments.mean
     return Ensemble(
         positions=x[:, :d], momenta=x[:, d:],
         time=0.0, seed=seed, steps_taken=0, dt=dt,
@@ -246,17 +247,16 @@ def _apply(m, x, out):
 
 
 def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
-             friction_out=None):
+             friction_out):
     """The EM update, its force from FrictionSpec.resolve, written to out =
-    (new_q, new_p), (N, d) arrays.  new_q may be q itself; new_p must be
-    neither q nor mom.  term is the update's scratch: None takes each
-    row's scratch from new_q, which must then not be q; an (N, d) array
-    apart from the other operands has its first rows reused by every row
-    block.  friction_out, the (2, N, d) buffer a diagonal friction field
-    writes into (None: the field allocates), is overwritten too.  q, mom
-    and xi are only read.  With the shipped potentials a step allocates at
-    most one (N, d) temporary, and none on the diagonal field.  Each value
-    is the operation the module docstring writes, in its order,
+    (new_q, new_p), (N, d) arrays.  Every buffer is the caller's: new_q may
+    be q itself, and new_p must be neither q nor mom; term, the update's
+    scratch, holds at least one row block, apart from the other operands,
+    and its first rows are reused by every block; friction_out is the
+    force's (2, N, d) buffer.  q, mom and xi are only read.  With the
+    shipped potentials a step allocates at most one (N, d) temporary, and
+    none on the diagonal field.  Each value is the operation the module
+    docstring writes, in its order,
 
         p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
 
@@ -278,7 +278,7 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
     for start in range(0, n, rows):
         b = slice(start, start + rows)
         bq, bp, bmom = new_q[b], new_p[b], mom[b]
-        t = bq if term is None else term[:len(bmom)]
+        t = term[:len(bmom)]
         np.multiply(grad[b], dt, out=bp)
         np.subtract(bmom, bp, out=bp)
         np.multiply(_apply(g[b] if g.ndim == 2 else g, bmom, t), dt, out=t)
@@ -308,9 +308,10 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     since a row or a column would broadcast silently.  None draws from the
     keyed stream for step index `ensemble.steps_taken`.  The ensemble's dt
     and seed must match cfg's; the particle count comes from the ensemble.
-    The update is run's, into one new (2, N, d) array whose rows are the
-    new positions and momenta, so neither the ensemble nor xi changes; each
-    row block's scratch is its own rows of the new positions.
+    The update is run's kernel with the same buffers, allocated per call:
+    one new (2, N, d) array whose rows are the new positions and momenta,
+    and a (3, N, d) scratch for the term and the force's pair, so neither
+    the ensemble nor xi changes.
     """
     _check_matches(ensemble, cfg)
     shape = ensemble.positions.shape
@@ -322,12 +323,13 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
             raise ValueError(f"xi has shape {xi.shape}, but the ensemble's "
                              f"positions have shape {shape}")
     step_index = ensemble.steps_taken + 1
+    scratch = np.empty((3,) + shape)
     # one block for both: a caller stepping in a loop frees the previous
     # pair at once, and two separate arrays were then often handed back to
     # the system and faulted in again (CHANGES.md)
     out = np.empty((2,) + shape)
     _advance(ensemble.positions, ensemble.momenta, xi, spec.resolve(p),
-             cfg.dt, step_index, out, None)
+             cfg.dt, step_index, out, scratch[0], scratch[1:])
     return replace(ensemble, positions=out[0], momenta=out[1],
                    time=ensemble.time + cfg.dt, steps_taken=step_index)
 
@@ -441,16 +443,13 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
-    The state, the scratch of ``_advance`` and the noise buffers are rows
-    of one workspace array, allocated once per call and released whole at
-    the end, and every step is written into them by ``_advance``, the
-    kernel step runs too; init is never written.  Fresh (N, d) arrays per
-    step cost page faults whenever the allocator hands their memory back
-    between steps: at N = 20,000, d = 1, 1,000 steps took 42,700-60,000
-    minor faults in a fresh process, against about 1,400 with the buffers
-    reused (CHANGES.md).  On the diagonal friction field the gradient and
-    the Hessian diagonal come from one evaluation of the potential
-    (FrictionSpec.resolve), written into the workspace.
+    The state, every buffer of ``_advance`` (the kernel step runs too)
+    and the noise are rows of one workspace array, allocated once per call
+    and released whole at the end; init is never written.  Reused buffers
+    spare the page faults of fresh (N, d) arrays per step.  On the
+    diagonal friction field the gradient and the Hessian diagonal come
+    from one evaluation of the potential (FrictionSpec.resolve), written
+    into the workspace.
 
     From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws go
     into a ring of max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d)))

@@ -9,6 +9,11 @@ from kinlang.linalg import spd_sqrt
 from kinlang.potentials import perturbed_diagonal, quadratic_diagonal, quadratic_general
 
 
+def _evaluate(force, q):
+    """force(q, grad_out, out) from FrictionSpec.resolve, with new buffers."""
+    return force(q, np.empty(q.shape), np.empty((2,) + q.shape))
+
+
 class TestGamma:
     def test_constant_scalar(self):
         spec = constant_scalar(2.0)
@@ -106,8 +111,8 @@ class TestResolve:
         ]
         for spec, p in cases:
             friction = spec.resolve(p)
-            _, g1, sig1 = friction(np.zeros((3, 2)))
-            _, g2, sig2 = friction(np.array([[3.0, -4.0]] * 5))
+            _, g1, sig1 = _evaluate(friction, np.zeros((3, 2)))
+            _, g2, sig2 = _evaluate(friction, np.array([[3.0, -4.0]] * 5))
             assert g1 is g2 and sig1 is sig2
 
     def test_resolved_shapes(self):
@@ -127,7 +132,7 @@ class TestResolve:
         ]
         q = np.random.default_rng(41).standard_normal((5, 2))
         for spec, p, shape in cases:
-            _, g, sig = spec.resolve(p)(q)
+            _, g, sig = _evaluate(spec.resolve(p), q)
             assert g.shape == sig.shape == shape, (spec.kind, p.family)
 
     def test_general_field_from_one_eigh_matches_two_roots(self):
@@ -140,7 +145,7 @@ class TestResolve:
                                 hess_diag=None)
         spec = hessian_sqrt(2.0)
         q = np.random.default_rng(43).standard_normal((40, 2))
-        _, g, sig = spec.resolve(p)(q)
+        _, g, sig = _evaluate(spec.resolve(p), q)
         ref_g = 2.0 * spd_sqrt(np.array([p.hess(q_i) for q_i in q]))
         ref_sig = spd_sqrt(2.0 * ref_g)
         assert np.abs(ref_g[:, 0, 1]).max() > 0.1
@@ -157,7 +162,7 @@ class TestResolve:
                  (constant_scalar(0.7), pp),
                  (constant_matrix(np.diag([2.0, 0.5])), pp)]
         for spec, p in cases:
-            _, g, sig = spec.resolve(p)(qs)
+            _, g, sig = _evaluate(spec.resolve(p), qs)
             g = np.broadcast_to(g, qs.shape)
             sig = np.broadcast_to(sig, qs.shape)
             for n in range(50):
@@ -180,8 +185,8 @@ class TestResolve:
             grad, _, _ = spec.resolve(p)(qs, grad_out, np.empty((2,) + qs.shape))
             assert grad is grad_out
             assert np.array_equal(grad, pp.grad(qs))
-        fused = hessian_sqrt(2.0).resolve(pp)(qs)
-        ref = hessian_sqrt(2.0).resolve(two_calls)(qs)
+        fused = _evaluate(hessian_sqrt(2.0).resolve(pp), qs)
+        ref = _evaluate(hessian_sqrt(2.0).resolve(two_calls), qs)
         for a, b in zip(fused, ref):
             assert np.array_equal(a, b)
         assert np.array_equal(ref[1], hessian_sqrt(2.0).gamma_diag(pp, qs))
@@ -199,6 +204,7 @@ class TestResolve:
                                 hess_diag=None, grad_hess_diag=refuse)
         qs = np.random.default_rng(53).standard_normal((10, 2))
         grad_out = np.empty_like(qs)
-        grad, g, _ = hessian_sqrt(2.0).resolve(p)(qs, grad_out)
+        grad, g, _ = hessian_sqrt(2.0).resolve(p)(qs, grad_out,
+                                                  np.empty((2,) + qs.shape))
         assert grad is not grad_out and np.array_equal(grad, base.grad(qs))
         assert g.shape == (10, 2, 2)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +290,25 @@ def _rotated_log_cosh(v, eps, angle):
 
 
 class TestGeneralFrictionField:
+    def test_grad_hess_diag_left_in_place_is_not_called(self):
+        # as perfbench/rotated.py builds its potential: the base's
+        # grad_hess_diag describes the unrotated Hessian, and only
+        # hess_diag=None keeps the simulator from calling it
+        def refuse(*args):
+            raise AssertionError("the general field called grad_hess_diag")
+
+        pot = dataclasses.replace(_rotated_log_cosh([1.0, 3.0], 0.5, 0.6),
+                                  grad_hess_diag=refuse)
+        assert pot.hess_diag is None and not pot.constant_hessian
+        spec = hessian_sqrt(2.0)
+        n, dt = simulate.PREFETCH_MIN_ELEMENTS // 2, 0.01   # d = 2: a ring
+        cfg = SimConfig(dt=dt, n_steps=2, n_particles=n, seed=8)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=np.zeros(4), cov=np.eye(4)), n, 8, dt)
+        assert np.all(np.isfinite(step(init, pot, spec, cfg).momenta))
+        points = TestNoisePrefetch._run(init, pot, spec, cfg)
+        assert len(points) == 3 and np.all(np.isfinite(points[-1].cov))
+
     def test_batched_step_matches_per_particle_loop(self):
         pot = _rotated_log_cosh([1.0, 3.0], 0.5, 0.6)
         assert abs(pot.hess(np.array([0.4, -0.2]))[0, 1]) > 0.1
@@ -1006,6 +1026,32 @@ class TestRunBuffers:
         assert int(proc.stdout) < 10_000
 
 
+class TestAdvanceBuffers:
+    """_advance writes into the buffers its caller passes: one call, with
+    every buffer given, allocates less than one (N, d) row."""
+
+    @pytest.mark.parametrize("kind", ["diagonal_field", "constant_scalar"])
+    def test_one_call_allocates_less_than_a_row(self, kind):
+        pot, spec = {
+            "diagonal_field": (perturbed_diagonal([1.0, 2.0], 0.1),
+                               hessian_sqrt(2.0)),
+            "constant_scalar": (quadratic_diagonal([1.0, 2.0]),
+                                constant_scalar(1.5)),
+        }[kind]
+        q, mom, xi = np.random.default_rng(12).standard_normal((3, 50_000, 2))
+        out, scratch = np.empty((2,) + q.shape), np.empty((3,) + q.shape)
+        force = spec.resolve(pot)
+        tracemalloc.start()
+        try:
+            simulate._advance(q, mom, xi, force, 0.01, 1, out, scratch[0],
+                              scratch[1:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < q.nbytes
+        assert np.all(np.isfinite(out))
+
+
 def _bits(*arrays):
     return b"".join(np.ascontiguousarray(x).tobytes() for x in arrays)
 
@@ -1045,8 +1091,8 @@ class TestBlockedUpdate:
 
     @pytest.mark.parametrize("kind", FORMS)
     def test_step_bitwise_one_block(self, kind, monkeypatch):
-        # step's scratch is each block's own rows of the new positions; a
-        # scratch shared by the blocks would overwrite block 0's positions
+        # step's scratch is a term row of its own, whose first rows every
+        # block reuses, as run's workspace row is
         pot, spec, cfg, init = self._setup(kind)
         blocked = step(init, pot, spec, cfg)
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1 << 62)

@@ -20,7 +20,7 @@ class NotSymmetric(KinlangError):
 
 
 class NonPositiveFrequency(KinlangError):
-    """A quadratic potential was given a frequency v_i <= 0."""
+    """A potential was given a frequency v_i <= 0, or one whose square overflows."""
 
 
 class ConvexityLost(KinlangError):

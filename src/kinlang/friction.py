@@ -15,14 +15,14 @@ q -> (grad V, Gamma, diffusion) over (N, d) positions, with Gamma and the
 diffusion either
 
   * diagonal entries: a constant (d,) vector when Gamma is a constant
-    diagonal matrix, or the (N, d) field s * sqrt(hess_diag(q)); or
+    diagonal matrix, or the (N, d) field s * sqrt(hess_diag(q)) when the
+    potential has both hess_diag and grad_hess_diag; or
   * matrix stacks: (1, d, d) for any other constant Gamma, or (N, d, d)
     from one batched eigendecomposition of the per-particle Hessians.
 
 Constant forms are computed when resolving, not on every step.  The
-gradient and the diagonal field write into the caller's buffers, and the
-field takes the gradient and the Hessian diagonal from one evaluation
-when the potential has grad_hess_diag.
+gradient and the diagonal field write into the caller's buffers: the field
+takes the gradient and the Hessian diagonal from one grad_hess_diag call.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class FrictionSpec:
         array, receives the gradient when p.grad takes an out= array
         (_gradient), else the gradient is a new array; out, a (2, N, d)
         array, receives the diagonal field's Gamma and diffusion, and the
-        other forms ignore it.  With p.grad_hess_diag the diagonal field
-        allocates nothing."""
+        other forms ignore it.  The diagonal field, taken when p sets both
+        hess_diag and grad_hess_diag, allocates nothing; a potential with
+        hess_diag alone takes the general field."""
         gradient = _gradient(p)
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))
@@ -91,16 +92,13 @@ class FrictionSpec:
             else:
                 const = (g[None], spd_sqrt(2.0 * g)[None])
             return lambda q, grad_out, out: (gradient(q, grad_out), *const)
-        if p.hess_diag is not None:
+        # both: a replace that drops hess_diag may keep a stale grad_hess_diag
+        if p.hess_diag is not None and p.grad_hess_diag is not None:
             def diagonal_field(q, grad_out, out):
+                # the Hessian diagonal lands in sig, and g is scratch
                 g, sig = out
-                if p.grad_hess_diag is None:
-                    grad = gradient(q, grad_out)
-                    self.gamma_diag(p, q, out=g)
-                else:
-                    # the Hessian diagonal lands in sig, and g is scratch
-                    grad, _ = p.grad_hess_diag(q, grad_out, sig, g)
-                    np.multiply(np.sqrt(sig, out=g), self.s, out=g)
+                grad, _ = p.grad_hess_diag(q, grad_out, sig, g)
+                np.multiply(np.sqrt(sig, out=g), self.s, out=g)
                 np.multiply(g, 2.0, out=sig)
                 return grad, g, np.sqrt(sig, out=sig)
             return diagonal_field
@@ -130,9 +128,10 @@ def _gradient(p: Potential):
 
 
 def constant_scalar(lam: float) -> FrictionSpec:
-    """Gamma = lam * I with lam > 0."""
-    if lam <= 0:
-        raise NotPositiveDefinite(f"constant scalar friction needs lam > 0, got {lam}")
+    """Gamma = lam * I with a finite lam > 0."""
+    if not 0 < lam < np.inf:
+        raise NotPositiveDefinite(
+            f"constant scalar friction needs a finite lam > 0, got {lam}")
     return FrictionSpec(kind="constant_scalar", lam=float(lam))
 
 
@@ -144,7 +143,8 @@ def constant_matrix(m) -> FrictionSpec:
 
 
 def hessian_sqrt(s: float) -> FrictionSpec:
-    """Gamma(q) = s * sqrt(Hess V(q)) with s > 0."""
-    if s <= 0:
-        raise NotPositiveDefinite(f"hessian_sqrt friction needs s > 0, got {s}")
+    """Gamma(q) = s * sqrt(Hess V(q)) with a finite s > 0."""
+    if not 0 < s < np.inf:
+        raise NotPositiveDefinite(
+            f"hessian_sqrt friction needs a finite s > 0, got {s}")
     return FrictionSpec(kind="hessian_sqrt", s=float(s))

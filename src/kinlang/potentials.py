@@ -82,7 +82,7 @@ class Potential:
     perturbation (one tanh for log_cosh), and each value is bitwise grad's
     and hess_diag's.  The simulator's diagonal friction field calls it once
     per step in place of the two.  A ``dataclasses.replace`` that changes
-    grad or hess_diag must set it too (None: the two are called).
+    grad or hess_diag must set it too (None: the general field runs).
 
     constant_hessian is True when Hess V does not depend on q (quadratic
     families); friction providers use it to decompose once.
@@ -114,17 +114,25 @@ class Potential:
     grad_hess_diag: Optional[Callable] = None
 
 
+def _frequencies(v):
+    """(v, v^2) as 1-d float arrays, with every v_i > 0 and v_i^2 finite."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    with np.errstate(over="ignore"):
+        v2 = v**2
+    if not (np.all(v > 0) and np.all(np.isfinite(v2))):
+        raise NonPositiveFrequency(
+            f"all frequencies must be > 0 with a finite square, got {v}")
+    return v, v2
+
+
 def quadratic_diagonal(v) -> Potential:
     """V(q) = 1/2 sum v_i^2 q_i^2 with v_i > 0.
 
     Hess V = diag(v_i^2) is constant, gamma = 0, alpha = min v_i^2,
     beta = max v_i^2.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if np.any(v <= 0):
-        raise NonPositiveFrequency(f"all frequencies must be > 0, got {v}")
+    v, v2 = _frequencies(v)
     d = v.size
-    v2 = v**2
     hess = np.diag(v2)
     consts = AssumptionConstants(
         alpha=float(v2.min()), beta=float(v2.max()), gamma=0.0, dim=d
@@ -174,16 +182,14 @@ class ScalarPerturbation:
         eps |f'''(x)| / (2 sqrt(v2 + eps f''(x)))
 
     for each entry of the array v2, at an eps > 0 that keeps v2 + eps f''
-    positive.  d1(x, out), f', writes into the array out and returns it,
-    so each evaluation holds one array.  d1_d2(x, d1, d2) writes f', with
-    d1's operations, and f'' into the arrays d1 and d2, from one evaluation
-    where f'' follows from f', and returns the pair.  f'' is written last,
-    so d2 may be d1, and d1_d2(x, h, h)[1] is f'' alone.
+    positive.  d1_d2(x, d1, d2), the one evaluator of f' and f'', writes
+    them into the arrays d1 and d2, from one evaluation where f'' follows
+    from f', and returns the pair.  f'' is written last, so d2 may be d1,
+    and d1_d2(x, h, h)[1] is f'' alone.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d1_d2: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     gamma: Callable[[np.ndarray, float], np.ndarray]
     inf_d2: float
@@ -197,12 +203,8 @@ def _tanh_sech2(x, d1, d2):
     return d1, np.subtract(1.0, d2, d2)
 
 
-def _neg_sin(x, out):
-    return np.negative(np.sin(x, out), out)
-
-
 def _neg_sin_cos(x, d1, d2):
-    return _neg_sin(x, d1), np.negative(np.cos(x, d2), d2)
+    return np.negative(np.sin(x, d1), d1), np.negative(np.cos(x, d2), d2)
 
 
 def _log_cosh(x):
@@ -232,7 +234,6 @@ def _cosine_gamma(v2, eps):
 LOG_COSH = ScalarPerturbation(
     name="log_cosh",
     f=_log_cosh,
-    d1=np.tanh,
     d1_d2=_tanh_sech2,
     gamma=_log_cosh_gamma,
     inf_d2=0.0,
@@ -244,7 +245,6 @@ LOG_COSH = ScalarPerturbation(
 COSINE = ScalarPerturbation(
     name="cosine",
     f=np.cos,
-    d1=_neg_sin,
     d1_d2=_neg_sin_cos,
     gamma=_cosine_gamma,
     inf_d2=-1.0,
@@ -270,15 +270,12 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
 
     Raises ConvexityLost when alpha(eps) <= 0.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if np.any(v <= 0):
-        raise NonPositiveFrequency(f"all frequencies must be > 0, got {v}")
+    v, v2 = _frequencies(v)
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if isinstance(perturbation, str):
         perturbation = PERTURBATIONS[perturbation]
     d = v.size
-    v2 = v**2
     pert = perturbation
 
     alpha = float(np.min(v2) + eps * pert.inf_d2)
@@ -296,8 +293,9 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
         q = np.asarray(q, dtype=float)
         return 0.5 * float(v2 @ q**2) + eps * float(np.sum(pert.f(q)))
 
-    # in place: hess_diag allocates only its result, grad one array besides
-    # it, and grad_hess_diag nothing; the three combine f' and f'' alike
+    # in place: hess_diag allocates only its result, grad one (2, ...)
+    # scratch besides it, and grad_hess_diag nothing; the three read f' and
+    # f'' from d1_d2 and combine them alike
     def grad_from(q, kick, out):
         np.multiply(kick, eps, out=kick)
         out = np.multiply(v2, q, out=out)
@@ -309,7 +307,8 @@ def perturbed_diagonal(v, eps, perturbation=LOG_COSH) -> Potential:
 
     def grad(q, out=None):
         q = np.asarray(q, dtype=float)
-        return grad_from(q, pert.d1(q, np.empty(q.shape)), out)
+        kick, _ = pert.d1_d2(q, *np.empty((2,) + q.shape))
+        return grad_from(q, kick, out)
 
     def hess_diag(q):
         q = np.asarray(q, dtype=float)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import kinlang
-from kinlang.cli import FORMAT_VERSION, main
+from kinlang.cli import _COMMANDS, FORMAT_VERSION, main
 from kinlang.config import (
+    KINDS,
     PotentialConfig,
     SimulationConfig,
     build_friction,
@@ -838,10 +839,19 @@ CONFIG_ERRORS = [
      "certificate.s_grid, certificate.x0_grid"),
     ("compare", {"certificate": {"x0": 1e300}}, "friction.s, certificate.x0"),
     ("audit", {"audit": {"x0": 1e300}}, "friction.s, audit.x0"),
+    # a frequency whose square overflows
+    ("certify", {"potential": {"v": [1e200]}}, "potential.v"),
+    ("compare", {"potential": {"v": [1e200]}}, "potential.v"),
+    ("simulate", {"potential": {"v": [1e200]}}, "potential.v"),
+    ("audit", {"potential": {"v": [1e200]}}, "potential.v"),
 ]
 
 
 class TestEntryPoint:
+    def test_config_kinds_are_the_subcommands(self):
+        # the config's kinds and the CLI's subcommands are one list
+        assert set(KINDS) == set(_COMMANDS)
+
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -48,6 +48,14 @@ class TestGamma:
         with pytest.raises(NotPositiveDefinite):
             hessian_sqrt(-2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build, name", [(constant_scalar, "lam"),
+                                             (hessian_sqrt, "s")])
+    def test_non_finite_strength_rejected(self, build, name, value):
+        # NaN passes a sign test, and a NaN lam would fail in run's eigvalsh
+        with pytest.raises(NotPositiveDefinite, match=f"finite {name} > 0"):
+            build(value)
+
 
 class TestDiffusion:
     def test_constant_scalar_original(self):
@@ -173,23 +181,28 @@ class TestResolve:
 
     def test_gradient_written_into_caller_buffer(self):
         # every form returns grad V(q), written into grad_out when grad takes
-        # out=; the diagonal field from grad_hess_diag gives the bits of the
-        # field from grad and gamma_diag, which it takes without it
+        # out=; the diagonal field needs grad_hess_diag, and a potential
+        # with hess_diag alone takes the general field, which agrees with
+        # it to rounding
         pp = perturbed_diagonal([1.0, 1.4], 0.3)
-        two_calls = dataclasses.replace(pp, grad_hess_diag=None)
+        unfused = dataclasses.replace(pp, grad_hess_diag=None)
         general = dataclasses.replace(pp, hess_diag=None)
         qs = np.random.default_rng(47).standard_normal((20, 2))
-        for spec, p in [(hessian_sqrt(2.0), pp), (hessian_sqrt(2.0), two_calls),
+        for spec, p in [(hessian_sqrt(2.0), pp), (hessian_sqrt(2.0), unfused),
                         (hessian_sqrt(2.0), general), (constant_scalar(0.7), pp)]:
             grad_out = np.empty_like(qs)
             grad, _, _ = spec.resolve(p)(qs, grad_out, np.empty((2,) + qs.shape))
             assert grad is grad_out
             assert np.array_equal(grad, pp.grad(qs))
         fused = _evaluate(hessian_sqrt(2.0).resolve(pp), qs)
-        ref = _evaluate(hessian_sqrt(2.0).resolve(two_calls), qs)
-        for a, b in zip(fused, ref):
-            assert np.array_equal(a, b)
-        assert np.array_equal(ref[1], hessian_sqrt(2.0).gamma_diag(pp, qs))
+        ref = _evaluate(hessian_sqrt(2.0).resolve(unfused), qs)
+        assert fused[1].shape == fused[2].shape == (20, 2)
+        assert ref[1].shape == ref[2].shape == (20, 2, 2)
+        for a, b in zip(fused[1:], ref[1:]):
+            dense = a[:, :, None] * np.eye(2)
+            assert np.abs(b - dense).max() <= 4 * np.finfo(float).eps * np.abs(a).max()
+        assert np.array_equal(fused[1], hessian_sqrt(2.0).gamma_diag(pp, qs))
+        assert np.array_equal(fused[2], np.sqrt(2.0 * fused[1]))
 
     def test_one_argument_grad_on_general_path(self):
         # as perfbench/rotated.py builds it: grad without out=, no

@@ -71,6 +71,17 @@ class TestQuadraticDiagonal:
         with pytest.raises(NonPositiveFrequency):
             quadratic_diagonal([-2.0])
 
+    @pytest.mark.parametrize("family", ["quadratic_diagonal",
+                                        "perturbed_diagonal"])
+    @pytest.mark.parametrize("v", [[1.0, 1e200], [np.inf], [np.nan]],
+                             ids=["overflow", "inf", "nan"])
+    def test_rejects_frequency_without_finite_square(self, family, v):
+        # both diagonal families share the rule, and v^2 overflows silently
+        build = {"quadratic_diagonal": quadratic_diagonal,
+                 "perturbed_diagonal": lambda v: perturbed_diagonal(v, 0.1)}
+        with pytest.raises(NonPositiveFrequency, match="finite square"):
+            build[family](v)
+
     def test_hessian_constant_and_bitwise_equal(self):
         p = quadratic_diagonal([1.0, 3.0])
         h1 = p.hess(np.zeros(2))
@@ -184,26 +195,41 @@ DERIVATIVES = {
 }
 
 
+#: grad V and hess_diag of each shipped perturbation, written out here in
+#: the evaluators' operation order, so that the reference shares no code
+#: with them
+WRITTEN_OUT = {
+    "log_cosh": (lambda q, v2, eps: v2 * q + np.tanh(q) * eps,
+                 lambda q, v2, eps: (1.0 - np.square(np.tanh(q))) * eps + v2),
+    "cosine": (lambda q, v2, eps: v2 * q + (-np.sin(q)) * eps,
+               lambda q, v2, eps: (-np.cos(q)) * eps + v2),
+}
+
+
 class TestGradHessDiag:
-    """grad_hess_diag evaluates f' and f'' once and must give grad's and
-    hess_diag's bits, non-finite inputs and overflowing ones included."""
+    """grad, hess_diag and grad_hess_diag all read f' and f'' from d1_d2,
+    and each must give the written-out reference's bits, non-finite inputs
+    and overflowing ones included."""
 
     @pytest.mark.parametrize("perturbation", ["log_cosh", "cosine"])
     @pytest.mark.parametrize("v", [[1.5], [1.0, 2.0, 0.8]], ids=["d1", "d3"])
     def test_bitwise_equal_to_grad_and_hess_diag(self, perturbation, v):
-        p = perturbed_diagonal(v, 0.3, perturbation)
+        eps = 0.3
+        p = perturbed_diagonal(v, eps, perturbation)
         special = [0.0, -0.0, 1e-300, 0.5, -3.0, 20.0, -1e3, 1e3,
                    np.inf, -np.inf, np.nan]
         column = np.concatenate(
             [special, np.random.default_rng(5).uniform(-1e3, 1e3, 64)])
         q = np.stack([np.roll(column, i) for i in range(len(v))], axis=1)
         grad_out, hess_out, scratch = np.full((3,) + q.shape, 7.0)
+        v2 = np.asarray(v) ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # sin(inf)
             got = p.grad_hess_diag(q, grad_out, hess_out, scratch)
-            want = (p.grad(q), p.hess_diag(q))
+            want = [f(q, v2, eps) for f in WRITTEN_OUT[perturbation]]
+            separate = (p.grad(q), p.hess_diag(q))
         assert got[0] is grad_out and got[1] is hess_out
-        for a, b in zip(got, want):
+        for a, b in [*zip(got, want), *zip(separate, want)]:
             assert np.array_equal(a, b, equal_nan=True)
             assert np.array_equal(np.signbit(a), np.signbit(b))
 

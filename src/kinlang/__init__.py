@@ -47,7 +47,13 @@ from .gaussian import (
     stationary_moments,
 )
 from .linalg import spd_sqrt, spd_sqrt_directional_derivative
-from .lyapunov import WeightMatrixS, build_s, decay_audit, lyapunov_value_gaussian
+from .lyapunov import (
+    WeightMatrixS,
+    build_s,
+    decay_audit,
+    decay_audits,
+    lyapunov_value_gaussian,
+)
 from .potentials import (
     AssumptionConstants,
     Potential,
@@ -101,6 +107,7 @@ __all__ = [
     "chi2_along",
     "constant_scalar",
     "decay_audit",
+    "decay_audits",
     "diag_quadratic_certificate",
     "diagonal_system_rate",
     "ensemble_at_point",

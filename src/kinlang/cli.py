@@ -63,7 +63,7 @@ from .gaussian import (
     ou_rate_closed_form,
     propagate,
 )
-from .lyapunov import build_s, decay_audit
+from .lyapunov import build_s, decay_audits
 from .simulate import (
     SimConfig,
     attach_chi2_proxies,
@@ -336,9 +336,8 @@ def cmd_audit(cfg: ExperimentConfig) -> dict:
                            cov=aud.init_cov_scale * np.eye(2 * d))
     times = np.linspace(0.0, aud.t_max, aud.n_times)
 
-    main_audit = decay_audit(dyn, init, weight, cert, times)
-
-    sweep = []
+    # the main certificate and every witness are audited on one propagation
+    audits, sweep = [(weight, cert)], []
     for eps in cfg.certificate.eps_rates:
         entry = {"eps_rate": eps}
         try:
@@ -346,15 +345,14 @@ def cmd_audit(cfg: ExperimentConfig) -> dict:
         except (ValueError, WitnessNotFound) as exc:
             entry.update({"error": f"{type(exc).__name__}: {exc}",
                           "rate": None, "audit": None})
-            sweep.append(entry)
-            continue
-        w_weight = build_s(witness, dyn.gamma_mat)
-        entry.update({
-            "witness": witness.as_dict(),
-            "rate": rate,
-            "audit": decay_audit(dyn, init, w_weight, rate, times),
-        })
+        else:
+            entry.update({"witness": witness.as_dict(), "rate": rate})
+            audits.append((build_s(witness, dyn.gamma_mat), rate))
         sweep.append(entry)
+    main_audit, *witness_audits = decay_audits(dyn, init, audits, times)
+    for entry, report in zip((e for e in sweep if "witness" in e),
+                             witness_audits):
+        entry["audit"] = report
 
     body = {
         "main": {

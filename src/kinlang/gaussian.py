@@ -11,12 +11,20 @@ exactly, evaluates the chi-square divergence to the Gibbs target in closed
 form, and extracts/asserts the asymptotic decay rates -- the ground truth
 everything else (simulation, certificates, Lyapunov audits) is judged
 against.
+
+When A's eigenbasis diagonalizes G (scalar friction, s sqrt(A), or any
+constant matrix that commutes with A), F splits into d 2 x 2 blocks and
+e^{Ft} is taken in closed form per block, accurate to a few ulp from the
+underdamped through the critical to the stiff overdamped regime (friction
+1e150 included).  Other frictions take ``linalg.expm``, whose error grows
+like eps ||F|| t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +64,7 @@ class GaussianMoments:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).ravel()
-        cov = check_symmetric(self.cov, "cov")
+        cov = check_symmetric(self.cov, "covariance")
         if cov.shape[0] != mean.size:
             raise ValueError(
                 f"mean has size {mean.size} but cov is {cov.shape}"
@@ -104,6 +112,9 @@ class LinearDynamics:
     gamma_mat: np.ndarray  # friction matrix, SPD (d, d)
     drift: np.ndarray    # F = [[0, I], [-A, -G]], (2d, 2d)
     stationary: GaussianMoments  # Gibbs law N(0, blockdiag(A^{-1}, I))
+    # (w, g, u) with A = u diag(w) u' and u' G u = diag(g), when A's
+    # eigenbasis diagonalizes G (kinetic_dynamics); else None
+    modes: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -113,8 +124,11 @@ class LinearDynamics:
 def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     """Assemble the phase-space drift for Hessian a and friction gamma_mat
     (both SPD d x d) and its Gibbs law; the noise is sqrt(2 gamma_mat) on
-    the momenta.  The one SPD rule on a and A^{-1} = u diag(1/w) u' read the
-    same ``eigh`` of a."""
+    the momenta.  The one SPD rule on a, A^{-1} = u diag(1/w) u' and the
+    modes read the same ``eigh`` of a.  The modes are recorded when u' G u
+    is diagonal to 1e-12 max|G|: always for constant_scalar and
+    hessian_sqrt frictions, and for a constant matrix that commutes with a,
+    unless it mixes the eigenvectors of a repeated eigenvalue of a."""
     a = check_symmetric(a, "a")
     gamma_mat = check_symmetric(gamma_mat, "gamma_mat")
     check_spd(np.linalg.eigvalsh(gamma_mat), "gamma_mat")
@@ -124,9 +138,14 @@ def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     cov = np.zeros((2 * d, 2 * d))
     cov[:d, :d] = from_eig(u, 1.0 / w)
     cov[d:, d:] = np.eye(d)
+    g = u.T @ gamma_mat @ u
+    g_diag = np.diagonal(g).copy()
+    commute = (np.abs(g - np.diag(g_diag)).max()
+               <= 1e-12 * np.abs(gamma_mat).max())
     return LinearDynamics(
         a=a, gamma_mat=gamma_mat, drift=_drift(a, gamma_mat),
-        stationary=GaussianMoments(mean=np.zeros(2 * d), cov=cov))
+        stationary=GaussianMoments(mean=np.zeros(2 * d), cov=cov),
+        modes=(w, g_diag, u) if commute else None)
 
 
 def _drift(a, g):
@@ -174,7 +193,10 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
 def _moments(dyn, init, t):
     """``propagate``'s moments stacked: means (K, 2d) and covariances
     (K, 2d, 2d) at the K times of t (a float or a 1-d array), with no law
-    built per time.  Rows at t = 0 are copies of init's."""
+    built per time.  Rows at t = 0 are copies of init's.  e^{Ft} comes from
+    the modes of ``dyn`` in closed form (``_modal_exp``) when it has them,
+    else from one ``linalg.expm`` call, which loads SciPy; either way the
+    whole grid is one stack and the covariance formula is the same."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(
@@ -186,13 +208,95 @@ def _moments(dyn, init, t):
     cov = np.repeat(init.cov[None], times.size, axis=0)
     moving = np.flatnonzero(times > 0)
     if moving.size:
-        eft = expm(dyn.drift, times[moving])
+        eft = (expm(dyn.drift, times[moving]) if dyn.modes is None
+               else _modal_exp(*dyn.modes, times[moving]))
         eft_t = eft.swapaxes(-1, -2)
         cov_inf = dyn.stationary.cov
         mean[moving] = eft @ init.mean
         c = eft @ init.cov @ eft_t + (cov_inf - eft @ cov_inf @ eft_t)
         cov[moving] = 0.5 * (c + c.swapaxes(-1, -2))
     return mean, cov
+
+
+def _modal_exp(w, g, u, t):
+    """e^{Ft} at each time of the 1-d array t > 0, shape (K, 2d, 2d), for
+    F = [[0, I], [-A, -G]] with A = u diag(w) u' and G = u diag(g) u'.
+
+    In the basis blockdiag(u, u), F splits into the d blocks
+    B_i = [[0, 1], [-w_i, -g_i]], so e^{Ft}'s (j, k) block of d x d is
+    u diag(m_jk(t)) u' with m_jk the entries of e^{B_i t} (``_block_exp``).
+    """
+    m = _block_exp(w, g, t[:, None])
+    d = w.size
+    out = np.empty((t.size, 2 * d, 2 * d))
+    for (j, k), mjk in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m):
+        out[:, j * d:(j + 1) * d, k * d:(k + 1) * d] = from_eig(u, mjk)
+    return out
+
+
+#: Taylor coefficients of cosh(z) and sinh(z)/z in z^2, highest power first
+#: for np.polyval: 1/(2n)! and 1/(2n+1)! for n = 11..0.  At |z^2| < 1 the
+#: first omitted terms are below 1e-23.
+_COSH = [1.0 / math.factorial(2 * n) for n in range(11, -1, -1)]
+_SINHC = [1.0 / math.factorial(2 * n + 1) for n in range(11, -1, -1)]
+
+
+def _block_exp(w, g, t):
+    """(m11, m12, m21, m22), the entries of e^{Bt} for B = [[0, 1], [-w, -g]]
+    with w, g > 0 and t > 0, broadcast elementwise.
+
+    With h = g/2 and delta^2 = h^2 - w, (B + h I)^2 = delta^2 I, so
+
+        e^{Bt} = e^{-ht} (cosh(delta t) I + sinh(delta t)/delta (B + h I)),
+
+    an entire function of x = (delta t)^2, which decides the form:
+
+      * |x| < 1 (near critical damping): cosh and sinh(z)/z as series in x,
+        so no 1/delta appears;
+      * x <= -1 (underdamped, omega = sqrt(-delta^2)): cos(omega t) and
+        sin(omega t)/omega;
+      * x >= 1 (overdamped): Sylvester's formula over the eigenvalues
+        mu_fast = -(h + delta) and mu_slow = w / mu_fast (their product is
+        w), so h - delta, which cancels for stiff friction, never appears:
+
+            e^{Bt} = (e^{mu_slow t} [[-mu_fast, 1], [-w, mu_slow]]
+                      - e^{mu_fast t} [[-mu_slow, 1], [-w, mu_fast]]) / r
+
+        with r = 2 delta.  There r t >= 2, so in m11 and m12 the fast term
+        is at most e^{-2} times the slow one; m22 changes sign once, and
+        loses relative digits only near that time.
+
+    m21 = -w m12 in every form.  mu_fast t, and h t in the e^{-ht} that the
+    overdamped entries discard, may overflow; their exponentials are then 0.
+    """
+    w, g, t = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                    for x in (w, g, t)))
+    h = 0.5 * g
+    dd = h * h - w
+    with np.errstate(over="ignore"):
+        x = (dd * t) * t
+        # cosh(delta t) and sinh(delta t)/delta, left 0 where overdamped
+        c, sn = np.zeros(x.shape), np.zeros(x.shape)
+        near = np.abs(x) < 1.0
+        c[near] = np.polyval(_COSH, x[near])
+        sn[near] = t[near] * np.polyval(_SINHC, x[near])
+        under = x <= -1.0
+        om = np.sqrt(-dd[under])
+        c[under] = np.cos(om * t[under])
+        sn[under] = np.sin(om * t[under]) / om
+        decay = np.exp(-h * t)
+        m11, m12, m22 = decay * (c + h * sn), decay * sn, decay * (c - h * sn)
+
+        over = x >= 1.0
+        to, delta = t[over], np.sqrt(dd[over])
+        fast = -(h[over] + delta)
+        slow = w[over] / fast
+        es, ef = np.exp(slow * to), np.exp(fast * to)
+        r = 2.0 * delta
+        m11[over] = (-fast * es + slow * ef) / r
+        m12[over] = (es - ef) / r
+        m22[over] = (slow * es - fast * ef) / r
+    return m11, m12, -w * m12, m22
 
 
 def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
@@ -297,8 +401,12 @@ def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:
         raise NonPositiveValues(
             "chi2 values must be finite and > 0 for a log-linear fit"
         )
-    slope = np.polyfit(t_tail, np.log(v_tail), 1)[0]
-    return float(-slope)
+    # fit against t / 2^e with 2^e near the largest |t|: exact scaling, so
+    # the slope's bits are polyfit's on t itself, and polyfit's sum of t^2
+    # cannot overflow at times near 1e155
+    e = math.frexp(float(np.max(np.abs(t_tail))))[1]
+    slope = np.polyfit(np.ldexp(t_tail, -e), np.log(v_tail), 1)[0]
+    return -math.ldexp(float(slope), -e)
 
 
 def ou_rate_closed_form(w: float, lam: float) -> float:

@@ -30,8 +30,13 @@ All routines are pure and deterministic.  The square root and its derivative
 share a single eigendecomposition; ``expm`` is scipy's scaling-and-squaring
 Pade implementation (Al-Mohy & Higham 2009), which also covers the drift
 matrices that are defective at critical damping, and exponentiates a whole
-grid of times in one call.  SciPy is imported on the first ``expm`` call, so
-importing the package does not load it.
+grid of times in one call.  The Gaussian oracles need it only for a
+friction that does not commute with the Hessian (``gaussian._moments``
+takes the others in closed form), so SciPy is imported on the first
+``expm`` call: importing the package, and the default commands, load none.
+``check_symmetric``, which every routine here that takes a symmetric matrix
+applies, rejects a non-finite entry before any other rule and names the
+matrix.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ def check_symmetric(m, name="matrix"):
     ------
     NotSymmetric
         If the asymmetry exceeds tolerance or the matrix is not square.
+    NotPositiveDefinite
+        If an entry is not finite.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -90,9 +97,15 @@ def check_symmetric(m, name="matrix"):
 
 def _symmetrize(m, name):
     """check_symmetric for each matrix of an (..., d, d) float stack; a
-    failing matrix of a stack is named by its index, ``name[i]``."""
+    failing matrix of a stack is named by its index, ``name[i]``.  A
+    non-finite entry is rejected first, as NotPositiveDefinite: no rule
+    downstream can read such a matrix, and LAPACK may fail on it."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSymmetric(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        raise NotPositiveDefinite(
+            f"{_first_bad(name, bad)[0]} has a non-finite entry")
     mt = m.swapaxes(-1, -2)
     # every threshold is at least SYM_TOL, so a smaller asymmetry clears all
     if m.size and np.abs(m - mt).max() > SYM_TOL:
@@ -140,15 +153,8 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
 
 def spd_eig(m):
     """Eigendecomposition (ascending w, u) of a symmetric matrix or stack,
-    after ``check_spd`` with the default rule.  A matrix with a non-finite
-    entry that LAPACK cannot converge on is named as such."""
-    m = _symmetrize(np.asarray(m, dtype=float), "matrix")
-    try:
-        w, u = np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        bad = ~np.isfinite(m).all(axis=(-2, -1))
-        raise NotPositiveDefinite(
-            f"{_first_bad('matrix', bad)[0]} has a non-finite entry") from None
+    after ``check_spd`` with the default rule."""
+    w, u = np.linalg.eigh(_symmetrize(np.asarray(m, dtype=float), "matrix"))
     check_spd(w)
     return w, u
 

@@ -10,8 +10,10 @@ both terms are closed-form in the target's whitened frame, where h is the
 exponential of a separable quadratic and the cross term a Gaussian
 expectation under the tilted law rho^2/pi, one coordinate at a time.
 
-``decay_audit`` tracks L along exactly propagated trajectories and checks the
-exponential decay bound promised by a rate certificate, point by point.
+``decay_audits`` tracks L along exactly propagated trajectories and checks the
+exponential decay bound promised by rate certificates, point by point, for
+several weights over one propagation; ``decay_audit`` is its one-weight
+form.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "build_s",
     "lyapunov_value_gaussian",
     "decay_audit",
+    "decay_audits",
 ]
 
 
@@ -84,36 +87,53 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
     (some s_i >= 2), so L is finite wherever chi2 is.  The cross term is
     >= 0, so L >= chi2 always.
     """
-    return float(_values(rho.mean, rho.cov, pi, s, rho.eig[0]))
+    return float(_values(rho.mean, rho.cov, pi, [s], rho.eig[0])[0])
 
 
-def _values(mean, cov, pi: GaussianMoments, s: WeightMatrixS, rho_w=None):
+def _values(mean, cov, pi: GaussianMoments, weights, rho_w=None):
     """L of each law N(mean, cov) against pi, for one law or a stack of
-    them as ``_whitened`` takes them: the one implementation of
-    lyapunov_value_gaussian's formula, +inf where chi2 is."""
+    them as ``_whitened`` takes them, under each weight of the sequence
+    weights: a list with one array of chi2's shape per weight.  It is the
+    one implementation of lyapunov_value_gaussian's formula, +inf where
+    chi2 is.  The laws are whitened once for all the weights, and each
+    weight's array is bitwise the one it gets alone."""
     dim = mean.shape[-1]
-    if dim != pi.mean.size or dim != s.matrix.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: rho dim {dim // 2}, pi dim {pi.dim}, "
-            f"S is {s.matrix.shape[0]}x{s.matrix.shape[0]}"
-        )
+    for s in weights:
+        if dim != pi.mean.size or dim != s.matrix.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: rho dim {dim // 2}, pi dim {pi.dim}, "
+                f"S is {s.matrix.shape[0]}x{s.matrix.shape[0]}"
+            )
     s_eig, e, wu, chi2 = _whitened(mean, cov, pi, rho_w)
     finite = np.isfinite(chi2)
-    values = np.full(chi2.shape, math.inf)
+    shape = chi2.shape
     s_eig, e, wu, chi2 = s_eig[finite], e[finite], wu[finite], chi2[finite]
-    s_bar = wu.swapaxes(-1, -2) @ s.matrix @ wu
     var = (s_eig - 1.0) ** 2 / (s_eig * (2.0 - s_eig))
-    diag = np.diagonal(s_bar, axis1=-2, axis2=-1)
-    cross = ((diag[..., None, :] @ var[..., None])
-             + (e[..., None, :] @ s_bar @ e[..., None]))[..., 0, 0]
-    values[finite] = chi2 + (chi2 + 1.0) * cross
-    return values
+    out = []
+    for s in weights:
+        s_bar = wu.swapaxes(-1, -2) @ s.matrix @ wu
+        diag = np.diagonal(s_bar, axis1=-2, axis2=-1)
+        cross = ((diag[..., None, :] @ var[..., None])
+                 + (e[..., None, :] @ s_bar @ e[..., None]))[..., 0, 0]
+        values = np.full(shape, math.inf)
+        values[finite] = chi2 + (chi2 + 1.0) * cross
+        out.append(values)
+    return out
 
 
 def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
                 cert, times: Sequence[float], tol: float = 1e-6,
                 atol: float = 1e-12) -> dict:
-    """Track L along the exact flow and check the certified decay.
+    """``decay_audits`` for the one weight s and its certificate cert."""
+    return decay_audits(dyn, init, [(s, cert)], times, tol, atol)[0]
+
+
+def decay_audits(dyn: LinearDynamics, init: GaussianMoments, audits,
+                 times: Sequence[float], tol: float = 1e-6,
+                 atol: float = 1e-12) -> list:
+    """Track L along the exact flow and check the certified decay, for each
+    (weight S, cert) pair of audits, over one propagation of init and one
+    whitening of its laws; report k is bitwise decay_audit's for pair k.
 
     cert: a rate certificate (its ``original_rate`` is audited) or a bare
     positive rate.  Three checks over the time grid:
@@ -125,11 +145,10 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
     where t0 is the first time with finite L -- points where L diverges
     (chi-square not integrable yet) are flagged and excluded, mirroring the
     requirement that the bound starts from a finite initial value.  tol is
-    relative; atol absorbs roundoff on near-zero values.  Returns a
-    JSON-ready report with per-point values, margins, pass flags and the
-    number of divergent points.
+    relative; atol absorbs roundoff on near-zero values.  Each report is
+    JSON-ready, with per-point values, margins, pass flags and the number
+    of divergent points.
     """
-    rate = float(getattr(cert, "original_rate", cert))
     ts = [float(t) for t in times]
     if len(ts) < 2:
         raise ValueError("need at least two time points")
@@ -138,7 +157,16 @@ def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
     if ts[0] < 0:
         raise ValueError("times must be nonnegative")
 
-    values = _values(*_moments(dyn, init, ts), dyn.stationary, s).tolist()
+    values = _values(*_moments(dyn, init, ts), dyn.stationary,
+                     [s for s, _ in audits])
+    return [_audit_report(ts, row.tolist(),
+                          float(getattr(cert, "original_rate", cert)),
+                          tol, atol)
+            for row, (_, cert) in zip(values, audits)]
+
+
+def _audit_report(ts, values, rate, tol, atol):
+    """decay_audit's report for the values of L at the times ts."""
     divergent = [math.isinf(v) for v in values]
     values = [None if flag else v for v, flag in zip(values, divergent)]
 

@@ -386,6 +386,20 @@ class TestOracleOu:
         case = read_json(out, "oracle_ou_summary.json")["cases"][0]
         assert case["closed_form_rate"] == pytest.approx(2e-9, rel=1e-15)
 
+    @pytest.mark.parametrize("grid", [[1e4, 1e6, 1e9], [1e154]],
+                             ids=["stiff", "largest"])
+    def test_fit_recovers_stiff_rates(self, tmp_path, grid):
+        # the slow mode decays like e^{-t/lam}; an e^{Ft} whose error grows
+        # like eps ||F|| t fitted 7e-26 for 2e-9 at lam = 1e9, and at 1e154
+        # the fit window reaches t = 1e155
+        cfg = write_config(tmp_path, {"kind": "oracle-ou",
+                                      "oracle": {"lambda_grid": grid}})
+        out = str(tmp_path / "ou")
+        assert main(["oracle-ou", "--config", cfg, "--out", out]) == 0
+        cases = read_json(out, "oracle_ou_summary.json")["cases"]
+        assert [c["lam"] for c in cases[:-1]] == grid
+        assert all(c["relative_gap"] <= 1e-4 for c in cases)
+
     def test_empty_lambda_grid_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"oracle": {"lambda_grid": []}})
         code = main(["oracle-ou", "--config", cfg,
@@ -907,6 +921,31 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("command, payload, loaded", [
+        ("oracle-ou", {}, False),
+        ("audit", {}, False),
+        ("simulate", {}, False),
+        ("simulate", {"potential": {"v": [1.0, 2.0]},
+                      "friction": {"kind": "constant_matrix",
+                                   "matrix": [[2.0, 0.5], [0.5, 3.0]]}}, True),
+    ], ids=["oracle-ou", "audit", "simulate", "simulate-non-commuting"])
+    def test_run_loads_scipy_only_for_expm(self, tmp_path, command, payload,
+                                           loaded):
+        # the default oracles propagate in closed form over the modes of
+        # A and Gamma; a friction that does not commute with A takes
+        # linalg.expm, which loads scipy.linalg on its first call
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kinlang.__file__)))
+        cfg = write_config(tmp_path, {"kind": command, **payload})
+        script = ("import sys, kinlang.cli\n"
+                  f"code = kinlang.cli.main([{command!r}, '--config', {cfg!r},\n"
+                  "                          '--out', 'out', '--seed', '1'])\n"
+                  "print(code, any(m.startswith('scipy') for m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(loaded)]
+
 
 #: small configs, one per command, for the report-schema snapshot
 SCHEMA_CONFIGS = {
@@ -1027,13 +1066,13 @@ GOLDEN_DIGESTS = {
     "oracle-ou/config.json":
         "70a5b09c1b7e08830ccb0d6346c6c48f4aedec8bd7c578d39d93fff60cd4c89e",
     "oracle-ou/oracle_ou.csv":
-        "289ce402f0521c77fef21c1a685aaf633494e007157e3e1d12f12f3836c17686",
+        "ebdaeea0e07368f0418af43f6c9f54ae8fbd1aa41a5c6cbbecd9fb2b6b396e8f",
     "oracle-ou/oracle_ou_summary.json":
-        "50b2fab1de61b20f4fe506494b8fae63404f62c4e570fc9d1bbd78e65b680a22",
+        "a5fd35a92ab5631c36dba9393f9d6121b1f7abb1316b1504d4dadfafaa689a6a",
     "simulate/config.json":
         "d5e9c9c2e739d5a0483bdbc2b52279dabad43f73a24c42ee2e51cbf4f70ad9c8",
     "simulate/simulate_report.json":
-        "aa0a295e97bec7caf6d7eabdea6fd2a61006f1a0e3b05f48f78029f3e9f9a21a",
+        "4c8c92abe872a0c1bddf395b85d40fb3e2eab598c4f5d3bdf842eb853c2f045f",
     "simulate/trajectory.csv":
         "affd474a1213621dfe4c9a9a0212a0192f1333cce855f9778ab30992309676e6",
     "certify/certificate.json":
@@ -1047,7 +1086,7 @@ GOLDEN_DIGESTS = {
     "compare/config.json":
         "98ca5dae2060f8183d9a73ac5253bb2964a1f61e0ea8ef7697075f051d6ba03f",
     "audit/audit.json":
-        "646e7b3895dee804f83701a5d2eaede4db97c5aeb1f817d9841a1b50f5fbe41f",
+        "723b62e924565610726c58a6ac9f3a4508d8b65b68a15c913c79d6c9c83515a4",
     "audit/config.json":
         "9129be26ee21c75cce119907aaa768f070ba63d04532b076a394b0326d7328c4",
 }

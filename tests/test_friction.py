@@ -56,6 +56,18 @@ class TestGamma:
         with pytest.raises(NotPositiveDefinite, match=f"finite {name} > 0"):
             build(value)
 
+    @pytest.mark.parametrize("m", [[[np.inf]],
+                                   [[1.0, np.nan], [np.nan, 1.0]],
+                                   [[1.0, 0.0], [-np.inf, 1.0]]],
+                             ids=["inf", "nan", "asymmetric-inf"])
+    def test_non_finite_matrix_named(self, m):
+        # the entry is named before the symmetry test subtracts inf from
+        # inf or the SPD floor multiplies it by 0; tier-1 turns either
+        # RuntimeWarning into a failure
+        with pytest.raises(NotPositiveDefinite,
+                           match="^friction matrix has a non-finite entry$"):
+            constant_matrix(m)
+
 
 class TestDiffusion:
     def test_constant_scalar_original(self):

@@ -13,6 +13,8 @@ from kinlang.errors import (
 from kinlang.friction import constant_matrix, constant_scalar, hessian_sqrt
 from kinlang.gaussian import (
     GaussianMoments,
+    _modal_exp,
+    _moments,
     _whitened,
     diagonal_system_rate,
     fit_decay_rate,
@@ -23,6 +25,7 @@ from kinlang.gaussian import (
     stationary_moments,
 )
 from kinlang.linalg import expm
+from kinlang.potentials import quadratic_general
 from kinlang.lyapunov import (
     WeightMatrixS,
     decay_audit,
@@ -244,6 +247,88 @@ class TestPropagateGrid:
                 propagate(dyn, init, bad)
 
 
+def general_quadratic_dynamics(spec):
+    """The dynamics of spec on a non-diagonal quadratic_general potential
+    with Hessian eigenvalues 1, 4 and 9."""
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+    p = quadratic_general(q @ np.diag([1.0, 4.0, 9.0]) @ q.T)
+    zero = np.zeros(3)
+    return kinetic_dynamics(p.hess(zero), spec.gamma(p, zero))
+
+
+class TestModalExponential:
+    #: frictions that put the modes of frequency 1, 2 and 3 under, at, near
+    #: and over critical damping, lam = 2w (1 +- 1e-9) included
+    SPECS = ([constant_scalar(lam) for lam in (0.3, 2.0, 4.0, 20.0, 100.0)]
+             + [constant_scalar(2.0 * w * (1.0 + sign * 1e-9))
+                for w in (1.0, 3.0) for sign in (1, -1)]
+             + [hessian_sqrt(s) for s in (0.5, 2.0, 2.0 * (1 + 1e-9),
+                                           2.0 * (1 - 1e-9), 3.0, 50.0)])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.lam or s.s!r}")
+    def test_agrees_with_expm(self, spec):
+        # entrywise, to 1e-13 max(1, |entry|), wherever ||F|| t <= 1e2; the
+        # grid also crosses each mode's (delta t)^2 = +-1 form boundaries
+        dyn = general_quadratic_dynamics(spec)
+        assert dyn.modes is not None
+        w, g, _ = dyn.modes
+        bounds = 1.0 / np.sqrt(np.abs(0.25 * g * g - w))
+        limit = 1e2 / np.linalg.norm(dyn.drift, 2)
+        times = np.concatenate([
+            np.geomspace(1e-8, limit, 150),
+            np.outer(bounds[bounds < limit], [1 - 1e-12, 1.0, 1 + 1e-12]).ravel()])
+        modal, ref = _modal_exp(*dyn.modes, times), expm(dyn.drift, times)
+        err = np.abs(modal - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-13
+
+    @pytest.mark.parametrize("lam", [1e3, 1e5, 1e9, 1e20, 1e50, 1e100, 1e150])
+    def test_overdamped_mean_against_mpmath(self, lam):
+        # q(t) = c_s e^{mu_s t} + c_f e^{mu_f t} with c_s + c_f = q0 and
+        # mu_s c_s + mu_f c_f = p0, at 50 digits, from the stable roots of
+        # mu^2 + lam mu + 1; out to the oracle's fit window t = 20 / rate
+        mp = pytest.importorskip("mpmath").mp
+        rate = ou_rate_closed_form(1.0, lam)
+        times = np.array([1e-3 / lam, 1.0 / lam, 1.0, 1.0 / rate,
+                          10.0 / rate, 20.0 / rate])
+        init = GaussianMoments([3.0, -3.0], np.eye(2))
+        mean, _ = _moments(oscillator(1.0, lam), init, times)
+        with mp.workdps(50):
+            g = mp.mpf(lam)
+            r = mp.sqrt(g * g - 4)
+            slow, fast = -2 / (g + r), -(g + r) / 2
+            c_s, c_f = (-3 - 3 * fast) / (slow - fast), (3 * slow + 3) / (slow - fast)
+            for t, (q, p) in zip(times, mean):
+                es, ef = mp.exp(slow * t), mp.exp(fast * t)
+                q_mp = c_s * es + c_f * ef
+                p_mp = slow * c_s * es + fast * c_f * ef
+                assert abs(q - q_mp) <= 1e-14 * abs(q_mp), (t, q, q_mp)
+                assert abs(p - p_mp) <= 1e-14 * abs(p_mp), (t, p, p_mp)
+
+    def test_modes_only_for_a_commuting_friction(self):
+        a = np.diag([1.0, 4.0])
+        assert kinetic_dynamics(a, np.diag([3.0, 0.5])).modes is not None
+        assert kinetic_dynamics(a, [[2.0, 0.5], [0.5, 3.0]]).modes is None
+
+    def test_non_commuting_friction_keeps_expm_bits(self):
+        # constant_matrix that does not commute with A: the parent's
+        # formula, through linalg.expm, bit for bit
+        dyn = general_quadratic_dynamics(constant_matrix([[2.0, 0.5, 0.0],
+                                                          [0.5, 3.0, 0.2],
+                                                          [0.0, 0.2, 1.0]]))
+        assert dyn.modes is None
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((6, 6))
+        init = GaussianMoments(rng.standard_normal(6), b @ b.T + np.eye(6))
+        times = np.linspace(0.1, 5.0, 7)
+        mean, cov = _moments(dyn, init, times)
+        eft = expm(dyn.drift, times)
+        eft_t = eft.swapaxes(-1, -2)
+        cov_inf = dyn.stationary.cov
+        c = eft @ init.cov @ eft_t + (cov_inf - eft @ cov_inf @ eft_t)
+        assert np.array_equal(mean, eft @ init.mean)
+        assert np.array_equal(cov, 0.5 * (c + c.swapaxes(-1, -2)))
+
+
 class TestStationaryMoments:
     def test_oscillator(self):
         w = 1.7
@@ -436,6 +521,20 @@ class TestFitDecayRate:
         assert biased == pytest.approx(CRITICAL_GENERIC_INIT_FIT, abs=1e-4)
         clean = fit_for([3.0, -3.0], np.eye(2))
         assert clean == pytest.approx(2.0, rel=5e-3)
+
+    def test_slope_bits_are_polyfit_on_the_times(self):
+        # the fit runs on t / 2^e, an exact scaling
+        ts = np.linspace(3.7, 41.3, 57)
+        vals = (2 + np.sin(ts)) * np.exp(-0.37 * ts)
+        slope = np.polyfit(ts, np.log(vals), 1)[0]
+        assert fit_decay_rate(ts, vals, tail_fraction=1.0) == -slope
+
+    def test_times_near_1e155(self):
+        # polyfit's sum of t^2 would overflow on the times themselves
+        ts = np.linspace(5e154, 1e155, 101)
+        vals = 9.0 * np.exp(-2e-154 * ts)
+        fit = fit_decay_rate(ts, vals, tail_fraction=1.0)
+        assert fit == pytest.approx(2e-154, rel=1e-12)
 
     def test_insufficient_data(self):
         ts = np.linspace(0, 1, 10)

@@ -89,14 +89,14 @@ class TestSpdSqrt:
             spd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_unconvergeable_nan_named(self):
-        # eigh fails to converge on a 4 x 4 NaN matrix
+        # named before eigh, which fails to converge on a 4 x 4 NaN matrix
         with pytest.raises(NotPositiveDefinite,
                            match="^matrix has a non-finite entry$"):
             spd_sqrt(np.full((4, 4), np.nan))
 
     def test_nan_covariance_rejected(self):
-        # eigvalsh gives [0, -0] for the 2 x 2 matrix and fails to converge
-        # on the 4 x 4 one
+        # named before eigvalsh, which gives [0, -0] for the 2 x 2 matrix
+        # and fails to converge on the 4 x 4 one
         for cov in (np.array([[np.nan, 0.0], [0.0, 1.0]]),
                     np.full((4, 4), np.nan)):
             with pytest.raises(NotPositiveDefinite, match="^covariance"):

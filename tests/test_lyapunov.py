@@ -35,6 +35,7 @@ from kinlang.lyapunov import (
     WeightMatrixS,
     build_s,
     decay_audit,
+    decay_audits,
     lyapunov_value_gaussian,
 )
 from kinlang.potentials import AssumptionConstants
@@ -331,6 +332,31 @@ def test_grid_matches_single_law_functions():
     for got, ref in zip(grid_chi2 + grid_lyap, chi2 + lyap):
         if not math.isinf(ref):
             assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
+def test_shared_audit_equals_per_weight_audits():
+    # the default audit's main weight and witnesses over one propagation:
+    # each report is bitwise the one-weight decay_audit's
+    v = [1.0, 2.0, 3.0]
+    p = build_potential(PotentialConfig(v=tuple(v)))
+    fric, aud = FrictionConfig(), AuditConfig()
+    zero = np.zeros(p.dim)
+    dyn = kinetic_dynamics(p.hess(zero), build_friction(fric).gamma(p, zero))
+    cert = certificate(p.constants,
+                       coefficient_family(p.constants, fric.s, aud.x0))
+    audits = [(build_s(cert.coeffs, dyn.gamma_mat), cert)]
+    for eps in CertificateConfig().eps_rates:
+        witness, rate = diag_quadratic_certificate(v, eps)
+        audits.append((build_s(witness, dyn.gamma_mat), rate))
+    mean = np.concatenate([np.full(p.dim, aud.init_q_mean), np.zeros(p.dim)])
+    init = GaussianMoments(mean, aud.init_cov_scale * np.eye(2 * p.dim))
+    times = np.linspace(0.0, aud.t_max, aud.n_times)
+    shared = decay_audits(dyn, init, audits, times)
+    assert len(shared) == len(audits) == 4
+    for report, (weight, cert) in zip(shared, audits):
+        one = decay_audit(dyn, init, weight, cert, times)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            one, sort_keys=True)
 
 
 class TestDecayAudit:

@@ -12,6 +12,12 @@ original-time rate.  A certificate that fails to accelerate (rate <= 0) is
 data, not an error: the validity flag records whether the hypothesis
 gamma < sqrt(m1/m2) actually holds.
 
+One function judges a cell (s, x0) of the weight family:
+``family_certificate`` gives its certificate, or records the failure that
+leaves it without one.  ``optimize_m1`` sweeps it over a grid, and the CLI's
+single-cell commands read it.  ``check_certifiable`` states the range of
+alpha and beta in which the arithmetic stays normal.
+
 The baseline being beaten is the best constant scalar friction rate available
 through the same hypocoercivity route, ``lambda_dms`` and its supremum
 ``lambda_dms_sup``, which is in closed form: the roots of one quadratic in
@@ -45,7 +51,9 @@ __all__ = [
     "certificate",
     "optimal_coefficients",
     "coefficient_family",
+    "family_certificate",
     "optimize_m1",
+    "check_certifiable",
     "lambda_dms",
     "lambda_dms_sup",
     "compare_to_constant_friction",
@@ -54,6 +62,38 @@ __all__ = [
 
 #: relative tolerance on the balance constraint a + c = b / s^2
 COEFF_CONSTRAINT_TOL = 1e-12
+
+#: alpha's range and beta's bound within which certificates are taken
+#: (``check_certifiable``)
+ALPHA_RANGE = (1e-75, 1e75)
+BETA_MAX = 1e225
+
+
+def check_certifiable(const: AssumptionConstants):
+    """Raise ValueError unless 1e-75 <= alpha <= 1e75 and beta <= 1e225.
+
+    In that range the weights, S and the certificate arithmetic stay normal
+    floats.  The weights a, b, c are 1/alpha times a weight of s and x0, and
+    every intermediate of ``certificate`` is alpha^k times a weight of s,
+    x0, kappa and d with |k| <= 4; the k = -4 one is l_constants'
+    a^2 s^-3 / alpha^2.  So for alpha in the range they lie within 1e+-300
+    of their weights, which leaves 8 decades for s in [1, 4] and x0 in
+    [1, 1000] at kappa = 1.  beta enters through kappa = beta/alpha alone,
+    and beta <= 1e225 keeps kappa <= 1e300.  The endpoint 1/(s sqrt(kappa))
+    is then a normal positive number, and S's entries stay normal: the
+    smallest, b Gamma^-2 at Hess V's eigenvalue beta, is about
+    1/(alpha beta) >= 1e-300.  A large kappa only makes L1, L2, m2 and the
+    comparison's ratio grow, up to inf: the certificate is then invalid,
+    which is data.  Just outside the alpha range the default grids already
+    meet subnormal or infinite intermediates, and from alpha = 1e170 on
+    every weight matrix rounds to a degenerate one.
+    """
+    lo, hi = ALPHA_RANGE
+    if not (lo <= const.alpha <= hi and const.beta <= BETA_MAX):
+        raise ValueError(
+            f"alpha = {const.alpha!r} and beta = {const.beta!r}; a "
+            f"certificate needs {lo:g} <= alpha <= {hi:g} and "
+            f"beta <= {BETA_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -239,7 +279,7 @@ def _overflow_message(s, x0) -> str:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One cell of an optimize_m1 sweep; certificate is None if the (s, x0)
+    """One (s, x0) cell of the weight family; certificate is None if the
     pair cannot form a positive definite S or its arithmetic overflows, and
     error and error_type then hold the message and the class name of the
     exception; an overflow's message names the cell's s and x0."""
@@ -251,42 +291,44 @@ class SweepEntry:
     error_type: Optional[str] = None
 
 
+def family_certificate(const: AssumptionConstants, s: float,
+                       x0: float) -> SweepEntry:
+    """The weight family's cell at (s, x0), the one judge of a cell for
+    ``optimize_m1`` and the CLI: the ``certificate`` of its coefficients, or
+    the failure that leaves it without one (x0 too small for s, a degenerate
+    S, overflow), which is recorded rather than raised."""
+    try:
+        cert = certificate(const, coefficient_family(const, s, x0))
+    except (ValueError, OverflowError, DegenerateS, InvalidCoefficients,
+            NonPositiveDenominator) as exc:
+        error = (_overflow_message(s, x0) if isinstance(exc, OverflowError)
+                 else str(exc))
+        return SweepEntry(s, x0, None, error, type(exc).__name__)
+    return SweepEntry(s, x0, cert)
+
+
 def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
                 x0_grid: Sequence[float]):
     """Sweep the constrained weight family over (s, x0); maximize m1.
 
-    Returns (best_certificate, table) where table lists one SweepEntry per
-    grid cell in row-major (s outer, x0 inner) order.  Infeasible cells are
-    recorded with their error message and skipped in the argmax; ties break
-    toward the lowest grid index.  Raises ValueError only for empty grids or
-    when no cell at all is feasible.
+    Returns (best_certificate, table) where table lists the
+    ``family_certificate`` cell of every grid point in row-major (s outer,
+    x0 inner) order.  The best is the certificate with the largest m1, the
+    first on a tie; a NaN m1 is never chosen.  Raises ValueError only for
+    empty grids or when no cell at all has a certificate with m1 > -inf.
     """
     s_grid = list(s_grid)
     x0_grid = list(x0_grid)
     if not s_grid or not x0_grid:
         raise ValueError("s_grid and x0_grid must be nonempty")
-    table = []
-    best = None
-    best_m1 = -math.inf
-    for s in s_grid:
-        for x0 in x0_grid:
-            try:
-                cert = certificate(const, coefficient_family(const, s, x0))
-            except (ValueError, OverflowError, DegenerateS,
-                    InvalidCoefficients, NonPositiveDenominator) as exc:
-                error = (_overflow_message(s, x0)
-                         if isinstance(exc, OverflowError) else str(exc))
-                table.append(SweepEntry(s=s, x0=x0, certificate=None,
-                                        error=error,
-                                        error_type=type(exc).__name__))
-                continue
-            table.append(SweepEntry(s=s, x0=x0, certificate=cert))
-            if cert.m1 > best_m1:
-                best_m1 = cert.m1
-                best = cert
-    if best is None:
+    table = [family_certificate(const, s, x0)
+             for s in s_grid for x0 in x0_grid]
+    # max keeps the first of equal keys; > -inf drops NaN and -inf
+    chosen = [e.certificate for e in table
+              if e.certificate is not None and e.certificate.m1 > -math.inf]
+    if not chosen:
         raise ValueError("no feasible (s, x0) cell in the sweep")
-    return best, table
+    return max(chosen, key=lambda cert: cert.m1), table
 
 
 def _check_positive(name, value):
@@ -414,9 +456,10 @@ def compare_to_constant_friction(const: AssumptionConstants,
         raise ValueError("lambda_grid must be nonempty")
     if any(not v > 0 for v in lams):
         raise ValueError("lambda_grid entries must be > 0")
-    # products, not powers: float ** overflows to OverflowError, * to inf
-    ratio = ((const.beta * const.beta) * (const.gamma * const.gamma)
-             * const.dim / (const.alpha * const.alpha * const.alpha))
+    # products, not powers: float ** overflows to OverflowError, * to inf;
+    # and no alpha^3, which underflows to 0
+    kappa, gamma = const.kappa, const.gamma
+    ratio = (kappa * kappa) * (gamma * gamma / const.alpha) * const.dim
     baselines = (2.0 * lambda_dms_sup(lams, const.alpha)).tolist()
     report = {
         "applicable": bool(cert.valid),

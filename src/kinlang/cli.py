@@ -38,11 +38,9 @@ from collections import Counter
 import numpy as np
 
 from .certificates import (
-    _overflow_message,
-    certificate,
-    coefficient_family,
     compare_to_constant_friction,
     diag_quadratic_certificate,
+    family_certificate,
     optimize_m1,
 )
 from .config import (
@@ -108,7 +106,7 @@ def _ou_case(w, kind, lam, s, gamma, closed, n_times):
     times = np.linspace(10.0 / closed, 20.0 / closed, n_times)
     chi2s = chi2_along(dyn, init, times).tolist()
     fitted = fit_decay_rate(times, chi2s, tail_fraction=1.0)
-    rows = [(w, label, lam, t, c) for t, c in zip(times, chi2s)]
+    rows = [(w, label, lam, t, c) for t, c in zip(times.tolist(), chi2s)]
     summary = {
         "w": w,
         "friction": kind,
@@ -254,22 +252,19 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
 
 
 def _family_certificate(const, s, x0, x0_name):
-    """The weight family's coefficients at (s, x0) and their certificate.
-
-    An x0 too small for s is an error in the field x0_name; a pair whose
-    certificate arithmetic overflows is an error in both fields.
-    """
-    try:
-        coeffs = coefficient_family(const, s, x0)
-        return coeffs, certificate(const, coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"{x0_name}: {exc}")
-    except OverflowError:
-        raise ConfigError(f"friction.s, {x0_name}: {_overflow_message(s, x0)}")
+    """The weight family's certificate at (s, x0), or a config error: an x0
+    too small for s is an error in the field x0_name, and any other cell
+    without a certificate one in both fields."""
+    entry = family_certificate(const, s, x0)
+    if entry.certificate is None:
+        fields = (x0_name if entry.error_type == "ValueError"
+                  else f"friction.s, {x0_name}")
+        raise ConfigError(f"{fields}: {entry.error}")
+    return entry.certificate
 
 
 def cmd_certify(cfg: ExperimentConfig) -> dict:
-    const = build_potential(cfg.potential).constants
+    const = build_potential(cfg.potential, certified=True).constants
     try:
         best, table = optimize_m1(const, cfg.certificate.s_grid,
                                   cfg.certificate.x0_grid)
@@ -307,9 +302,9 @@ def cmd_certify(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> dict:
-    const = build_potential(cfg.potential).constants
-    _, cert = _family_certificate(const, cfg.friction.s, cfg.certificate.x0,
-                                  "certificate.x0")
+    const = build_potential(cfg.potential, certified=True).constants
+    cert = _family_certificate(const, cfg.friction.s, cfg.certificate.x0,
+                               "certificate.x0")
     comparison = compare_to_constant_friction(const, cert,
                                               cfg.certificate.lambda_grid)
     return {"comparison.json": {"certificate": cert.as_dict(),
@@ -321,15 +316,14 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_audit(cfg: ExperimentConfig) -> dict:
-    p = build_potential(cfg.potential)
+    p = build_potential(cfg.potential, certified=True)
     dyn = _linear_dynamics(p, build_friction(cfg.friction))
-    const = p.constants
     d = p.dim
 
     aud = cfg.audit
-    coeffs, cert = _family_certificate(const, cfg.friction.s, aud.x0,
-                                       "audit.x0")
-    weight = build_s(coeffs, dyn.gamma_mat)
+    cert = _family_certificate(p.constants, cfg.friction.s, aud.x0,
+                               "audit.x0")
+    weight = build_s(cert.coeffs, dyn.gamma_mat)
 
     mean = np.concatenate([np.full(d, aud.init_q_mean), np.zeros(d)])
     init = GaussianMoments(mean=mean,

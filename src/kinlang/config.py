@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import _finite_square
+from .certificates import _finite_square, check_certifiable
 from .errors import ConfigError, KinlangError
 from .friction import FrictionSpec, constant_matrix, constant_scalar, hessian_sqrt
 from .potentials import (
@@ -406,16 +406,23 @@ def load_config(path, kind: Optional[str] = None, out_dir: Optional[str] = None,
 # builders
 
 
-def _build(table: dict, key: str, cfg, section: str):
+def _build(table: dict, key: str, cfg, section: str, check=None):
     builder, names = table[key]
     try:
-        return builder(*(getattr(cfg, name) for name in names))
+        built = builder(*(getattr(cfg, name) for name in names))
+        if check is not None:
+            check(built)
+        return built
     except (KinlangError, ValueError) as exc:
         raise ConfigError(f"{section}.{names[0]}: {exc}")
 
 
-def build_potential(cfg: PotentialConfig) -> Potential:
-    return _build(_POTENTIALS, cfg.family, cfg, "potential")
+def build_potential(cfg: PotentialConfig, certified: bool = False) -> Potential:
+    """The configured potential.  With certified, its constants must also
+    lie in the range where certificates are taken (``check_certifiable``);
+    either error names the family's first field, e.g. ``potential.v``."""
+    check = (lambda p: check_certifiable(p.constants)) if certified else None
+    return _build(_POTENTIALS, cfg.family, cfg, "potential", check)
 
 
 def build_friction(cfg: FrictionConfig) -> FrictionSpec:

@@ -12,7 +12,7 @@ form, and extracts/asserts the asymptotic decay rates -- the ground truth
 everything else (simulation, certificates, Lyapunov audits) is judged
 against.
 
-When A's eigenbasis diagonalizes G (scalar friction, s sqrt(A), or any
+When an eigenbasis of A diagonalizes G (scalar friction, s sqrt(A), or any
 constant matrix that commutes with A), F splits into d 2 x 2 blocks and
 e^{Ft} is taken in closed form per block, accurate to a few ulp from the
 underdamped through the critical to the stiff overdamped regime (friction
@@ -112,8 +112,8 @@ class LinearDynamics:
     gamma_mat: np.ndarray  # friction matrix, SPD (d, d)
     drift: np.ndarray    # F = [[0, I], [-A, -G]], (2d, 2d)
     stationary: GaussianMoments  # Gibbs law N(0, blockdiag(A^{-1}, I))
-    # (w, g, u) with A = u diag(w) u' and u' G u = diag(g), when A's
-    # eigenbasis diagonalizes G (kinetic_dynamics); else None
+    # (w, g, u) with A = u diag(w) u' and u' G u = diag(g), when an
+    # eigenbasis of A diagonalizes G (kinetic_dynamics); else None
     modes: Optional[tuple] = None
 
     @property
@@ -127,8 +127,11 @@ def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     the momenta.  The one SPD rule on a, A^{-1} = u diag(1/w) u' and the
     modes read the same ``eigh`` of a.  The modes are recorded when u' G u
     is diagonal to 1e-12 max|G|: always for constant_scalar and
-    hessian_sqrt frictions, and for a constant matrix that commutes with a,
-    unless it mixes the eigenvectors of a repeated eigenvalue of a."""
+    hessian_sqrt frictions, and for a constant matrix that commutes with a.
+    Any basis of a repeated eigenvalue's eigenspace is an eigenbasis of a,
+    so within each run of equal eigenvalues w whose block of u' G u is not
+    diagonal to that tolerance, u is first rotated by the block's ``eigh``;
+    the pairs whose blocks are all diagonal keep the bits of no rotation."""
     a = check_symmetric(a, "a")
     gamma_mat = check_symmetric(gamma_mat, "gamma_mat")
     check_spd(np.linalg.eigvalsh(gamma_mat), "gamma_mat")
@@ -138,10 +141,16 @@ def kinetic_dynamics(a, gamma_mat) -> LinearDynamics:
     cov = np.zeros((2 * d, 2 * d))
     cov[:d, :d] = from_eig(u, 1.0 / w)
     cov[d:, d:] = np.eye(d)
+    tol = 1e-12 * np.abs(gamma_mat).max()
     g = u.T @ gamma_mat @ u
+    starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]]).tolist()
+    for i, j in zip(starts, starts[1:] + [d]):
+        block = g[i:j, i:j]
+        if np.abs(block - np.diag(np.diagonal(block))).max() > tol:
+            u[:, i:j] = u[:, i:j] @ np.linalg.eigh(block)[1]
+            g = u.T @ gamma_mat @ u
     g_diag = np.diagonal(g).copy()
-    commute = (np.abs(g - np.diag(g_diag)).max()
-               <= 1e-12 * np.abs(gamma_mat).max())
+    commute = np.abs(g - np.diag(g_diag)).max() <= tol
     return LinearDynamics(
         a=a, gamma_mat=gamma_mat, drift=_drift(a, gamma_mat),
         stationary=GaussianMoments(mean=np.zeros(2 * d), cov=cov),

@@ -532,22 +532,19 @@ def attach_chi2_proxies(points, target: GaussianMoments):
 
 
 def write_csv(path, header, rows):
-    """UTF-8 CSV, '.' decimal separator, repr floats, fixed row order; None
-    is an empty cell and a bool is true/false.  A cell holding a comma, a
-    quote or a line break is quoted, so every row has the header's width."""
-    def cell(x):
-        if x is None:
-            return ""
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        if isinstance(x, (float, np.floating)):
-            return repr(float(x))
-        return str(x)
+    """UTF-8 CSV, '.' decimal separator, fixed row order.
 
+    Cells are Python floats, ints, strings, bools and None, as ``.tolist()``
+    gives them; NumPy scalars are not cells.  ``csv.writer`` writes a float
+    as its repr, None as an empty cell, and quotes a cell holding a comma, a
+    quote or a line break, so every row has the header's width.  A bool is
+    written true/false.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        out.writerows([cell(x) for x in row] for row in rows)
+        out.writerows([("true" if x else "false") if type(x) is bool else x
+                       for x in row] for row in rows)
 
 
 def write_trajectory_csv(points, path, dim: int):
@@ -557,6 +554,6 @@ def write_trajectory_csv(points, path, dim: int):
             + [f"cov_{i + 1}{j + 1}" for i in range(twod) for j in range(twod)]
             + ["chi2_proxy"])
     write_csv(path, cols, (
-        [float(pt.time), *np.asarray(pt.mean, dtype=float),
-         *np.asarray(pt.cov, dtype=float).ravel(), pt.chi2_proxy]
+        [float(pt.time), *np.asarray(pt.mean, dtype=float).tolist(),
+         *np.asarray(pt.cov, dtype=float).ravel().tolist(), pt.chi2_proxy]
         for pt in points))

@@ -21,11 +21,13 @@ from kinlang.certificates import (
     DiagQuadraticWitness,
     LyapunovCoefficients,
     certificate,
+    check_certifiable,
     coefficient_family,
     compare_to_constant_friction,
     diag_quadratic_certificate,
     diag_witness_conditions,
     f_of,
+    family_certificate,
     g_of,
     l_constants,
     lambda_dms,
@@ -315,6 +317,64 @@ class TestOptimizeM1:
             optimize_m1(UNIT, [4.0], [0.5])
 
 
+class TestFamilyCertificate:
+    def test_is_the_sweep_cell_on_the_cli_session_grid(self):
+        # the benchmark's 31 x 31 certify grid on its perturbed potential:
+        # every cell bitwise, and each certificate the one certificate()
+        # gives for the family's coefficients
+        const = perturbed_diagonal([1.0, 2.0], 0.01).constants
+        s_grid = np.round(np.linspace(1.0, 4.0, 31), 10).tolist()
+        x0_grid = np.round(np.geomspace(1.0, 1000.0, 31), 10).tolist()
+        _, table = optimize_m1(const, s_grid, x0_grid)
+        cells = [family_certificate(const, s, x0)
+                 for s in s_grid for x0 in x0_grid]
+        assert [repr(e) for e in table] == [repr(e) for e in cells]
+        for e in cells:
+            if e.certificate is not None:
+                assert repr(e.certificate) == repr(certificate(
+                    const, coefficient_family(const, e.s, e.x0)))
+
+    @pytest.mark.parametrize("s, x0, error_type", [
+        (4.0, 0.8, "ValueError"),
+        (1e-100, 10.0, "OverflowError"),
+        (2.0, 0.7071067811865477, "DegenerateS"),
+    ])
+    def test_failure_is_a_cell(self, s, x0, error_type):
+        entry = family_certificate(UNIT, s, x0)
+        assert (entry.s, entry.x0, entry.certificate) == (s, x0, None)
+        assert entry.error_type == error_type and entry.error
+
+    def test_certified_cell(self):
+        entry = family_certificate(UNIT, 2.0, 1e3)
+        assert entry.error is None and entry.error_type is None
+        assert entry.certificate == certificate(UNIT, optimal_coefficients(UNIT, 1e3))
+
+
+class TestCheckCertifiable:
+    @pytest.mark.parametrize("alpha, beta", [
+        (1e-75, 1e-75), (1e75, 1e75), (1.0, 1e160), (1e-75, 1e225)])
+    def test_inside(self, alpha, beta):
+        check_certifiable(AssumptionConstants(alpha, beta, 0.0, 1))
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1e-76, 1e-76), (1e76, 1e76), (1.0, 1.0001e225), (1e-110, 1e-110)])
+    def test_outside(self, alpha, beta):
+        with pytest.raises(ValueError, match="a certificate needs"):
+            check_certifiable(AssumptionConstants(alpha, beta, 0.0, 1))
+
+    @pytest.mark.parametrize("e", range(-75, 76, 15))
+    def test_weights_stay_in_scale(self, e):
+        # m1 is scale-free and alpha m2 too at kappa = 1, so across the
+        # range they keep their alpha = 1 values to rounding
+        const = AssumptionConstants(10.0 ** e, 10.0 ** e, 0.0, 1)
+        for s in (1.0, 2.0, 4.0):
+            for x0 in (1.0, 10.0, 1000.0):
+                ref = certificate(UNIT, coefficient_family(UNIT, s, x0))
+                cert = certificate(const, coefficient_family(const, s, x0))
+                assert cert.m1 == pytest.approx(ref.m1, rel=1e-13)
+                assert cert.m2 * const.alpha == pytest.approx(ref.m2, rel=1e-13)
+
+
 class TestLambdaDms:
     def test_zero_eps_is_zero(self):
         for lam in (0.1, 1.0, 2.0, 10.0):
@@ -517,6 +577,24 @@ class TestCompareToConstantFriction:
         assert report["applicable"] and report["all_dominated"]
         # gamma = O(eps) makes the smallness ratio O(eps^2)
         assert report["sufficient_condition_ratio"] < 1e-3
+
+    @pytest.mark.parametrize("beta, gamma", [
+        (1.0, 0.0), (4.0, 0.3), (1e150, 1e-3), (1e160, 1e80)])
+    def test_ratio_bits_at_unit_alpha(self, beta, gamma):
+        const = AssumptionConstants(1.0, beta, gamma, 3)
+        cert = certificate(UNIT, optimal_coefficients(UNIT, 1e3))
+        report = compare_to_constant_friction(const, cert, [1.0])
+        old = (beta * beta) * (gamma * gamma) * 3 / (1.0 * 1.0 * 1.0)
+        assert repr(report["sufficient_condition_ratio"]) == repr(old)
+
+    def test_ratio_without_alpha_cubed(self):
+        # alpha^3 underflows to 0 at alpha = 1e-110; kappa^2 gamma^2 / alpha
+        # does not
+        const = AssumptionConstants(1e-110, 4e-110, 1e-56, 2)
+        cert = certificate(UNIT, optimal_coefficients(UNIT, 1e3))
+        report = compare_to_constant_friction(const, cert, [1.0])
+        assert report["sufficient_condition_ratio"] == pytest.approx(
+            16.0 * 1e-112 / 1e-110 * 2, rel=1e-14)
 
     def test_empty_grid_rejected(self):
         cert = certificate(UNIT, optimal_coefficients(UNIT, 1e3))

@@ -803,6 +803,9 @@ class TestAudit:
         assert "certificate.eps_rates" in capsys.readouterr().err
 
 
+#: an x0 a few ulp above x_min(2): the s = 2 weights form a degenerate S
+DEGENERATE_X0 = 0.7071067811865477
+
 #: (command, config, the field the error names); the test ids are the
 #: command and the row index, as they were before the field column
 CONFIG_ERRORS = [
@@ -858,6 +861,18 @@ CONFIG_ERRORS = [
     ("compare", {"potential": {"v": [1e200]}}, "potential.v"),
     ("simulate", {"potential": {"v": [1e200]}}, "potential.v"),
     ("audit", {"potential": {"v": [1e200]}}, "potential.v"),
+    # frequencies whose alpha = beta = v^2 lies outside the range in which
+    # certificates are taken
+    ("certify", {"potential": {"v": [1e-55]}}, "potential.v"),
+    ("compare", {"potential": {"v": [1e-55]}}, "potential.v"),
+    ("audit", {"potential": {"v": [1e-55]}}, "potential.v"),
+    ("certify", {"potential": {"v": [1e150]}}, "potential.v"),
+    ("compare", {"potential": {"v": [1e150]}}, "potential.v"),
+    ("audit", {"potential": {"v": [1e150]}}, "potential.v"),
+    # x0 just above x_min(2) = 1/sqrt(2): b c - a^2 rounds to 0
+    ("compare", {"certificate": {"x0": DEGENERATE_X0}},
+     "friction.s, certificate.x0"),
+    ("audit", {"audit": {"x0": DEGENERATE_X0}}, "friction.s, audit.x0"),
 ]
 
 
@@ -889,6 +904,25 @@ class TestEntryPoint:
                      "--out", str(out), "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not out.exists()
+
+    def test_failed_cell_is_a_config_error_everywhere(self, tmp_path, capsys):
+        # certify's one-cell grid, compare and audit judge the same cell
+        # alike: exit 2, a message naming fields, nothing written
+        runs = [
+            ("certify", {"certificate": {"s_grid": [2.0],
+                                         "x0_grid": [DEGENERATE_X0]}},
+             "certificate.s_grid, certificate.x0_grid"),
+            ("compare", {"certificate": {"x0": DEGENERATE_X0}},
+             "friction.s, certificate.x0"),
+            ("audit", {"audit": {"x0": DEGENERATE_X0}}, "friction.s, audit.x0"),
+        ]
+        for command, payload, fields in runs:
+            out = tmp_path / command
+            assert main([command, "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: {fields}: ")
+            assert not out.exists()
 
     def test_runtime_error_writes_report(self, tmp_path, capsys):
         # at w = 1e5 the propagated covariance loses its positive
@@ -928,12 +962,18 @@ class TestEntryPoint:
         ("simulate", {"potential": {"v": [1.0, 2.0]},
                       "friction": {"kind": "constant_matrix",
                                    "matrix": [[2.0, 0.5], [0.5, 3.0]]}}, True),
-    ], ids=["oracle-ou", "audit", "simulate", "simulate-non-commuting"])
+        # A = I: every basis is an eigenbasis, and the modes are Gamma's
+        ("simulate", {"potential": {"v": [1.0, 1.0]},
+                      "friction": {"kind": "constant_matrix",
+                                   "matrix": [[1.0, 0.5], [0.5, 1.0]]}}, False),
+    ], ids=["oracle-ou", "audit", "simulate", "simulate-non-commuting",
+            "simulate-repeated-eigenvalue"])
     def test_run_loads_scipy_only_for_expm(self, tmp_path, command, payload,
                                            loaded):
-        # the default oracles propagate in closed form over the modes of
-        # A and Gamma; a friction that does not commute with A takes
-        # linalg.expm, which loads scipy.linalg on its first call
+        # the default oracles, and any friction that commutes with A,
+        # propagate in closed form over the modes of A and Gamma; a friction
+        # that does not commute with A takes linalg.expm, which loads
+        # scipy.linalg on its first call
         src = os.path.dirname(os.path.dirname(os.path.abspath(kinlang.__file__)))
         cfg = write_config(tmp_path, {"kind": command, **payload})
         script = ("import sys, kinlang.cli\n"

@@ -16,6 +16,7 @@ from kinlang.gaussian import (
     _modal_exp,
     _moments,
     _whitened,
+    chi2_along,
     diagonal_system_rate,
     fit_decay_rate,
     gaussian_chi2,
@@ -308,6 +309,30 @@ class TestModalExponential:
         a = np.diag([1.0, 4.0])
         assert kinetic_dynamics(a, np.diag([3.0, 0.5])).modes is not None
         assert kinetic_dynamics(a, [[2.0, 0.5], [0.5, 3.0]]).modes is None
+
+    def test_repeated_eigenvalue_takes_the_modes(self):
+        # A = I: every basis is an eigenbasis of A, so u turns to Gamma's.
+        # expm lost the slow mode of this stiff friction (chi2 read 1.4e219,
+        # rising to inf); the modes give the closed-form rate
+        dyn = kinetic_dynamics(np.eye(2), 1e9 * np.array([[1.0, 0.5],
+                                                          [0.5, 1.0]]))
+        assert dyn.modes is not None
+        w, g, _ = dyn.modes
+        assert np.array_equal(w, [1.0, 1.0])
+        assert g == pytest.approx([0.5e9, 1.5e9], rel=1e-15)
+        rate = min(ou_rate_closed_form(1.0, lam) for lam in (0.5e9, 1.5e9))
+        init = GaussianMoments([3.0, -1.0, 0.5, 0.2], np.eye(4))
+        times = np.linspace(10.0 / rate, 20.0 / rate, 51)
+        chi2 = chi2_along(dyn, init, times)
+        assert abs(fit_decay_rate(times, chi2, tail_fraction=1.0) - rate) < 1e-4 * rate
+
+    def test_diagonal_blocks_keep_their_basis(self):
+        # a repeated eigenvalue whose block of u' G u is already diagonal
+        # is not rotated: u is eigh(A)'s own
+        a = np.diag([2.0, 2.0, 5.0])
+        dyn = kinetic_dynamics(a, np.diag([3.0, 0.5, 1.0]))
+        assert np.array_equal(dyn.modes[2], np.linalg.eigh(a)[1])
+        assert np.array_equal(dyn.modes[1], [3.0, 0.5, 1.0])
 
     def test_non_commuting_friction_keeps_expm_bits(self):
         # constant_matrix that does not commute with A: the parent's

@@ -229,7 +229,8 @@ def certificate(const: AssumptionConstants, coeffs: LyapunovCoefficients) -> Rat
     m1 = min(f_of(x_lo, const, coeffs), f_of(x_hi, const, coeffs))
     m2 = max(g_of(x_lo, const, coeffs), g_of(x_hi, const, coeffs))
     l1, l2 = l_constants(const, coeffs)
-    rescaled = m1 - const.gamma ** 2 * m2
+    # at gamma = 0 the gamma^2 m2 term is 0 even where m2 is inf
+    rescaled = m1 - const.gamma ** 2 * m2 if const.gamma else m1
     return RateCertificate(
         constants=const,
         coeffs=coeffs,
@@ -457,9 +458,10 @@ def compare_to_constant_friction(const: AssumptionConstants,
     if any(not v > 0 for v in lams):
         raise ValueError("lambda_grid entries must be > 0")
     # products, not powers: float ** overflows to OverflowError, * to inf;
-    # and no alpha^3, which underflows to 0
+    # no alpha^3, which underflows to 0; 0 at gamma = 0 even if kappa^2 is inf
     kappa, gamma = const.kappa, const.gamma
-    ratio = (kappa * kappa) * (gamma * gamma / const.alpha) * const.dim
+    ratio = ((kappa * kappa) * (gamma * gamma / const.alpha) * const.dim
+             if gamma else 0.0)
     baselines = (2.0 * lambda_dms_sup(lams, const.alpha)).tolist()
     report = {
         "applicable": bool(cert.valid),

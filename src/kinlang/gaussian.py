@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedFriction,
 )
 from .friction import FrictionSpec
-from .linalg import _first_bad, check_spd, check_symmetric, expm, from_eig
+from .linalg import _check_finite, check_spd, check_symmetric, expm, from_eig
 
 __all__ = [
     "GaussianMoments",
@@ -56,7 +56,7 @@ class GaussianMoments:
     """Mean (2d,) and covariance (2d, 2d) of a phase-space Gaussian,
     q-block first then p-block.  ``eig`` is the covariance's one
     ``np.linalg.eigh`` (ascending w, v), taken at construction; the PSD
-    slack rule, chi2, L and ensemble sampling all read it."""
+    slack rule, ensemble sampling, and chi2 and L to this law all read it."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -69,36 +69,20 @@ class GaussianMoments:
             raise ValueError(
                 f"mean has size {mean.size} but cov is {cov.shape}"
             )
+        # the slack rule: smallest eigenvalue >= -1e-10 * max(1, |largest|),
+        # which admits the singular covariances of point laws
+        w, v = np.linalg.eigh(cov)
+        if w.size and not w[0] >= -1e-10 * max(1.0, abs(w[-1])):
+            raise NotPositiveDefinite(
+                f"covariance has eigenvalue {w[0]:.6e} < 0 beyond tolerance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "eig", _law_eig(cov))
+        object.__setattr__(self, "eig", (w, v))
 
     @property
     def dim(self) -> int:
         """Position-space dimension d (phase space is 2d)."""
         return self.mean.size // 2
-
-
-def _law_eig(cov):
-    """The one ``np.linalg.eigh`` of a covariance, or of each of a stack,
-    and the rule every Gaussian law meets: finite entries, and a smallest
-    eigenvalue >= -1e-10 * max(1, |largest|), a slack that admits the
-    singular covariances of point laws.  A failing covariance of a stack is
-    named by its index."""
-    # LAPACK may give zeros, or fail, for a matrix with a NaN entry
-    bad = ~np.isfinite(cov).all(axis=(-2, -1))
-    if np.count_nonzero(bad):
-        raise NotPositiveDefinite(
-            f"{_first_bad('covariance', bad)[0]} has a non-finite entry")
-    w, v = np.linalg.eigh(cov)
-    if w.shape[-1]:
-        lo = w[..., 0]
-        bad = ~(lo >= -1e-10 * np.maximum(1.0, np.abs(w[..., -1])))
-        if np.count_nonzero(bad):
-            label, i = _first_bad("covariance", bad)
-            raise NotPositiveDefinite(
-                f"{label} has eigenvalue {lo[i]:.6e} < 0 beyond tolerance")
-    return w, v
 
 
 @dataclass(frozen=True)
@@ -314,7 +298,7 @@ def stationary_moments(dyn: LinearDynamics) -> GaussianMoments:
     return dyn.stationary
 
 
-def _whitened(mean, cov, pi: GaussianMoments, rho_w=None):
+def _whitened(mean, cov, pi: GaussianMoments):
     """(s, e, wu, chi2) of each law rho = N(mean, cov) against pi, in pi's
     whitened frame: the one chi2 implementation, for one law (mean (2d,),
     cov (2d, 2d)) or a stack of K (mean (K, 2d), cov (K, 2d, 2d)).
@@ -331,18 +315,17 @@ def _whitened(mean, cov, pi: GaussianMoments, rho_w=None):
     defined (it holds nu there).  Each term is O(d^2 + nu^2) near the
     target, so nothing cancels.
 
-    rho_w is the ascending eigenvalues of cov, for laws that carry their
-    ``eig``; without it one batched ``eigh`` applies ``GaussianMoments``'
-    rule to every law.  Degenerate covariances and roundoff s_i <= 0 raise
-    NotPositiveDefinite, naming the failing law of a stack by its index.
-    pi comes with its ``eig``, so the one other ``eigh`` is W cov_rho W's,
-    batched over the stack.  Each law gets the bits it gets alone.
+    The rules are ones no affine map of both laws changes: finite entries
+    in cov, pi's covariance conditioned better than 1e-12 (``check_spd``
+    with rtol=1e-12 on its ``eig``), and, where chi2 is finite, diag(s)
+    conditioned better than 1e-12 too, so a degenerate rho, or roundoff
+    s_i <= 0, raises NotPositiveDefinite rather than giving NaN.  A failing
+    law of a stack is named by its index.  The one ``eigh`` is W cov_rho
+    W's, batched over the stack; each law gets the bits it gets alone.
     """
-    if rho_w is None:
-        rho_w = _law_eig(cov)[0]
-    check_spd(rho_w, "rho covariance", rtol=1e-12, atol=1e-12)
+    _check_finite(cov, "covariance")
     p, v = pi.eig
-    check_spd(p, "pi covariance", rtol=1e-12, atol=1e-12)
+    check_spd(p, "pi covariance", rtol=1e-12)
     w = from_eig(v, 1.0 / np.sqrt(p))
     s, u = np.linalg.eigh(w @ cov @ w)
     wu = w @ u
@@ -350,7 +333,7 @@ def _whitened(mean, cov, pi: GaussianMoments, rho_w=None):
     # the rule on the whitened spectrum holds where rho^2/pi is integrable;
     # d = 0 on the other laws keeps their (discarded) terms finite
     check_spd(np.where(finite[..., None], s, 1.0), "whitened rho covariance",
-              rtol=0.0)
+              rtol=1e-12)
     d = np.where(finite[..., None], s - 1.0, 0.0)
     nu = (wu.swapaxes(-1, -2) @ (mean - pi.mean)[..., None])[..., 0]
     e = nu / (1.0 - d)
@@ -370,9 +353,10 @@ def gaussian_chi2(rho: GaussianMoments, pi: GaussianMoments) -> float:
     Returns +inf (as a value, not an exception) when rho^2/pi is not
     integrable -- legitimate for aggressive initial conditions at early
     times; callers fitting decay curves should skip to the first finite
-    value.  Degenerate covariances raise NotPositiveDefinite.
+    value.  A degenerate law, conditioned worse than 1e-12 in pi's whitened
+    frame (pi in its own), raises NotPositiveDefinite.
     """
-    return float(_whitened(rho.mean, rho.cov, pi, rho.eig[0])[3])
+    return float(_whitened(rho.mean, rho.cov, pi)[3])
 
 
 def chi2_along(dyn: LinearDynamics, init: GaussianMoments, times) -> np.ndarray:
@@ -390,7 +374,8 @@ def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:
     prefactors (their log contributes slope O(1/t)).
 
     Raises InsufficientData with fewer than 8 tail samples and
-    NonPositiveValues if any chi2 is <= 0 or not finite.
+    NonPositiveValues, naming the first offending sample, if any chi2 of
+    the tail is <= 0 or not finite.
     """
     times = np.asarray(times, dtype=float).ravel()
     vals = np.asarray(chi2_values, dtype=float).ravel()
@@ -406,10 +391,12 @@ def fit_decay_rate(times, chi2_values, tail_fraction: float = 0.5) -> float:
         raise InsufficientData(
             f"need >= 8 samples in the tail window, got {t_tail.size}"
         )
-    if np.any(~np.isfinite(v_tail)) or np.any(v_tail <= 0):
+    bad = ~(np.isfinite(v_tail) & (v_tail > 0))
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
         raise NonPositiveValues(
-            "chi2 values must be finite and > 0 for a log-linear fit"
-        )
+            f"chi2[{start + i}] = {float(v_tail[i])} at t = {float(t_tail[i])}"
+            ": chi2 values must be finite and > 0 for a log-linear fit")
     # fit against t / 2^e with 2^e near the largest |t|: exact scaling, so
     # the slope's bits are polyfit's on t itself, and polyfit's sum of t^2
     # cannot overflow at times near 1e155

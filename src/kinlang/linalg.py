@@ -12,16 +12,17 @@ matrices -- funnels through these few routines:
   * ``gaussian_quadratic_expectation``: E[x' Q x + l' x + c] under N(mean, cov)
 
 ``check_spd`` rejects a matrix whose smallest eigenvalue is at or below
-max(rtol * max|w|, atol).  The package uses three settings of it:
+rtol * max|w|, a rule no common scaling of the matrix changes.  The package
+uses three settings of it:
 
-  * rtol = 1e-10, atol = 0 (the default): the square root and its
-    derivative, ``kinetic_dynamics`` (its friction, and the one rule on the
-    Hessian A whose inverse its Gibbs law holds), ``quadratic_general`` and
+  * rtol = 1e-10 (the default): the square root and its derivative,
+    ``kinetic_dynamics`` (its friction, and the one rule on the Hessian A
+    whose inverse its Gibbs law holds), ``quadratic_general`` and
     ``gaussian_quadratic_expectation``
-  * rtol = atol = 1e-12, i.e. 1e-12 * max(1, max|w|): the two covariances
-    of the chi-square divergence
-  * rtol = atol = 0, plain positivity: ``constant_matrix``, ``build_s``'s
-    friction and weight, and chi2's whitened rho
+  * rtol = 1e-12: the chi-square divergence's target covariance, and rho's
+    covariance in the target's whitened frame
+  * rtol = 0, plain positivity: ``constant_matrix`` and ``build_s``'s
+    friction and weight
 
 ``GaussianMoments`` keeps its own check: it admits positive semidefinite
 covariances (point initial conditions) within a slack.
@@ -95,17 +96,24 @@ def check_symmetric(m, name="matrix"):
     return _symmetrize(m, name)
 
 
-def _symmetrize(m, name):
-    """check_symmetric for each matrix of an (..., d, d) float stack; a
-    failing matrix of a stack is named by its index, ``name[i]``.  A
-    non-finite entry is rejected first, as NotPositiveDefinite: no rule
-    downstream can read such a matrix, and LAPACK may fail on it."""
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise NotSymmetric(f"{name} must be square, got shape {m.shape}")
+def _check_finite(m, name):
+    """The non-finite entry rule on a matrix or each of an (..., d, d) stack,
+    named by its index: no rule downstream can read such a matrix, and
+    LAPACK may give zeros, or fail, on it."""
     if not np.isfinite(m).all():
         bad = ~np.isfinite(m).all(axis=(-2, -1))
         raise NotPositiveDefinite(
             f"{_first_bad(name, bad)[0]} has a non-finite entry")
+
+
+def _symmetrize(m, name):
+    """check_symmetric for each matrix of an (..., d, d) float stack; a
+    failing matrix of a stack is named by its index, ``name[i]``.  A
+    non-finite entry is rejected first (``_check_finite``), as
+    NotPositiveDefinite."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSymmetric(f"{name} must be square, got shape {m.shape}")
+    _check_finite(m, name)
     mt = m.swapaxes(-1, -2)
     # every threshold is at least SYM_TOL, so a smaller asymmetry clears all
     if m.size and np.abs(m - mt).max() > SYM_TOL:
@@ -120,7 +128,7 @@ def _symmetrize(m, name):
     return 0.5 * (m + mt)
 
 
-def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
+def check_spd(w, name="matrix", rtol=1e-10):
     """Positive-definiteness rule on ascending eigenvalues.
 
     Parameters
@@ -130,9 +138,9 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
     name : str
         Names the matrix in the error; a stack adds the failing index,
         ``name[i]``.
-    rtol, atol : float
+    rtol : float
         A matrix is rejected unless its smallest eigenvalue is
-        > max(rtol * max|w|, atol); a NaN eigenvalue is rejected.
+        > rtol * max|w|; a NaN eigenvalue is rejected.
 
     Raises
     ------
@@ -142,7 +150,7 @@ def check_spd(w, name="matrix", rtol=1e-10, atol=0.0):
     if not w.size:
         return
     lo = w[..., 0]
-    floor = np.maximum(rtol * np.maximum(-lo, w[..., -1]), atol)
+    floor = rtol * np.maximum(-lo, w[..., -1])
     bad = ~(lo > floor)
     if np.count_nonzero(bad):
         label, i = _first_bad(name, bad)

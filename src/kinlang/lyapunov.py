@@ -87,10 +87,10 @@ def lyapunov_value_gaussian(rho: GaussianMoments, pi: GaussianMoments,
     (some s_i >= 2), so L is finite wherever chi2 is.  The cross term is
     >= 0, so L >= chi2 always.
     """
-    return float(_values(rho.mean, rho.cov, pi, [s], rho.eig[0])[0])
+    return float(_values(rho.mean, rho.cov, pi, [s])[0])
 
 
-def _values(mean, cov, pi: GaussianMoments, weights, rho_w=None):
+def _values(mean, cov, pi: GaussianMoments, weights):
     """L of each law N(mean, cov) against pi, for one law or a stack of
     them as ``_whitened`` takes them, under each weight of the sequence
     weights: a list with one array of chi2's shape per weight.  It is the
@@ -104,7 +104,7 @@ def _values(mean, cov, pi: GaussianMoments, weights, rho_w=None):
                 f"dimension mismatch: rho dim {dim // 2}, pi dim {pi.dim}, "
                 f"S is {s.matrix.shape[0]}x{s.matrix.shape[0]}"
             )
-    s_eig, e, wu, chi2 = _whitened(mean, cov, pi, rho_w)
+    s_eig, e, wu, chi2 = _whitened(mean, cov, pi)
     finite = np.isfinite(chi2)
     shape = chi2.shape
     s_eig, e, wu, chi2 = s_eig[finite], e[finite], wu[finite], chi2[finite]

@@ -515,9 +515,9 @@ def attach_chi2_proxies(points, target: GaussianMoments):
     A proxy: exact only when the ensemble's law is Gaussian (quadratic
     potentials); for other potentials it captures the first-two-moments gap
     only.  Even at the target it carries an O(dim^2 / N) positive bias from
-    moment-estimation noise.  A record whose covariance is degenerate (a
-    point initial condition at t=0) gets None; a divergent divergence is
-    +inf.
+    moment-estimation noise.  A record whose covariance is degenerate,
+    conditioned worse than 1e-12 in the target's whitened frame (a point
+    initial condition at t=0), gets None; a divergent divergence is +inf.
     """
     out = []
     for pt in points:

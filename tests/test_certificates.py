@@ -206,6 +206,15 @@ class TestCertificate:
             cert = certificate(const, coefficient_family(const, s, x0))
             assert cert.m1 <= 0.5 + 1e-9
 
+    def test_zero_gamma_rate_is_m1(self):
+        # the quadratic v = [1e-25, 1e100] has m2 = inf; at gamma = 0 the
+        # gamma^2 m2 term is 0 all the same
+        const = AssumptionConstants(alpha=1e-50, beta=1e200, gamma=0.0, dim=2)
+        cert = certificate(const, coefficient_family(const, 2.0, 1e3))
+        assert cert.m2 == math.inf
+        assert cert.rescaled_rate == cert.m1 > 0.0
+        assert cert.valid
+
     def test_strictness_propagates(self):
         coeffs = LyapunovCoefficients(s=1.0, a=3.0, b=5.0, c=2.0)
         with pytest.raises(InvalidCoefficients):
@@ -586,6 +595,14 @@ class TestCompareToConstantFriction:
         report = compare_to_constant_friction(const, cert, [1.0])
         old = (beta * beta) * (gamma * gamma) * 3 / (1.0 * 1.0 * 1.0)
         assert repr(report["sufficient_condition_ratio"]) == repr(old)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-50, 1e200), (1.0, 1e160)])
+    def test_zero_gamma_ratio_is_zero(self, alpha, beta):
+        # kappa^2 overflows to inf; gamma = 0 still makes the ratio 0
+        const = AssumptionConstants(alpha=alpha, beta=beta, gamma=0.0, dim=2)
+        cert = certificate(UNIT, optimal_coefficients(UNIT, 1e3))
+        report = compare_to_constant_friction(const, cert, [1.0])
+        assert report["sufficient_condition_ratio"] == 0.0
 
     def test_ratio_without_alpha_cubed(self):
         # alpha^3 underflows to 0 at alpha = 1e-110; kappa^2 gamma^2 / alpha

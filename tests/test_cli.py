@@ -675,6 +675,24 @@ class TestCompare:
         assert report["comparison"]["baseline_rates"] == [
             pytest.approx(limit / lam, rel=1e-6) for lam in (1e8, 1e12)]
 
+    @pytest.mark.parametrize("v", [[1e-25, 1e100], [1.0, 1e80]])
+    def test_zero_gamma_has_no_nan(self, tmp_path, v):
+        # a quadratic has gamma = 0: its rate is m1, also where m2 or
+        # kappa^2 is inf, and the smallness ratio is 0
+        cfg = write_config(tmp_path, {"kind": "compare",
+                                      "potential": {"v": v}})
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--config", cfg, "--out", out]) == 0
+        # m2 is inf for the first potential: read Infinity as data
+        with open(os.path.join(out, "comparison.json"),
+                  encoding="utf-8") as fh:
+            report = json.load(fh)
+        cert = report["certificate"]
+        assert cert["rescaled_rate"] == cert["m1"] > 0.0
+        assert cert["valid"] is True
+        assert report["comparison"]["sufficient_condition_ratio"] == 0.0
+        assert report["comparison"]["applicable"] is True
+
     def test_infeasible_x0_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "compare",
                                       "certificate": {"x0": 0.5}})
@@ -925,17 +943,19 @@ class TestEntryPoint:
             assert not out.exists()
 
     def test_runtime_error_writes_report(self, tmp_path, capsys):
-        # at w = 1e5 the propagated covariance loses its positive
-        # definiteness to rounding
+        # at w = 1e5 rho stays more than twice pi's width in whitened q
+        # over the whole fit window, so every chi2 there is +inf and the
+        # log-linear fit names the first one
         cfg = write_config(tmp_path, {"kind": "oracle-ou",
                                       "oracle": {"w": 1e5}})
         out = str(tmp_path / "out")
         assert main(["oracle-ou", "--config", cfg, "--out", out]) == 1
-        assert "error: NotPositiveDefinite: " in capsys.readouterr().err
+        assert ("error: NonPositiveValues: chi2[0] = inf at t = "
+                in capsys.readouterr().err)
         assert sorted(os.listdir(out)) == ["config.json",
                                            "oracle_ou_summary.json"]
         report = read_json(out, "oracle_ou_summary.json")
-        assert report["error"]["type"] == "NotPositiveDefinite"
+        assert report["error"]["type"] == "NonPositiveValues"
         assert report["error"]["step_index"] is None
         assert report["error"]["message"]
         assert report["config"] == read_json(out, "config.json")["config"]

@@ -30,6 +30,7 @@ from kinlang.potentials import quadratic_general
 from kinlang.lyapunov import (
     WeightMatrixS,
     decay_audit,
+    decay_audits,
     lyapunov_value_gaussian,
 )
 
@@ -496,10 +497,51 @@ class TestGaussianChi2:
         assert math.isfinite(value(rho, pi))
         assert calls == {"eigh": 1, "eigvalsh": 0}
 
+    @pytest.mark.parametrize("value", [
+        chi2_along,
+        lambda dyn, init, times: decay_audits(
+            dyn, init, [(WeightMatrixS(np.eye(4)), 0.1)] * 2, times),
+    ], ids=["chi2_along", "decay_audits"])
+    def test_one_decomposition_per_grid(self, monkeypatch, value):
+        # the laws of a grid are judged in pi's whitened frame alone: one
+        # batched eigh, of W cov W, for the whole grid and every weight
+        dyn = kinetic_dynamics(np.diag([1.0, 4.0]), np.diag([2.0, 4.0]))
+        init = GaussianMoments(np.ones(4), 0.5 * np.eye(4))
+        calls = count_calls(monkeypatch, "eigh", "eigvalsh")
+        value(dyn, init, np.linspace(0.0, 2.0, 9))
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("c", [1e-8, 1e8])
+    def test_scale_free(self, c):
+        # chi2 is invariant under x -> c x applied to both laws, and so are
+        # its rules: a non-diagonal rho near pi gives the c = 1 value at
+        # every scale.  Replacing the Gibbs law by its image gives the
+        # dynamics of c x (noise c sqrt(2G)), whose laws are the images of
+        # the c = 1 laws
+        dyn = kinetic_dynamics(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                               np.array([[1.5, 0.2], [0.2, 0.8]]))
+        pi = dyn.stationary
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((4, 4))
+        mean = 0.1 * rng.standard_normal(4)
+        cov = pi.cov + 0.05 * (b @ b.T) - 0.02 * np.eye(4)
+        times = np.array([0.0, 0.5, 1.0, 2.0])
+
+        def values(c):
+            rho = GaussianMoments(c * mean, c * c * cov)
+            target = GaussianMoments(c * pi.mean, c * c * pi.cov)
+            return (gaussian_chi2(rho, target),
+                    chi2_along(dataclasses.replace(dyn, stationary=target),
+                               rho, times))
+
+        (point, grid), (ref_point, ref_grid) = values(c), values(1.0)
+        assert point == pytest.approx(ref_point, rel=1e-13)
+        np.testing.assert_allclose(grid, ref_grid, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("bad, message", [
-        (np.diag([1.0, -1e-3]), r"^covariance\[2\] has eigenvalue"),
+        (np.diag([1.0, -1e-3]), r"^whitened rho covariance\[2\] has eigenvalue"),
         (np.diag([1.0, np.nan]), r"^covariance\[2\] has a non-finite entry"),
-        (np.diag([1.0, 1e-14]), r"^rho covariance\[2\] has eigenvalue"),
+        (np.diag([1.0, 1e-14]), r"^whitened rho covariance\[2\] has eigenvalue"),
     ], ids=["not-psd", "nan", "degenerate"])
     def test_stack_names_failing_law(self, bad, message):
         # the stacked core applies each law's rules and names the law
@@ -574,6 +616,14 @@ class TestFitDecayRate:
             fit_decay_rate(ts, vals)
         vals[12] = math.inf
         with pytest.raises(NonPositiveValues):
+            fit_decay_rate(ts, vals)
+
+    def test_non_positive_names_first_sample(self):
+        ts = np.linspace(0.0, 15.0, 16)
+        vals = np.exp(-ts)
+        vals[[11, 13]] = [-2.0, math.inf]
+        with pytest.raises(NonPositiveValues,
+                           match=r"^chi2\[11\] = -2\.0 at t = 11\.0: "):
             fit_decay_rate(ts, vals)
 
 

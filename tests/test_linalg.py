@@ -314,8 +314,8 @@ def _build_s(g):
 
 #: (site, call, matrix accepted, matrix rejected).  Each pair brackets the
 #: site's rule on the smallest eigenvalue: above 1e-10 * max|w| for the square
-#: root and its users; above 1e-12 * max(1, max|w|) for the chi2 covariances
-#: (0.5 exercises the max(1, .) branch, 4 the relative one); above 0 for the
+#: root and its users; above 1e-12 * max|w| for the chi2 covariances (rho's
+#: read in pi = N(0, I)'s whitened frame, which is rho's own); above 0 for the
 #: rest, where 1e-100 would fail either relative rule.
 SPD_RULE_SITES = [
     ("spd_sqrt", spd_sqrt,
@@ -335,7 +335,7 @@ SPD_RULE_SITES = [
      lambda m: gaussian_quadratic_expectation(np.zeros(2), m, np.eye(2)),
      np.diag([4.0, 4.04e-10]), np.diag([4.0, 3.96e-10])),
     ("gaussian_chi2.rho", _chi2_rho,
-     np.diag([0.5, 1.01e-12]), np.diag([0.5, 0.99e-12])),
+     np.diag([0.5, 0.51e-12]), np.diag([0.5, 0.49e-12])),
     ("gaussian_chi2.pi", _chi2_pi,
      np.diag([4.0, 4.04e-12]), np.diag([4.0, 3.96e-12])),
     ("constant_matrix", constant_matrix,

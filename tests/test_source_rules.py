@@ -18,3 +18,17 @@ def test_no_environment_knobs():
                 path.read_text(encoding="utf-8").splitlines(), 1)
             if knob.search(line)]
     assert hits == []
+
+
+def test_no_matrix_inverse():
+    # an SPD inverse is from_eig(u, 1/w) of the eigh its positivity rule
+    # reads; an explicit inverse would bypass that rule
+    inverse = re.compile(r"linalg\.inv\b|linalg import .*\binv\b")
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 1
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in paths
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if inverse.search(line)]
+    assert hits == []

@@ -18,7 +18,10 @@ control dt explicitly.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import csv
+import math
+import numbers
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -48,17 +51,20 @@ __all__ = [
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
 
-#: N * d from which run draws the noise ahead on one helper thread, into a
-#: ring of per-step slots, while earlier steps are applied.  Below it the
-#: draw is small next to a step's Python overhead, and the thread cost more
-#: than it saved on a 2-core host (size sweep in CHANGES.md)
+#: N * d from which run uses a helper thread.  Below it the noise is drawn
+#: inline, one (N, d) slot: the draw is small next to a step's Python
+#: overhead, and the thread cost more than it saved on a 2-core host (size
+#: sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
-#: coordinates (1 MiB of float64) in half the ring: it holds
-#: max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d))) whole steps, so the
-#: helper may run that far ahead of the step being applied.  Above half this
-#: size the ring is three steps, the fewest that leave the applying thread a
-#: step to draw after the helper's while it waits
+#: coordinates (1 MiB of float64) in half the noise ring, and in one stage
+#: of a staged step.  Up to N * d = PREFETCH_BATCH_ELEMENTS // 2 = 2^16 the
+#: ring holds max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d))) whole steps,
+#: so the helper may run that far ahead of the step being applied.  Above
+#: 2^16, where the ring would be three whole steps, a step whose operations
+#: are all elementwise is instead drawn and applied one stage of this many
+#: coordinates at a time, and each of the two threads holds one stage of
+#: noise; other forms keep the three-step ring
 PREFETCH_BATCH_ELEMENTS = 1 << 17
 
 #: coordinates (256 KiB of float64) in one row block of the elementwise EM
@@ -75,6 +81,29 @@ _DOMAIN_INIT = 0
 _DOMAIN_STEP = 1
 
 
+def _check_int(name: str, value, low: int = 0, word: bool = False):
+    """Raise ValueError naming name unless value is an integer (a bool is
+    not one) >= low and, for a Philox key or counter word, < 2^64."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or word and value >= SEED_LIMIT):
+        rule = "in [0, 2^64)" if word else f">= {low}"
+        raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+
+
+def _stream(seed: int, step_index: int, domain: int = _DOMAIN_STEP):
+    """The Generator of the counter-based stream for (seed, step_index,
+    domain): Philox keyed by the seed, with step_index and domain as the
+    counter's high words, every word a uint64.  Consecutive draws from it
+    continue one row-major stream, so a step drawn in row stages is bitwise
+    the step drawn whole."""
+    _check_int("seed", seed, word=True)
+    _check_int("step_index", step_index, word=True)
+    bitgen = np.random.Philox(
+        counter=np.array([0, 0, step_index, domain], dtype=np.uint64),
+        key=np.array([seed, 0], dtype=np.uint64))
+    return np.random.Generator(bitgen)
+
+
 def philox_normals(seed: int, step_index: int, shape, domain: int = _DOMAIN_STEP,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard normals from the counter-based stream for (seed, step_index).
@@ -82,14 +111,11 @@ def philox_normals(seed: int, step_index: int, shape, domain: int = _DOMAIN_STEP
     The array fills row-major from one Philox stream, so particle i's draws
     (row i) do not depend on how many rows are requested -- the N-extension
     contract.  out, a C-contiguous float64 array of that shape, receives the
-    same numbers in place and is returned.  Exposed publicly so tests can
-    rebuild or aggregate the exact increments a run consumed.
+    same numbers in place and is returned.  seed and step_index are
+    integers in [0, 2^64).  Exposed publicly so tests can rebuild or
+    aggregate the exact increments a run consumed.
     """
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    bitgen = np.random.Philox(counter=[0, 0, step_index, domain],
-                              key=np.array([seed, 0], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal(shape, out=out)
+    return _stream(seed, step_index, domain).standard_normal(shape, out=out)
 
 
 @dataclass(frozen=True)
@@ -115,6 +141,10 @@ class Ensemble:
             raise ValueError("ensemble needs at least one particle")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (isinstance(self.time, numbers.Real)
+                and math.isfinite(self.time)):
+            raise ValueError(f"time must be finite, got {self.time!r}")
+        _check_int("steps_taken", self.steps_taken)
         object.__setattr__(self, "positions", q)
         object.__setattr__(self, "momenta", p)
 
@@ -170,12 +200,9 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
+        _check_int("n_steps", self.n_steps)
+        _check_int("n_particles", self.n_particles, 1)
+        _check_int("seed", self.seed, word=True)
 
 
 @dataclass(frozen=True)
@@ -247,22 +274,23 @@ def _apply(m, x, out):
 
 
 def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
-             friction_out):
+             friction_out, offset: int = 0):
     """The EM update, its force from FrictionSpec.resolve, written to out =
     (new_q, new_p), (N, d) arrays.  Every buffer is the caller's: new_q may
     be q itself, and new_p must be neither q nor mom; term, the update's
     scratch, holds at least one row block, apart from the other operands,
     and its first rows are reused by every block; friction_out is the
-    force's (2, N, d) buffer.  q, mom and xi are only read.  With the
-    shipped potentials a step allocates at most one (N, d) temporary, and
-    none on the diagonal field.  Each value is the operation the module
-    docstring writes, in its order,
+    force's (2, N, d) buffer.  q, mom and xi are only read.  The N rows may
+    be rows offset, offset + 1, ... of a larger ensemble, which a
+    NumericalBlowup then names.  With the shipped potentials a step
+    allocates at most one (N, d) temporary, and none on the diagonal field.
+    Each value is the operation the module docstring writes, in its order,
 
         p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
 
     so the bits do not depend on which arrays hold them.
 
-    The force is evaluated over the whole ensemble.  When Gamma and the
+    The force is evaluated over all N rows at once.  When Gamma and the
     diffusion are diagonal entries and N * d > BLOCK_ELEMENTS, the update
     and the finite check then run in blocks of max(1, BLOCK_ELEMENTS // d)
     rows, each element through the same ufuncs, so no bit moves.  A matrix
@@ -288,7 +316,7 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
         np.add(bp, t, out=bp)
         np.multiply(bmom, dt, out=t)
         np.add(q[b], t, out=bq)
-        _check_finite(bq, bp, step_index, start)
+        _check_finite(bq, bp, step_index, offset + start)
 
 
 def _check_matches(ensemble: Ensemble, cfg: SimConfig, fields=("dt", "seed")):
@@ -360,6 +388,9 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 class _NoiseRing:
     """The noise of a run's n steps, drawn into a ring of per-step slots by
     one helper thread and, while it waits, by the thread applying them.
+    run uses it from PREFETCH_MIN_ELEMENTS to 2^16 coordinates, where it
+    holds four or more steps, and above that for the forms whose steps are
+    not elementwise, where it holds three: 3 * N * d * 8 bytes of noise.
 
     Step k (counted from the run's first) goes to slot k % len(slots), which
     is free once step k - len(slots) has been applied.  Both threads claim
@@ -436,6 +467,90 @@ class _NoiseRing:
         return self._slots[i]
 
 
+def _staged(q, moms, force, dt: float, seed: int, start: int, n: int,
+            recorded, record):
+    """Apply n EM steps to the state (q, moms[0]) in place, one stage of
+    rows at a time, on the calling thread and one helper thread.
+
+    moms is the pair of momentum rows, which trade places every step.  Both
+    threads claim whole steps in increasing order from one counter.  The
+    thread holding step k (counted from the run's first) walks the rows in
+    stages of PREFETCH_BATCH_ELEMENTS coordinates: it draws a stage's noise
+    from step k's stream into its own stage-sized buffer, waits until step
+    k - 1 has applied those rows, and applies them with _advance.  When
+    step k ends a recorded step (k + 1 in recorded), record(k + 1, new
+    momenta) runs once its last stage is applied, and step k + 1 may apply
+    no row before it returns.  Every operation of the step is elementwise,
+    so the bits are the whole step's.  An exception stops its step and
+    every later one; the earlier steps are still applied, and the earliest
+    step's exception is raised once the helper is joined, so a
+    NumericalBlowup names the step loop's step and row.
+    """
+    rows = min(len(q), max(1, PREFETCH_BATCH_ELEMENTS // q.shape[1]))
+    stages = range(0, len(q), rows)
+    last = len(stages) - 1
+    cond = threading.Condition()
+    claimed = 0
+    # step k -> the stages of step k - 1 that step k may apply, for the
+    # steps not yet applied
+    released = {0: len(stages)}
+    errors = {}                 # step -> the exception that stopped it
+
+    def stopped(k):
+        return bool(errors) and min(errors) < k
+
+    def work():
+        nonlocal claimed
+        buf = np.empty((4, rows) + q.shape[1:])
+        noise, term, friction_out = buf[0], buf[1], buf[2:]
+        k = -1
+        try:
+            while True:
+                with cond:
+                    if claimed == n or stopped(claimed):
+                        return
+                    k = claimed
+                    claimed += 1
+                stream = _stream(seed, start + k)
+                mom, new_mom = moms[k % 2], moms[1 - k % 2]
+                for j, lo in enumerate(stages):
+                    b = slice(lo, lo + rows)
+                    xi = stream.standard_normal(out=noise[:len(q[b])])
+                    with cond:
+                        while released.get(k, 0) <= j:
+                            if stopped(k):
+                                return
+                            cond.wait()
+                    _advance(q[b], mom[b], xi, force, dt, start + k + 1,
+                             (q[b], new_mom[b]), term,
+                             friction_out[:, :len(xi)], lo)
+                    held = k + 1 in recorded
+                    if held and j == last:
+                        record(k + 1, new_mom)
+                    if j == last or not held:
+                        with cond:
+                            released[k + 1] = j + 1
+                            if j == last:
+                                del released[k]
+                            cond.notify_all()
+        except BaseException as exc:   # raised again by _staged
+            with cond:
+                errors[k] = exc
+                cond.notify_all()
+
+    # the helper runs in a copy of the caller's context, so a np.errstate
+    # the caller set holds on both threads
+    helper = threading.Thread(target=contextvars.copy_context().run,
+                              args=(work,))
+    helper.start()
+    try:
+        work()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         record_every: int = 1):
     """Apply cfg.n_steps EM steps, recording moment summaries.
@@ -443,68 +558,100 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
-    The state, every buffer of ``_advance`` (the kernel step runs too)
-    and the noise are rows of one workspace array, allocated once per call
-    and released whole at the end; init is never written.  Reused buffers
-    spare the page faults of fresh (N, d) arrays per step.  On the
-    diagonal friction field the gradient and the Hessian diagonal come
-    from one evaluation of the potential (FrictionSpec.resolve), written
-    into the workspace.
+    The state and, unless the steps are staged, every buffer of
+    ``_advance`` (the kernel step runs too) and the noise are rows of one
+    workspace array, allocated once per call and released whole at the
+    end; init is never written.  Reused buffers spare the page faults of
+    fresh (N, d) arrays per step.  On the diagonal friction field the
+    gradient and the Hessian diagonal come from one evaluation of the
+    potential (FrictionSpec.resolve), written into the caller's buffers.
+    The noise takes one of three forms, by the number of coordinates N * d
+    and the form of the step:
 
-    From PREFETCH_MIN_ELEMENTS coordinates (N * d) on, the keyed draws go
-    into a ring of max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d)))
-    per-step slots (_NoiseRing).  Steps are claimed in order from one
-    counter: by one helper thread whenever a slot is free, while earlier
-    steps are applied, and by the thread applying them while it would
-    otherwise wait, as long as two or more steps within one ring's length
-    of its own are unclaimed; on a ring of three, that is the step after
-    the helper's.  Each step is still its own philox_normals call, which
-    depends on (seed, step) alone, so the arrays, and the records, are the
-    same as with the draw inline.  On the diagonal forms, where _advance
-    updates the ensemble in row blocks, only the first block of the
-    workspace's term row is used; the rest of its pages are never touched,
-    which pays for the ring's third slot at N * d > 2^16.
+    * below PREFETCH_MIN_ELEMENTS, each step is drawn inline into one
+      workspace row (N * d * 8 bytes of noise);
+    * up to 2^16 = PREFETCH_BATCH_ELEMENTS // 2, and above it when Gamma or
+      the diffusion is a matrix or the potential sets no hess_diag (so its
+      gradient may be a matmul, as quadratic_general's is), the draws go
+      into a ring of max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d)))
+      per-step slots (_NoiseRing), 2 MiB and up, or 3 * N * d * 8 bytes
+      above 2^16.  Steps are claimed in order from one counter: by one
+      helper thread whenever a slot is free, while earlier steps are
+      applied, and by the thread applying them while it would otherwise
+      wait, as long as two or more steps within one ring's length of its
+      own are unclaimed.  On the diagonal forms, where _advance updates
+      the ensemble in row blocks, only the first block of the workspace's
+      term row is used; the rest of its pages are never touched;
+    * above 2^16, when every operation of a step is elementwise (Gamma and
+      the diffusion are diagonal entries and the potential sets
+      hess_diag), the workspace is the state alone and the steps are
+      staged (_staged): the calling thread and one helper each hold a step
+      and draw and apply it one stage of PREFETCH_BATCH_ELEMENTS
+      coordinates at a time, each in its own stage-sized buffers.  Noise
+      takes 2 MiB at any N.  A 2-D matmul's bits can depend on its row
+      count, so the other forms are never staged.
+
+    Each step is drawn from its own keyed stream, _stream(seed, step), which
+    depends on (seed, step) alone, so the noise, and the records, are the
+    same in every form.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index and
-    the first untrusted entry.
+    the first untrusted entry.  record_every is an integer >= 1, and the
+    last step index, init.steps_taken + cfg.n_steps, must stay below 2^64.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _check_int("record_every", record_every, 1)
     _check_matches(init, cfg, ("dt", "seed", "n_particles"))
+    start, n = init.steps_taken, cfg.n_steps
+    if start + n >= SEED_LIMIT:
+        raise ValueError(f"the last step index, steps_taken + n_steps = "
+                         f"{start} + {n}, must be below 2^64")
     stability_warning(init, p, spec, cfg)
     force = spec.resolve(p)
     shape = init.positions.shape
-    start = init.steps_taken
-    n = cfg.n_steps
-    inline = init.positions.size < PREFETCH_MIN_ELEMENTS or n == 0
-    ring = max(3, 2 * (PREFETCH_BATCH_ELEMENTS // init.positions.size))
-    # rows: q, two momenta that trade places every step, a term, the
-    # friction field's pair, then one step of noise inline or the ring
-    work = np.empty((6 + (1 if inline else ring),) + shape)
-    q, mom, new_mom, term = work[:4]
-    friction_out, slots = work[4:6], work[6:]
+    size = init.positions.size
+    inline = size < PREFETCH_MIN_ELEMENTS or n == 0
+    staged = (not inline and PREFETCH_BATCH_ELEMENTS // size < 2
+              and p.hess_diag is not None and spec.diagonal(p))
+    slots = 1 if inline else max(3, 2 * (PREFETCH_BATCH_ELEMENTS // size))
+    # rows: q, two momenta that trade places every step, then, unless
+    # staged, a term, the friction field's pair, and one step of noise
+    # inline or the ring's slots
+    work = np.empty((3 if staged else 6 + slots,) + shape)
+    q, mom, new_mom = work[:3]
     q[...] = init.positions
     mom[...] = init.momenta
+    # the time after each recorded step k, summed as the step loop sums it
+    times, time = {}, init.time
+    for k in range(1, n + 1):
+        time += cfg.dt
+        if k % record_every == 0 or k == n:
+            times[k] = time
+
+    def record(time, momenta):
+        mean, cov = replace(init, positions=q, momenta=momenta,
+                            time=time).summary()
+        return TrajectoryPoint(time=time, mean=mean, cov=cov)
+
+    out = [record(init.time, mom)]
+    if staged:
+        _staged(q, (mom, new_mom), force, cfg.dt, init.seed, start, n, times,
+                lambda k, momenta: out.append(record(times[k], momenta)))
+        return out
+
+    term, friction_out, slots = work[3], work[4:6], work[6:]
 
     def draw(k, out):
         return philox_normals(init.seed, start + k, shape, out=out)
 
-    def record(time):
-        mean, cov = replace(init, positions=q, momenta=mom, time=time).summary()
-        return TrajectoryPoint(time=time, mean=mean, cov=cov)
-
-    time = init.time
-    out = [record(time)]
     with contextlib.nullcontext() if inline else _NoiseRing(draw, n, slots) as noise:
         for k in range(1, n + 1):
             xi = draw(k - 1, slots[0]) if noise is None else noise.get(k - 1)
             _advance(q, mom, xi, force, cfg.dt, start + k, (q, new_mom), term,
                      friction_out)
             mom, new_mom = new_mom, mom
-            time += cfg.dt
-            if k % record_every == 0 or k == n:
-                out.append(record(time))
+            if k in times:
+                out.append(record(times[k], mom))
     return out
 
 

@@ -29,7 +29,11 @@ from kinlang.gaussian import (
     stationary_moments,
 )
 from kinlang.linalg import expm, spd_sqrt
-from kinlang.potentials import perturbed_diagonal, quadratic_diagonal
+from kinlang.potentials import (
+    perturbed_diagonal,
+    quadratic_diagonal,
+    quadratic_general,
+)
 from kinlang.simulate import (
     Ensemble,
     SimConfig,
@@ -90,6 +94,30 @@ class TestPhiloxStream:
             counter=[0, 0, 3, 1], key=[seed, 0])).standard_normal((5, 2))
         assert np.array_equal(philox_normals(seed, 3, (5, 2)), legacy)
 
+    @pytest.mark.parametrize("step_index", [0, 3, 2 ** 63 - 1])
+    def test_counters_below_2_63_unchanged(self, step_index):
+        # the stream a list counter [0, 0, step, domain] gives below 2^63
+        legacy = np.random.Generator(np.random.Philox(
+            counter=[0, 0, step_index, 1],
+            key=np.array([5, 0], dtype=np.uint64))).standard_normal((5, 2))
+        assert np.array_equal(philox_normals(5, step_index, (5, 2)), legacy)
+
+    def test_step_index_is_one_64_bit_counter_word(self):
+        # a list counter warned on the cast at 2^64 - 1; the uint64 word
+        # draws there, and a NumPy integer draws as the int it holds
+        top = philox_normals(5, 2 ** 64 - 1, (4,))
+        assert not np.array_equal(top, philox_normals(5, 2 ** 64 - 2, (4,)))
+        assert np.array_equal(philox_normals(5, np.uint64(3), (4,)),
+                              philox_normals(5, 3, (4,)))
+
+    @pytest.mark.parametrize("step_index", [1.5, True, -1, 2 ** 64, np.float64(2.0)],
+                             ids=["float", "bool", "negative", "2^64", "np_float"])
+    def test_bad_step_index_rejected(self, step_index):
+        # 1.5 and True drew step 1's stream, and -1 drew silently
+        with pytest.raises(ValueError, match=r"step_index must be an integer "
+                                             r"in \[0, 2\^64\), got"):
+            philox_normals(5, step_index, (4,))
+
 
 class TestEnsembleConstruction:
     def test_at_point_tiles(self):
@@ -138,6 +166,18 @@ class TestEnsembleConstruction:
             Ensemble(positions=np.zeros((3, 2)), momenta=np.zeros((3, 1)),
                      time=0.0, seed=0, steps_taken=0, dt=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps_taken", 1.5), ("steps_taken", -1), ("steps_taken", True),
+        ("time", math.nan), ("time", math.inf), ("time", "0"),
+    ])
+    def test_bad_field_named(self, field, value):
+        # a NaN time ran and recorded NaN times
+        fields = dict(time=0.0, steps_taken=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Ensemble(positions=np.zeros((3, 1)), momenta=np.zeros((3, 1)),
+                     seed=0, dt=0.1, **fields)
+
     def test_single_particle_summary_has_nan_cov(self):
         e = ensemble_at_point([1.0], [0.0], 1, 0, 0.1)
         with warnings.catch_warnings():
@@ -156,6 +196,17 @@ class TestSimConfigValidation:
         SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=2 ** 64 - 1)
         with pytest.raises(ValueError, match="seed"):
             SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=2 ** 64)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 1.5), ("n_steps", -1), ("n_steps", True),
+        ("n_particles", 2.0), ("n_particles", 0), ("seed", 1.0),
+    ])
+    def test_bad_count_named(self, field, value):
+        # a float n_steps raised TypeError from range deep in run
+        fields = dict(n_steps=1, n_particles=1, seed=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(dt=0.1, **fields)
 
 
 class TestStepFormula:
@@ -511,6 +562,42 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError):
             run(init, pot, spec, cfg, record_every=0)
 
+    @pytest.mark.parametrize("steps_taken, n_steps, record_every, match", [
+        # 1.5 recorded at step 3 only
+        (0, 4, 1.5, "record_every must be an integer >= 1"),
+        (0, 4, True, "record_every must be an integer >= 1"),
+        # from 2^64 - 1, the draw's counter overflowed
+        (2 ** 64 - 1, 1, 1, r"steps_taken \+ n_steps = .* below 2\^64"),
+        (2 ** 64 - 4, 5, 2, r"steps_taken \+ n_steps = .* below 2\^64"),
+    ])
+    def test_bad_run_rejected_before_any_thread(self, steps_taken, n_steps,
+                                                record_every, match,
+                                                monkeypatch):
+        # at a size that would take the staged path
+        def refuse(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(simulate, "_staged", refuse)
+        monkeypatch.setattr(simulate, "_NoiseRing", refuse)
+        monkeypatch.setattr(simulate, "_advance", refuse)
+        pot, spec, _ = _ou_1d()
+        n = simulate.PREFETCH_BATCH_ELEMENTS
+        cfg = SimConfig(dt=0.01, n_steps=n_steps, n_particles=n, seed=0)
+        init = dataclasses.replace(ensemble_at_point([1.0], [0.0], n, 0, 0.01),
+                                   steps_taken=steps_taken)
+        with pytest.raises(ValueError, match=match):
+            run(init, pot, spec, cfg, record_every=record_every)
+
+    def test_last_step_index_below_2_64_runs(self):
+        # the last step's draw takes counter word 2^64 - 2, as step takes it
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=1, n_particles=3, seed=0)
+        init = dataclasses.replace(ensemble_at_point([1.0], [0.0], 3, 0, 0.01),
+                                   steps_taken=2 ** 64 - 2)
+        pts = run(init, pot, spec, cfg)
+        mean, cov = step(init, pot, spec, cfg).summary()
+        assert _bits(pts[-1].mean, pts[-1].cov) == _bits(mean, cov)
+
 
 def _proxy(ensemble, pi):
     mean, cov = ensemble.summary()
@@ -720,15 +807,16 @@ def _bounded(fn, timeout=120):
 class TestNoisePrefetch:
     """run draws the noise ahead on a helper thread from
     PREFETCH_MIN_ELEMENTS coordinates on, into a ring of per-step slots;
-    nothing observable may change.  Here the ring is three slots, the
-    fewest it has.  Every run goes through _bounded, so a ring that strands
-    a step fails the test instead of hanging the suite."""
+    nothing observable may change.  Here N * d = 2^16, the largest ring
+    run builds for a diagonal form (above it, such steps are staged), and
+    the ring is four slots.  Every run goes through _bounded, so a ring
+    that strands a step fails the test instead of hanging the suite."""
 
-    N = simulate.PREFETCH_BATCH_ELEMENTS   # d = 1, so a ring of three steps
+    N = simulate.PREFETCH_BATCH_ELEMENTS // 2   # d = 1, so a ring of four steps
     N_STEPS = 5
-    RING = 3
+    RING = 4
     #: whether the thread applying the steps draws any while the helper is
-    #: slow: yes on a ring of three, where it draws the step after the one
+    #: slow: yes on a ring of four, where it draws the step after the one
     #: the helper is drawing
     APPLIER_DRAWS = True
 
@@ -966,6 +1054,253 @@ class TestBatchedPrefetch(TestNoisePrefetch):
         assert index == ref.value.step_index
 
 
+class TestStagedRun:
+    """Above 2^16 coordinates a step whose operations are all elementwise is
+    drawn and applied one stage of PREFETCH_BATCH_ELEMENTS coordinates at a
+    time, by the calling thread and one helper, each holding a whole step;
+    every record must be the step loop's.  N leaves a ragged last stage:
+    two stages at d = 1, three at d = 2.  Every run goes through _bounded."""
+
+    N = simulate.PREFETCH_BATCH_ELEMENTS + 3
+    N_STEPS = 6
+    FORMS = {
+        "quadratic_scalar": lambda: (quadratic_diagonal([1.0]),
+                                     constant_scalar(2.0)),
+        "diagonal_field": lambda: (perturbed_diagonal([1.0, 2.0], 0.1),
+                                   hessian_sqrt(2.0)),
+    }
+    #: forms above 2^16 that keep the ring: a matmul gradient, a matrix Gamma
+    RING_FORMS = {
+        "general_gradient": lambda: (quadratic_general([[1.0]]),
+                                     constant_scalar(2.0)),
+        "constant_matrix": lambda: (quadratic_diagonal([1.0, 2.0]),
+                                    constant_matrix([[2.0, 0.3], [0.3, 1.0]])),
+    }
+
+    def _setup(self, kind, n_steps=None):
+        pot, spec = {**self.FORMS, **self.RING_FORMS}[kind]()
+        d, n, dt = pot.dim, self.N, 0.01
+        cfg = SimConfig(dt=dt, n_steps=n_steps or self.N_STEPS, n_particles=n,
+                        seed=8)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=np.r_[np.full(d, 0.5), np.zeros(d)],
+                            cov=np.eye(2 * d)), n, 8, dt)
+        return pot, spec, cfg, init
+
+    @staticmethod
+    def _stages(d):
+        rows = simulate.PREFETCH_BATCH_ELEMENTS // d
+        return -(-TestStagedRun.N // rows)
+
+    def test_sizes_leave_a_ragged_stage(self):
+        assert self.N > simulate.PREFETCH_BATCH_ELEMENTS // 2
+        assert self._stages(1) == 2 and self._stages(2) == 3
+        assert self.N % simulate.PREFETCH_BATCH_ELEMENTS == 3
+
+    @pytest.mark.parametrize("stepped", [False, True],
+                             ids=["every_step", "stepped_sparse"])
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_records_equal_step_loop(self, kind, stepped):
+        pot, spec, cfg, init = self._setup(kind)
+        record_every = 1
+        if stepped:
+            # a run that starts at step 1 and records every 4th step
+            init, record_every = step(init, pot, spec, cfg), 4
+        pts = TestNoisePrefetch._run(init, pot, spec, cfg,
+                                     record_every=record_every)
+        TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg,
+                                                    record_every)
+
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_reruns_identical(self, kind):
+        pot, spec, cfg, init = self._setup(kind)
+        a = TestNoisePrefetch._run(init, pot, spec, cfg, record_every=2)
+        b = TestNoisePrefetch._run(init, pot, spec, cfg, record_every=2)
+        assert len(a) == len(b) == 4
+        for pa, pb in zip(a, b):
+            assert pa.time == pb.time
+            assert _bits(pa.mean, pa.cov) == _bits(pb.mean, pb.cov)
+
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_n_extension(self, kind, monkeypatch):
+        # the first m particles of a staged run, all in its first stage,
+        # follow the same trajectories as a run of m particles inline
+        m = 1000
+        assert m < simulate.PREFETCH_MIN_ELEMENTS
+        pot, spec, cfg, init = self._setup(kind)
+        seen = {}
+        advance = simulate._advance
+
+        def spy(*args):
+            advance(*args)
+            if (args[9] if len(args) > 9 else 0) == 0:
+                seen[args[5]] = tuple(x[:m].copy() for x in args[6])
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        TestNoisePrefetch._run(init, pot, spec, cfg)
+        big = dict(seen)
+        seen.clear()
+        part = Ensemble(positions=init.positions[:m], momenta=init.momenta[:m],
+                        time=0.0, seed=init.seed, steps_taken=0, dt=init.dt)
+        TestNoisePrefetch._run(part, pot, spec,
+                               dataclasses.replace(cfg, n_particles=m))
+        assert sorted(big) == sorted(seen) == list(range(1, cfg.n_steps + 1))
+        for k in seen:
+            assert _bits(*big[k]) == _bits(*seen[k])
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_draw_failure_raised_and_joined(self, failing, monkeypatch):
+        # the first step from the third on that one thread claims fails to
+        # draw: run raises the failure with every earlier step applied in
+        # all its stages, no later row applied, and no thread left behind
+        start = threading.active_count()
+        pot, spec, cfg, init = self._setup("diagonal_field")
+        stream, advance = simulate._stream, simulate._advance
+        caller, applied = [], []
+
+        class DrawFailed(Exception):
+            pass
+
+        def failing_stream(seed, step_index, *args):
+            mine = threading.current_thread() is caller[0]
+            if step_index >= init.steps_taken + 2 and mine == (failing == "caller"):
+                raise DrawFailed(step_index)
+            return stream(seed, step_index, *args)
+
+        def spy(*args):
+            applied.append(args[5])
+            advance(*args)
+
+        monkeypatch.setattr(simulate, "_stream", failing_stream)
+        monkeypatch.setattr(simulate, "_advance", spy)
+        with pytest.raises(DrawFailed) as excinfo:
+            TestNoisePrefetch._run(init, pot, spec, cfg, caller=caller)
+        failed = excinfo.value.args[0]
+        assert sorted(applied) == sorted(list(range(1, failed + 1))
+                                         * self._stages(2))
+        assert threading.active_count() == start
+
+    def test_concurrent_runs_with_fast_thread_switching(self):
+        # three runs at once, six threads on fewer cores, switching every
+        # microsecond: a stage applied out of turn would move a record
+        pot, spec, cfg, init = self._setup("diagonal_field", n_steps=4)
+        start = threading.active_count()
+        results = [None] * 3
+
+        def target(i):
+            results[i] = run(init, pot, spec, cfg)
+
+        def three_at_once(caller):
+            threads = [threading.Thread(target=target, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _bounded(three_at_once)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == start
+        for pts in results:
+            TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
+
+    @pytest.mark.parametrize("kind, ring", [
+        ("quadratic_scalar", None),
+        ("diagonal_field", None),
+        ("general_gradient", 3),
+        ("constant_matrix", 3),
+    ])
+    def test_ring_only_off_the_staged_path(self, kind, ring, monkeypatch):
+        # the staged path builds no ring; a BLAS gradient or a matrix
+        # friction keeps the three-step ring above 2^16
+        lengths = []
+
+        class Ring(simulate._NoiseRing):
+            def __init__(self, draw, n, slots):
+                lengths.append(len(slots))
+                super().__init__(draw, n, slots)
+
+        monkeypatch.setattr(simulate, "_NoiseRing", Ring)
+        pot, spec, cfg, init = self._setup(kind, n_steps=2)
+        pts = TestNoisePrefetch._run(init, pot, spec, cfg)
+        assert lengths == ([] if ring is None else [ring])
+        TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
+
+    @pytest.mark.parametrize("late", ["last_stage_of_k", "first_stage_of_k1"])
+    def test_blowup_order_across_threads(self, late, monkeypatch):
+        # row N - 1, in the last stage, leaves the trusted range at step 9
+        # and row 0, in the first stage, at step 10.  Whichever thread
+        # raises first, run raises the step loop's error: step 9, row N - 1
+        n, k = self.N, 9
+        pot, spec = self.FORMS["quadratic_scalar"]()
+        cfg = SimConfig(dt=3.0, n_steps=12, n_particles=n, seed=2)
+        q = np.zeros((n, 1))
+        q[0, 0], q[-1, 0] = 1e8, 2e8
+        e = Ensemble(positions=q, momenta=np.zeros((n, 1)), time=0.0, seed=2,
+                     steps_taken=0, dt=3.0)
+
+        def step_loop(e):
+            with pytest.raises(NumericalBlowup) as ref:
+                for _ in range(cfg.n_steps):
+                    e = step(e, pot, spec, cfg)
+            return ref.value
+
+        ref = step_loop(e)
+        assert (ref.step_index, ref.particle) == (k, n - 1)
+        calm = step_loop(dataclasses.replace(e, positions=q * (np.arange(n) < n - 1)[:, None]))
+        assert (calm.step_index, calm.particle) == (k + 1, 0)
+
+        # the stage held back waits until the other thread has raised
+        held = {"last_stage_of_k": (k, simulate.PREFETCH_BATCH_ELEMENTS),
+                "first_stage_of_k1": (k + 1, 0)}[late]
+        raised = []
+        advance = simulate._advance
+
+        def spy(*args):
+            if (args[5], args[9]) == held:
+                time.sleep(0.2)
+            try:
+                advance(*args)
+            except NumericalBlowup as exc:
+                raised.append(exc.step_index)
+                raise
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            with pytest.raises(NumericalBlowup) as excinfo:
+                TestNoisePrefetch._run(e, pot, spec, cfg, record_every=100)
+        assert raised == ([k + 1, k] if late == "last_stage_of_k" else [k, k + 1])
+        got = excinfo.value
+        assert (got.step_index, got.particle, got.coordinate, got.block) == (
+            ref.step_index, ref.particle, ref.coordinate, ref.block)
+        assert str(got) == str(ref)
+
+    def test_peak_memory_below_eight_rows(self):
+        # the state is three (N, d) rows, a record's centered copies two
+        # more, and each thread's buffers a few stages: under 8 rows in
+        # all, where the ring's workspace alone was nine
+        n = 4 * simulate.PREFETCH_BATCH_ELEMENTS
+        pot, spec = self.FORMS["quadratic_scalar"]()
+        cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=1)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=[0.5, 0.0], cov=np.eye(2)), n, 1, 0.01)
+
+        def traced(caller):
+            tracemalloc.start()
+            try:
+                pts = run(init, pot, spec, cfg)
+                return pts, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pts, peak = _bounded(traced)
+        assert len(pts) == cfg.n_steps + 1
+        assert peak < 8 * init.positions.nbytes
+
+
 class TestRunBuffers:
     """run steps its own copy of the state in buffers it allocates once."""
 
@@ -1148,20 +1483,22 @@ class TestBlockedUpdate:
     @pytest.mark.parametrize("kind", FORMS)
     def test_run_writes_first_block_of_term_only(self, kind, inline,
                                                  monkeypatch):
-        # the rows of the workspace's term past the first block keep a
-        # sentinel written before the first step, so their pages are never
-        # touched by the update
+        # the rows of a term buffer past the first block keep a sentinel
+        # written before its first use, so their pages are never touched by
+        # the update: the workspace's term row inline, and each thread's
+        # stage-sized term when the steps are staged (one stage here)
         pot, spec, cfg, init = self._setup(kind)
         if inline:
             monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
         sentinel = -7.25
-        steps = []
+        steps, terms = [], set()
         advance = simulate._advance
 
         def spy(*args):
             term = args[7]
             assert term.shape == init.positions.shape
-            if not steps:
+            if term.ctypes.data not in terms:
+                terms.add(term.ctypes.data)
                 term[self.ROWS:] = sentinel
             advance(*args)
             assert np.all(term[self.ROWS:] == sentinel)

@@ -32,3 +32,20 @@ def test_no_matrix_inverse():
                 path.read_text(encoding="utf-8").splitlines(), 1)
             if inverse.search(line)]
     assert hits == []
+
+
+def test_one_philox_construction():
+    # the (seed, step, domain) key rule has one home: every keyed stream is
+    # built by simulate._stream, which checks both 64-bit words
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 1
+    hits = []
+    for path in paths:
+        current = None
+        for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.startswith("def ") or line.startswith("class "):
+                current = line.split("(")[0].split()[1]
+            if "np.random.Philox(" in line:
+                hits.append((path.name, current))
+    assert hits == [("simulate.py", "_stream")]

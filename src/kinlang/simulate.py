@@ -17,7 +17,6 @@ control dt explicitly.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import csv
 import math
@@ -51,20 +50,16 @@ __all__ = [
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
 
-#: N * d from which run uses a helper thread.  Below it the noise is drawn
-#: inline, one (N, d) slot: the draw is small next to a step's Python
+#: N * d from which run stages its steps on a helper thread.  Below it
+#: each step is drawn inline: the draw is small next to a step's Python
 #: overhead, and the thread cost more than it saved on a 2-core host (size
 #: sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
-#: coordinates (1 MiB of float64) in half the noise ring, and in one stage
-#: of a staged step.  Up to N * d = PREFETCH_BATCH_ELEMENTS // 2 = 2^16 the
-#: ring holds max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d))) whole steps,
-#: so the helper may run that far ahead of the step being applied.  Above
-#: 2^16, where the ring would be three whole steps, a step whose operations
-#: are all elementwise is instead drawn and applied one stage of this many
-#: coordinates at a time, and each of the two threads holds one stage of
-#: noise; other forms keep the three-step ring
+#: coordinates (1 MiB of float64) in one stage of a staged step whose
+#: operations are all elementwise; each of the two threads draws and
+#: applies a step one stage at a time and holds one stage of noise.  A
+#: step of any other form is one stage of all N rows
 PREFETCH_BATCH_ELEMENTS = 1 << 17
 
 #: coordinates (256 KiB of float64) in one row block of the elementwise EM
@@ -88,6 +83,15 @@ def _check_int(name: str, value, low: int = 0, word: bool = False):
             or value < low or word and value >= SEED_LIMIT):
         rule = "in [0, 2^64)" if word else f">= {low}"
         raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+
+
+def _check_dt(dt):
+    """Raise ValueError naming dt unless it is a finite real number > 0 (a
+    bool is not one): an infinite dt would reach run's stability check as
+    an unnamed LinAlgError."""
+    if (isinstance(dt, bool) or not isinstance(dt, numbers.Real)
+            or not (math.isfinite(dt) and dt > 0)):
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
 
 
 def _stream(seed: int, step_index: int, domain: int = _DOMAIN_STEP):
@@ -139,8 +143,7 @@ class Ensemble:
             )
         if q.shape[0] < 1:
             raise ValueError("ensemble needs at least one particle")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        _check_dt(self.dt)
         if not (isinstance(self.time, numbers.Real)
                 and math.isfinite(self.time)):
             raise ValueError(f"time must be finite, got {self.time!r}")
@@ -198,8 +201,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        _check_dt(self.dt)
         _check_int("n_steps", self.n_steps)
         _check_int("n_particles", self.n_particles, 1)
         _check_int("seed", self.seed, word=True)
@@ -385,108 +387,26 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
         )
 
 
-class _NoiseRing:
-    """The noise of a run's n steps, drawn into a ring of per-step slots by
-    one helper thread and, while it waits, by the thread applying them.
-    run uses it from PREFETCH_MIN_ELEMENTS to 2^16 coordinates, where it
-    holds four or more steps, and above that for the forms whose steps are
-    not elementwise, where it holds three: 3 * N * d * 8 bytes of noise.
-
-    Step k (counted from the run's first) goes to slot k % len(slots), which
-    is free once step k - len(slots) has been applied.  Both threads claim
-    steps in increasing order from one counter.  The helper claims the next
-    step whenever its slot is free.  The thread in get, while its own step
-    k is still being drawn, claims the next step only if two or more steps
-    before k + len(slots) are unclaimed, so that the helper is never left
-    idle.  A ring needs three slots for that: while the helper draws step
-    k, the waiting thread draws step k + 1, and the helper's next claim,
-    k + 2, fills the third.  Each step is one draw(k, slot) call either
-    way, so which thread drew it moves no bit.  An exception the helper's
-    draw raises is raised by get when that step is needed.  Entering starts
-    the helper, and leaving stops and joins it.
-    """
-
-    def __init__(self, draw, n: int, slots):
-        self._draw, self._n, self._slots = draw, n, slots
-        self._cond = threading.Condition()
-        self._claimed = 0                  # steps claimed so far, in order
-        self._drawn = [-1] * len(slots)    # the step drawn into each slot
-        self._next = 0                     # get's step; earlier ones are applied
-        self._error = None
-        self._closed = False
-        self._helper = threading.Thread(target=self._fill)
-
-    def __enter__(self):
-        self._helper.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._helper.join()
-
-    def _claim_and_draw(self):
-        # called holding the lock, which the draw itself runs without
-        k = self._claimed
-        self._claimed += 1
-        i = k % len(self._slots)
-        self._cond.release()
-        try:
-            self._draw(k, self._slots[i])
-        finally:
-            self._cond.acquire()
-        self._drawn[i] = k
-        self._cond.notify_all()
-
-    def _fill(self):
-        with self._cond:
-            try:
-                while not self._closed and self._claimed < self._n:
-                    if self._claimed < self._next + len(self._slots):
-                        self._claim_and_draw()
-                    else:
-                        self._cond.wait()
-            except BaseException as exc:   # raised again by get
-                self._error = exc
-                self._cond.notify_all()
-
-    def get(self, k: int):
-        """Step k's noise; steps before k must have been applied."""
-        i = k % len(self._slots)
-        with self._cond:
-            self._next = k
-            self._cond.notify_all()
-            while self._drawn[i] != k:
-                if self._error is not None:
-                    raise self._error
-                if self._claimed + 2 <= min(self._n, k + len(self._slots)):
-                    self._claim_and_draw()
-                else:
-                    self._cond.wait()
-        return self._slots[i]
-
-
 def _staged(q, moms, force, dt: float, seed: int, start: int, n: int,
-            recorded, record):
-    """Apply n EM steps to the state (q, moms[0]) in place, one stage of
-    rows at a time, on the calling thread and one helper thread.
+            rows: int, recorded, record):
+    """Apply n EM steps to the state (q, moms[0]) in place, a stage of
+    `rows` rows at a time, on the calling thread and one helper thread.
 
     moms is the pair of momentum rows, which trade places every step.  Both
     threads claim whole steps in increasing order from one counter.  The
     thread holding step k (counted from the run's first) walks the rows in
-    stages of PREFETCH_BATCH_ELEMENTS coordinates: it draws a stage's noise
-    from step k's stream into its own stage-sized buffer, waits until step
-    k - 1 has applied those rows, and applies them with _advance.  When
-    step k ends a recorded step (k + 1 in recorded), record(k + 1, new
-    momenta) runs once its last stage is applied, and step k + 1 may apply
-    no row before it returns.  Every operation of the step is elementwise,
+    stages: it draws a stage's noise from step k's stream into its own
+    stage-sized buffer, waits until step k - 1 has applied those rows, and
+    applies them with _advance.  So while one thread applies a step, the
+    other draws the next.  When step k ends a recorded step (k + 1 in
+    recorded), record(k + 1, new momenta) runs once its last stage is
+    applied, and step k + 1 may apply no row before it returns.  The caller
+    passes rows < N only when every operation of the step is elementwise,
     so the bits are the whole step's.  An exception stops its step and
     every later one; the earlier steps are still applied, and the earliest
     step's exception is raised once the helper is joined, so a
     NumericalBlowup names the step loop's step and row.
     """
-    rows = min(len(q), max(1, PREFETCH_BATCH_ELEMENTS // q.shape[1]))
     stages = range(0, len(q), rows)
     last = len(stages) - 1
     cond = threading.Condition()
@@ -558,42 +478,35 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
-    The state and, unless the steps are staged, every buffer of
-    ``_advance`` (the kernel step runs too) and the noise are rows of one
-    workspace array, allocated once per call and released whole at the
+    The state, and every buffer of ``_advance`` (the kernel step runs too)
+    that the steps take, is allocated once per call and released at the
     end; init is never written.  Reused buffers spare the page faults of
     fresh (N, d) arrays per step.  On the diagonal friction field the
     gradient and the Hessian diagonal come from one evaluation of the
     potential (FrictionSpec.resolve), written into the caller's buffers.
-    The noise takes one of three forms, by the number of coordinates N * d
-    and the form of the step:
+    The steps run in one of two ways, by the number of coordinates N * d:
 
-    * below PREFETCH_MIN_ELEMENTS, each step is drawn inline into one
-      workspace row (N * d * 8 bytes of noise);
-    * up to 2^16 = PREFETCH_BATCH_ELEMENTS // 2, and above it when Gamma or
-      the diffusion is a matrix or the potential sets no hess_diag (so its
-      gradient may be a matmul, as quadratic_general's is), the draws go
-      into a ring of max(3, 2 * (PREFETCH_BATCH_ELEMENTS // (N * d)))
-      per-step slots (_NoiseRing), 2 MiB and up, or 3 * N * d * 8 bytes
-      above 2^16.  Steps are claimed in order from one counter: by one
-      helper thread whenever a slot is free, while earlier steps are
-      applied, and by the thread applying them while it would otherwise
-      wait, as long as two or more steps within one ring's length of its
-      own are unclaimed.  On the diagonal forms, where _advance updates
-      the ensemble in row blocks, only the first block of the workspace's
-      term row is used; the rest of its pages are never touched;
-    * above 2^16, when every operation of a step is elementwise (Gamma and
-      the diffusion are diagonal entries and the potential sets
-      hess_diag), the workspace is the state alone and the steps are
-      staged (_staged): the calling thread and one helper each hold a step
-      and draw and apply it one stage of PREFETCH_BATCH_ELEMENTS
-      coordinates at a time, each in its own stage-sized buffers.  Noise
-      takes 2 MiB at any N.  A 2-D matmul's bits can depend on its row
-      count, so the other forms are never staged.
+    * below PREFETCH_MIN_ELEMENTS, or for no step at all, inline: each step
+      is drawn into one row of a workspace holding the state, a term, the
+      friction field's pair and the noise, and then applied.  On the
+      diagonal forms, where _advance updates the ensemble in row blocks,
+      only the first block of the term row is used; the rest of its pages
+      are never touched;
+    * from PREFETCH_MIN_ELEMENTS on, staged (_staged): the calling thread
+      and one helper each hold a step, and draw and apply it one stage at
+      a time, each in its own stage-sized noise, term and friction
+      buffers, while the state is q and two momentum rows.  When every
+      operation of a step is elementwise (Gamma and the diffusion are
+      diagonal entries and the potential sets hess_diag), a stage is
+      PREFETCH_BATCH_ELEMENTS coordinates, so noise takes 2 MiB at any N.
+      Otherwise (a matrix Gamma or diffusion, or a gradient that may be a
+      matmul, as quadratic_general's is) a stage is all N rows, because a
+      2-D matmul's bits can depend on its row count: the state and both
+      threads' buffers are then 11 (N, d) rows.
 
     Each step is drawn from its own keyed stream, _stream(seed, step), which
     depends on (seed, step) alone, so the noise, and the records, are the
-    same in every form.
+    same either way.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index and
@@ -609,15 +522,10 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     stability_warning(init, p, spec, cfg)
     force = spec.resolve(p)
     shape = init.positions.shape
-    size = init.positions.size
-    inline = size < PREFETCH_MIN_ELEMENTS or n == 0
-    staged = (not inline and PREFETCH_BATCH_ELEMENTS // size < 2
-              and p.hess_diag is not None and spec.diagonal(p))
-    slots = 1 if inline else max(3, 2 * (PREFETCH_BATCH_ELEMENTS // size))
-    # rows: q, two momenta that trade places every step, then, unless
-    # staged, a term, the friction field's pair, and one step of noise
-    # inline or the ring's slots
-    work = np.empty((3 if staged else 6 + slots,) + shape)
+    inline = init.positions.size < PREFETCH_MIN_ELEMENTS or n == 0
+    # rows: q, two momenta that trade places every step, then, inline, a
+    # term, the friction field's pair and one step of noise
+    work = np.empty((7 if inline else 3,) + shape)
     q, mom, new_mom = work[:3]
     q[...] = init.positions
     mom[...] = init.momenta
@@ -634,24 +542,22 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         return TrajectoryPoint(time=time, mean=mean, cov=cov)
 
     out = [record(init.time, mom)]
-    if staged:
-        _staged(q, (mom, new_mom), force, cfg.dt, init.seed, start, n, times,
-                lambda k, momenta: out.append(record(times[k], momenta)))
+    if not inline:
+        rows = len(q)
+        if p.hess_diag is not None and spec.diagonal(p):
+            rows = min(rows, max(1, PREFETCH_BATCH_ELEMENTS // shape[1]))
+        _staged(q, (mom, new_mom), force, cfg.dt, init.seed, start, n, rows,
+                times, lambda k, momenta: out.append(record(times[k], momenta)))
         return out
 
-    term, friction_out, slots = work[3], work[4:6], work[6:]
-
-    def draw(k, out):
-        return philox_normals(init.seed, start + k, shape, out=out)
-
-    with contextlib.nullcontext() if inline else _NoiseRing(draw, n, slots) as noise:
-        for k in range(1, n + 1):
-            xi = draw(k - 1, slots[0]) if noise is None else noise.get(k - 1)
-            _advance(q, mom, xi, force, cfg.dt, start + k, (q, new_mom), term,
-                     friction_out)
-            mom, new_mom = new_mom, mom
-            if k in times:
-                out.append(record(times[k], mom))
+    term, friction_out, noise = work[3], work[4:6], work[6]
+    for k in range(1, n + 1):
+        xi = philox_normals(init.seed, start + k - 1, shape, out=noise)
+        _advance(q, mom, xi, force, cfg.dt, start + k, (q, new_mom), term,
+                 friction_out)
+        mom, new_mom = new_mom, mom
+        if k in times:
+            out.append(record(times[k], mom))
     return out
 
 

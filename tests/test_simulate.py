@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -169,14 +170,16 @@ class TestEnsembleConstruction:
     @pytest.mark.parametrize("field, value", [
         ("steps_taken", 1.5), ("steps_taken", -1), ("steps_taken", True),
         ("time", math.nan), ("time", math.inf), ("time", "0"),
+        ("dt", math.inf), ("dt", math.nan), ("dt", True),
     ])
     def test_bad_field_named(self, field, value):
-        # a NaN time ran and recorded NaN times
-        fields = dict(time=0.0, steps_taken=0)
+        # a NaN time ran and recorded NaN times; an infinite dt failed in
+        # run with an unnamed LinAlgError, and True ran as dt = 1.0
+        fields = dict(time=0.0, steps_taken=0, dt=0.1)
         fields[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be"):
             Ensemble(positions=np.zeros((3, 1)), momenta=np.zeros((3, 1)),
-                     seed=0, dt=0.1, **fields)
+                     seed=0, **fields)
 
     def test_single_particle_summary_has_nan_cov(self):
         e = ensemble_at_point([1.0], [0.0], 1, 0, 0.1)
@@ -189,8 +192,12 @@ class TestEnsembleConstruction:
 
 class TestSimConfigValidation:
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.0, n_steps=1, n_particles=1, seed=0)
+        # an infinite dt failed in run with an unnamed LinAlgError, and
+        # True ran as dt = 1.0
+        for dt in (0.0, math.inf, math.nan, True):
+            with pytest.raises(ValueError,
+                               match="^dt must be a finite number > 0"):
+                SimConfig(dt=dt, n_steps=1, n_particles=1, seed=0)
 
     def test_seed_below_2_64(self):
         SimConfig(dt=0.1, n_steps=1, n_particles=1, seed=2 ** 64 - 1)
@@ -352,7 +359,7 @@ class TestGeneralFrictionField:
                                   grad_hess_diag=refuse)
         assert pot.hess_diag is None and not pot.constant_hessian
         spec = hessian_sqrt(2.0)
-        n, dt = simulate.PREFETCH_MIN_ELEMENTS // 2, 0.01   # d = 2: a ring
+        n, dt = simulate.PREFETCH_MIN_ELEMENTS // 2, 0.01   # d = 2: staged
         cfg = SimConfig(dt=dt, n_steps=2, n_particles=n, seed=8)
         init = ensemble_from_moments(
             GaussianMoments(mean=np.zeros(4), cov=np.eye(4)), n, 8, dt)
@@ -578,7 +585,6 @@ class TestRunBookkeeping:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(simulate, "_staged", refuse)
-        monkeypatch.setattr(simulate, "_NoiseRing", refuse)
         monkeypatch.setattr(simulate, "_advance", refuse)
         pot, spec, _ = _ou_1d()
         n = simulate.PREFETCH_BATCH_ELEMENTS
@@ -764,24 +770,6 @@ class TestSummary:
         assert digests[0] == digests[1]
 
 
-def _slow_helper(monkeypatch, delay, caller):
-    """simulate.philox_normals sleeping delay seconds when called off the
-    thread caller[0], the one applying the steps; returns the list it
-    appends (step index, calling thread) to on entry, one pair per draw."""
-    draws = []
-    draw = simulate.philox_normals
-
-    def slow(seed, step_index, *args, **kwargs):
-        thread = threading.current_thread()
-        draws.append((step_index, thread))
-        if thread is not caller[0]:
-            time.sleep(delay)
-        return draw(seed, step_index, *args, **kwargs)
-
-    monkeypatch.setattr(simulate, "philox_normals", slow)
-    return draws
-
-
 def _bounded(fn, timeout=120):
     """fn(caller) on a new thread, caller being that thread; it must return
     within timeout seconds, and its result is returned or its exception
@@ -805,20 +793,14 @@ def _bounded(fn, timeout=120):
 
 
 class TestNoisePrefetch:
-    """run draws the noise ahead on a helper thread from
-    PREFETCH_MIN_ELEMENTS coordinates on, into a ring of per-step slots;
-    nothing observable may change.  Here N * d = 2^16, the largest ring
-    run builds for a diagonal form (above it, such steps are staged), and
-    the ring is four slots.  Every run goes through _bounded, so a ring
-    that strands a step fails the test instead of hanging the suite."""
+    """From PREFETCH_MIN_ELEMENTS coordinates on, run stages its steps: one
+    thread draws a step's noise while the other applies the step before;
+    nothing observable may change.  Here N * d = 2^16, one stage per step.
+    Every run goes through _bounded, so a run that strands a step fails
+    the test instead of hanging the suite."""
 
-    N = simulate.PREFETCH_BATCH_ELEMENTS // 2   # d = 1, so a ring of four steps
+    N = simulate.PREFETCH_BATCH_ELEMENTS // 2   # d = 1: one stage per step
     N_STEPS = 5
-    RING = 4
-    #: whether the thread applying the steps draws any while the helper is
-    #: slow: yes on a ring of four, where it draws the step after the one
-    #: the helper is drawing
-    APPLIER_DRAWS = True
 
     def _setup(self, dt=1e-3, n_steps=None):
         n = self.N
@@ -851,19 +833,6 @@ class TestNoisePrefetch:
         for pt, (mean, cov) in zip(pts, ref):
             assert np.array_equal(pt.mean, mean)
             assert np.array_equal(pt.cov, cov)
-
-    def test_ring_length(self, monkeypatch):
-        lengths = []
-
-        class Ring(simulate._NoiseRing):
-            def __init__(self, draw, n, slots):
-                lengths.append(len(slots))
-                super().__init__(draw, n, slots)
-
-        monkeypatch.setattr(simulate, "_NoiseRing", Ring)
-        pot, spec, cfg, init = self._setup()
-        self._run(init, pot, spec, cfg)
-        assert lengths == [self.RING]
 
     def test_records_equal_step_loop(self):
         pot, spec, cfg, init = self._setup()
@@ -926,52 +895,9 @@ class TestNoisePrefetch:
         assert indices[0] is not None and 1 <= indices[0] <= 200
         assert indices[0] == indices[1]
 
-    def test_shared_draws_equal_step_loop(self, monkeypatch):
-        pot, spec, cfg, init = self._setup()
-        caller = []
-        draws = _slow_helper(monkeypatch, 0.02, caller)
-        pts = self._run(init, pot, spec, cfg, caller=caller)
-        assert sorted(i for i, _ in draws) == list(range(cfg.n_steps))
-        assert any(t is caller[0] for _, t in draws) == self.APPLIER_DRAWS
-        # steps are claimed from one counter, so each thread's draws increase
-        for thread in {t for _, t in draws}:
-            mine = [i for i, t in draws if t is thread]
-            assert all(a < b for a, b in zip(mine, mine[1:])), mine
-        self._assert_step_loop_records(pts, init, pot, spec, cfg)
-
-    def test_helper_failure_raised_and_joined(self, monkeypatch):
-        # the helper's draws fail from the third step on: run raises the
-        # failure once it needs that step, every earlier step applied, and
-        # leaves no thread behind
-        start = threading.active_count()
-        pot, spec, cfg, init = self._setup()
-        draw, advance = simulate.philox_normals, simulate._advance
-        caller, applied = [], []
-
-        class DrawFailed(Exception):
-            pass
-
-        def failing(seed, step_index, *args, **kwargs):
-            if (threading.current_thread() is not caller[0]
-                    and step_index >= init.steps_taken + 2):
-                raise DrawFailed(step_index)
-            return draw(seed, step_index, *args, **kwargs)
-
-        def spy(*args):
-            applied.append(args[5])
-            advance(*args)
-
-        monkeypatch.setattr(simulate, "philox_normals", failing)
-        monkeypatch.setattr(simulate, "_advance", spy)
-        with pytest.raises(DrawFailed) as excinfo:
-            self._run(init, pot, spec, cfg, caller=caller)
-        failed = excinfo.value.args[0]
-        assert applied == list(range(1, failed + 1))
-        assert threading.active_count() == start
-
     def test_concurrent_runs_with_fast_thread_switching(self):
         # three runs at once, six threads on fewer cores, switching every
-        # microsecond: a lost update in the ring would move a record
+        # microsecond: a step applied out of turn would move a record
         pot, spec, cfg, init = self._setup()
         results = [None] * 3
 
@@ -1007,19 +933,16 @@ class TestNoisePrefetch:
 
 
 class TestBatchedPrefetch(TestNoisePrefetch):
-    """The same checks where each half of the ring holds several steps, the
-    steps do not fill the last half, and records fall inside halves."""
+    """The same checks at N * d = 10,000, one stage per step, over a run of
+    thirty steps, so that each thread claims many."""
 
     N = 10_000
     N_STEPS = 30
-    PER_BATCH = simulate.PREFETCH_BATCH_ELEMENTS // N
-    RING = 2 * PER_BATCH
 
     def test_sizes_cover_batches(self):
         assert self.N >= simulate.PREFETCH_MIN_ELEMENTS
-        assert self.PER_BATCH > 4
-        assert self.N_STEPS % self.PER_BATCH != 0
-        assert self.N_STEPS > 2 * self.PER_BATCH
+        assert self.N <= simulate.PREFETCH_BATCH_ELEMENTS   # d = 1: one stage
+        assert self.N_STEPS >= 10
 
     def test_blowup_inside_batch_matches_step_loop(self):
         pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
@@ -1031,35 +954,16 @@ class TestBatchedPrefetch(TestNoisePrefetch):
             for _ in range(cfg.n_steps):
                 e = step(e, pot, spec, cfg)
         assert excinfo.value.step_index == ref.value.step_index
-        # neither the first nor the last step of its batch
-        assert ref.value.step_index % self.PER_BATCH not in (0, 1)
-
-    def test_blowup_on_step_drawn_by_applier(self, monkeypatch):
-        # with a slow helper the thread applying the steps draws most of
-        # them while it waits, the noise of the blown-up step among them
-        start = threading.active_count()
-        pot, spec, cfg, init = self._setup(dt=3.0, n_steps=200)
-        caller = []
-        draws = _slow_helper(monkeypatch, 0.1, caller)
-        with pytest.warns(RuntimeWarning, match="unstable"):
-            with pytest.raises(NumericalBlowup) as excinfo:
-                self._run(init, pot, spec, cfg, caller=caller)
-        assert threading.active_count() == start
-        index = excinfo.value.step_index
-        assert dict(draws)[index - 1] is caller[0]
-        e = init
-        with pytest.raises(NumericalBlowup) as ref:
-            for _ in range(cfg.n_steps):
-                e = step(e, pot, spec, cfg)
-        assert index == ref.value.step_index
+        # past the first two steps, so both threads have applied steps
+        assert ref.value.step_index > 2
 
 
 class TestStagedRun:
-    """Above 2^16 coordinates a step whose operations are all elementwise is
-    drawn and applied one stage of PREFETCH_BATCH_ELEMENTS coordinates at a
-    time, by the calling thread and one helper, each holding a whole step;
-    every record must be the step loop's.  N leaves a ragged last stage:
-    two stages at d = 1, three at d = 2.  Every run goes through _bounded."""
+    """A step whose operations are all elementwise is drawn and applied one
+    stage of PREFETCH_BATCH_ELEMENTS coordinates at a time, by the calling
+    thread and one helper, each holding a whole step; every record must be
+    the step loop's.  N leaves a ragged last stage: two stages at d = 1,
+    three at d = 2.  Every run goes through _bounded."""
 
     N = simulate.PREFETCH_BATCH_ELEMENTS + 3
     N_STEPS = 6
@@ -1069,17 +973,17 @@ class TestStagedRun:
         "diagonal_field": lambda: (perturbed_diagonal([1.0, 2.0], 0.1),
                                    hessian_sqrt(2.0)),
     }
-    #: forms above 2^16 that keep the ring: a matmul gradient, a matrix Gamma
-    RING_FORMS = {
+    #: forms whose stage is all N rows: a matmul gradient, a matrix Gamma
+    MATRIX_FORMS = {
         "general_gradient": lambda: (quadratic_general([[1.0]]),
                                      constant_scalar(2.0)),
         "constant_matrix": lambda: (quadratic_diagonal([1.0, 2.0]),
                                     constant_matrix([[2.0, 0.3], [0.3, 1.0]])),
     }
 
-    def _setup(self, kind, n_steps=None):
-        pot, spec = {**self.FORMS, **self.RING_FORMS}[kind]()
-        d, n, dt = pot.dim, self.N, 0.01
+    def _setup(self, kind, n_steps=None, n=None):
+        pot, spec = {**self.FORMS, **self.MATRIX_FORMS}[kind]()
+        d, n, dt = pot.dim, n or self.N, 0.01
         cfg = SimConfig(dt=dt, n_steps=n_steps or self.N_STEPS, n_particles=n,
                         seed=8)
         init = ensemble_from_moments(
@@ -1207,27 +1111,79 @@ class TestStagedRun:
         for pts in results:
             TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
 
-    @pytest.mark.parametrize("kind, ring", [
-        ("quadratic_scalar", None),
-        ("diagonal_field", None),
-        ("general_gradient", 3),
-        ("constant_matrix", 3),
-    ])
-    def test_ring_only_off_the_staged_path(self, kind, ring, monkeypatch):
-        # the staged path builds no ring; a BLAS gradient or a matrix
-        # friction keeps the three-step ring above 2^16
-        lengths = []
+    @pytest.mark.parametrize("n", [10_000, N], ids=["up_to_2_16", "above_2_16"])
+    @pytest.mark.parametrize("kind", ["quadratic_scalar", "diagonal_field",
+                                      "general_gradient", "constant_matrix"])
+    def test_stage_rows_by_form(self, kind, n, monkeypatch):
+        # each _advance call applies one stage: PREFETCH_BATCH_ELEMENTS
+        # coordinates (or the rows left) on the diagonal forms, and all N
+        # rows for a BLAS gradient or a matrix friction, at N * d from
+        # 10,000 to 20,000 (one stage either way) and above 2^17
+        pot, spec, cfg, init = self._setup(kind, n_steps=2, n=n)
+        rows = n
+        if kind in self.FORMS:
+            rows = simulate.PREFETCH_BATCH_ELEMENTS // pot.dim
+        calls = []
+        advance = simulate._advance
 
-        class Ring(simulate._NoiseRing):
-            def __init__(self, draw, n, slots):
-                lengths.append(len(slots))
-                super().__init__(draw, n, slots)
+        def spy(*args):
+            calls.append((args[5], args[9], len(args[0])))
+            advance(*args)
 
-        monkeypatch.setattr(simulate, "_NoiseRing", Ring)
-        pot, spec, cfg, init = self._setup(kind, n_steps=2)
+        monkeypatch.setattr(simulate, "_advance", spy)
         pts = TestNoisePrefetch._run(init, pot, spec, cfg)
-        assert lengths == ([] if ring is None else [ring])
+        monkeypatch.setattr(simulate, "_advance", advance)
+        stages = [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
+        assert sorted(calls) == [(k, lo, m) for k in (1, 2) for lo, m in stages]
         TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
+
+    @pytest.mark.parametrize("n", [simulate.PREFETCH_MIN_ELEMENTS, N],
+                             ids=["one_stage", "several_stages"])
+    def test_caller_errstate_holds_on_helper(self, n, monkeypatch):
+        # under the caller's np.errstate(over="raise"), step 1 overflows in
+        # the gradient (v^2 q = 1e308 * 2), as it does in the step loop.
+        # The helper is made to claim step 1, so it is the helper that
+        # raises FloatingPointError
+        pot, spec = quadratic_diagonal([1e154]), constant_scalar(2.0)
+        cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=5)
+        e = ensemble_at_point([2.0], [0.0], n, 5, 0.01)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                step(e, pot, spec, cfg)
+
+        caller, applied, drawn = [], [], threading.Event()
+        stream, advance = simulate._stream, simulate._advance
+
+        class HelperFirst(threading.Thread):
+            # start returns once the helper has claimed and drawn a step,
+            # so the caller's first claim is the second step
+            def start(self):
+                super().start()
+                assert drawn.wait(60)
+
+        def stream_spy(*args):
+            if threading.current_thread() is not caller[0]:
+                drawn.set()
+            return stream(*args)
+
+        def advance_spy(*args):
+            applied.append((args[5], threading.current_thread()))
+            advance(*args)
+
+        monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(
+            **{**vars(threading), "Thread": HelperFirst}))
+        monkeypatch.setattr(simulate, "_stream", stream_spy)
+        monkeypatch.setattr(simulate, "_advance", advance_spy)
+
+        def target(thread):
+            caller.append(thread)
+            with np.errstate(over="raise"):
+                return run(e, pot, spec, cfg)
+
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            with pytest.raises(FloatingPointError):
+                _bounded(target)
+        assert [(k, type(t)) for k, t in applied] == [(1, HelperFirst)]
 
     @pytest.mark.parametrize("late", ["last_stage_of_k", "first_stage_of_k1"])
     def test_blowup_order_across_threads(self, late, monkeypatch):
@@ -1280,8 +1236,7 @@ class TestStagedRun:
 
     def test_peak_memory_below_eight_rows(self):
         # the state is three (N, d) rows, a record's centered copies two
-        # more, and each thread's buffers a few stages: under 8 rows in
-        # all, where the ring's workspace alone was nine
+        # more, and each thread's buffers a few stages: under 8 rows in all
         n = 4 * simulate.PREFETCH_BATCH_ELEMENTS
         pot, spec = self.FORMS["quadratic_scalar"]()
         cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=1)
@@ -1435,6 +1390,7 @@ class TestBlockedUpdate:
         assert _bits(blocked.positions, blocked.momenta) == _bits(
             whole.positions, whole.momenta)
 
+    # "ring" is the id of the threaded (staged) path
     @pytest.mark.parametrize("inline", [False, True], ids=["ring", "inline"])
     @pytest.mark.parametrize("kind", FORMS)
     def test_run_bitwise_one_block(self, kind, inline, monkeypatch):
@@ -1479,6 +1435,7 @@ class TestBlockedUpdate:
         TestNoisePrefetch._run(init, pot, spec, cfg)
         assert rows == [self.N] * 2 * cfg.n_steps
 
+    # "ring" is the id of the threaded (staged) path
     @pytest.mark.parametrize("inline", [False, True], ids=["ring", "inline"])
     @pytest.mark.parametrize("kind", FORMS)
     def test_run_writes_first_block_of_term_only(self, kind, inline,
@@ -1536,6 +1493,7 @@ class TestBlowupForensics:
         assert "at step 8" in str(exc)
         assert f"{block}[{particle}, {coordinate}]" in str(exc)
 
+    # "ring" is the id of the threaded (staged) path
     @pytest.mark.parametrize("mode", ["step", "ring", "inline"])
     @pytest.mark.parametrize("block", ["positions", "momenta"])
     def test_bad_entry_in_last_one_row_block(self, block, mode, monkeypatch):

@@ -34,18 +34,29 @@ def test_no_matrix_inverse():
     assert hits == []
 
 
-def test_one_philox_construction():
-    # the (seed, step, domain) key rule has one home: every keyed stream is
-    # built by simulate._stream, which checks both 64-bit words
+def _calls(text):
+    """(file name, enclosing top-level def or class) of every line in src/
+    holding text."""
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 1
     hits = []
     for path in paths:
         current = None
-        for number, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), 1):
+        for line in path.read_text(encoding="utf-8").splitlines():
             if line.startswith("def ") or line.startswith("class "):
                 current = line.split("(")[0].split()[1]
-            if "np.random.Philox(" in line:
+            if text in line:
                 hits.append((path.name, current))
-    assert hits == [("simulate.py", "_stream")]
+    return hits
+
+
+def test_one_philox_construction():
+    # the (seed, step, domain) key rule has one home: every keyed stream is
+    # built by simulate._stream, which checks both 64-bit words
+    assert _calls("np.random.Philox(") == [("simulate.py", "_stream")]
+
+
+def test_one_helper_thread():
+    # one threaded design: run's staged steps start the package's only
+    # thread, which runs in a copy of the caller's context
+    assert _calls("threading.Thread(") == [("simulate.py", "_staged")]

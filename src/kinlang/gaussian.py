@@ -69,10 +69,12 @@ class GaussianMoments:
             raise ValueError(
                 f"mean has size {mean.size} but cov is {cov.shape}"
             )
-        # the slack rule: smallest eigenvalue >= -1e-10 * max(1, |largest|),
-        # which admits the singular covariances of point laws
+        # the slack rule, relative so that it reads no units: smallest
+        # eigenvalue >= -1e-10 * |largest|.  A singular covariance is legal;
+        # the zero covariance of a point law, all of whose eigenvalues are
+        # 0, meets the rule with equality
         w, v = np.linalg.eigh(cov)
-        if w.size and not w[0] >= -1e-10 * max(1.0, abs(w[-1])):
+        if w.size and not w[0] >= -1e-10 * abs(w[-1]):
             raise NotPositiveDefinite(
                 f"covariance has eigenvalue {w[0]:.6e} < 0 beyond tolerance")
         object.__setattr__(self, "mean", mean)

@@ -162,35 +162,39 @@ class Ensemble:
     def summary(self):
         """Empirical mean (2d,) and covariance (2d, 2d), q-block first.
 
-        Built from the position and momentum blocks without joining them:
-        the qq, qp and pp blocks are centered Gram sums taken by np.einsum,
-        which calls no BLAS, so the bits do not depend on the BLAS thread
-        count.  A single particle carries no covariance information; the
-        covariance is NaN in that case rather than raising.
+        Each mean is one np.add.reduce over its column, divided by N.  The
+        qq, qp and pp blocks of the covariance are centered Gram sums taken
+        in row blocks of max(1, PREFETCH_BATCH_ELEMENTS // d) rows: a
+        block's positions and momenta are centered into two C-ordered
+        (d, rows) scratch arrays, 2 MiB in all, whose Gram sums np.einsum
+        takes, and the block sums are added in block order.  So no
+        temporary grows with N, and at N * d <= PREFETCH_BATCH_ELEMENTS,
+        one block, the bits are those of one centered (d, N) copy of each.
+        np.einsum calls no BLAS, so the bits do not depend on the BLAS
+        thread count.  A single particle carries no covariance information;
+        the covariance is NaN in that case rather than raising.
         """
         n, d = self.positions.shape
-        qc, q_bar = _centered_rows(self.positions)
-        pc, p_bar = _centered_rows(self.momenta)
-        mean = np.concatenate([q_bar, p_bar])
+        blocks = (self.positions, self.momenta)
+        mean = np.array([np.add.reduce(x[:, j]) for x in blocks
+                         for j in range(d)]) / n
         if n < 2:
             return mean, np.full((2 * d, 2 * d), np.nan)
-        cov = np.empty((2 * d, 2 * d))
-        cov[:d, :d] = np.einsum("in,jn->ij", qc, qc)
-        cov[:d, d:] = np.einsum("in,jn->ij", qc, pc)
+        rows = min(n, max(1, PREFETCH_BATCH_ELEMENTS // d))
+        qc, pc = np.empty((d, rows)), np.empty((d, rows))
+        cov = np.zeros((2 * d, 2 * d))
+        for start in range(0, n, rows):
+            b = slice(start, start + rows)
+            m = len(self.positions[b])
+            bq, bp = qc[:, :m], pc[:, :m]
+            np.subtract(self.positions[b].T, mean[:d, None], out=bq)
+            np.subtract(self.momenta[b].T, mean[d:, None], out=bp)
+            cov[:d, :d] += np.einsum("in,jn->ij", bq, bq)
+            cov[:d, d:] += np.einsum("in,jn->ij", bq, bp)
+            cov[d:, d:] += np.einsum("in,jn->ij", bp, bp)
         cov[d:, :d] = cov[:d, d:].T
-        cov[d:, d:] = np.einsum("in,jn->ij", pc, pc)
         cov /= n - 1
         return mean, cov
-
-
-def _centered_rows(x):
-    """The (N, d) array x as a new C-ordered (d, N) array of centered rows,
-    and its column means.  Row-contiguous data keeps the mean and the Gram
-    sums on unit-stride loops."""
-    rows = np.array(x.T, order="C")
-    mean = rows.mean(axis=1)
-    rows -= mean[:, None]
-    return rows, mean
 
 
 @dataclass(frozen=True)
@@ -276,21 +280,25 @@ def _apply(m, x, out):
 
 
 def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
-             friction_out, offset: int = 0):
+             friction_out, offset: int, grad_out):
     """The EM update, its force from FrictionSpec.resolve, written to out =
     (new_q, new_p), (N, d) arrays.  Every buffer is the caller's: new_q may
-    be q itself, and new_p must be neither q nor mom; term, the update's
-    scratch, holds at least one row block, apart from the other operands,
-    and its first rows are reused by every block; friction_out is the
-    force's (2, N, d) buffer.  q, mom and xi are only read.  The N rows may
-    be rows offset, offset + 1, ... of a larger ensemble, which a
-    NumericalBlowup then names.  With the shipped potentials a step
-    allocates at most one (N, d) temporary, and none on the diagonal field.
-    Each value is the operation the module docstring writes, in its order,
+    be q itself and new_p may be mom itself, so a step may run in place;
+    grad_out, an (N, d) buffer apart from q, mom, xi and new_q, receives the
+    gradient and then p - grad V(q) dt - (Gamma(q) p) dt, and may be new_p
+    when new_p is not mom; term, the update's scratch, holds at least one
+    row block, apart from the other operands, and its first rows are reused
+    by every block; friction_out is the force's (2, N, d) buffer.  xi is
+    only read.  The N rows may be rows offset, offset + 1, ... of a larger
+    ensemble, which a NumericalBlowup then names.  With the shipped
+    potentials a step allocates at most one (N, d) temporary, and none on
+    the diagonal field.  Each value is the operation the module docstring
+    writes, in its order,
 
         p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
 
-    so the bits do not depend on which arrays hold them.
+    so the bits do not depend on which arrays hold them.  Within a block, p
+    is read (for Gamma(q) p and q+) before p+ is written.
 
     The force is evaluated over all N rows at once.  When Gamma and the
     diffusion are diagonal entries and N * d > BLOCK_ELEMENTS, the update
@@ -300,24 +308,24 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
     Raises NumericalBlowup naming step_index and the first untrusted
     entry."""
     new_q, new_p = out
-    grad, g, sig = force(q, new_p, friction_out)
+    grad, g, sig = force(q, grad_out, friction_out)
     n, d = q.shape
     rows = n
     if q.size > BLOCK_ELEMENTS and g.ndim < 3 and sig.ndim < 3:
         rows = max(1, BLOCK_ELEMENTS // d)
     for start in range(0, n, rows):
         b = slice(start, start + rows)
-        bq, bp, bmom = new_q[b], new_p[b], mom[b]
+        bq, bp, bmom, bg = new_q[b], new_p[b], mom[b], grad_out[b]
         t = term[:len(bmom)]
-        np.multiply(grad[b], dt, out=bp)
-        np.subtract(bmom, bp, out=bp)
+        np.multiply(grad[b], dt, out=bg)
+        np.subtract(bmom, bg, out=bg)
         np.multiply(_apply(g[b] if g.ndim == 2 else g, bmom, t), dt, out=t)
-        np.subtract(bp, t, out=bp)
-        np.multiply(_apply(sig[b] if sig.ndim == 2 else sig, xi[b], t),
-                    np.sqrt(dt), out=t)
-        np.add(bp, t, out=bp)
+        np.subtract(bg, t, out=bg)
         np.multiply(bmom, dt, out=t)
         np.add(q[b], t, out=bq)
+        np.multiply(_apply(sig[b] if sig.ndim == 2 else sig, xi[b], t),
+                    np.sqrt(dt), out=t)
+        np.add(bg, t, out=bp)
         _check_finite(bq, bp, step_index, offset + start)
 
 
@@ -338,10 +346,10 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     since a row or a column would broadcast silently.  None draws from the
     keyed stream for step index `ensemble.steps_taken`.  The ensemble's dt
     and seed must match cfg's; the particle count comes from the ensemble.
-    The update is run's kernel with the same buffers, allocated per call:
-    one new (2, N, d) array whose rows are the new positions and momenta,
-    and a (3, N, d) scratch for the term and the force's pair, so neither
-    the ensemble nor xi changes.
+    The update is run's kernel, allocated per call: one new (2, N, d) array
+    whose rows are the new positions and momenta, the second of which also
+    takes the gradient, and a (3, N, d) scratch for the term and the
+    force's pair, so neither the ensemble nor xi changes.
     """
     _check_matches(ensemble, cfg)
     shape = ensemble.positions.shape
@@ -359,7 +367,7 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     # the system and faulted in again (CHANGES.md)
     out = np.empty((2,) + shape)
     _advance(ensemble.positions, ensemble.momenta, xi, spec.resolve(p),
-             cfg.dt, step_index, out, scratch[0], scratch[1:])
+             cfg.dt, step_index, out, scratch[0], scratch[1:], 0, out[1])
     return replace(ensemble, positions=out[0], momenta=out[1],
                    time=ensemble.time + cfg.dt, steps_taken=step_index)
 
@@ -387,25 +395,25 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
         )
 
 
-def _staged(q, moms, force, dt: float, seed: int, start: int, n: int,
+def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
             rows: int, recorded, record):
-    """Apply n EM steps to the state (q, moms[0]) in place, a stage of
-    `rows` rows at a time, on the calling thread and one helper thread.
+    """Apply n EM steps to the state (q, mom) in place, a stage of `rows`
+    rows at a time, on the calling thread and one helper thread.
 
-    moms is the pair of momentum rows, which trade places every step.  Both
-    threads claim whole steps in increasing order from one counter.  The
-    thread holding step k (counted from the run's first) walks the rows in
-    stages: it draws a stage's noise from step k's stream into its own
+    Both threads claim whole steps in increasing order from one counter.
+    The thread holding step k (counted from the run's first) walks the rows
+    in stages: it draws a stage's noise from step k's stream into its own
     stage-sized buffer, waits until step k - 1 has applied those rows, and
-    applies them with _advance.  So while one thread applies a step, the
-    other draws the next.  When step k ends a recorded step (k + 1 in
-    recorded), record(k + 1, new momenta) runs once its last stage is
-    applied, and step k + 1 may apply no row before it returns.  The caller
-    passes rows < N only when every operation of the step is elementwise,
-    so the bits are the whole step's.  An exception stops its step and
-    every later one; the earlier steps are still applied, and the earliest
-    step's exception is raised once the helper is joined, so a
-    NumericalBlowup names the step loop's step and row.
+    applies them in place with _advance, the gradient in a stage-sized row
+    of its own.  So while one thread applies a step, the other draws the
+    next.  When step k ends a recorded step (k + 1 in recorded),
+    record(k + 1) runs once its last stage is applied, and step k + 1 may
+    apply no row before it returns.  The caller passes rows < N only when
+    every operation of the step is elementwise, so the bits are the whole
+    step's.  An exception stops its step and every later one; the earlier
+    steps are still applied, and the earliest step's exception is raised
+    once the helper is joined, so a NumericalBlowup names the step loop's
+    step and row.
     """
     stages = range(0, len(q), rows)
     last = len(stages) - 1
@@ -421,8 +429,8 @@ def _staged(q, moms, force, dt: float, seed: int, start: int, n: int,
 
     def work():
         nonlocal claimed
-        buf = np.empty((4, rows) + q.shape[1:])
-        noise, term, friction_out = buf[0], buf[1], buf[2:]
+        buf = np.empty((5, rows) + q.shape[1:])
+        noise, term, grad, friction_out = buf[0], buf[1], buf[2], buf[3:]
         k = -1
         try:
             while True:
@@ -432,7 +440,6 @@ def _staged(q, moms, force, dt: float, seed: int, start: int, n: int,
                     k = claimed
                     claimed += 1
                 stream = _stream(seed, start + k)
-                mom, new_mom = moms[k % 2], moms[1 - k % 2]
                 for j, lo in enumerate(stages):
                     b = slice(lo, lo + rows)
                     xi = stream.standard_normal(out=noise[:len(q[b])])
@@ -441,12 +448,13 @@ def _staged(q, moms, force, dt: float, seed: int, start: int, n: int,
                             if stopped(k):
                                 return
                             cond.wait()
+                    m = len(xi)
                     _advance(q[b], mom[b], xi, force, dt, start + k + 1,
-                             (q[b], new_mom[b]), term,
-                             friction_out[:, :len(xi)], lo)
+                             (q[b], mom[b]), term, friction_out[:, :m], lo,
+                             grad[:m])
                     held = k + 1 in recorded
                     if held and j == last:
-                        record(k + 1, new_mom)
+                        record(k + 1)
                     if j == last or not held:
                         with cond:
                             released[k + 1] = j + 1
@@ -478,31 +486,37 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
-    The state, and every buffer of ``_advance`` (the kernel step runs too)
-    that the steps take, is allocated once per call and released at the
-    end; init is never written.  Reused buffers spare the page faults of
-    fresh (N, d) arrays per step.  On the diagonal friction field the
-    gradient and the Hessian diagonal come from one evaluation of the
-    potential (FrictionSpec.resolve), written into the caller's buffers.
+    The state, q and p, and every buffer of ``_advance`` (the kernel step
+    runs too) that the steps take, is allocated once per call and released
+    at the end; init is never written.  Each step updates q and p in place,
+    and reused buffers spare the page faults of fresh (N, d) arrays per
+    step.  On the diagonal friction field the gradient and the Hessian
+    diagonal come from one evaluation of the potential
+    (FrictionSpec.resolve), written into the caller's buffers.
     The steps run in one of two ways, by the number of coordinates N * d:
 
     * below PREFETCH_MIN_ELEMENTS, or for no step at all, inline: each step
-      is drawn into one row of a workspace holding the state, a term, the
-      friction field's pair and the noise, and then applied.  On the
-      diagonal forms, where _advance updates the ensemble in row blocks,
-      only the first block of the term row is used; the rest of its pages
-      are never touched;
+      is drawn into one row of a workspace holding the state, the
+      gradient, a term, the friction field's pair and the noise, and then
+      applied.  On the diagonal forms, where _advance updates the ensemble
+      in row blocks, only the first block of the term row is used; the
+      rest of its pages are never touched;
     * from PREFETCH_MIN_ELEMENTS on, staged (_staged): the calling thread
       and one helper each hold a step, and draw and apply it one stage at
-      a time, each in its own stage-sized noise, term and friction
-      buffers, while the state is q and two momentum rows.  When every
+      a time, each in its own stage-sized noise, gradient, term and
+      friction buffers, while the state is two (N, d) rows.  When every
       operation of a step is elementwise (Gamma and the diffusion are
       diagonal entries and the potential sets hess_diag), a stage is
       PREFETCH_BATCH_ELEMENTS coordinates, so noise takes 2 MiB at any N.
       Otherwise (a matrix Gamma or diffusion, or a gradient that may be a
       matmul, as quadratic_general's is) a stage is all N rows, because a
       2-D matmul's bits can depend on its row count: the state and both
-      threads' buffers are then 11 (N, d) rows.
+      threads' buffers are then 12 (N, d) rows, of which the two friction
+      pairs, which these forms leave unused, are never touched.
+
+    A record's summary (Ensemble.summary) reads the state in blocks of
+    PREFETCH_BATCH_ELEMENTS coordinates, so no buffer of a staged run but
+    the state grows with N.
 
     Each step is drawn from its own keyed stream, _stream(seed, step), which
     depends on (seed, step) alone, so the noise, and the records, are the
@@ -523,10 +537,10 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     force = spec.resolve(p)
     shape = init.positions.shape
     inline = init.positions.size < PREFETCH_MIN_ELEMENTS or n == 0
-    # rows: q, two momenta that trade places every step, then, inline, a
-    # term, the friction field's pair and one step of noise
-    work = np.empty((7 if inline else 3,) + shape)
-    q, mom, new_mom = work[:3]
+    # rows: q and p, then, inline, the gradient, a term, the friction
+    # field's pair and one step of noise
+    work = np.empty((7 if inline else 2,) + shape)
+    q, mom = work[:2]
     q[...] = init.positions
     mom[...] = init.momenta
     # the time after each recorded step k, summed as the step loop sums it
@@ -536,28 +550,27 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         if k % record_every == 0 or k == n:
             times[k] = time
 
-    def record(time, momenta):
-        mean, cov = replace(init, positions=q, momenta=momenta,
+    def record(time):
+        mean, cov = replace(init, positions=q, momenta=mom,
                             time=time).summary()
         return TrajectoryPoint(time=time, mean=mean, cov=cov)
 
-    out = [record(init.time, mom)]
+    out = [record(init.time)]
     if not inline:
         rows = len(q)
         if p.hess_diag is not None and spec.diagonal(p):
             rows = min(rows, max(1, PREFETCH_BATCH_ELEMENTS // shape[1]))
-        _staged(q, (mom, new_mom), force, cfg.dt, init.seed, start, n, rows,
-                times, lambda k, momenta: out.append(record(times[k], momenta)))
+        _staged(q, mom, force, cfg.dt, init.seed, start, n, rows, times,
+                lambda k: out.append(record(times[k])))
         return out
 
-    term, friction_out, noise = work[3], work[4:6], work[6]
+    grad, term, friction_out, noise = work[2], work[3], work[4:6], work[6]
     for k in range(1, n + 1):
         xi = philox_normals(init.seed, start + k - 1, shape, out=noise)
-        _advance(q, mom, xi, force, cfg.dt, start + k, (q, new_mom), term,
-                 friction_out)
-        mom, new_mom = new_mom, mom
+        _advance(q, mom, xi, force, cfg.dt, start + k, (q, mom), term,
+                 friction_out, 0, grad)
         if k in times:
-            out.append(record(times[k], mom))
+            out.append(record(times[k]))
     return out
 
 

@@ -82,6 +82,22 @@ class TestGaussianMoments:
         with pytest.raises(NotPositiveDefinite):
             dataclasses.replace(base, cov=np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_slack_is_relative_to_the_largest_eigenvalue(self, scale):
+        # the rule reads no units: a law and the same law in other units
+        # are judged alike, however small its largest eigenvalue
+        with pytest.raises(NotPositiveDefinite):
+            GaussianMoments(np.zeros(2), scale * np.diag([1.0, -1e-9]))
+        law = GaussianMoments(np.zeros(2), scale * np.diag([1.0, -1e-11]))
+        assert law.eig[0][0] == -1e-11 * scale
+
+    def test_zero_covariance_of_a_point_law_is_legal(self):
+        # every eigenvalue is 0, so the slack rule holds with equality
+        law = GaussianMoments(np.array([1.0, 2.0, 0.0, 0.0]), np.zeros((4, 4)))
+        assert np.array_equal(law.eig[0], np.zeros(4))
+        with pytest.raises(NotPositiveDefinite):
+            GaussianMoments(np.zeros(2), np.diag([-1e-300, 0.0]))
+
 
 class TestKineticDynamics:
     def test_block_structure(self):

@@ -52,3 +52,17 @@ def test_rotated_potential_takes_one_run_step(perfbench):
     points = run(ensemble_at_point([0.5, -0.5], [0.0, 0.0], 8, 0, cfg.dt),
                  p, hessian_sqrt(2.0), cfg)
     assert len(points) == 2 and np.all(np.isfinite(points[-1].mean))
+
+
+@pytest.mark.parametrize("name", ["em_large_n", "em_general_friction",
+                                  "cli_session"])
+def test_workload_pass_at_tiny_size_is_ok(perfbench, name, tmp_path):
+    # one in-process pass per workload: an op that is not ok is the
+    # benchmark's failed-run or wrong-output verdict
+    import kinlang.cli
+
+    workloads = perfbench("workloads")
+    wl = workloads.WORKLOADS[name](kinlang, workloads.SIZES["tiny"][name])
+    result = wl.run_pass(wl.setup(5, str(tmp_path)))
+    assert result.ops
+    assert [(op.name, op.note) for op in result.ops if not op.ok] == []

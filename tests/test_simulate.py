@@ -746,6 +746,70 @@ class TestSummary:
         assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(cov, cov.T)
 
+    @staticmethod
+    def _one_copy_summary(q, p):
+        """The summary from one centered C-ordered (d, N) copy of each
+        block, written out as the reference for the blocked summary."""
+        def centered_rows(x):
+            rows = np.array(x.T, order="C")
+            mean = rows.mean(axis=1)
+            rows -= mean[:, None]
+            return rows, mean
+
+        n, d = q.shape
+        qc, q_bar = centered_rows(q)
+        pc, p_bar = centered_rows(p)
+        cov = np.empty((2 * d, 2 * d))
+        cov[:d, :d] = np.einsum("in,jn->ij", qc, qc)
+        cov[:d, d:] = np.einsum("in,jn->ij", qc, pc)
+        cov[d:, :d] = cov[:d, d:].T
+        cov[d:, d:] = np.einsum("in,jn->ij", pc, pc)
+        cov /= n - 1
+        return np.concatenate([q_bar, p_bar]), cov
+
+    @staticmethod
+    def _ensemble(n, d, seed):
+        # q and p are strided column views of one (N, 2d) array, as
+        # ensemble_from_moments gives them
+        rng = np.random.default_rng(seed)
+        mix = rng.standard_normal((2 * d, 2 * d))
+        x = rng.standard_normal((n, 2 * d)) @ mix + 1e3
+        return x, Ensemble(positions=x[:, :d], momenta=x[:, d:], time=0.0,
+                           seed=0, steps_taken=0, dt=0.1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_means_bitwise_one_copy(self, d):
+        # up to 3 blocks and a tail: a mean is one sum per column
+        n = 3 * (simulate.PREFETCH_BATCH_ELEMENTS // d) + 5
+        _, e = self._ensemble(n, d, d)
+        ref, _ = self._one_copy_summary(e.positions, e.momenta)
+        assert _bits(e.summary()[0]) == _bits(ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 1000, None],
+                             ids=["two", "1000", "one_block"])
+    def test_one_block_bitwise_one_copy(self, d, n):
+        n = n or simulate.PREFETCH_BATCH_ELEMENTS // d
+        assert n * d <= simulate.PREFETCH_BATCH_ELEMENTS
+        _, e = self._ensemble(n, d, 10 + d)
+        assert _bits(*e.summary()) == _bits(
+            *self._one_copy_summary(e.positions, e.momenta))
+
+    def test_blocks_with_one_row_tail_match_fsum_and_np_cov(self):
+        d = 2
+        rows = simulate.PREFETCH_BATCH_ELEMENTS // d
+        n = 2 * rows + 1
+        x, e = self._ensemble(n, d, 21)
+        mean, cov = e.summary()
+        assert np.array_equal(cov, cov.T)
+        exact_mean = [math.fsum(col) / n for col in x.T]
+        centered = [x[:, i] - exact_mean[i] for i in range(2 * d)]
+        ref = np.array([[math.fsum(centered[i] * centered[j]) / (n - 1)
+                         for j in range(2 * d)] for i in range(2 * d)])
+        scale = np.abs(ref).max()
+        assert np.abs(cov - ref).max() <= 1e-13 * scale
+        assert np.abs(cov - np.cov(x, rowvar=False)).max() <= 1e-13 * scale
+
     def test_bits_independent_of_blas_threads(self):
         # the summary calls no BLAS, so its bytes cannot depend on how many
         # threads a BLAS matmul would split its sums over
@@ -1234,10 +1298,12 @@ class TestStagedRun:
             ref.step_index, ref.particle, ref.coordinate, ref.block)
         assert str(got) == str(ref)
 
-    def test_peak_memory_below_eight_rows(self):
-        # the state is three (N, d) rows, a record's centered copies two
-        # more, and each thread's buffers a few stages: under 8 rows in all
-        n = 4 * simulate.PREFETCH_BATCH_ELEMENTS
+    def test_peak_memory_below_state_and_16_mib(self):
+        # the state is two (N, d) rows; each thread's buffers are five
+        # stages and a record's centered blocks two, so nothing else grows
+        # with N.  The bound, 4 rows, has no room for a third state row and
+        # a centered copy of the state
+        n = 8 * simulate.PREFETCH_BATCH_ELEMENTS    # N * d = 2^20, 8 MiB a row
         pot, spec = self.FORMS["quadratic_scalar"]()
         cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=1)
         init = ensemble_from_moments(
@@ -1253,7 +1319,7 @@ class TestStagedRun:
 
         pts, peak = _bounded(traced)
         assert len(pts) == cfg.n_steps + 1
-        assert peak < 8 * init.positions.nbytes
+        assert peak < 2 * init.positions.nbytes + (16 << 20)
 
 
 class TestRunBuffers:
@@ -1318,7 +1384,65 @@ class TestRunBuffers:
 
 class TestAdvanceBuffers:
     """_advance writes into the buffers its caller passes: one call, with
-    every buffer given, allocates less than one (N, d) row."""
+    every buffer given, allocates less than one (N, d) row, and a call in
+    place, out = (q, mom) with the gradient in a row of its own, gives the
+    bits of a call into new rows whose momentum row takes the gradient."""
+
+    #: the four resolved forms of Gamma, by the shape resolve gives it
+    FORMS = {
+        "constant_diagonal": lambda: (quadratic_diagonal([1.0, 2.0]),
+                                      constant_scalar(1.5)),
+        "diagonal_field": lambda: (perturbed_diagonal([1.0, 2.0], 0.1),
+                                   hessian_sqrt(2.0)),
+        "constant_matrix": lambda: (quadratic_diagonal([1.0, 2.0]),
+                                    constant_matrix([[2.0, 0.3], [0.3, 1.0]])),
+        "general_field": lambda: (_rotated_log_cosh([1.0, 2.0], 0.1, 0.6),
+                                  hessian_sqrt(2.0)),
+    }
+    #: d = 2: three row blocks and a one-row tail on the diagonal forms
+    N = 3 * (simulate.BLOCK_ELEMENTS // 2) + 1
+
+    @staticmethod
+    def _advance(kind, q, mom, xi, in_place, offset=0):
+        """The new (q, p) of one _advance call on copies of q and mom."""
+        pot, spec = TestAdvanceBuffers.FORMS[kind]()
+        q, mom = q.copy(), mom.copy()
+        scratch = np.empty((4,) + q.shape)
+        if in_place:
+            out, grad = (q, mom), scratch[3]
+        else:
+            out = np.empty((2,) + q.shape)
+            grad = out[1]
+        simulate._advance(q, mom, xi, spec.resolve(pot), 0.01, 1, out,
+                          scratch[0], scratch[1:3], offset, grad)
+        return out
+
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_in_place_bitwise_into_new_rows(self, kind):
+        q, mom, xi = np.random.default_rng(13).standard_normal((3, self.N, 2))
+        pot, spec = self.FORMS[kind]()
+        _, g, _ = spec.resolve(pot)(q, np.empty_like(q),
+                                    np.empty((2,) + q.shape))
+        assert g.shape == {"constant_diagonal": (2,),
+                           "diagonal_field": (self.N, 2),
+                           "constant_matrix": (1, 2, 2),
+                           "general_field": (self.N, 2, 2)}[kind]
+        assert _bits(*self._advance(kind, q, mom, xi, True)) == _bits(
+            *self._advance(kind, q, mom, xi, False))
+
+    @pytest.mark.parametrize("in_place", [True, False],
+                             ids=["in_place", "new_rows"])
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_blowup_names_the_particle(self, kind, in_place):
+        # the last row's second momentum stays out of range after a step;
+        # the rows are rows 100, 101, ... of a larger ensemble
+        q, mom, xi = np.random.default_rng(14).standard_normal((3, self.N, 2))
+        mom[-1, 1] = 2e13
+        with pytest.raises(NumericalBlowup) as excinfo:
+            self._advance(kind, q, mom, xi, in_place, offset=100)
+        got = excinfo.value
+        assert (got.step_index, got.particle, got.coordinate, got.block) == (
+            1, 100 + self.N - 1, 1, "momenta")
 
     @pytest.mark.parametrize("kind", ["diagonal_field", "constant_scalar"])
     def test_one_call_allocates_less_than_a_row(self, kind):
@@ -1334,7 +1458,7 @@ class TestAdvanceBuffers:
         tracemalloc.start()
         try:
             simulate._advance(q, mom, xi, force, 0.01, 1, out, scratch[0],
-                              scratch[1:])
+                              scratch[1:], 0, out[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

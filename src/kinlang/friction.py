@@ -91,7 +91,12 @@ class FrictionSpec:
         array, receives the diagonal field's Gamma and diffusion, and the
         other forms ignore it.  The diagonal field, taken when p sets both
         hess_diag and grad_hess_diag, allocates nothing; a potential with
-        hess_diag alone takes the general field."""
+        hess_diag alone takes the general field.  A friction matrix whose
+        size is not p.dim is rejected, as it would broadcast silently."""
+        if self.kind == "constant_matrix" and len(self.matrix) != p.dim:
+            raise ValueError(f"friction matrix is {len(self.matrix)}x"
+                             f"{len(self.matrix)}, but the potential has "
+                             f"dim {p.dim}")
         gradient = _gradient(p)
         diagonal = self.diagonal(p)
         if self.kind != "hessian_sqrt" or p.constant_hessian:

@@ -57,7 +57,8 @@ __all__ = [
     "gaussian_quadratic_expectation",
 ]
 
-#: relative symmetry slack: |M_ij - M_ji| <= SYM_TOL * max(1, ||M||_F)
+#: relative symmetry slack: |M_ij - M_ji| <= SYM_TOL * ||M||_F, a rule no
+#: common scaling of M changes
 SYM_TOL = 1e-12
 
 
@@ -81,7 +82,7 @@ def check_symmetric(m, name="matrix"):
     -------
     ndarray
         ``(m + m.T)/2`` as float64, after checking the asymmetry is within
-        ``SYM_TOL * max(1, ||m||_F)``.
+        ``SYM_TOL * ||m||_F``.
 
     Raises
     ------
@@ -115,16 +116,20 @@ def _symmetrize(m, name):
         raise NotSymmetric(f"{name} must be square, got shape {m.shape}")
     _check_finite(m, name)
     mt = m.swapaxes(-1, -2)
-    # every threshold is at least SYM_TOL, so a smaller asymmetry clears all
-    if m.size and np.abs(m - mt).max() > SYM_TOL:
-        skew = np.abs(m - mt).max(axis=(-2, -1))
-        bad = skew > SYM_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    skew = np.abs(m - mt)
+    # ||M||_F >= |M_00|, so an asymmetry within SYM_TOL * |M_00| of every
+    # matrix of the stack clears them all
+    if m.size and skew.max() > SYM_TOL * np.abs(m[..., 0, 0]).min():
+        skew = skew.max(axis=(-2, -1))
+        # ||M||_F as a hypot reduction, which does not overflow where the
+        # sum of squares would (entries from 1e154 on)
+        bad = skew > SYM_TOL * np.hypot.reduce(
+            m.reshape(m.shape[:-2] + (-1,)), axis=-1)
         if np.count_nonzero(bad):
             label, i = _first_bad(name, bad)
             raise NotSymmetric(
-                f"{label} is not symmetric: max |M_ij - M_ji| = {skew[i]:.3e} "
-                f"exceeds {SYM_TOL:.1e} * max(1, ||M||_F)"
-            )
+                f"{label} is not symmetric: max |M_ij - M_ji| = "
+                f"{skew[i]:.3e} exceeds {SYM_TOL:.1e} * ||M||_F")
     return 0.5 * (m + mt)
 
 

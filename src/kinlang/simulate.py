@@ -50,10 +50,10 @@ __all__ = [
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
 
-#: N * d from which run stages its steps on a helper thread.  Below it
-#: each step is drawn inline: the draw is small next to a step's Python
-#: overhead, and the thread cost more than it saved on a 2-core host (size
-#: sweep in CHANGES.md)
+#: N * d from which _staged starts its helper thread.  Below it the
+#: calling thread takes every step alone: the draw is small next to a
+#: step's Python overhead, and the thread cost more than it saved on a
+#: 2-core host (size sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
 #: coordinates (1 MiB of float64) in one stage of a staged step whose
@@ -143,6 +143,8 @@ class Ensemble:
             )
         if q.shape[0] < 1:
             raise ValueError("ensemble needs at least one particle")
+        if q.shape[1] < 1:
+            raise ValueError("ensemble needs at least one coordinate, d >= 1")
         _check_dt(self.dt)
         if not (isinstance(self.time, numbers.Real)
                 and math.isfinite(self.time)):
@@ -329,8 +331,14 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
         _check_finite(bq, bp, step_index, offset + start)
 
 
-def _check_matches(ensemble: Ensemble, cfg: SimConfig, fields=("dt", "seed")):
-    """Reject an ensemble whose copy of a config field disagrees with cfg."""
+def _check_matches(ensemble: Ensemble, cfg: SimConfig, p: Potential,
+                   fields=("dt", "seed")):
+    """Reject an ensemble whose copy of a config field disagrees with cfg,
+    or whose dimension d is not the potential's: a (d,) parameter would
+    broadcast silently against the other."""
+    if ensemble.dim != p.dim:
+        raise ValueError(f"dim: the ensemble has {ensemble.dim}, "
+                         f"the potential {p.dim}")
     for name in fields:
         mine, theirs = getattr(ensemble, name), getattr(cfg, name)
         if mine != theirs:
@@ -351,7 +359,7 @@ def step(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     takes the gradient, and a (3, N, d) scratch for the term and the
     force's pair, so neither the ensemble nor xi changes.
     """
-    _check_matches(ensemble, cfg)
+    _check_matches(ensemble, cfg, p)
     shape = ensemble.positions.shape
     if xi is None:
         xi = philox_normals(ensemble.seed, ensemble.steps_taken, shape)
@@ -398,22 +406,23 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
             rows: int, recorded, record):
     """Apply n EM steps to the state (q, mom) in place, a stage of `rows`
-    rows at a time, on the calling thread and one helper thread.
+    rows at a time, on the calling thread and, from PREFETCH_MIN_ELEMENTS
+    coordinates on and when n > 0, one helper thread.
 
-    Both threads claim whole steps in increasing order from one counter.
+    The threads claim whole steps in increasing order from one counter.
     The thread holding step k (counted from the run's first) walks the rows
     in stages: it draws a stage's noise from step k's stream into its own
     stage-sized buffer, waits until step k - 1 has applied those rows, and
     applies them in place with _advance, the gradient in a stage-sized row
     of its own.  So while one thread applies a step, the other draws the
-    next.  When step k ends a recorded step (k + 1 in recorded),
-    record(k + 1) runs once its last stage is applied, and step k + 1 may
-    apply no row before it returns.  The caller passes rows < N only when
-    every operation of the step is elementwise, so the bits are the whole
-    step's.  An exception stops its step and every later one; the earlier
-    steps are still applied, and the earliest step's exception is raised
-    once the helper is joined, so a NumericalBlowup names the step loop's
-    step and row.
+    next; alone, the calling thread takes the steps in turn.  When step k
+    ends a recorded step (k + 1 in recorded), record(k + 1) runs once its
+    last stage is applied, and step k + 1 may apply no row before it
+    returns.  The caller passes rows < N only when every operation of the
+    step is elementwise, so the bits are the whole step's.  An exception
+    stops its step and every later one; the earlier steps are still
+    applied, and the earliest step's exception is raised once the helper
+    is joined, so a NumericalBlowup names the step loop's step and row.
     """
     stages = range(0, len(q), rows)
     last = len(stages) - 1
@@ -466,15 +475,18 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
                 errors[k] = exc
                 cond.notify_all()
 
-    # the helper runs in a copy of the caller's context, so a np.errstate
-    # the caller set holds on both threads
-    helper = threading.Thread(target=contextvars.copy_context().run,
-                              args=(work,))
-    helper.start()
+    helper = None
+    if n and q.size >= PREFETCH_MIN_ELEMENTS:
+        # the helper runs in a copy of the caller's context, so a
+        # np.errstate the caller set holds on both threads
+        helper = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(work,))
+        helper.start()
     try:
         work()
     finally:
-        helper.join()
+        if helper is not None:
+            helper.join()
     if errors:
         raise errors[min(errors)]
 
@@ -486,41 +498,37 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     Returns a list of TrajectoryPoint (initial state included, then every
     record_every steps) with no chi2 proxy; attach_chi2_proxies adds it.
 
-    The state, q and p, and every buffer of ``_advance`` (the kernel step
-    runs too) that the steps take, is allocated once per call and released
-    at the end; init is never written.  Each step updates q and p in place,
-    and reused buffers spare the page faults of fresh (N, d) arrays per
-    step.  On the diagonal friction field the gradient and the Hessian
-    diagonal come from one evaluation of the potential
-    (FrictionSpec.resolve), written into the caller's buffers.
-    The steps run in one of two ways, by the number of coordinates N * d:
+    The state, q and p, is two (N, d) rows allocated once per call and
+    released at the end; init is never written.  _staged applies every
+    step to q and p in place, each thread in its own buffers for
+    ``_advance`` (the kernel step runs too), allocated once, so no step
+    pays the page faults of fresh (N, d) arrays.  On the diagonal friction
+    field the gradient and the Hessian diagonal come from one evaluation of
+    the potential (FrictionSpec.resolve), written into those buffers.
 
-    * below PREFETCH_MIN_ELEMENTS, or for no step at all, inline: each step
-      is drawn into one row of a workspace holding the state, the
-      gradient, a term, the friction field's pair and the noise, and then
-      applied.  On the diagonal forms, where _advance updates the ensemble
-      in row blocks, only the first block of the term row is used; the
-      rest of its pages are never touched;
-    * from PREFETCH_MIN_ELEMENTS on, staged (_staged): the calling thread
-      and one helper each hold a step, and draw and apply it one stage at
-      a time, each in its own stage-sized noise, gradient, term and
-      friction buffers, while the state is two (N, d) rows.  When every
-      operation of a step is elementwise (Gamma and the diffusion are
-      diagonal entries and the potential sets hess_diag), a stage is
-      PREFETCH_BATCH_ELEMENTS coordinates, so noise takes 2 MiB at any N.
-      Otherwise (a matrix Gamma or diffusion, or a gradient that may be a
-      matmul, as quadratic_general's is) a stage is all N rows, because a
-      2-D matmul's bits can depend on its row count: the state and both
-      threads' buffers are then 12 (N, d) rows, of which the two friction
-      pairs, which these forms leave unused, are never touched.
+    The calling thread takes every step alone below PREFETCH_MIN_ELEMENTS
+    coordinates N * d, or for no step at all; from there on one helper
+    thread shares the steps.  Each thread holds a step, and draws and
+    applies it one stage at a time, in its own stage-sized noise, gradient,
+    term and friction buffers.  When every operation of a step is
+    elementwise (Gamma and the diffusion are diagonal entries and the
+    potential sets hess_diag), a stage is at most PREFETCH_BATCH_ELEMENTS
+    coordinates, so noise takes at most 2 MiB at any N.  Otherwise (a
+    matrix Gamma or diffusion, or a gradient that may be a matmul, as
+    quadratic_general's is) a stage is all N rows, because a 2-D matmul's
+    bits can depend on its row count.  So a run on one thread, whose stage
+    is all N rows, holds 7 (N, d) rows, and a two-thread run of such a form
+    12, of which the friction pairs, which the matrix forms leave unused,
+    are never touched.
 
     A record's summary (Ensemble.summary) reads the state in blocks of
-    PREFETCH_BATCH_ELEMENTS coordinates, so no buffer of a staged run but
-    the state grows with N.
+    PREFETCH_BATCH_ELEMENTS coordinates, so a record allocates nothing that
+    grows with N.
 
     Each step is drawn from its own keyed stream, _stream(seed, step), which
-    depends on (seed, step) alone, so the noise, and the records, are the
-    same either way.
+    depends on (seed, step) alone, and one stage of all N rows is the whole
+    step's draw, so the noise, and the records, do not depend on the
+    thread count or the stages.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index and
@@ -528,19 +536,17 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     last step index, init.steps_taken + cfg.n_steps, must stay below 2^64.
     """
     _check_int("record_every", record_every, 1)
-    _check_matches(init, cfg, ("dt", "seed", "n_particles"))
+    _check_matches(init, cfg, p, ("dt", "seed", "n_particles"))
     start, n = init.steps_taken, cfg.n_steps
     if start + n >= SEED_LIMIT:
         raise ValueError(f"the last step index, steps_taken + n_steps = "
                          f"{start} + {n}, must be below 2^64")
-    stability_warning(init, p, spec, cfg)
+    # resolve first: it rejects a friction matrix of another size, which
+    # the stability check would broadcast
     force = spec.resolve(p)
+    stability_warning(init, p, spec, cfg)
     shape = init.positions.shape
-    inline = init.positions.size < PREFETCH_MIN_ELEMENTS or n == 0
-    # rows: q and p, then, inline, the gradient, a term, the friction
-    # field's pair and one step of noise
-    work = np.empty((7 if inline else 2,) + shape)
-    q, mom = work[:2]
+    q, mom = np.empty((2,) + shape)
     q[...] = init.positions
     mom[...] = init.momenta
     # the time after each recorded step k, summed as the step loop sums it
@@ -556,21 +562,11 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         return TrajectoryPoint(time=time, mean=mean, cov=cov)
 
     out = [record(init.time)]
-    if not inline:
-        rows = len(q)
-        if p.hess_diag is not None and spec.diagonal(p):
-            rows = min(rows, max(1, PREFETCH_BATCH_ELEMENTS // shape[1]))
-        _staged(q, mom, force, cfg.dt, init.seed, start, n, rows, times,
-                lambda k: out.append(record(times[k])))
-        return out
-
-    grad, term, friction_out, noise = work[2], work[3], work[4:6], work[6]
-    for k in range(1, n + 1):
-        xi = philox_normals(init.seed, start + k - 1, shape, out=noise)
-        _advance(q, mom, xi, force, cfg.dt, start + k, (q, mom), term,
-                 friction_out, 0, grad)
-        if k in times:
-            out.append(record(times[k]))
+    rows = len(q)
+    if p.hess_diag is not None and spec.diagonal(p):
+        rows = min(rows, max(1, PREFETCH_BATCH_ELEMENTS // shape[1]))
+    _staged(q, mom, force, cfg.dt, init.seed, start, n, rows, times,
+            lambda k: out.append(record(times[k])))
     return out
 
 

@@ -38,6 +38,25 @@ class TestCheckSymmetric:
         with pytest.raises(NotSymmetric):
             check_symmetric(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12, 1e200])
+    def test_slack_is_relative(self, scale):
+        # the slack is SYM_TOL * ||M||_F, which reads no units: at 1e-12
+        # the asymmetric matrix was accepted and symmetrized, and at 1e200
+        # the sum of squares overflows, so the norm is taken without it
+        asymmetric = np.array([[1.0, 0.5], [0.0, 1.0]]) * scale
+        with pytest.raises(NotSymmetric, match="is not symmetric"):
+            check_symmetric(asymmetric)
+        # in a stack, beside a matrix of another scale, by its index
+        with pytest.raises(NotSymmetric, match=r"^matrix\[1\] is not symmetric"):
+            spd_sqrt(np.stack([np.eye(2), asymmetric]))
+        roundoff = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]]) * scale
+        out = check_symmetric(roundoff)
+        assert np.array_equal(out, out.T)
+
+    def test_zero_matrix_accepted(self):
+        # the covariance of a point law
+        assert np.array_equal(check_symmetric(np.zeros((3, 3))), np.zeros((3, 3)))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(NotSymmetric):
             check_symmetric(np.ones((2, 3)))

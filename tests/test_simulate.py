@@ -181,6 +181,12 @@ class TestEnsembleConstruction:
             Ensemble(positions=np.zeros((3, 1)), momenta=np.zeros((3, 1)),
                      seed=0, **fields)
 
+    def test_no_coordinate_rejected(self):
+        # an (N, 0) ensemble was built, and its summary then divided by zero
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Ensemble(positions=np.zeros((3, 0)), momenta=np.zeros((3, 0)),
+                     time=0.0, seed=0, steps_taken=0, dt=0.1)
+
     def test_single_particle_summary_has_nan_cov(self):
         e = ensemble_at_point([1.0], [0.0], 1, 0, 0.1)
         with warnings.catch_warnings():
@@ -419,17 +425,48 @@ class TestDuplicatedState:
         assert np.array_equal(part.momenta, whole.momenta[:4])
 
 
+class TestDimensionMismatch:
+    """An ensemble, a potential and a friction matrix of different
+    dimensions are rejected by name, where a (d,) parameter or a matrix
+    broadcast silently or failed unnamed."""
+
+    @staticmethod
+    def _call(how, e, pot, spec):
+        cfg = SimConfig(dt=0.01, n_steps=2, n_particles=e.n_particles,
+                        seed=e.seed)
+        return (step if how == "step" else run)(e, pot, spec, cfg)
+
+    @pytest.mark.parametrize("how", ["step", "run"])
+    def test_ensemble_dim_not_the_potential_dim(self, how):
+        # a 2-d ensemble ran against v = (1,) as if v were (1, 1)
+        e = ensemble_at_point([1.0, 0.5], [0.0, 0.0], 4, 0, 0.01)
+        with pytest.raises(ValueError,
+                           match="^dim: the ensemble has 2, the potential 1$"):
+            self._call(how, e, quadratic_diagonal([1.0]), constant_scalar(2.0))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("how", ["step", "run"])
+    def test_friction_matrix_size_not_the_potential_dim(self, how, size):
+        # a 1x1 matrix ran on d = 2; a 3x3 one failed in a broadcast
+        e = ensemble_at_point([1.0, 0.5], [0.0, 0.0], 4, 0, 0.01)
+        spec = constant_matrix(np.eye(size))
+        with pytest.raises(ValueError, match=f"^friction matrix is {size}x"
+                                             f"{size}, but the potential has dim 2$"):
+            self._call(how, e, quadratic_diagonal([1.0, 2.0]), spec)
+
+
 class TestDeterministicLimits:
     def test_zero_noise_matches_linear_flow(self, monkeypatch):
         # with xi == 0 EM is explicit Euler on the linear ODE; at dt = 1e-4
-        # over t = 5 the Euler error stays far below 1e-5.  run looks the
-        # draw up when called, so patching the module's draw zeroes the noise
-        def no_noise(seed, k, shape, domain=1, out=None):
-            out = np.empty(shape) if out is None else out
-            out.fill(0.0)
-            return out
+        # over t = 5 the Euler error stays far below 1e-5.  run looks each
+        # step's stream up when called, so patching the module's stream
+        # zeroes the noise
+        class NoNoise:
+            def standard_normal(self, out):
+                out.fill(0.0)
+                return out
 
-        monkeypatch.setattr(simulate, "philox_normals", no_noise)
+        monkeypatch.setattr(simulate, "_stream", lambda seed, k: NoNoise())
         pot, spec, dyn = _ou_1d()
         cfg = SimConfig(dt=1e-4, n_steps=50_000, n_particles=1, seed=0)
         pts = run(ensemble_at_point([1.0], [0.0], 1, 0, 1e-4), pot, spec, cfg,
@@ -922,7 +959,7 @@ class TestNoisePrefetch:
 
     def test_n_extension(self, monkeypatch):
         # the first m particles of a prefetched run follow the same
-        # trajectories as a run of m particles with the draw inline
+        # trajectories as a run of m particles on one thread
         m = 1000
         assert m < simulate.PREFETCH_MIN_ELEMENTS
         pot, spec, cfg, init = self._setup()
@@ -1092,7 +1129,7 @@ class TestStagedRun:
     @pytest.mark.parametrize("kind", FORMS)
     def test_n_extension(self, kind, monkeypatch):
         # the first m particles of a staged run, all in its first stage,
-        # follow the same trajectories as a run of m particles inline
+        # follow the same trajectories as a run of m particles on one thread
         m = 1000
         assert m < simulate.PREFETCH_MIN_ELEMENTS
         pot, spec, cfg, init = self._setup(kind)
@@ -1248,6 +1285,32 @@ class TestStagedRun:
             with pytest.raises(FloatingPointError):
                 _bounded(target)
         assert [(k, type(t)) for k, t in applied] == [(1, HelperFirst)]
+
+    @pytest.mark.parametrize("n, n_steps, helpers", [
+        (simulate.PREFETCH_MIN_ELEMENTS - 1, 3, 0),
+        (simulate.PREFETCH_MIN_ELEMENTS, 3, 1),
+        (simulate.PREFETCH_MIN_ELEMENTS, 0, 0),
+    ], ids=["below_2_13", "at_2_13", "no_steps"])
+    def test_helper_starts_from_2_13_coordinates(self, n, n_steps, helpers,
+                                                 monkeypatch):
+        # the helper thread starts iff N * d >= PREFETCH_MIN_ELEMENTS and
+        # there is a step to take; the records are the step loop's either way
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(
+            **{**vars(threading), "Thread": Spy}))
+        pot, spec, _ = _ou_1d()
+        cfg = SimConfig(dt=0.01, n_steps=n_steps, n_particles=n, seed=3)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=[1.0, 0.0], cov=np.eye(2)), n, 3, 0.01)
+        pts = TestNoisePrefetch._run(init, pot, spec, cfg)
+        assert len(started) == helpers
+        TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
 
     @pytest.mark.parametrize("late", ["last_stage_of_k", "first_stage_of_k1"])
     def test_blowup_order_across_threads(self, late, monkeypatch):
@@ -1506,7 +1569,7 @@ class TestBlockedUpdate:
     @pytest.mark.parametrize("kind", FORMS)
     def test_step_bitwise_one_block(self, kind, monkeypatch):
         # step's scratch is a term row of its own, whose first rows every
-        # block reuses, as run's workspace row is
+        # block reuses, as each of run's threads' term is
         pot, spec, cfg, init = self._setup(kind)
         blocked = step(init, pot, spec, cfg)
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1 << 62)
@@ -1514,12 +1577,12 @@ class TestBlockedUpdate:
         assert _bits(blocked.positions, blocked.momenta) == _bits(
             whole.positions, whole.momenta)
 
-    # "ring" is the id of the threaded (staged) path
-    @pytest.mark.parametrize("inline", [False, True], ids=["ring", "inline"])
+    @pytest.mark.parametrize("one_thread", [False, True],
+                             ids=["two_threads", "one_thread"])
     @pytest.mark.parametrize("kind", FORMS)
-    def test_run_bitwise_one_block(self, kind, inline, monkeypatch):
+    def test_run_bitwise_one_block(self, kind, one_thread, monkeypatch):
         pot, spec, cfg, init = self._setup(kind)
-        if inline:
+        if one_thread:
             monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
         states = []
         advance = simulate._advance
@@ -1559,17 +1622,16 @@ class TestBlockedUpdate:
         TestNoisePrefetch._run(init, pot, spec, cfg)
         assert rows == [self.N] * 2 * cfg.n_steps
 
-    # "ring" is the id of the threaded (staged) path
-    @pytest.mark.parametrize("inline", [False, True], ids=["ring", "inline"])
+    @pytest.mark.parametrize("one_thread", [False, True],
+                             ids=["two_threads", "one_thread"])
     @pytest.mark.parametrize("kind", FORMS)
-    def test_run_writes_first_block_of_term_only(self, kind, inline,
+    def test_run_writes_first_block_of_term_only(self, kind, one_thread,
                                                  monkeypatch):
         # the rows of a term buffer past the first block keep a sentinel
         # written before its first use, so their pages are never touched by
-        # the update: the workspace's term row inline, and each thread's
-        # stage-sized term when the steps are staged (one stage here)
+        # the update: each thread's stage-sized term (one stage here)
         pot, spec, cfg, init = self._setup(kind)
-        if inline:
+        if one_thread:
             monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
         sentinel = -7.25
         steps, terms = [], set()
@@ -1617,12 +1679,11 @@ class TestBlowupForensics:
         assert "at step 8" in str(exc)
         assert f"{block}[{particle}, {coordinate}]" in str(exc)
 
-    # "ring" is the id of the threaded (staged) path
-    @pytest.mark.parametrize("mode", ["step", "ring", "inline"])
+    @pytest.mark.parametrize("mode", ["step", "two_threads", "one_thread"])
     @pytest.mark.parametrize("block", ["positions", "momenta"])
     def test_bad_entry_in_last_one_row_block(self, block, mode, monkeypatch):
         pot, spec, cfg, e = self._planted((block, self.N - 1, 1))
-        if mode == "inline":
+        if mode == "one_thread":
             monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
         with pytest.raises(NumericalBlowup) as excinfo:
             if mode == "step":

@@ -60,3 +60,17 @@ def test_one_helper_thread():
     # one threaded design: run's staged steps start the package's only
     # thread, which runs in a copy of the caller's context
     assert _calls("threading.Thread(") == [("simulate.py", "_staged")]
+
+
+def test_one_step_loop():
+    # one EM step loop: run drives every size through _staged, so the
+    # kernel is applied by step and _staged alone, and a step's noise is
+    # drawn whole only by step (ensemble_from_moments draws the init
+    # stream); each list starts with the definition's own line
+    assert _calls("_advance(") == [("simulate.py", "_advance"),
+                                   ("simulate.py", "step"),
+                                   ("simulate.py", "_staged")]
+    assert _calls("philox_normals(") == [
+        ("simulate.py", "philox_normals"),
+        ("simulate.py", "ensemble_from_moments"),
+        ("simulate.py", "step")]

@@ -198,8 +198,9 @@ class OracleConfig:
     n_times: int = 51
 
     def __post_init__(self):
-        if not self.w > 0:
-            raise ConfigError(f"oracle.w: must be > 0, got {self.w}")
+        if not _finite_square(self.w):
+            raise ConfigError(
+                f"oracle.w: must be > 0 with a finite square, got {self.w}")
         _check_squared_grid(self.lambda_grid, "oracle.lambda_grid")
         if self.n_times < 8:
             raise ConfigError(
@@ -383,10 +384,11 @@ def _validate_for_kind(cfg: ExperimentConfig):
             "closed form and needs quadratic_diagonal; got "
             + cfg.potential.family
         )
-    if cfg.kind == "audit" and cfg.friction.kind != "hessian_sqrt":
+    if (cfg.kind in ("oracle-ou", "compare", "audit")
+            and cfg.friction.kind != "hessian_sqrt"):
         raise ConfigError(
-            "friction.kind: the decay audit certifies the hessian_sqrt "
-            "friction; got " + cfg.friction.kind
+            f"friction.kind: {cfg.kind} reads friction.s as the scale of the "
+            "hessian_sqrt friction; got " + cfg.friction.kind
         )
 
 

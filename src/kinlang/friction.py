@@ -73,15 +73,6 @@ class FrictionSpec:
 
     # -- the simulator's friction form ---------------------------------------
 
-    def diagonal(self, p: Potential) -> bool:
-        """Whether resolve(p) gives Gamma and the diffusion as diagonal
-        entries: a constant diagonal Gamma, or the diagonal field."""
-        if self.kind != "hessian_sqrt" or p.constant_hessian:
-            g = self.gamma(p, np.zeros(p.dim))
-            return np.count_nonzero(g - np.diag(np.diagonal(g))) == 0
-        # both: a replace that drops hess_diag may keep a stale grad_hess_diag
-        return p.hess_diag is not None and p.grad_hess_diag is not None
-
     def resolve(self, p: Potential):
         """(q, grad_out, out) -> (grad V(q), Gamma, diffusion) over (N, d)
         positions, Gamma and the diffusion in the shapes the module
@@ -98,16 +89,16 @@ class FrictionSpec:
                              f"{len(self.matrix)}, but the potential has "
                              f"dim {p.dim}")
         gradient = _gradient(p)
-        diagonal = self.diagonal(p)
         if self.kind != "hessian_sqrt" or p.constant_hessian:
             g = self.gamma(p, np.zeros(p.dim))
-            if diagonal:
+            if np.count_nonzero(g - np.diag(np.diagonal(g))) == 0:
                 diag = np.diagonal(g)
                 const = (diag, np.sqrt(2.0 * diag))
             else:
                 const = (g[None], spd_sqrt(2.0 * g)[None])
             return lambda q, grad_out, out: (gradient(q, grad_out), *const)
-        if diagonal:
+        # both: a replace that drops hess_diag may keep a stale grad_hess_diag
+        if p.hess_diag is not None and p.grad_hess_diag is not None:
             def diagonal_field(q, grad_out, out):
                 # the Hessian diagonal lands in sig, and g is scratch
                 g, sig = out

@@ -56,15 +56,14 @@ BLOWUP_LIMIT = 1e12
 #: 2-core host (size sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
-#: coordinates (1 MiB of float64) in one stage of a staged step whose
-#: operations are all elementwise; each of the two threads draws and
-#: applies a step one stage at a time and holds one stage of noise.  A
-#: step of any other form is one stage of all N rows
+#: coordinates (1 MiB of float64) in one stage of a staged step, whatever
+#: the friction form (_row_blocks); each of the two threads draws and
+#: applies a step one stage at a time and holds one stage of noise
 PREFETCH_BATCH_ELEMENTS = 1 << 17
 
-#: coordinates (256 KiB of float64) in one row block of the elementwise EM
-#: update and its finite check on the diagonal forms, so that a block's
-#: operands stay in cache from one ufunc to the next
+#: coordinates (256 KiB of float64) in one row block of the EM update and
+#: its finite check (_row_blocks), so that a block's operands stay in
+#: cache from one ufunc to the next
 BLOCK_ELEMENTS = 1 << 15
 
 #: seeds are one 64-bit Philox key word: 0 <= seed < SEED_LIMIT
@@ -108,18 +107,17 @@ def _stream(seed: int, step_index: int, domain: int = _DOMAIN_STEP):
     return np.random.Generator(bitgen)
 
 
-def philox_normals(seed: int, step_index: int, shape, domain: int = _DOMAIN_STEP,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
+def philox_normals(seed: int, step_index: int, shape,
+                   domain: int = _DOMAIN_STEP) -> np.ndarray:
     """Standard normals from the counter-based stream for (seed, step_index).
 
     The array fills row-major from one Philox stream, so particle i's draws
     (row i) do not depend on how many rows are requested -- the N-extension
-    contract.  out, a C-contiguous float64 array of that shape, receives the
-    same numbers in place and is returned.  seed and step_index are
-    integers in [0, 2^64).  Exposed publicly so tests can rebuild or
-    aggregate the exact increments a run consumed.
+    contract.  seed and step_index are integers in [0, 2^64).  Exposed
+    publicly so tests can rebuild or aggregate the exact increments a run
+    consumed.
     """
-    return _stream(seed, step_index, domain).standard_normal(shape, out=out)
+    return _stream(seed, step_index, domain).standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -269,15 +267,34 @@ def _check_finite(q, p, step_index, offset=0):
     )
 
 
-def _apply(m, x, out):
-    """Each particle's Gamma (or diffusion) times its row of x, written to
-    out, for either resolved shape: diagonal entries or a (1 | N, d, d)
-    matrix stack."""
+def _row_blocks(n: int, d: int, elements: int):
+    """Slices splitting n rows of d coordinates, in order, into blocks of
+    max(2, elements // d) rows, except that a last block of one row joins
+    the block before.
+
+    NumPy computes a one-row matrix product with gemv, whose bits are not
+    gemm's, while gemm's rows do not depend on how many rows it is given
+    (checked with OpenBLAS's Haswell kernels at d from 1 to 16 and N up to
+    10^6).  So, for n >= 2, no block is one row, and a row's force and
+    update have the same bits in any of these blocks as in one block of
+    all n rows, whatever the friction form."""
+    rows = max(2, elements // d)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _apply(m, b, x, out):
+    """Gamma (or the diffusion) times each row of x, rows b of the
+    ensemble, written to out, for each resolved shape: diagonal entries,
+    constant (d,) or per particle (N, d), or a (1 | N, d, d) matrix stack.
+    A per-particle form is read at rows b."""
     if m.ndim < 3:
-        return np.multiply(m, x, out=out)
+        return np.multiply(m[b] if m.ndim == 2 else m, x, out=out)
     if len(m) == 1:
         return np.matmul(x, m[0].T, out=out)
-    np.matmul(m, x[:, :, None], out=out[:, :, None])
+    np.matmul(m[b], x[:, :, None], out=out[:, :, None])
     return out
 
 
@@ -288,13 +305,13 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
     be q itself and new_p may be mom itself, so a step may run in place;
     grad_out, an (N, d) buffer apart from q, mom, xi and new_q, receives the
     gradient and then p - grad V(q) dt - (Gamma(q) p) dt, and may be new_p
-    when new_p is not mom; term, the update's scratch, holds at least one
-    row block, apart from the other operands, and its first rows are reused
-    by every block; friction_out is the force's (2, N, d) buffer.  xi is
-    only read.  The N rows may be rows offset, offset + 1, ... of a larger
-    ensemble, which a NumericalBlowup then names.  With the shipped
-    potentials a step allocates at most one (N, d) temporary, and none on
-    the diagonal field.  Each value is the operation the module docstring
+    when new_p is not mom; term, the update's scratch, holds at least the
+    largest row block, apart from the other operands, and its first rows
+    are reused by every block; friction_out is the force's (2, N, d)
+    buffer.  xi is only read.  The N rows may be rows offset, offset + 1,
+    ... of a larger ensemble, which a NumericalBlowup then names.  With the
+    shipped potentials a step allocates at most one (N, d) temporary, and
+    none on the diagonal field.  Each value is the operation the module docstring
     writes, in its order,
 
         p+ = ((p - grad V(q) dt) - (Gamma(q) p) dt) + (diffusion(q) xi) sqrt(dt),
@@ -302,33 +319,25 @@ def _advance(q, mom, xi, force, dt: float, step_index: int, out, term,
     so the bits do not depend on which arrays hold them.  Within a block, p
     is read (for Gamma(q) p and q+) before p+ is written.
 
-    The force is evaluated over all N rows at once.  When Gamma and the
-    diffusion are diagonal entries and N * d > BLOCK_ELEMENTS, the update
-    and the finite check then run in blocks of max(1, BLOCK_ELEMENTS // d)
-    rows, each element through the same ufuncs, so no bit moves.  A matrix
-    form stays one block: a 2-D matmul's bits can depend on its row count.
-    Raises NumericalBlowup naming step_index and the first untrusted
-    entry."""
+    The force is evaluated over all N rows at once.  The update and the
+    finite check then run in the row blocks of _row_blocks(N, d,
+    BLOCK_ELEMENTS), each row through the same operations as in one block,
+    so no bit moves.  Raises NumericalBlowup naming step_index and the
+    first untrusted entry."""
     new_q, new_p = out
     grad, g, sig = force(q, grad_out, friction_out)
-    n, d = q.shape
-    rows = n
-    if q.size > BLOCK_ELEMENTS and g.ndim < 3 and sig.ndim < 3:
-        rows = max(1, BLOCK_ELEMENTS // d)
-    for start in range(0, n, rows):
-        b = slice(start, start + rows)
+    for b in _row_blocks(*q.shape, BLOCK_ELEMENTS):
         bq, bp, bmom, bg = new_q[b], new_p[b], mom[b], grad_out[b]
         t = term[:len(bmom)]
         np.multiply(grad[b], dt, out=bg)
         np.subtract(bmom, bg, out=bg)
-        np.multiply(_apply(g[b] if g.ndim == 2 else g, bmom, t), dt, out=t)
+        np.multiply(_apply(g, b, bmom, t), dt, out=t)
         np.subtract(bg, t, out=bg)
         np.multiply(bmom, dt, out=t)
         np.add(q[b], t, out=bq)
-        np.multiply(_apply(sig[b] if sig.ndim == 2 else sig, xi[b], t),
-                    np.sqrt(dt), out=t)
+        np.multiply(_apply(sig, b, xi[b], t), np.sqrt(dt), out=t)
         np.add(bg, t, out=bp)
-        _check_finite(bq, bp, step_index, offset + start)
+        _check_finite(bq, bp, step_index, offset + b.start)
 
 
 def _check_matches(ensemble: Ensemble, cfg: SimConfig, p: Potential,
@@ -404,10 +413,11 @@ def stability_warning(ensemble: Ensemble, p: Potential, spec: FrictionSpec, cfg:
 
 
 def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
-            rows: int, recorded, record):
-    """Apply n EM steps to the state (q, mom) in place, a stage of `rows`
-    rows at a time, on the calling thread and, from PREFETCH_MIN_ELEMENTS
-    coordinates on and when n > 0, one helper thread.
+            recorded, record):
+    """Apply n EM steps to the state (q, mom) in place, one stage, a row
+    block of _row_blocks(N, d, PREFETCH_BATCH_ELEMENTS), at a time, on the
+    calling thread and, from PREFETCH_MIN_ELEMENTS coordinates on and when
+    n > 0, one helper thread.
 
     The threads claim whole steps in increasing order from one counter.
     The thread holding step k (counted from the run's first) walks the rows
@@ -418,13 +428,14 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
     next; alone, the calling thread takes the steps in turn.  When step k
     ends a recorded step (k + 1 in recorded), record(k + 1) runs once its
     last stage is applied, and step k + 1 may apply no row before it
-    returns.  The caller passes rows < N only when every operation of the
-    step is elementwise, so the bits are the whole step's.  An exception
+    returns.  A row's bits do not depend on the stages (_row_blocks), so
+    they are the whole step's, whatever the friction form.  An exception
     stops its step and every later one; the earlier steps are still
     applied, and the earliest step's exception is raised once the helper
     is joined, so a NumericalBlowup names the step loop's step and row.
     """
-    stages = range(0, len(q), rows)
+    stages = _row_blocks(*q.shape, PREFETCH_BATCH_ELEMENTS)
+    rows = max(b.stop - b.start for b in stages)
     last = len(stages) - 1
     cond = threading.Condition()
     claimed = 0
@@ -449,8 +460,7 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
                     k = claimed
                     claimed += 1
                 stream = _stream(seed, start + k)
-                for j, lo in enumerate(stages):
-                    b = slice(lo, lo + rows)
+                for j, b in enumerate(stages):
                     xi = stream.standard_normal(out=noise[:len(q[b])])
                     with cond:
                         while released.get(k, 0) <= j:
@@ -459,8 +469,8 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
                             cond.wait()
                     m = len(xi)
                     _advance(q[b], mom[b], xi, force, dt, start + k + 1,
-                             (q[b], mom[b]), term, friction_out[:, :m], lo,
-                             grad[:m])
+                             (q[b], mom[b]), term, friction_out[:, :m],
+                             b.start, grad[:m])
                     held = k + 1 in recorded
                     if held and j == last:
                         record(k + 1)
@@ -510,25 +520,19 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     coordinates N * d, or for no step at all; from there on one helper
     thread shares the steps.  Each thread holds a step, and draws and
     applies it one stage at a time, in its own stage-sized noise, gradient,
-    term and friction buffers.  When every operation of a step is
-    elementwise (Gamma and the diffusion are diagonal entries and the
-    potential sets hess_diag), a stage is at most PREFETCH_BATCH_ELEMENTS
-    coordinates, so noise takes at most 2 MiB at any N.  Otherwise (a
-    matrix Gamma or diffusion, or a gradient that may be a matmul, as
-    quadratic_general's is) a stage is all N rows, because a 2-D matmul's
-    bits can depend on its row count.  So a run on one thread, whose stage
-    is all N rows, holds 7 (N, d) rows, and a two-thread run of such a form
-    12, of which the friction pairs, which the matrix forms leave unused,
-    are never touched.
+    term and friction buffers.  A stage is a row block of _row_blocks(N, d,
+    PREFETCH_BATCH_ELEMENTS), whatever the friction form, so each thread's
+    noise is about 1 MiB at any N; the matrix forms leave the friction
+    buffers untouched.
 
     A record's summary (Ensemble.summary) reads the state in blocks of
     PREFETCH_BATCH_ELEMENTS coordinates, so a record allocates nothing that
     grows with N.
 
     Each step is drawn from its own keyed stream, _stream(seed, step), which
-    depends on (seed, step) alone, and one stage of all N rows is the whole
-    step's draw, so the noise, and the records, do not depend on the
-    thread count or the stages.
+    depends on (seed, step) alone, and a step's stages continue one stream,
+    so the noise, and the records, do not depend on the thread count or
+    the stages.
 
     Deterministic given (init, cfg): identical inputs produce bit-identical
     summaries.  Raises NumericalBlowup with the offending step index and
@@ -562,10 +566,7 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
         return TrajectoryPoint(time=time, mean=mean, cov=cov)
 
     out = [record(init.time)]
-    rows = len(q)
-    if p.hess_diag is not None and spec.diagonal(p):
-        rows = min(rows, max(1, PREFETCH_BATCH_ELEMENTS // shape[1]))
-    _staged(q, mom, force, cfg.dt, init.seed, start, n, rows, times,
+    _staged(q, mom, force, cfg.dt, init.seed, start, n, times,
             lambda k: out.append(record(times[k])))
     return out
 

@@ -843,7 +843,8 @@ CONFIG_ERRORS = [
     ("compare", {"certificate": {"lambda_grid": [1e155]}},
      "certificate.lambda_grid"),
     ("oracle-ou", {"oracle": {"lambda_grid": [1e200]}}, "oracle.lambda_grid"),
-    # friction.s is read whatever the kind
+    # friction.s is checked whatever the kind, before the rule that these
+    # commands take the hessian_sqrt friction alone
     ("oracle-ou", {"friction": {"kind": "constant_scalar", "lam": 1.0,
                                 "s": -1.0}}, "friction.s"),
     ("compare", {"friction": {"kind": "constant_scalar", "lam": 1.0,
@@ -891,6 +892,19 @@ CONFIG_ERRORS = [
     ("compare", {"certificate": {"x0": DEGENERATE_X0}},
      "friction.s, certificate.x0"),
     ("audit", {"audit": {"x0": DEGENERATE_X0}}, "friction.s, audit.x0"),
+    # every command that reads friction.s as the hessian_sqrt scale takes
+    # that friction alone
+    ("oracle-ou", {"friction": {"kind": "constant_scalar", "lam": 1.0}},
+     "friction.kind"),
+    ("compare", {"friction": {"kind": "constant_scalar", "lam": 1.0}},
+     "friction.kind"),
+    ("compare", {"friction": {"kind": "constant_matrix", "matrix": [[2.0]]}},
+     "friction.kind"),
+    ("audit", {"friction": {"kind": "constant_scalar", "lam": 1.0}},
+     "friction.kind"),
+    # oracle.w is judged with the config, as friction.s is
+    ("oracle-ou", {"oracle": {"w": 1e155}}, "oracle.w"),
+    ("oracle-ou", {"oracle": {"w": -1.0}}, "oracle.w"),
 ]
 
 

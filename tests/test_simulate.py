@@ -1060,11 +1060,11 @@ class TestBatchedPrefetch(TestNoisePrefetch):
 
 
 class TestStagedRun:
-    """A step whose operations are all elementwise is drawn and applied one
-    stage of PREFETCH_BATCH_ELEMENTS coordinates at a time, by the calling
-    thread and one helper, each holding a whole step; every record must be
-    the step loop's.  N leaves a ragged last stage: two stages at d = 1,
-    three at d = 2.  Every run goes through _bounded."""
+    """A step of any friction form is drawn and applied one stage of
+    PREFETCH_BATCH_ELEMENTS coordinates at a time, by the calling thread
+    and one helper, each holding a whole step; every record must be the
+    step loop's.  N leaves a ragged last stage: two stages at d = 1, three
+    at d = 2.  Every run goes through _bounded."""
 
     N = simulate.PREFETCH_BATCH_ELEMENTS + 3
     N_STEPS = 6
@@ -1074,16 +1074,23 @@ class TestStagedRun:
         "diagonal_field": lambda: (perturbed_diagonal([1.0, 2.0], 0.1),
                                    hessian_sqrt(2.0)),
     }
-    #: forms whose stage is all N rows: a matmul gradient, a matrix Gamma
+    #: forms with a matrix product in the step: a matmul gradient, a
+    #: matrix Gamma
     MATRIX_FORMS = {
         "general_gradient": lambda: (quadratic_general([[1.0]]),
                                      constant_scalar(2.0)),
         "constant_matrix": lambda: (quadratic_diagonal([1.0, 2.0]),
                                     constant_matrix([[2.0, 0.3], [0.3, 1.0]])),
     }
+    ALL_FORMS = [*FORMS, *MATRIX_FORMS]
 
     def _setup(self, kind, n_steps=None, n=None):
-        pot, spec = {**self.FORMS, **self.MATRIX_FORMS}[kind]()
+        pot, spec = {
+            **self.FORMS, **self.MATRIX_FORMS,
+            # one Hessian per particle per step, so only at a smaller N
+            "general_field": lambda: (_rotated_log_cosh([1.0, 2.0], 0.1, 0.6),
+                                      hessian_sqrt(2.0)),
+        }[kind]()
         d, n, dt = pot.dim, n or self.N, 0.01
         cfg = SimConfig(dt=dt, n_steps=n_steps or self.N_STEPS, n_particles=n,
                         seed=8)
@@ -1104,7 +1111,7 @@ class TestStagedRun:
 
     @pytest.mark.parametrize("stepped", [False, True],
                              ids=["every_step", "stepped_sparse"])
-    @pytest.mark.parametrize("kind", FORMS)
+    @pytest.mark.parametrize("kind", ALL_FORMS)
     def test_records_equal_step_loop(self, kind, stepped):
         pot, spec, cfg, init = self._setup(kind)
         record_every = 1
@@ -1116,7 +1123,7 @@ class TestStagedRun:
         TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg,
                                                     record_every)
 
-    @pytest.mark.parametrize("kind", FORMS)
+    @pytest.mark.parametrize("kind", ALL_FORMS)
     def test_reruns_identical(self, kind):
         pot, spec, cfg, init = self._setup(kind)
         a = TestNoisePrefetch._run(init, pot, spec, cfg, record_every=2)
@@ -1126,7 +1133,7 @@ class TestStagedRun:
             assert pa.time == pb.time
             assert _bits(pa.mean, pa.cov) == _bits(pb.mean, pb.cov)
 
-    @pytest.mark.parametrize("kind", FORMS)
+    @pytest.mark.parametrize("kind", ALL_FORMS)
     def test_n_extension(self, kind, monkeypatch):
         # the first m particles of a staged run, all in its first stage,
         # follow the same trajectories as a run of m particles on one thread
@@ -1152,6 +1159,59 @@ class TestStagedRun:
         assert sorted(big) == sorted(seen) == list(range(1, cfg.n_steps + 1))
         for k in seen:
             assert _bits(*big[k]) == _bits(*seen[k])
+
+    @staticmethod
+    def _assert_step_loop_states(init, pot, spec, cfg, monkeypatch):
+        """Run, and assert that each step's state, put together from the
+        stages _advance applied, has the step loop's bits; returns the
+        stages, (first row, rows), of step 1."""
+        stages = {}
+        advance = simulate._advance
+
+        def spy(*args):
+            advance(*args)
+            stages.setdefault(args[5], []).append(
+                (args[9], tuple(x.copy() for x in args[6])))
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        pts = TestNoisePrefetch._run(init, pot, spec, cfg)
+        monkeypatch.setattr(simulate, "_advance", advance)
+        e = init
+        for k in range(1, cfg.n_steps + 1):
+            e = step(e, pot, spec, cfg)
+            applied = sorted(stages[k], key=lambda stage: stage[0])
+            assert _bits(*(np.concatenate(rows) for rows in zip(
+                *(qp for _, qp in applied)))) == _bits(e.positions, e.momenta)
+        TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
+        return [(lo, len(q)) for lo, (q, _) in sorted(stages[1],
+                                                       key=lambda s: s[0])]
+
+    def test_general_field_states_equal_step_loop(self, monkeypatch):
+        # the per-particle Gamma and diffusion stacks, staged and blocked:
+        # two stages at N * d just above 2^17, the second of three rows
+        n = simulate.PREFETCH_BATCH_ELEMENTS // 2 + 3
+        pot, spec, cfg, init = self._setup("general_field", n_steps=2, n=n)
+        assert self._assert_step_loop_states(init, pot, spec, cfg,
+                                             monkeypatch) == [(0, n - 3),
+                                                              (n - 3, 3)]
+
+    def test_one_row_tail_joins_the_stage_before(self, monkeypatch):
+        # at d = 8 the gradient q @ a of a one-row stage would be a
+        # matrix-vector product, whose bits are not those of the step
+        # loop's one matrix product over all N rows: the last row joins the
+        # stage before, so the stages are 2^14 and 2^14 + 1 rows.  a is
+        # large enough that the gradient's last bits reach the momenta
+        b = np.random.default_rng(3).standard_normal((8, 8))
+        a = 25.0 * (b @ b.T / 8 + np.eye(8))
+        pot, spec = quadratic_general(a), constant_scalar(2.0)
+        n = 2 * (simulate.PREFETCH_BATCH_ELEMENTS // 8) + 1
+        cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=8)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=np.r_[np.full(8, 0.5), np.zeros(8)],
+                            cov=np.eye(16)), n, 8, 0.01)
+        assert self._assert_step_loop_states(init, pot, spec, cfg,
+                                             monkeypatch) == [(0, n // 2),
+                                                              (n // 2, n // 2 + 1)]
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
     def test_draw_failure_raised_and_joined(self, failing, monkeypatch):
@@ -1212,18 +1272,20 @@ class TestStagedRun:
         for pts in results:
             TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
 
-    @pytest.mark.parametrize("n", [10_000, N], ids=["up_to_2_16", "above_2_16"])
+    @pytest.mark.parametrize("n", [10_000, N, simulate.PREFETCH_BATCH_ELEMENTS + 1],
+                             ids=["up_to_2_16", "above_2_16", "one_row_tail"])
     @pytest.mark.parametrize("kind", ["quadratic_scalar", "diagonal_field",
                                       "general_gradient", "constant_matrix"])
     def test_stage_rows_by_form(self, kind, n, monkeypatch):
-        # each _advance call applies one stage: PREFETCH_BATCH_ELEMENTS
-        # coordinates (or the rows left) on the diagonal forms, and all N
-        # rows for a BLAS gradient or a matrix friction, at N * d from
-        # 10,000 to 20,000 (one stage either way) and above 2^17
+        # each _advance call applies one stage of PREFETCH_BATCH_ELEMENTS
+        # coordinates (or the rows left) on every form, at N * d from
+        # 10,000 to 20,000 (one stage) and above 2^17; a last stage of one
+        # row joins the stage before
         pot, spec, cfg, init = self._setup(kind, n_steps=2, n=n)
-        rows = n
-        if kind in self.FORMS:
-            rows = simulate.PREFETCH_BATCH_ELEMENTS // pot.dim
+        rows = simulate.PREFETCH_BATCH_ELEMENTS // pot.dim
+        starts = list(range(0, n, rows))
+        if n - starts[-1] == 1:
+            starts.pop()
         calls = []
         advance = simulate._advance
 
@@ -1234,7 +1296,7 @@ class TestStagedRun:
         monkeypatch.setattr(simulate, "_advance", spy)
         pts = TestNoisePrefetch._run(init, pot, spec, cfg)
         monkeypatch.setattr(simulate, "_advance", advance)
-        stages = [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
+        stages = [(lo, hi - lo) for lo, hi in zip(starts, starts[1:] + [n])]
         assert sorted(calls) == [(k, lo, m) for k in (1, 2) for lo, m in stages]
         TestNoisePrefetch._assert_step_loop_records(pts, init, pot, spec, cfg)
 
@@ -1462,7 +1524,7 @@ class TestAdvanceBuffers:
         "general_field": lambda: (_rotated_log_cosh([1.0, 2.0], 0.1, 0.6),
                                   hessian_sqrt(2.0)),
     }
-    #: d = 2: three row blocks and a one-row tail on the diagonal forms
+    #: d = 2: three row blocks, the last of which takes the one-row tail
     N = 3 * (simulate.BLOCK_ELEMENTS // 2) + 1
 
     @staticmethod
@@ -1535,12 +1597,13 @@ def _bits(*arrays):
 
 class TestBlockedUpdate:
     """Above BLOCK_ELEMENTS coordinates, _advance updates and checks the
-    ensemble in row blocks of BLOCK_ELEMENTS // d rows on the diagonal
-    forms; every bit must be the one-block update's."""
+    ensemble in row blocks of BLOCK_ELEMENTS // d rows on every form, a
+    one-row tail joining the last block; every bit must be the one-block
+    update's."""
 
     D = 2
     ROWS = simulate.BLOCK_ELEMENTS // D
-    N = 3 * ROWS + 1          # three whole blocks and a one-row tail
+    N = 3 * ROWS + 1          # blocks of ROWS, ROWS and ROWS + 1 rows
     FORMS = {
         "constant_scalar": lambda: (quadratic_diagonal([1.0, 2.0]),
                                     constant_scalar(1.5)),
@@ -1548,6 +1611,10 @@ class TestBlockedUpdate:
                                     constant_matrix([[2.0, 0.0], [0.0, 1.0]])),
         "diagonal_field": lambda: (perturbed_diagonal([1.0, 2.0], 0.1),
                                    hessian_sqrt(2.0)),
+        "constant_matrix": lambda: (quadratic_diagonal([1.0, 2.0]),
+                                    constant_matrix([[2.0, 0.3], [0.3, 1.0]])),
+        "general_field": lambda: (_rotated_log_cosh([1.0, 2.0], 0.1, 0.6),
+                                  hessian_sqrt(2.0)),
     }
 
     def _setup(self, kind, n_steps=3):
@@ -1602,34 +1669,32 @@ class TestBlockedUpdate:
             assert _bits(a.mean, a.cov) == _bits(b.mean, b.cov)
 
     @pytest.mark.parametrize("kind", ["constant_matrix", "general_field"])
-    def test_matrix_form_applied_in_one_block(self, kind, monkeypatch):
-        # a 2-D matmul's bits can depend on its row count, so Gamma and the
-        # diffusion each take one _apply call over all N rows per step
-        if kind == "constant_matrix":
-            pot = quadratic_diagonal([1.0, 2.0])
-            spec = constant_matrix([[2.0, 0.3], [0.3, 1.0]])
-        else:
-            pot, spec = _rotated_log_cosh([1.0, 2.0], 0.1, 0.6), hessian_sqrt(2.0)
-        _, _, cfg, init = self._setup("constant_scalar", n_steps=2)
+    def test_matrix_form_applied_per_block(self, kind, monkeypatch):
+        # a matrix product's rows have the bits of one product over all N
+        # rows when no block is one row, so Gamma and the diffusion each
+        # take one _apply call per block and step, as the diagonal forms do
+        pot, spec, cfg, init = self._setup(kind, n_steps=2)
         rows = []
         apply = simulate._apply
 
-        def spy(m, x, out):
+        def spy(m, b, x, out):
             rows.append(len(x))
-            return apply(m, x, out)
+            return apply(m, b, x, out)
 
         monkeypatch.setattr(simulate, "_apply", spy)
         TestNoisePrefetch._run(init, pot, spec, cfg)
-        assert rows == [self.N] * 2 * cfg.n_steps
+        assert sorted(rows) == sorted([self.ROWS, self.ROWS, self.ROWS + 1]
+                                      * 2 * cfg.n_steps)
 
     @pytest.mark.parametrize("one_thread", [False, True],
                              ids=["two_threads", "one_thread"])
     @pytest.mark.parametrize("kind", FORMS)
     def test_run_writes_first_block_of_term_only(self, kind, one_thread,
                                                  monkeypatch):
-        # the rows of a term buffer past the first block keep a sentinel
-        # written before its first use, so their pages are never touched by
-        # the update: each thread's stage-sized term (one stage here)
+        # the rows of a term buffer past the largest block, the last with
+        # its one-row tail, keep a sentinel written before its first use,
+        # so their pages are never touched by the update: each thread's
+        # stage-sized term (one stage here)
         pot, spec, cfg, init = self._setup(kind)
         if one_thread:
             monkeypatch.setattr(simulate, "PREFETCH_MIN_ELEMENTS", 1 << 62)
@@ -1642,9 +1707,9 @@ class TestBlockedUpdate:
             assert term.shape == init.positions.shape
             if term.ctypes.data not in terms:
                 terms.add(term.ctypes.data)
-                term[self.ROWS:] = sentinel
+                term[self.ROWS + 1:] = sentinel
             advance(*args)
-            assert np.all(term[self.ROWS:] == sentinel)
+            assert np.all(term[self.ROWS + 1:] == sentinel)
             steps.append(args[5])
 
         monkeypatch.setattr(simulate, "_advance", spy)

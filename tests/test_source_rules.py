@@ -74,3 +74,10 @@ def test_one_step_loop():
         ("simulate.py", "philox_normals"),
         ("simulate.py", "ensemble_from_moments"),
         ("simulate.py", "step")]
+
+
+def test_stage_rule_reads_no_potential():
+    # one row-splitting rule, by N and d alone: the simulator splits every
+    # friction form's steps alike, so it never asks the potential which
+    # form it has (FrictionSpec.resolve alone does)
+    assert [hit for hit in _calls("hess_diag") if hit[0] == "simulate.py"] == []

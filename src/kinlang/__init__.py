@@ -9,6 +9,8 @@ deterministic Euler-Maruyama simulator, and a CLI harness that ties the
 pieces into reproducible experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .certificates import (
     DiagQuadraticWitness,
     LyapunovCoefficients,
@@ -75,63 +77,7 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionConstants",
-    "ConfigError",
-    "DegenerateS",
-    "DiagQuadraticWitness",
-    "Ensemble",
-    "ExperimentConfig",
-    "FrictionSpec",
-    "GaussianMoments",
-    "InvalidCoefficients",
-    "KinlangError",
-    "LinearDynamics",
-    "LyapunovCoefficients",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "NumericalBlowup",
-    "Potential",
-    "RateCertificate",
-    "SimConfig",
-    "WeightMatrixS",
-    "WitnessNotFound",
-    "attach_chi2_proxies",
-    "build_friction",
-    "build_potential",
-    "build_s",
-    "certificate",
-    "coefficient_family",
-    "compare_to_constant_friction",
-    "constant_matrix",
-    "chi2_along",
-    "constant_scalar",
-    "decay_audit",
-    "decay_audits",
-    "diag_quadratic_certificate",
-    "diagonal_system_rate",
-    "ensemble_at_point",
-    "ensemble_from_moments",
-    "fit_decay_rate",
-    "gaussian_chi2",
-    "hessian_sqrt",
-    "kinetic_dynamics",
-    "lambda_dms",
-    "lambda_dms_sup",
-    "load_config",
-    "lyapunov_value_gaussian",
-    "optimal_coefficients",
-    "optimize_m1",
-    "ou_rate_closed_form",
-    "perturbed_diagonal",
-    "philox_normals",
-    "propagate",
-    "quadratic_diagonal",
-    "quadratic_general",
-    "run",
-    "spd_sqrt",
-    "spd_sqrt_directional_derivative",
-    "stationary_moments",
-    "step",
-    "write_trajectory_csv",
-]
+#: the public names imported above, modules excluded
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_")
+                         or isinstance(value, _ModuleType)))

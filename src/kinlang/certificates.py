@@ -128,9 +128,6 @@ class LyapunovCoefficients:
                 f"tolerance {COEFF_CONSTRAINT_TOL * self.b:.3g}"
             )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RateCertificate:
@@ -273,11 +270,6 @@ def optimal_coefficients(const: AssumptionConstants, x0: float) -> LyapunovCoeff
     return coefficient_family(const, 2.0, x0)
 
 
-def _overflow_message(s, x0) -> str:
-    """What an (s, x0) cell whose certificate arithmetic overflows reports."""
-    return f"the certificate arithmetic overflows at s = {s!r}, x0 = {x0!r}"
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     """One (s, x0) cell of the weight family; certificate is None if the
@@ -302,8 +294,8 @@ def family_certificate(const: AssumptionConstants, s: float,
         cert = certificate(const, coefficient_family(const, s, x0))
     except (ValueError, OverflowError, DegenerateS, InvalidCoefficients,
             NonPositiveDenominator) as exc:
-        error = (_overflow_message(s, x0) if isinstance(exc, OverflowError)
-                 else str(exc))
+        error = (f"the certificate arithmetic overflows at s = {s!r}, "
+                 f"x0 = {x0!r}" if isinstance(exc, OverflowError) else str(exc))
         return SweepEntry(s, x0, None, error, type(exc).__name__)
     return SweepEntry(s, x0, cert)
 
@@ -332,14 +324,18 @@ def optimize_m1(const: AssumptionConstants, s_grid: Sequence[float],
     return max(chosen, key=lambda cert: cert.m1), table
 
 
-def _check_positive(name, value):
-    if not (np.isfinite(value) & (np.asarray(value) > 0)).all():
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 def _finite_square(lam) -> bool:
     # friction strengths are squared; the config's lambda grids share this rule
     return all(v > 0 and math.isfinite(v * v) for v in np.ravel(lam).tolist())
+
+
+def _check_lambda_alpha(lam, alpha: float):
+    """lambda_dms's and lambda_dms_sup's rule on their arguments."""
+    if not _finite_square(lam):
+        raise ValueError(
+            f"lam must be finite and > 0 with a finite square, got {lam}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
 def _lambda_dms_formula(lam, alpha, eps):
@@ -371,10 +367,7 @@ def lambda_dms(lam, alpha, eps):
     """
     lam = float(lam)
     alpha = float(alpha)
-    if not _finite_square(lam):
-        raise ValueError(
-            f"lam must be finite and > 0 with a finite square, got {lam}")
-    _check_positive("alpha", alpha)
+    _check_lambda_alpha(lam, alpha)
     eps = np.asarray(eps, dtype=float)
     if np.any(np.abs(eps) >= 1.0):
         raise ValueError("eps must lie in (-1, 1)")
@@ -410,10 +403,7 @@ def lambda_dms_sup(lam, alpha: float):
     """
     lam = np.asarray(lam, dtype=float)
     alpha = float(alpha)
-    if not _finite_square(lam):
-        raise ValueError(
-            f"lam must be finite and > 0 with a finite square, got {lam}")
-    _check_positive("alpha", alpha)
+    _check_lambda_alpha(lam, alpha)
     x = lam.ravel()
     scale = np.maximum(x, 1.0)
     ls = x / scale

@@ -83,10 +83,6 @@ FORMAT_VERSION = 3
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
@@ -327,13 +323,18 @@ def cmd_audit(cfg: ExperimentConfig) -> dict:
                            cov=aud.init_cov_scale * np.eye(2 * d))
     times = np.linspace(0.0, aud.t_max, aud.n_times)
 
-    # the main certificate and every witness are audited on one propagation
+    # the main certificate and every witness are audited on one propagation;
+    # the witness search takes min v = 1, so it runs in q' = m q, t' = m t
+    # (m = min v), where build_s gives the same S and rates are divided by m
+    v_min = min(cfg.potential.v)
     audits, sweep = [(weight, cert)], []
     for eps in cfg.certificate.eps_rates:
         entry = {"eps_rate": eps}
         try:
-            witness, rate = diag_quadratic_certificate(cfg.potential.v, eps)
-        except (ValueError, WitnessNotFound) as exc:
+            witness, rate = diag_quadratic_certificate(
+                np.divide(cfg.potential.v, v_min), eps)
+            rate *= v_min
+        except WitnessNotFound as exc:
             entry.update({"error": f"{type(exc).__name__}: {exc}",
                           "rate": None, "audit": None})
         else:

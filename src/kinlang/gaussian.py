@@ -173,6 +173,11 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
     friction lambda, is 1.7e-5 relative off at t = 1e-4 and 8e-12 at
     t = 1e-2 (about 2e-17 absolute).
 
+    Near a point law that error can fall below GaussianMoments' slack; such
+    a covariance is clipped to the PSD cone unless an eigenvalue lies below
+    -8 n eps max|C_inf|, n = 2d, a few times the n eps rounding bound of
+    its products (2.6 n eps max|C_inf| at most was seen, d from 1 to 24).
+
     t is a float, giving one GaussianMoments, or a 1-d array of times,
     giving a list of them in the same order.  Every time is evaluated
     directly (nothing is accumulated along the grid), and entry k is
@@ -180,9 +185,24 @@ def propagate(dyn: LinearDynamics, init: GaussianMoments, t):
     stacked exponentials with one time.  t = 0 returns ``init`` itself.
     """
     mean, cov = _moments(dyn, init, t)
-    out = [GaussianMoments(mean=m, cov=c) if tk > 0 else init
+    floor = -8 * cov.shape[-1] * np.finfo(float).eps * np.abs(
+        dyn.stationary.cov).max()
+    out = [_law(m, c, floor) if tk > 0 else init
            for tk, m, c in zip(np.ravel(t), mean, cov)]
     return out[0] if np.ndim(t) == 0 else out
+
+
+def _law(mean, cov, floor):
+    """GaussianMoments(mean, cov), cov clipped to the PSD cone where the
+    slack rejects it but no eigenvalue lies below floor (``propagate``)."""
+    try:
+        return GaussianMoments(mean=mean, cov=cov)
+    except NotPositiveDefinite:
+        _check_finite(cov, "covariance")
+        w, v = np.linalg.eigh(cov)
+        if not w[0] >= floor:
+            raise
+        return GaussianMoments(mean=mean, cov=from_eig(v, np.maximum(w, 0.0)))
 
 
 def _moments(dyn, init, t):

@@ -36,6 +36,9 @@ __all__ = [
     "decay_audits",
 ]
 
+#: the audit's absolute slack, beside its relative tol, for L near 0
+AUDIT_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class WeightMatrixS:
@@ -122,15 +125,13 @@ def _values(mean, cov, pi: GaussianMoments, weights):
 
 
 def decay_audit(dyn: LinearDynamics, init: GaussianMoments, s: WeightMatrixS,
-                cert, times: Sequence[float], tol: float = 1e-6,
-                atol: float = 1e-12) -> dict:
+                cert, times: Sequence[float], tol: float = 1e-6) -> dict:
     """``decay_audits`` for the one weight s and its certificate cert."""
-    return decay_audits(dyn, init, [(s, cert)], times, tol, atol)[0]
+    return decay_audits(dyn, init, [(s, cert)], times, tol)[0]
 
 
 def decay_audits(dyn: LinearDynamics, init: GaussianMoments, audits,
-                 times: Sequence[float], tol: float = 1e-6,
-                 atol: float = 1e-12) -> list:
+                 times: Sequence[float], tol: float = 1e-6) -> list:
     """Track L along the exact flow and check the certified decay, for each
     (weight S, cert) pair of audits, over one propagation of init and one
     whitening of its laws; report k is bitwise decay_audit's for pair k.
@@ -145,9 +146,9 @@ def decay_audits(dyn: LinearDynamics, init: GaussianMoments, audits,
     where t0 is the first time with finite L -- points where L diverges
     (chi-square not integrable yet) are flagged and excluded, mirroring the
     requirement that the bound starts from a finite initial value.  tol is
-    relative; atol absorbs roundoff on near-zero values.  Each report is
-    JSON-ready, with per-point values, margins, pass flags and the number
-    of divergent points.
+    relative; AUDIT_ATOL absorbs roundoff on near-zero values.  Each report
+    is JSON-ready, with per-point values, margins, pass flags and the
+    number of divergent points.
     """
     ts = [float(t) for t in times]
     if len(ts) < 2:
@@ -160,12 +161,11 @@ def decay_audits(dyn: LinearDynamics, init: GaussianMoments, audits,
     values = _values(*_moments(dyn, init, ts), dyn.stationary,
                      [s for s, _ in audits])
     return [_audit_report(ts, row.tolist(),
-                          float(getattr(cert, "original_rate", cert)),
-                          tol, atol)
+                          float(getattr(cert, "original_rate", cert)), tol)
             for row, (_, cert) in zip(values, audits)]
 
 
-def _audit_report(ts, values, rate, tol, atol):
+def _audit_report(ts, values, rate, tol):
     """decay_audit's report for the values of L at the times ts."""
     divergent = [math.isinf(v) for v in values]
     values = [None if flag else v for v, flag in zip(values, divergent)]
@@ -193,22 +193,22 @@ def _audit_report(ts, values, rate, tol, atol):
 
     i0 = finite[0]
     t0, l0 = ts[i0], values[i0]
-    scale = max(abs(l0), atol)
+    scale = max(abs(l0), AUDIT_ATOL)
 
     monotone = all(
-        values[j] <= values[i] * (1.0 + tol) + atol
+        values[j] <= values[i] * (1.0 + tol) + AUDIT_ATOL
         for i, j in zip(finite, finite[1:])
     )
 
     margins = []
     bound_ok = True
     for i in finite:
-        envelope = math.exp(-rate * (ts[i] - t0)) * l0 * (1.0 + tol) + atol
+        envelope = math.exp(-rate * (ts[i] - t0)) * l0 * (1.0 + tol) + AUDIT_ATOL
         margins.append(envelope - values[i])
         if values[i] > envelope:
             bound_ok = False
 
-    fd_slack = tol * rate * scale + atol
+    fd_slack = tol * rate * scale + AUDIT_ATOL
     derivative_ok = True
     for prev, mid, nxt in zip(finite, finite[1:], finite[2:]):
         fd = (values[nxt] - values[prev]) / (ts[nxt] - ts[prev])

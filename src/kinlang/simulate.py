@@ -231,7 +231,9 @@ def ensemble_at_point(q0, p0, n: int, seed: int, dt: float) -> Ensemble:
 
 
 def ensemble_from_moments(moments: GaussianMoments, n: int, seed: int, dt: float) -> Ensemble:
-    """Particles drawn from a phase-space Gaussian, from the init stream."""
+    """Particles drawn from a phase-space Gaussian, from the init stream.
+    For n >= 2 the rows are the first n of any larger draw; a one-row draw
+    is a gemv, whose bits are not gemm's, so it may differ in the last bit."""
     d = moments.dim
     z = philox_normals(seed, 0, (n, 2 * d), domain=_DOMAIN_INIT)
     w, u = moments.eig

@@ -13,6 +13,7 @@ and f at the balanced s = 2 family equals 1/2 at x = 1/2 for every x0.
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,12 @@ from kinlang.certificates import (
     optimal_coefficients,
     optimize_m1,
 )
-from kinlang.errors import DegenerateS, InvalidCoefficients, WitnessNotFound
+from kinlang.errors import (
+    DegenerateS,
+    InvalidCoefficients,
+    NonPositiveDenominator,
+    WitnessNotFound,
+)
 from kinlang.friction import hessian_sqrt
 from kinlang.gaussian import diagonal_system_rate
 from kinlang.potentials import AssumptionConstants, perturbed_diagonal
@@ -116,6 +122,12 @@ class TestFOf:
             coeffs = optimal_coefficients(UNIT, x0)
             assert f_of(0.5, UNIT, coeffs) == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("fn", [f_of, g_of])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_non_positive_x_rejected(self, fn, x):
+        with pytest.raises(ValueError, match="x must be > 0"):
+            fn(x, UNIT, REF_COEFFS)
+
     def test_vanishes_at_origin(self):
         coeffs = optimal_coefficients(UNIT, 1.0)
         assert f_of(1e-12, UNIT, coeffs) < 1e-10
@@ -151,6 +163,14 @@ class TestGOf:
         assert g_of(0.5, doubled, REF_COEFFS) == pytest.approx(
             2.0 * g_of(0.5, UNIT, REF_COEFFS), rel=1e-14
         )
+
+    def test_non_positive_denominator_raises(self):
+        # a duck-typed triple with b c < a^2, which LyapunovCoefficients
+        # would reject: (1 + x^2)(1 + 1) - 9 x^2 = -5 at x = 1
+        bad = SimpleNamespace(s=1.0, a=3.0, b=1.0, c=1.0)
+        with pytest.raises(NonPositiveDenominator,
+                           match="g denominator -5 <= 0 at x = 1"):
+            g_of(1.0, UNIT, bad)
 
     def test_denominator_positive_for_valid_coeffs(self):
         # (1/alpha + b x^2)(1/alpha + c) - a^2 x^2 expands to
@@ -273,6 +293,11 @@ class TestCoefficientFamilies:
         assert quarter.a == unit.a / 4.0
         assert quarter.b == unit.b / 4.0
         assert quarter.c == unit.c / 4.0
+
+    @pytest.mark.parametrize("s", [0.0, -2.0, math.nan])
+    def test_non_positive_s_rejected(self, s):
+        with pytest.raises(ValueError, match="s must be > 0"):
+            coefficient_family(UNIT, s, 10.0)
 
     def test_family_reduces_to_optimal_at_s2(self):
         a = coefficient_family(UNIT, 2.0, 7.0)
@@ -618,6 +643,12 @@ class TestCompareToConstantFriction:
         with pytest.raises(ValueError):
             compare_to_constant_friction(UNIT, cert, [])
 
+    @pytest.mark.parametrize("grid", [[1.0, 0.0], [-2.0], [math.nan]])
+    def test_non_positive_strength_rejected(self, grid):
+        cert = certificate(UNIT, optimal_coefficients(UNIT, 1e3))
+        with pytest.raises(ValueError, match="lambda_grid entries must be > 0"):
+            compare_to_constant_friction(UNIT, cert, grid)
+
 
 class TestDiagQuadraticWitness:
     def test_frozen_witness_table(self):
@@ -670,6 +701,11 @@ class TestDiagQuadraticWitness:
             diag_quadratic_certificate([1.0], 0.0)
         with pytest.raises(ValueError):
             diag_quadratic_certificate([1.0], 2.0)
+
+    @pytest.mark.parametrize("v", [[], [[1.0, 2.0]]])
+    def test_shape_rule(self, v):
+        with pytest.raises(ValueError, match="v must be a nonempty 1-d vector"):
+            diag_quadratic_certificate(v, 0.5)
 
     def test_witness_not_found_for_extreme_spread(self):
         with pytest.raises(WitnessNotFound):

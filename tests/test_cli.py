@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import kinlang
+from kinlang import cli
 from kinlang.cli import _COMMANDS, FORMAT_VERSION, main
 from kinlang.config import (
     KINDS,
@@ -22,7 +23,7 @@ from kinlang.config import (
     config_from_dict,
     load_config,
 )
-from kinlang.errors import ConfigError
+from kinlang.errors import ConfigError, WitnessNotFound
 
 GOLDEN = (3.0 - math.sqrt(5.0))
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -169,6 +170,8 @@ class TestConfigParsing:
              r"simulation\.n_steps"),
             ({"kind": "simulate", "simulation": {"seed": True}},
              r"simulation\.seed"),
+            # the CLI's subcommands are the kinds, so only a dict reaches it
+            ({"kind": "anneal"}, r"^kind: unknown experiment kind 'anneal'"),
         ]
         for raw, pattern in bad:
             with pytest.raises(ConfigError, match=pattern):
@@ -217,8 +220,31 @@ class TestConfigParsing:
              "oracle.lambda_grid: expected "),
             ("simulate", {"simulation": {"n_particles": 1}},
              "simulation.n_particles: must be >= 2, got 1"),
+            ("certify", {"potential": {"v": []}},
+             "potential.v: must be a nonempty vector"),
+            ("certify", {"potential": {"family": "perturbed_diagonal",
+                                       "eps": 0.1, "perturbation": "sine"}},
+             "potential.perturbation: unknown kind 'sine'"),
+            ("simulate", {"friction": {"kind": "viscous"}},
+             "friction.kind: unknown kind 'viscous'"),
+            ("simulate", {"friction": {"kind": "constant_matrix"}},
+             "friction.matrix: required for kind constant_matrix"),
+            ("compare", {"certificate": {"x0": 0.0}},
+             "certificate.x0: must be > 0, got 0.0"),
+            ("oracle-ou", {"oracle": {"v": [1.0, -2.0]}},
+             "oracle.v: must be nonempty with entries > 0"),
+            ("audit", {"audit": {"t_max": 0.0}},
+             "audit.t_max: must be > 0, got 0.0"),
+            ("audit", {"audit": {"n_times": 2}},
+             "audit.n_times: must be >= 3, got 2"),
+            ("audit", {"audit": {"init_cov_scale": -1.0}},
+             "audit.init_cov_scale: must be > 0, got -1.0"),
+            ("certify", [{"kind": "certify"}],
+             "config root must be an object, got list"),
         ]:
-            cfg = write_config(tmp_path, {"kind": command, **payload})
+            if isinstance(payload, dict):
+                payload = {"kind": command, **payload}
+            cfg = write_config(tmp_path, payload)
             assert main([command, "--config", cfg, "--seed", "1",
                          "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
@@ -443,6 +469,23 @@ class TestSimulate:
         assert oracle["max_abs_cov_error"] < 0.05 * oracle["cov_scale"]
         assert report["final_time"] == pytest.approx(1.0, rel=1e-9)
         assert report["n_records"] == 11
+
+    def test_tiny_final_time_runs(self, tmp_path):
+        # the exact law 1e-8 after a point start has eigenvalues about
+        # -eps max|C_inf| from roundoff, below GaussianMoments' slack
+        cfg = write_config(tmp_path, {
+            "kind": "simulate",
+            "potential": {"v": [1.0, 4.0]},
+            "friction": {"kind": "constant_scalar", "lam": 1.0},
+            "simulation": {"dt": 1e-8, "n_steps": 1, "n_particles": 100,
+                           "seed": 1, "record_every": 1},
+        })
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "simulate_report.json")
+        assert report["final_time"] == 1e-8
+        w = np.linalg.eigvalsh(report["oracle"]["exact_cov"])
+        assert w[0] >= -1e-10 * w[-1]
 
     def test_trajectory_csv_proxy_column(self, tmp_path):
         out = str(tmp_path / "sim")
@@ -790,18 +833,42 @@ class TestAudit:
             assert audit["divergent_points"] == sum(flags)
             assert 0 < audit["divergent_points"] < len(flags)
 
-    def test_witness_sweep_errors_reported(self, tmp_path):
-        # the witness search needs min v >= 1; the main audit does not
-        cfg = write_config(tmp_path, {"kind": "audit",
-                                      "potential": {"v": [0.5]}})
+    def test_witness_sweep_errors_reported(self, tmp_path, monkeypatch):
+        # no config that audit accepts leaves the default eps_rates without
+        # a witness, so the search is made to fail; the main audit still runs
+        def not_found(v, eps_rate):
+            raise WitnessNotFound(f"none for eps_rate = {eps_rate}")
+
+        monkeypatch.setattr(cli, "diag_quadratic_certificate", not_found)
         out = str(tmp_path / "audit")
-        assert main(["audit", "--config", cfg, "--out", out]) == 0
+        assert main(["audit", "--out", out]) == 0
         report = read_json(out, "audit.json")
         assert len(report["witness_sweep"]) == 3
         for entry in report["witness_sweep"]:
-            assert entry["error"].startswith("ValueError: min v = 0.5 < 1")
+            assert entry["error"] == (
+                f"WitnessNotFound: none for eps_rate = {entry['eps_rate']}")
             assert entry["rate"] is None and entry["audit"] is None
+        assert report["main"]["audit"]["all_passed"] is True
         assert report["all_passed"] is False
+
+    @pytest.mark.parametrize("v, rates", [
+        ([0.5], [0.5, 0.75, 0.95]),
+        ([2.0], [2.0, 3.0, 3.8]),
+        ([0.5, 3.0], [0.5, 0.75, 0.95]),
+        ([1e-3, 1e-2], [1e-3, 1.5e-3, 1.9e-3]),
+    ])
+    def test_witness_rates_scale_with_min_v(self, tmp_path, v, rates):
+        # the search runs on v / min v, and its rate 2 - eps_rate maps back
+        # to min v (2 - eps_rate), which approaches the exact 2 min v
+        cfg = write_config(tmp_path, {"kind": "audit",
+                                      "potential": {"v": v}})
+        out = str(tmp_path / "audit")
+        assert main(["audit", "--config", cfg, "--out", out]) == 0
+        report = read_json(out, "audit.json")
+        sweep = report["witness_sweep"]
+        assert [e["rate"] for e in sweep] == pytest.approx(rates, rel=1e-15)
+        assert all(e["audit"]["all_passed"] for e in sweep)
+        assert report["all_passed"] is True
 
     def test_non_quadratic_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -91,6 +91,10 @@ class TestGaussianMoments:
         law = GaussianMoments(np.zeros(2), scale * np.diag([1.0, -1e-11]))
         assert law.eig[0][0] == -1e-11 * scale
 
+    def test_mismatched_sizes_rejected(self):
+        with pytest.raises(ValueError, match=r"mean has size 3 but cov is \(2, 2\)"):
+            GaussianMoments(np.zeros(3), np.eye(2))
+
     def test_zero_covariance_of_a_point_law_is_legal(self):
         # every eigenvalue is 0, so the slack rule holds with equality
         law = GaussianMoments(np.array([1.0, 2.0, 0.0, 0.0]), np.zeros((4, 4)))
@@ -176,6 +180,56 @@ class TestPropagate:
         init = GaussianMoments(np.array([3.0, -3.0]), np.eye(2))
         out = propagate(dyn, init, 26.0)
         assert np.linalg.eigvalsh(out.cov)[0] > 0
+
+    def test_point_law_at_small_t_within_roundoff(self):
+        # C_inf - e^{Ft} C_inf e^{F't} leaves eigenvalues near
+        # -eps max|C_inf| at small t, below the slack of a law whose
+        # eigenvalues are all that small: such a covariance is clipped to
+        # the PSD cone, and one the slack accepts keeps its bits
+        times = np.logspace(-12, -1, 45)
+        for dyn in (oscillator(1.0, 1.0),
+                    kinetic_dynamics(np.diag([1.0, 16.0]), np.eye(2)),
+                    kinetic_dynamics(np.diag([1e-3, 1e3]),
+                                     2.0 * np.diag(np.sqrt([1e-3, 1e3]))),
+                    rotated_system(4, 2.0, 3)):
+            n = 2 * dyn.dim
+            init = GaussianMoments(np.r_[np.ones(n // 2), np.zeros(n // 2)],
+                                   np.zeros((n, n)))
+            floor = 8 * n * np.finfo(float).eps * np.abs(
+                dyn.stationary.cov).max()
+            _, raw = _moments(dyn, init, times)
+            laws = propagate(dyn, init, times)
+            clipped = 0
+            for t, c, law in zip(times, raw, laws):
+                w = np.linalg.eigvalsh(c)
+                if w[0] >= -1e-10 * abs(w[-1]):
+                    assert np.array_equal(law.cov, c), t
+                    continue
+                clipped += 1
+                assert law.eig[0][0] >= -1e-10 * law.eig[0][-1], t
+                assert np.max(np.abs(law.cov - c)) <= floor, t
+                assert np.array_equal(propagate(dyn, init, t).cov, law.cov)
+            assert clipped > 0
+
+    def test_clearly_indefinite_covariance_still_raises(self):
+        # a Gibbs covariance without its p-block does not solve the
+        # dynamics' Lyapunov equation, so the noise term is indefinite at
+        # order t, far beyond roundoff
+        dyn = kinetic_dynamics(np.diag([1.0, 16.0]), np.eye(2))
+        wrong = dataclasses.replace(dyn, stationary=GaussianMoments(
+            np.zeros(4), np.diag([1.0, 1.0 / 16.0, 0.0, 0.0])))
+        init = GaussianMoments(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4)))
+        with pytest.raises(NotPositiveDefinite, match="beyond tolerance"):
+            propagate(wrong, init, 0.1)
+
+    def test_non_finite_covariance_named(self):
+        # at t = 1e300 expm's scaling and squaring of a non-commuting pair
+        # gives NaN; the covariance is named before any roundoff is judged
+        dyn = kinetic_dynamics(np.diag([1.0, 2.0]), [[2.0, 0.3], [0.3, 1.0]])
+        init = GaussianMoments(np.ones(4), np.eye(4))
+        with pytest.raises(NotPositiveDefinite,
+                           match="covariance has a non-finite entry"):
+            propagate(dyn, init, 1e300)
 
     def test_semigroup(self):
         rng = np.random.default_rng(41)
@@ -634,6 +688,16 @@ class TestFitDecayRate:
         with pytest.raises(NonPositiveValues):
             fit_decay_rate(ts, vals)
 
+    @pytest.mark.parametrize("n_vals, tail_fraction, match", [
+        (15, 0.5, "equal length"),
+        (16, 0.0, r"tail_fraction must be in \(0, 1\]"),
+        (16, 1.5, r"tail_fraction must be in \(0, 1\]"),
+    ])
+    def test_bad_arguments_rejected(self, n_vals, tail_fraction, match):
+        ts = np.linspace(0.0, 1.0, 16)
+        with pytest.raises(ValueError, match=match):
+            fit_decay_rate(ts, np.exp(-ts[:n_vals]), tail_fraction)
+
     def test_non_positive_names_first_sample(self):
         ts = np.linspace(0.0, 15.0, 16)
         vals = np.exp(-ts)
@@ -648,6 +712,12 @@ class TestOuRateClosedForm:
         assert ou_rate_closed_form(1.0, 2.0) == 2.0
         assert ou_rate_closed_form(1.0, 3.0) == pytest.approx(3 - math.sqrt(5), abs=1e-15)
         assert ou_rate_closed_form(1.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("w, lam", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                        (1.0, -2.0)])
+    def test_non_positive_arguments_rejected(self, w, lam):
+        with pytest.raises(ValueError, match="need w > 0 and lam > 0"):
+            ou_rate_closed_form(w, lam)
 
     def test_overdamped_without_cancellation(self):
         # lam - sqrt(lam^2 - 4 w^2) cancels to 0.0 at lam = 1e9
@@ -689,6 +759,11 @@ class TestDiagonalSystemRate:
     def test_constant_scalar_overdamped(self):
         expected = 5 - math.sqrt(21)
         assert diagonal_system_rate([1.0, 2.0, 3.0], constant_scalar(5.0)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [-1.0]])
+    def test_non_positive_frequency_rejected(self, v):
+        with pytest.raises(ValueError, match="frequencies must be > 0"):
+            diagonal_system_rate(v, hessian_sqrt(2.0))
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedFriction):

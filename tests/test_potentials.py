@@ -7,6 +7,7 @@ from kinlang.errors import ConvexityLost, NonPositiveFrequency, NotPositiveDefin
 from kinlang.linalg import spd_sqrt_directional_derivative
 from kinlang.potentials import (
     COSINE,
+    AssumptionConstants,
     perturbed_diagonal,
     quadratic_diagonal,
     quadratic_general,
@@ -123,7 +124,23 @@ class TestQuadraticGeneral:
             quadratic_general(np.diag([1.0, -1.0]))
 
 
+class TestAssumptionConstants:
+    @pytest.mark.parametrize("alpha, beta, gamma, match", [
+        (0.0, 1.0, 0.0, "alpha must be > 0"),
+        (-1.0, 1.0, 0.0, "alpha must be > 0"),
+        (2.0, 1.0, 0.0, "beta=1.0 < alpha=2.0"),
+        (1.0, 1.0, -0.1, "gamma must be >= 0"),
+    ])
+    def test_bad_constants_rejected(self, alpha, beta, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            AssumptionConstants(alpha, beta, gamma, 1)
+
+
 class TestPerturbedDiagonal:
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            perturbed_diagonal([1.0], -0.1)
+
     def test_eps_zero_is_quadratic(self):
         p0 = perturbed_diagonal([1.0, 2.0], 0.0)
         pq = quadratic_diagonal([1.0, 2.0])

@@ -181,6 +181,25 @@ class TestEnsembleConstruction:
             Ensemble(positions=np.zeros((3, 1)), momenta=np.zeros((3, 1)),
                      seed=0, **fields)
 
+    def test_no_particle_rejected(self):
+        with pytest.raises(ValueError, match="at least one particle"):
+            Ensemble(positions=np.zeros((0, 2)), momenta=np.zeros((0, 2)),
+                     time=0.0, seed=0, steps_taken=0, dt=0.1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_from_moments_n_extension(self, d):
+        # from two rows on the draw is a gemm, whose rows do not depend on
+        # the row count; one row would be a gemv (the README's one exception)
+        rng = np.random.default_rng(d)
+        b = rng.standard_normal((2 * d, 2 * d))
+        law = GaussianMoments(mean=rng.standard_normal(2 * d),
+                              cov=b @ b.T / (2 * d) + 0.1 * np.eye(2 * d))
+        for seed in range(10):
+            big = ensemble_from_moments(law, 7, seed, 0.1)
+            small = ensemble_from_moments(law, 2, seed, 0.1)
+            assert np.array_equal(small.positions, big.positions[:2])
+            assert np.array_equal(small.momenta, big.momenta[:2])
+
     def test_no_coordinate_rejected(self):
         # an (N, 0) ensemble was built, and its summary then divided by zero
         with pytest.raises(ValueError, match="at least one coordinate"):
@@ -1212,6 +1231,30 @@ class TestStagedRun:
         assert self._assert_step_loop_states(init, pot, spec, cfg,
                                              monkeypatch) == [(0, n // 2),
                                                               (n // 2, n // 2 + 1)]
+
+    def test_staged_final_state_equals_step_loop(self):
+        # _staged applied to a copy of the state, as run applies it, ends in
+        # the step loop's (q, p) bit for bit; N leaves a one-row tail that
+        # joins the second of two stages, and 25 times the Hessian lets the
+        # gradient's last bits reach the momenta
+        b = np.random.default_rng(3).standard_normal((8, 8))
+        pot = quadratic_general(25.0 * (b @ b.T / 8 + np.eye(8)))
+        spec = constant_scalar(2.0)
+        n = 2 * (simulate.PREFETCH_BATCH_ELEMENTS // 8) + 1
+        assert len(simulate._row_blocks(
+            n, 8, simulate.PREFETCH_BATCH_ELEMENTS)) == 2
+        cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=8)
+        init = ensemble_from_moments(
+            GaussianMoments(mean=np.r_[np.full(8, 0.5), np.zeros(8)],
+                            cov=np.eye(16)), n, 8, 0.01)
+        q, mom = init.positions.copy(), init.momenta.copy()
+        _bounded(lambda caller: simulate._staged(
+            q, mom, spec.resolve(pot), cfg.dt, cfg.seed, 0, cfg.n_steps, {},
+            None))
+        e = init
+        for _ in range(cfg.n_steps):
+            e = step(e, pot, spec, cfg)
+        assert _bits(q, mom) == _bits(e.positions, e.momenta)
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
     def test_draw_failure_raised_and_joined(self, failing, monkeypatch):

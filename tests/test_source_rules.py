@@ -1,7 +1,10 @@
-"""Rules on the package source, read as text."""
+"""Rules on the package source, read as text, and on its namespace."""
 
 import pathlib
 import re
+import types
+
+import kinlang
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kinlang"
 
@@ -81,3 +84,13 @@ def test_stage_rule_reads_no_potential():
     # friction form's steps alike, so it never asks the potential which
     # form it has (FrictionSpec.resolve alone does)
     assert [hit for hit in _calls("hess_diag") if hit[0] == "simulate.py"] == []
+
+
+def test_export_list_is_the_public_names():
+    # kinlang.__all__ is derived from the package's imports, not written out
+    # as a second list: exactly its public names that are not modules
+    public = [name for name, value in vars(kinlang).items()
+              if not (name.startswith("_")
+                      or isinstance(value, types.ModuleType))]
+    assert sorted(kinlang.__all__) == sorted(public)
+    assert "__all__ = [" not in (SRC / "__init__.py").read_text(encoding="utf-8")

@@ -50,7 +50,8 @@ from .config import (
     load_config,
     config_from_dict,
 )
-from .errors import ConfigError, KinlangError, WitnessNotFound
+from .errors import (ConfigError, KinlangError, NotPositiveDefinite,
+                     WitnessNotFound)
 from .friction import constant_scalar, hessian_sqrt
 from .gaussian import (
     GaussianMoments,
@@ -166,16 +167,24 @@ def cmd_oracle_ou(cfg: ExperimentConfig) -> dict:
 # simulate
 
 
-def _linear_dynamics(p, spec):
+def _linear_dynamics(cfg: ExperimentConfig, p, spec):
     """The run's Gaussian oracle: Hess V and Gamma at the origin.
 
     Exact for quadratic potentials, whose Hessian and friction are constant.
     For perturbed potentials its stationary law is the curvature-matched
     Gaussian at the origin, so the chi2 proxy column against it is a trend
-    diagnostic rather than a divergence estimate.
+    diagnostic rather than a divergence estimate.  A matrix the SPD rule
+    rejects is a config error naming friction.matrix for kinetic_dynamics'
+    gamma_mat, else the potential's field (hessian_sqrt roots Hess V).
     """
     zero = np.zeros(p.dim)
-    return kinetic_dynamics(p.hess(zero), spec.gamma(p, zero))
+    try:
+        return kinetic_dynamics(p.hess(zero), spec.gamma(p, zero))
+    except NotPositiveDefinite as exc:
+        general = cfg.potential.family == "quadratic_general"
+        field = ("friction.matrix" if str(exc).startswith("gamma_mat ")
+                 else "potential." + ("matrix" if general else "v"))
+        raise ConfigError(f"{field}: {exc}")
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
@@ -198,7 +207,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> dict:
     ens0 = ensemble_at_point(init_q, init_p, sim.n_particles, sim.seed, sim.dt)
     simcfg = SimConfig(dt=sim.dt, n_steps=sim.n_steps,
                        n_particles=sim.n_particles, seed=sim.seed)
-    dyn = _linear_dynamics(p, spec)
+    dyn = _linear_dynamics(cfg, p, spec)
     points = run(ens0, p, spec, simcfg, record_every=sim.record_every)
     points = attach_chi2_proxies(points, dyn.stationary)
 
@@ -310,7 +319,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 
 def cmd_audit(cfg: ExperimentConfig) -> dict:
     p = build_potential(cfg.potential, certified=True)
-    dyn = _linear_dynamics(p, build_friction(cfg.friction))
+    dyn = _linear_dynamics(cfg, p, build_friction(cfg.friction))
     d = p.dim
 
     aud = cfg.audit

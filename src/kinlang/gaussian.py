@@ -217,8 +217,8 @@ def _moments(dyn, init, t):
         raise ValueError(
             f"t must be a float or a 1-d array, got shape {times.shape}")
     times = times.reshape(-1)
-    if not np.all(times >= 0):
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     mean = np.repeat(init.mean[None], times.size, axis=0)
     cov = np.repeat(init.cov[None], times.size, axis=0)
     moving = np.flatnonzero(times > 0)

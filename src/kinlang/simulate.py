@@ -50,10 +50,11 @@ __all__ = [
 #: any coordinate beyond this magnitude is treated as a blown-up trajectory
 BLOWUP_LIMIT = 1e12
 
-#: N * d from which _staged starts its helper thread.  Below it the
-#: calling thread takes every step alone: the draw is small next to a
-#: step's Python overhead, and the thread cost more than it saved on a
-#: 2-core host (size sweep in CHANGES.md)
+#: N * d from which _staged starts its helper thread, which then takes
+#: every other step of a run of two or more.  Below it the calling thread
+#: takes every step alone: the draw is small next to a step's Python
+#: overhead, and the thread cost more than it saved on a 2-core host (size
+#: sweep in CHANGES.md)
 PREFETCH_MIN_ELEMENTS = 1 << 13
 
 #: coordinates (1 MiB of float64) in one stage of a staged step, whatever
@@ -418,21 +419,23 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
             recorded, record):
     """Apply n EM steps to the state (q, mom) in place, one stage, a row
     block of _row_blocks(N, d, PREFETCH_BATCH_ELEMENTS), at a time, on the
-    calling thread and, from PREFETCH_MIN_ELEMENTS coordinates on and when
-    n > 0, one helper thread.
+    calling thread and, when n >= 2 and from PREFETCH_MIN_ELEMENTS
+    coordinates on, one helper thread.
 
-    The threads claim whole steps in increasing order from one counter.
-    The thread holding step k (counted from the run's first) walks the rows
-    in stages: it draws a stage's noise from step k's stream into its own
-    stage-sized buffer, waits until step k - 1 has applied those rows, and
-    applies them in place with _advance, the gradient in a stage-sized row
-    of its own.  So while one thread applies a step, the other draws the
-    next; alone, the calling thread takes the steps in turn.  When step k
-    ends a recorded step (k + 1 in recorded), record(k + 1) runs once its
-    last stage is applied, and step k + 1 may apply no row before it
-    returns.  A row's bits do not depend on the stages (_row_blocks), so
-    they are the whole step's, whatever the friction form.  An exception
-    stops its step and every later one; the earlier steps are still
+    The schedule is static: counting from the run's first step, the
+    calling thread takes steps 0, 2, 4, ... and the helper steps 1, 3, 5,
+    ...; alone, the calling thread takes every step.  The thread holding
+    step k walks the rows in stages: it draws a stage's noise from step
+    k's stream into its own stage-sized buffer, waits until step k - 1 has
+    applied those rows, and applies them in place with _advance, the
+    gradient in a stage-sized row of its own.  So while one thread applies
+    a step, the other draws the next.  When step k ends a recorded step
+    (k + 1 in recorded), record(k + 1) runs once its last stage is
+    applied, and step k + 1 may apply no row before it returns.  A row's
+    bits do not depend on the stages (_row_blocks), so they are the whole
+    step's, whatever the friction form.  An exception stops its step and
+    every later one: a later step applies no row, though its thread may
+    draw one stage of its noise first.  The earlier steps are still
     applied, and the earliest step's exception is raised once the helper
     is joined, so a NumericalBlowup names the step loop's step and row.
     """
@@ -440,7 +443,7 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
     rows = max(b.stop - b.start for b in stages)
     last = len(stages) - 1
     cond = threading.Condition()
-    claimed = 0
+    threads = 2 if n >= 2 and q.size >= PREFETCH_MIN_ELEMENTS else 1
     # step k -> the stages of step k - 1 that step k may apply, for the
     # steps not yet applied
     released = {0: len(stages)}
@@ -449,18 +452,12 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
     def stopped(k):
         return bool(errors) and min(errors) < k
 
-    def work():
-        nonlocal claimed
+    def work(first):
         buf = np.empty((5, rows) + q.shape[1:])
         noise, term, grad, friction_out = buf[0], buf[1], buf[2], buf[3:]
         k = -1
         try:
-            while True:
-                with cond:
-                    if claimed == n or stopped(claimed):
-                        return
-                    k = claimed
-                    claimed += 1
+            for k in range(first, n, threads):
                 stream = _stream(seed, start + k)
                 for j, b in enumerate(stages):
                     xi = stream.standard_normal(out=noise[:len(q[b])])
@@ -488,14 +485,14 @@ def _staged(q, mom, force, dt: float, seed: int, start: int, n: int,
                 cond.notify_all()
 
     helper = None
-    if n and q.size >= PREFETCH_MIN_ELEMENTS:
+    if threads == 2:
         # the helper runs in a copy of the caller's context, so a
         # np.errstate the caller set holds on both threads
         helper = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(work,))
+                                  args=(work, 1))
         helper.start()
     try:
-        work()
+        work(0)
     finally:
         if helper is not None:
             helper.join()
@@ -519,9 +516,10 @@ def run(init: Ensemble, p: Potential, spec: FrictionSpec, cfg: SimConfig,
     the potential (FrictionSpec.resolve), written into those buffers.
 
     The calling thread takes every step alone below PREFETCH_MIN_ELEMENTS
-    coordinates N * d, or for no step at all; from there on one helper
-    thread shares the steps.  Each thread holds a step, and draws and
-    applies it one stage at a time, in its own stage-sized noise, gradient,
+    coordinates N * d, or for fewer than two steps; from there on one
+    helper thread takes the odd steps, counted from the run's first, and
+    the calling thread the even ones.  Each thread draws and applies its
+    step one stage at a time, in its own stage-sized noise, gradient,
     term and friction buffers.  A stage is a row block of _row_blocks(N, d,
     PREFETCH_BATCH_ELEMENTS), whatever the friction form, so each thread's
     noise is about 1 MiB at any N; the matrix forms leave the friction

@@ -972,6 +972,15 @@ CONFIG_ERRORS = [
     # oracle.w is judged with the config, as friction.s is
     ("oracle-ou", {"oracle": {"w": 1e155}}, "oracle.w"),
     ("oracle-ou", {"oracle": {"w": -1.0}}, "oracle.w"),
+    # a Hessian or friction matrix inside the certificate range that the
+    # linearized oracle's SPD rule rejects: kappa(Hess V) = 1e10, whose
+    # root hessian_sqrt takes, and kappa(Gamma) = 1e11
+    ("audit", {"potential": {"v": [1.0, 1e5]}}, "potential.v"),
+    ("simulate", {"potential": {"v": [1.0, 1e5]}}, "potential.v"),
+    ("simulate", {"potential": {"v": [1.0, 1.0]},
+                  "friction": {"kind": "constant_matrix",
+                               "matrix": [[1.0, 0.0], [0.0, 1e-11]]}},
+     "friction.matrix"),
 ]
 
 

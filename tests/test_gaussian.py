@@ -318,6 +318,27 @@ class TestPropagateGrid:
             with pytest.raises(ValueError):
                 propagate(dyn, init, bad)
 
+    @pytest.mark.parametrize("dyn", [
+        kinetic_dynamics(np.array([[1.0]]), np.array([[2.0]])),
+        kinetic_dynamics(np.diag([1.0, 4.0]), np.array([[2.0, 0.5], [0.5, 1.0]])),
+    ], ids=["commuting", "non_commuting"])
+    @pytest.mark.parametrize("t", [np.inf, np.array([0.0, 1.0, np.inf])],
+                             ids=["alone", "in_grid"])
+    def test_rejects_infinite_time(self, dyn, t):
+        # an infinite time is rejected by name before any exponential is
+        # formed, so no RuntimeWarning (an error here) comes first, on the
+        # closed-form modes and on expm alike
+        assert (dyn.modes is None) == (dyn.dim == 2)
+        init = GaussianMoments(mean=np.r_[np.ones(dyn.dim), np.zeros(dyn.dim)],
+                               cov=np.eye(2 * dyn.dim))
+        grid = np.r_[0.5, t] if np.ndim(t) == 0 else t
+        weight = WeightMatrixS(np.eye(2 * dyn.dim))
+        for call in (lambda: propagate(dyn, init, t),
+                     lambda: chi2_along(dyn, init, grid),
+                     lambda: decay_audits(dyn, init, [(weight, 1.0)], grid)):
+            with pytest.raises(ValueError, match=r"^t must be finite and >= 0"):
+                call()
+
 
 def general_quadratic_dynamics(spec):
     """The dynamics of spec on a non-diagonal quadratic_general potential

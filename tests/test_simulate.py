@@ -1054,7 +1054,7 @@ class TestNoisePrefetch:
 
 class TestBatchedPrefetch(TestNoisePrefetch):
     """The same checks at N * d = 10,000, one stage per step, over a run of
-    thirty steps, so that each thread claims many."""
+    thirty steps, so that each thread takes many."""
 
     N = 10_000
     N_STEPS = 30
@@ -1081,8 +1081,8 @@ class TestBatchedPrefetch(TestNoisePrefetch):
 class TestStagedRun:
     """A step of any friction form is drawn and applied one stage of
     PREFETCH_BATCH_ELEMENTS coordinates at a time, by the calling thread
-    and one helper, each holding a whole step; every record must be the
-    step loop's.  N leaves a ragged last stage: two stages at d = 1, three
+    (the even steps) and one helper (the odd ones); every record must be
+    the step loop's.  N leaves a ragged last stage: two stages at d = 1, three
     at d = 2.  Every run goes through _bounded."""
 
     N = simulate.PREFETCH_BATCH_ELEMENTS + 3
@@ -1258,7 +1258,7 @@ class TestStagedRun:
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
     def test_draw_failure_raised_and_joined(self, failing, monkeypatch):
-        # the first step from the third on that one thread claims fails to
+        # the first step from the third on that one thread owns fails to
         # draw: run raises the failure with every earlier step applied in
         # all its stages, no later row applied, and no thread left behind
         start = threading.active_count()
@@ -1346,39 +1346,30 @@ class TestStagedRun:
     @pytest.mark.parametrize("n", [simulate.PREFETCH_MIN_ELEMENTS, N],
                              ids=["one_stage", "several_stages"])
     def test_caller_errstate_holds_on_helper(self, n, monkeypatch):
-        # under the caller's np.errstate(over="raise"), step 1 overflows in
-        # the gradient (v^2 q = 1e308 * 2), as it does in the step loop.
-        # The helper is made to claim step 1, so it is the helper that
-        # raises FloatingPointError
+        # under the caller's np.errstate(over="raise"), step 2 overflows in
+        # the gradient (v^2 q = 1e308 * 3, q = 0 + 300 dt), as it does in
+        # the step loop, and step 1 does not (q = 0).  Step 2 is the
+        # helper's, so it is the helper that raises FloatingPointError
         pot, spec = quadratic_diagonal([1e154]), constant_scalar(2.0)
         cfg = SimConfig(dt=0.01, n_steps=3, n_particles=n, seed=5)
-        e = ensemble_at_point([2.0], [0.0], n, 5, 0.01)
+        e = ensemble_at_point([0.0], [300.0], n, 5, 0.01)
         with np.errstate(over="raise"):
+            e1 = step(e, pot, spec, cfg)
             with pytest.raises(FloatingPointError):
-                step(e, pot, spec, cfg)
+                step(e1, pot, spec, cfg)
 
-        caller, applied, drawn = [], [], threading.Event()
-        stream, advance = simulate._stream, simulate._advance
-
-        class HelperFirst(threading.Thread):
-            # start returns once the helper has claimed and drawn a step,
-            # so the caller's first claim is the second step
-            def start(self):
-                super().start()
-                assert drawn.wait(60)
-
-        def stream_spy(*args):
-            if threading.current_thread() is not caller[0]:
-                drawn.set()
-            return stream(*args)
+        caller, applied, raised = [], [], []
+        advance = simulate._advance
 
         def advance_spy(*args):
-            applied.append((args[5], threading.current_thread()))
-            advance(*args)
+            mine = threading.current_thread() is caller[0]
+            try:
+                advance(*args)
+            except FloatingPointError:
+                raised.append((args[5], mine))
+                raise
+            applied.append((args[5], mine))
 
-        monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(
-            **{**vars(threading), "Thread": HelperFirst}))
-        monkeypatch.setattr(simulate, "_stream", stream_spy)
         monkeypatch.setattr(simulate, "_advance", advance_spy)
 
         def target(thread):
@@ -1389,17 +1380,56 @@ class TestStagedRun:
         with pytest.warns(RuntimeWarning, match="unstable"):
             with pytest.raises(FloatingPointError):
                 _bounded(target)
-        assert [(k, type(t)) for k, t in applied] == [(1, HelperFirst)]
+        stages = len(simulate._row_blocks(n, 1, simulate.PREFETCH_BATCH_ELEMENTS))
+        assert applied == [(1, True)] * stages
+        assert raised == [(2, False)]
+
+    @pytest.mark.parametrize("n", [simulate.PREFETCH_MIN_ELEMENTS, N],
+                             ids=["one_stage", "several_stages"])
+    def test_steps_owned_by_parity(self, n, monkeypatch):
+        # counted from the run's first step, here the ensemble's second,
+        # the calling thread applies every stage of the even steps and the
+        # helper every stage of the odd ones; the final state is the step
+        # loop's bit for bit
+        pot, spec, cfg, init = self._setup("diagonal_field", n=n)
+        init = step(init, pot, spec, cfg)
+        ran = []
+        advance = simulate._advance
+
+        def spy(*args):
+            ran.append((args[5], threading.current_thread()))
+            advance(*args)
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        q, mom = init.positions.copy(), init.momenta.copy()
+
+        def staged(caller):
+            simulate._staged(q, mom, spec.resolve(pot), cfg.dt, cfg.seed,
+                             init.steps_taken, cfg.n_steps, {}, None)
+            return caller
+
+        caller = _bounded(staged)
+        stages = len(simulate._row_blocks(n, pot.dim,
+                                          simulate.PREFETCH_BATCH_ELEMENTS))
+        assert sorted((k, t is caller) for k, t in ran) == [
+            (init.steps_taken + 1 + k, k % 2 == 0)
+            for k in range(cfg.n_steps) for _ in range(stages)]
+        e = init
+        for _ in range(cfg.n_steps):
+            e = step(e, pot, spec, cfg)
+        assert _bits(q, mom) == _bits(e.positions, e.momenta)
 
     @pytest.mark.parametrize("n, n_steps, helpers", [
         (simulate.PREFETCH_MIN_ELEMENTS - 1, 3, 0),
         (simulate.PREFETCH_MIN_ELEMENTS, 3, 1),
         (simulate.PREFETCH_MIN_ELEMENTS, 0, 0),
-    ], ids=["below_2_13", "at_2_13", "no_steps"])
+        (simulate.PREFETCH_MIN_ELEMENTS, 1, 0),
+    ], ids=["below_2_13", "at_2_13", "no_steps", "one_step"])
     def test_helper_starts_from_2_13_coordinates(self, n, n_steps, helpers,
                                                  monkeypatch):
         # the helper thread starts iff N * d >= PREFETCH_MIN_ELEMENTS and
-        # there is a step to take; the records are the step loop's either way
+        # it owns a step, the second; the records are the step loop's
+        # either way
         started = []
 
         class Spy(threading.Thread):

@@ -7,6 +7,13 @@ checkout's ``src/``, each checkout in its own temporary directory and with
 the same relative ``--out`` per command, because every report embeds its
 ``out_dir``.  By default the commands run on their default configs; with
 ``--config-dir``, a command whose ``DIR/<command>.json`` exists runs on it.
+``tools/staged`` holds a ``simulate`` config whose steps run in three
+stages on two threads (a constant matrix friction, N = 131,075, d = 2, 20
+steps, every one recorded), so
+
+    python3 tools/outdiff.py OLD_CHECKOUT . --config-dir tools/staged
+
+is the bit check for a change to how ``run`` schedules its steps.
 
 Each file is then "identical", or its changes are listed:
 
